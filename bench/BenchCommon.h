@@ -15,8 +15,8 @@
 #ifndef BALIGN_BENCH_BENCHCOMMON_H
 #define BALIGN_BENCH_BENCHCOMMON_H
 
-#include "align/Penalty.h"
 #include "align/Pipeline.h"
+#include "objective/Penalty.h"
 #include "sim/Simulator.h"
 #include "workloads/Workloads.h"
 

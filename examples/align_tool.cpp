@@ -7,18 +7,20 @@
 // prints a per-procedure penalty report plus the aligned block orders.
 //
 // Usage:
-//   align_tool <program.cfg> [--aligner greedy|tsp|cg|original|exttsp]
-//              [--objective fallthrough|exttsp] [--exttsp-window N]
-//              [--exttsp-weights F,B]
-//              [--budget N] [--seed N] [--threads N] [--dot] [--bounds]
+//   align_tool <program.cfg> [request flags] [--aligner greedy|cg|original]
+//              [--threads N] [--dot] [--verify[=quick|full|none]]
 //              [--profile FILE] [--emit-profile FILE]
 //              [--cache DIR] [--cache-stats] [--batch FILE]
-//              [--on-error abort|fallback|skip] [--time-budget MS]
-//              [--deadline MS] [--checkpoint FILE]
+//              [--time-budget MS] [--deadline MS] [--checkpoint FILE]
 //              [--trace FILE] [--metrics] [--metrics-json FILE]
 //              [--lint[=warn|err]] [--lint-json FILE]
-//              [--effort-policy uniform|scaled|scaled-cold-greedy]
 //              [--serve SOCK|-] [--serve-queue N] [--drain-timeout MS]
+//
+// The request flags (--seed --budget --bounds --on-error --effort-policy
+// --aligner tsp|exttsp --objective --exttsp-window --exttsp-weights
+// --encoding --short-range) are shared with balign_client: serve/Oneshot.h
+// parses them and maps them onto AlignmentOptions for this tool and for
+// the server alike, so a one-shot run and a served request agree.
 //
 // With no file argument a built-in demo program is used, so the tool is
 // runnable out of the box.
@@ -59,23 +61,21 @@
 
 #include "align/Aligners.h"
 #include "align/Bounds.h"
-#include "align/Penalty.h"
 #include "analysis/PipelineVerifier.h"
 #include "cache/Store.h"
 #include "ir/Dot.h"
 #include "ir/TextFormat.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/ProfileIO.h"
 #include "profile/Trace.h"
 #include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "serve/Oneshot.h"
 #include "serve/Server.h"
-#include "static/EffortPolicy.h"
 #include "static/Lint.h"
 #include "support/Flags.h"
 #include "support/Format.h"
-#include "support/Parse.h"
 #include "support/Table.h"
 #include "trace/Scope.h"
 
@@ -120,40 +120,22 @@ enum class LintMode : uint8_t {
 
 struct ToolOptions {
   std::string File;
-  std::string AlignerName = "tsp";
-  bool AlignerGiven = false;   ///< Whether --aligner appeared at all.
-
-  // balign-objective flags. The window/weight knobs write into the
-  // MachineModel's Ext-TSP parameters; the objective picks what the
-  // exttsp aligner maximizes.
-  ObjectiveKind Objective = ObjectiveKind::ExtTsp;
-  bool ObjectiveGiven = false; ///< Whether --objective appeared at all.
-  uint64_t ExtTspWindow = 0;   ///< --exttsp-window; 0 = model defaults.
-  bool WeightsGiven = false;   ///< Whether --exttsp-weights appeared.
-  double ExtTspForwardWeight = 0.0;
-  double ExtTspBackwardWeight = 0.0;
-
-  // balign-displace flags. The encoding knobs write into the machine
-  // model; fingerprints absorb them only under a variable encoding.
-  BranchEncoding Encoding = BranchEncoding::Fixed;
-  bool EncodingGiven = false;   ///< Whether --encoding appeared at all.
-  uint64_t ShortRange = 0;      ///< --short-range value when given.
-  bool ShortRangeGiven = false; ///< Whether --short-range appeared.
+  /// --aligner greedy|cg|original: one-shot-only aligners with no
+  /// pipeline or wire form; empty = the request's primary aligner.
+  std::string LegacyAligner;
+  /// The result-affecting flags, shared with balign_client and mapped
+  /// onto AlignmentOptions exactly as a served request is.
+  RequestFlags Flags;
   std::string ProfileFile;     ///< Read counts instead of simulating.
   std::string EmitProfileFile; ///< Dump the counts used.
   std::string CacheDir;        ///< Non-empty enables the disk cache.
   std::string BatchFile;       ///< Non-empty selects batch mode.
   bool CacheStats = false;     ///< Print cache counters to stderr.
-  uint64_t Budget = 50000;
-  uint64_t Seed = 1;
   unsigned Threads = 1; ///< Pipeline workers; 0 = hardware concurrency.
   bool EmitDot = false;
-  bool ComputeBounds = false;
   VerifyLevel Verify = VerifyLevel::None;
 
-  // balign-shield flags.
-  OnErrorPolicy OnError = OnErrorPolicy::Abort;
-  bool OnErrorGiven = false;   ///< Whether --on-error appeared at all.
+  // balign-shield flags (--on-error is a request flag).
   uint64_t TimeBudgetMs = 0;   ///< --time-budget: per-procedure budget.
   uint64_t DeadlineMs = 0;     ///< --deadline: whole-run budget.
   std::string CheckpointFile;  ///< --checkpoint: batch resume journal.
@@ -167,7 +149,6 @@ struct ToolOptions {
   // balign-lint flags. Lint output goes to stderr and --lint-json only.
   LintMode Lint = LintMode::Off;
   std::string LintJsonFile; ///< --lint-json: JSON report (implies lint).
-  EffortPolicy Effort = EffortPolicy::Uniform; ///< --effort-policy.
 
   // balign-serve flags.
   std::string ServePath;    ///< --serve: socket path, or "-" for stdio.
@@ -177,7 +158,7 @@ struct ToolOptions {
   /// True when any shield flag was given; forces the pipeline path and
   /// enables the stderr shield report.
   bool shieldActive() const {
-    return OnErrorGiven || TimeBudgetMs != 0 || DeadlineMs != 0;
+    return Flags.OnErrorGiven || TimeBudgetMs != 0 || DeadlineMs != 0;
   }
 
   /// True when any balign-scope flag was given; installs the session.
@@ -191,19 +172,9 @@ struct ToolOptions {
   }
 };
 
-bool parseOnErrorPolicy(const char *Text, OnErrorPolicy &Out) {
-  if (std::strcmp(Text, "abort") == 0)
-    Out = OnErrorPolicy::Abort;
-  else if (std::strcmp(Text, "fallback") == 0)
-    Out = OnErrorPolicy::Fallback;
-  else if (std::strcmp(Text, "skip") == 0)
-    Out = OnErrorPolicy::Skip;
-  else {
-    std::fprintf(stderr, "error: unknown --on-error policy '%s' "
-                 "(want abort, fallback, or skip)\n", Text);
-    return false;
-  }
-  return true;
+bool isLegacyAligner(const char *Name) {
+  return std::strcmp(Name, "greedy") == 0 || std::strcmp(Name, "cg") == 0 ||
+         std::strcmp(Name, "original") == 0;
 }
 
 bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
@@ -218,58 +189,21 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                        uint64_t Max = UINT64_MAX) -> bool {
       return flagUInt(Flag, Argc, Argv, I, Out, Max);
     };
-    if (Arg == "--aligner") {
-      const char *V = needValue("--aligner");
-      if (!V)
-        return false;
-      Options.AlignerName = V;
-      Options.AlignerGiven = true;
-    } else if (Arg == "--objective") {
-      const char *V = needValue("--objective");
-      if (!V)
-        return false;
-      if (!parseObjectiveKind(V, Options.Objective)) {
-        std::fprintf(stderr, "error: unknown --objective '%s' (want "
-                     "fallthrough or exttsp)\n", V);
-        return false;
-      }
-      Options.ObjectiveGiven = true;
-    } else if (Arg == "--exttsp-window") {
-      // A zero window would make every jump worthless and a huge one
-      // makes the linear decay meaningless; both are almost certainly
-      // typos, so the established exit-code contract rejects them.
-      if (!flagUIntInRange("--exttsp-window", Argc, Argv, I,
-                           Options.ExtTspWindow, 1, 1 << 20))
-        return false;
-    } else if (Arg == "--exttsp-weights") {
-      if (!flagDoublePair("--exttsp-weights", Argc, Argv, I,
-                          Options.ExtTspForwardWeight,
-                          Options.ExtTspBackwardWeight, 1024.0))
-        return false;
-      Options.WeightsGiven = true;
-    } else if (Arg == "--encoding") {
-      const char *V = needValue("--encoding");
-      if (!V)
-        return false;
-      if (!parseBranchEncoding(V, Options.Encoding)) {
-        std::fprintf(stderr, "error: unknown --encoding '%s' (want "
-                     "fixed or short-long)\n", V);
-        return false;
-      }
-      Options.EncodingGiven = true;
-    } else if (Arg == "--short-range") {
-      // 0 is legal and meaningful: it forces every branch long, the
-      // degenerate case the displacement tests pin.
-      if (!needInt("--short-range", Options.ShortRange))
-        return false;
-      Options.ShortRangeGiven = true;
-    } else if (Arg == "--budget") {
-      if (!needInt("--budget", Options.Budget))
-        return false;
-    } else if (Arg == "--seed") {
-      if (!needInt("--seed", Options.Seed))
-        return false;
-    } else if (Arg == "--threads") {
+    // The last --aligner wins, legacy name or not.
+    if (Arg == "--aligner" && I + 1 < Argc && isLegacyAligner(Argv[I + 1])) {
+      Options.LegacyAligner = Argv[++I];
+      Options.Flags.Request.Primary = PrimaryAligner::Tsp;
+      continue;
+    }
+    FlagParse Shared = parseRequestFlag(Argc, Argv, I, Options.Flags);
+    if (Shared == FlagParse::Error)
+      return false;
+    if (Shared == FlagParse::Consumed) {
+      if (Arg == "--aligner")
+        Options.LegacyAligner.clear();
+      continue;
+    }
+    if (Arg == "--threads") {
       uint64_t N = 0;
       if (!needInt("--threads", N, UINT32_MAX))
         return false;
@@ -302,16 +236,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
       if (!V)
         return false;
       Options.BatchFile = V;
-    } else if (Arg == "--on-error") {
-      const char *V = needValue("--on-error");
-      if (!V || !parseOnErrorPolicy(V, Options.OnError))
-        return false;
-      Options.OnErrorGiven = true;
-    } else if (Arg.rfind("--on-error=", 0) == 0) {
-      if (!parseOnErrorPolicy(Arg.c_str() + std::strlen("--on-error="),
-                              Options.OnError))
-        return false;
-      Options.OnErrorGiven = true;
     } else if (Arg == "--time-budget") {
       if (!needInt("--time-budget", Options.TimeBudgetMs))
         return false;
@@ -349,15 +273,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
       if (!V)
         return false;
       Options.LintJsonFile = V;
-    } else if (Arg == "--effort-policy") {
-      const char *V = needValue("--effort-policy");
-      if (!V)
-        return false;
-      if (!parseEffortPolicy(V, Options.Effort)) {
-        std::fprintf(stderr, "error: unknown --effort-policy '%s' (want "
-                     "uniform, scaled, or scaled-cold-greedy)\n", V);
-        return false;
-      }
     } else if (Arg == "--serve") {
       const char *V = needValue("--serve");
       if (!V)
@@ -378,8 +293,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
         return false;
     } else if (Arg == "--dot") {
       Options.EmitDot = true;
-    } else if (Arg == "--bounds") {
-      Options.ComputeBounds = true;
     } else if (Arg == "--verify" || Arg == "--verify=full") {
       Options.Verify = VerifyLevel::Full;
     } else if (Arg == "--verify=quick") {
@@ -392,38 +305,20 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                    Arg.c_str() + std::strlen("--verify="));
       return false;
     } else if (Arg == "--help" || Arg == "-h") {
-      std::printf("usage: align_tool [file.cfg] [--aligner "
-                  "greedy|tsp|cg|original|exttsp] [--budget N] [--seed N] "
-                  "[--threads N] [--dot] [--bounds] "
-                  "[--verify[=quick|full|none]] "
+      std::printf("usage: align_tool [file.cfg] [request flags] [--aligner "
+                  "greedy|cg|original] [--threads N]\n"
+                  "                  [--dot] [--verify[=quick|full|none]] "
                   "[--profile FILE] [--emit-profile FILE]\n"
                   "                  [--cache DIR] [--cache-stats] "
                   "[--batch FILE]\n"
-                  "  --aligner exttsp  chain-merge on the Ext-TSP locality "
-                  "objective instead of\n"
-                  "                solving the DTSP (works in the pipeline "
-                  "modes too)\n"
-                  "  --objective O fallthrough|exttsp: what the exttsp "
-                  "aligner maximizes\n"
-                  "                (default exttsp)\n"
-                  "  --exttsp-window N  Ext-TSP forward/backward window in "
-                  "bytes, in\n"
-                  "                [1, 1048576] (defaults 1024 forward / "
-                  "640 backward)\n"
-                  "  --exttsp-weights F,B  Ext-TSP forward,backward jump "
-                  "weights as\n"
-                  "                decimals in [0, 1024] (default 0.1,0.1)\n"
-                  "  --encoding E  branch encoding: fixed (default; every "
-                  "branch is one\n"
-                  "                instruction) or short-long (branches "
-                  "beyond the short\n"
-                  "                range grow and are re-priced by the "
-                  "displacement fixpoint)\n"
-                  "  --short-range N  short-form branch reach in bytes "
-                  "under --encoding\n"
-                  "                short-long (default 32768; 0 forces "
-                  "every branch long)\n"
-                  "  --threads N   pipeline worker threads "
+                  "request flags (shared with balign_client):\n%s"
+                  "tool flags:\n"
+                  "  --aligner greedy|cg|original  one-shot-only aligners, "
+                  "reported in a\n"
+                  "                single column (the pipeline modes "
+                  "ignore them)\n",
+                  requestFlagsHelp());
+      std::printf("  --threads N   pipeline worker threads "
                   "(0 = all hardware threads, 1 = serial;\n"
                   "                results are identical at every "
                   "setting)\n"
@@ -439,11 +334,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "shared cache session;\n"
                   "                malformed entries are skipped with an "
                   "error line (exit 3)\n"
-                  "  --on-error P  per-procedure failure policy: abort "
-                  "(default, exit 2),\n"
-                  "                fallback (degrade greedy -> original, "
-                  "exit 0), or skip\n"
-                  "                (keep the original layout, exit 0)\n"
                   "  --time-budget MS  per-procedure solver budget; a "
                   "trip is handled per\n"
                   "                --on-error (tripped results are never "
@@ -472,12 +362,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "(a per-entry array in\n"
                   "                --batch mode); implies --lint=warn "
                   "unless --lint was given\n"
-                  "  --effort-policy P  spread solver effort per "
-                  "procedure: uniform (default),\n"
-                  "                scaled (kicks follow loop nesting and "
-                  "hotness), or\n"
-                  "                scaled-cold-greedy (cold procedures "
-                  "skip the solver)\n"
                   "  --serve PATH  run as a persistent alignment server "
                   "on unix socket PATH\n"
                   "                (or - for stdin/stdout): clients send "
@@ -513,19 +397,19 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   return true;
 }
 
-std::unique_ptr<Aligner> makeAligner(const std::string &Name,
-                                     ObjectiveKind Objective) {
-  if (Name == "greedy")
+/// The legacy path's aligner: a one-shot-only one when named, else the
+/// primary aligner the request flags chose.
+std::unique_ptr<Aligner> makeAligner(const std::string &LegacyName,
+                                     const AlignmentOptions &AlignOptions) {
+  if (LegacyName == "greedy")
     return std::make_unique<GreedyAligner>();
-  if (Name == "tsp")
-    return std::make_unique<TspAligner>();
-  if (Name == "cg")
+  if (LegacyName == "cg")
     return std::make_unique<CalderGrunwaldAligner>();
-  if (Name == "original")
+  if (LegacyName == "original")
     return std::make_unique<OriginalAligner>();
-  if (Name == "exttsp")
-    return std::make_unique<ExtTspAligner>(Objective);
-  return nullptr;
+  if (AlignOptions.Primary == PrimaryAligner::ExtTsp)
+    return std::make_unique<ExtTspAligner>(AlignOptions.Objective);
+  return std::make_unique<TspAligner>();
 }
 
 std::optional<Program> loadProgram(const std::string &File,
@@ -575,7 +459,8 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
   }
   // The seeded synthetic run is shared with balign-serve (the server
   // must reproduce it bit-for-bit), so it lives in serve/Oneshot.h.
-  return synthesizeProfile(Prog, Options.Seed, Options.Budget);
+  return synthesizeProfile(Prog, Options.Flags.Request.Seed,
+                           Options.Flags.Request.Budget);
 }
 
 /// The pipeline-based report used in cache and batch modes: all three
@@ -589,7 +474,7 @@ void reportPipelineAlignment(const Program &Prog,
   // Shared with balign-serve: an AlignOk response body must be
   // byte-identical to this stdout, so both render through one function.
   std::string Report = renderAlignmentReport(
-      Prog, Counts, Result, Options.ComputeBounds, Options.EmitDot,
+      Prog, Counts, Result, AlignOptions.ComputeBounds, Options.EmitDot,
       primaryAlignerName(AlignOptions.Primary));
   std::fwrite(Report.data(), 1, Report.size(), stdout);
 }
@@ -863,22 +748,13 @@ int main(int Argc, char **Argv) {
     // pipeline path just like --cache/--batch.
     bool UsePipeline = !Options.CacheDir.empty() ||
                        !Options.BatchFile.empty() || Options.shieldActive();
-    if (UsePipeline && Options.AlignerGiven && Options.AlignerName != "tsp" &&
-        Options.AlignerName != "exttsp")
+    if (UsePipeline && !Options.LegacyAligner.empty())
       std::fprintf(stderr,
                    "warning: --aligner %s is ignored with "
                    "--cache/--batch/--on-error (the full pipeline reports "
                    "greedy and tsp)\n",
-                   Options.AlignerName.c_str());
-    if (Options.ObjectiveGiven && Options.AlignerName != "exttsp")
-      std::fprintf(stderr,
-                   "warning: --objective only affects --aligner exttsp; "
-                   "ignored\n");
-    if (Options.ShortRangeGiven &&
-        Options.Encoding != BranchEncoding::ShortLong)
-      std::fprintf(stderr,
-                   "warning: --short-range only affects --encoding "
-                   "short-long; ignored\n");
+                   Options.LegacyAligner.c_str());
+    warnIgnoredRequestFlags(Options.Flags);
     if (!Options.CheckpointFile.empty() && Options.BatchFile.empty())
       std::fprintf(stderr,
                    "warning: --checkpoint is only meaningful with --batch; "
@@ -889,36 +765,12 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
+    // The request flags map onto the options exactly as a served
+    // request's do. Some land on the machine model, so this precedes the
+    // cache session: fingerprints absorb them.
     AlignmentOptions AlignOptions;
-    AlignOptions.Model = MachineModel::alpha21164();
-    // The Ext-TSP knobs live on the machine model (and --aligner exttsp
-    // selects the pipeline's primary aligner), so they must be applied
-    // before the cache session is built: fingerprints absorb them.
-    if (Options.AlignerName == "exttsp")
-      AlignOptions.Primary = PrimaryAligner::ExtTsp;
-    AlignOptions.Objective = Options.Objective;
-    if (Options.ExtTspWindow) {
-      AlignOptions.Model.ExtTspForwardWindow =
-          static_cast<uint32_t>(Options.ExtTspWindow);
-      AlignOptions.Model.ExtTspBackwardWindow =
-          static_cast<uint32_t>(Options.ExtTspWindow);
-    }
-    if (Options.WeightsGiven) {
-      AlignOptions.Model.ExtTspForwardWeight = Options.ExtTspForwardWeight;
-      AlignOptions.Model.ExtTspBackwardWeight = Options.ExtTspBackwardWeight;
-    }
-    // The branch-encoding knobs (balign-displace) likewise live on the
-    // model and must precede the cache session: fingerprints absorb
-    // them under a variable encoding.
-    if (Options.EncodingGiven)
-      AlignOptions.Model.Encoding = Options.Encoding;
-    if (Options.ShortRangeGiven)
-      AlignOptions.Model.ShortBranchRange = Options.ShortRange;
-    AlignOptions.Solver.Seed = Options.Seed;
-    AlignOptions.ComputeBounds = Options.ComputeBounds;
+    applyAlignRequest(Options.Flags.Request, AlignOptions);
     AlignOptions.Threads = Options.Threads;
-    AlignOptions.Effort = Options.Effort;
-    AlignOptions.OnError = Options.OnError;
     AlignOptions.ProcBudgetMs = Options.TimeBudgetMs;
     Deadline RunDeadline(Options.DeadlineMs);
     if (Options.DeadlineMs)
@@ -1001,20 +853,13 @@ int main(int Argc, char **Argv) {
     Diags.setEchoToStderr(true);
     if (checkTrace(Scope, Diags) != 0 && Exit == 0)
       Exit = 1;
-    auto writeFile = [&](const std::string &Path, std::string Contents) {
-      std::ofstream Out(Path, std::ios::binary);
-      if (Out)
-        Out << Contents;
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-        if (Exit == 0)
-          Exit = 1;
-      }
-    };
-    if (!Options.TraceFile.empty())
-      writeFile(Options.TraceFile, Scope.chromeTraceJson());
-    if (!Options.MetricsJsonFile.empty())
-      writeFile(Options.MetricsJsonFile, Scope.metricsJson());
+    if (!Options.TraceFile.empty() &&
+        !writeTextFile(Options.TraceFile, Scope.chromeTraceJson()) && Exit == 0)
+      Exit = 1;
+    if (!Options.MetricsJsonFile.empty() &&
+        !writeTextFile(Options.MetricsJsonFile, Scope.metricsJson()) &&
+        Exit == 0)
+      Exit = 1;
     if (Options.Metrics)
       std::fprintf(stderr, "%s", Scope.metricsSummary().c_str());
   }
@@ -1073,13 +918,8 @@ int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
     } else {
       // Legacy single-aligner path, byte-compatible with prior releases.
       std::unique_ptr<Aligner> TheAligner =
-          makeAligner(Options.AlignerName, Options.Objective);
-      if (!TheAligner) {
-        std::fprintf(stderr, "error: unknown aligner '%s'\n",
-                     Options.AlignerName.c_str());
-        return 1;
-      }
-      MachineModel Model = AlignOptions.Model;
+          makeAligner(Options.LegacyAligner, AlignOptions);
+      const MachineModel &Model = AlignOptions.Model;
 
       if (Options.Verify != VerifyLevel::None) {
         AlignmentOptions VerifyAlign = AlignOptions;
@@ -1095,7 +935,7 @@ int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
       Report.addColumn("original", TextTable::AlignKind::Right);
       Report.addColumn(TheAligner->name(), TextTable::AlignKind::Right);
       Report.addColumn("removed", TextTable::AlignKind::Right);
-      if (Options.ComputeBounds)
+      if (AlignOptions.ComputeBounds)
         Report.addColumn("hk-bound", TextTable::AlignKind::Right);
 
       for (size_t P = 0; P != Prog->numProcedures(); ++P) {
@@ -1118,7 +958,7 @@ int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
                 ? formatPercent(1.0 - static_cast<double>(After) /
                                           static_cast<double>(Original))
                 : "0%"};
-        if (Options.ComputeBounds) {
+        if (AlignOptions.ComputeBounds) {
           PenaltyBounds Bounds =
               computePenaltyBounds(Proc, Profile, Model, After);
           Row.push_back(formatFixed(Bounds.HeldKarp, 1));

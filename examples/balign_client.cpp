@@ -9,12 +9,15 @@
 // so a shell script can health-check, scrape, and stop a server.
 //
 // Usage:
-//   balign_client SOCK [file.cfg] [--profile FILE] [--seed N]
-//                 [--budget N] [--bounds] [--deadline MS]
-//                 [--on-error abort|fallback|skip]
-//                 [--effort-policy uniform|scaled|scaled-cold-greedy]
-//                 [--batch LIST] [--retry N] [--retry-backoff MS]
-//                 [--ping] [--metrics] [--shutdown]
+//   balign_client SOCK [file.cfg] [request flags] [--profile FILE]
+//                 [--deadline MS] [--batch LIST] [--retry N]
+//                 [--retry-backoff MS] [--ping] [--metrics] [--shutdown]
+//
+// The request flags are align_tool's: --seed --budget --bounds
+// --on-error --effort-policy --aligner tsp|exttsp --objective
+// --exttsp-window --exttsp-weights --encoding --short-range, parsed by
+// the same serve/Oneshot.h function, so a served report equals the
+// one-shot report for the same flags.
 //
 // Request order on one connection: ping first (when asked), then the
 // align for file.cfg (or each line of --batch LIST), then metrics,
@@ -28,11 +31,10 @@
 //===--------------------------------------------------------------------===//
 
 #include "serve/Client.h"
-#include "static/EffortPolicy.h"
+#include "serve/Oneshot.h"
 #include "support/Flags.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -47,7 +49,7 @@ struct ClientOptions {
   std::string File;
   std::string ProfileFile;
   std::string BatchFile;
-  AlignRequest Request;
+  RequestFlags Flags; ///< Shared with align_tool (serve/Oneshot.h).
   uint64_t Retry = 1;          ///< Total attempts per request.
   uint64_t RetryBackoffMs = 50;
   bool Ping = false;
@@ -58,93 +60,24 @@ struct ClientOptions {
 bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
+    FlagParse Shared = parseRequestFlag(Argc, Argv, I, Options.Flags);
+    if (Shared == FlagParse::Error)
+      return false;
+    if (Shared == FlagParse::Consumed)
+      continue;
     auto needValue = [&](const char *Flag) -> const char * {
       return flagValue(Flag, Argc, Argv, I);
     };
-    auto needInt = [&](const char *Flag, uint64_t &Out,
-                       uint64_t Max = UINT64_MAX) -> bool {
-      return flagUInt(Flag, Argc, Argv, I, Out, Max);
-    };
-    if (Arg == "--seed") {
-      if (!needInt("--seed", Options.Request.Seed))
-        return false;
-    } else if (Arg == "--budget") {
-      if (!needInt("--budget", Options.Request.Budget))
-        return false;
-    } else if (Arg == "--deadline") {
+    if (Arg == "--deadline") {
       uint64_t Ms = 0;
-      if (!needInt("--deadline", Ms, UINT32_MAX))
+      if (!flagUInt("--deadline", Argc, Argv, I, Ms, UINT32_MAX))
         return false;
-      Options.Request.DeadlineMs = static_cast<uint32_t>(Ms);
+      Options.Flags.Request.DeadlineMs = static_cast<uint32_t>(Ms);
     } else if (Arg == "--profile") {
       const char *V = needValue("--profile");
       if (!V)
         return false;
       Options.ProfileFile = V;
-    } else if (Arg == "--on-error") {
-      const char *V = needValue("--on-error");
-      if (!V)
-        return false;
-      if (std::strcmp(V, "abort") == 0)
-        Options.Request.OnError = OnErrorPolicy::Abort;
-      else if (std::strcmp(V, "fallback") == 0)
-        Options.Request.OnError = OnErrorPolicy::Fallback;
-      else if (std::strcmp(V, "skip") == 0)
-        Options.Request.OnError = OnErrorPolicy::Skip;
-      else {
-        std::fprintf(stderr, "error: unknown --on-error policy '%s' "
-                     "(want abort, fallback, or skip)\n", V);
-        return false;
-      }
-    } else if (Arg == "--effort-policy") {
-      const char *V = needValue("--effort-policy");
-      if (!V)
-        return false;
-      if (!parseEffortPolicy(V, Options.Request.Effort)) {
-        std::fprintf(stderr, "error: unknown --effort-policy '%s' (want "
-                     "uniform, scaled, or scaled-cold-greedy)\n", V);
-        return false;
-      }
-    } else if (Arg == "--bounds") {
-      Options.Request.ComputeBounds = true;
-    } else if (Arg == "--aligner") {
-      const char *V = needValue("--aligner");
-      if (!V)
-        return false;
-      if (std::strcmp(V, "tsp") == 0)
-        Options.Request.Primary = PrimaryAligner::Tsp;
-      else if (std::strcmp(V, "exttsp") == 0)
-        Options.Request.Primary = PrimaryAligner::ExtTsp;
-      else {
-        std::fprintf(stderr, "error: unknown --aligner '%s' (the server "
-                     "only runs tsp or exttsp)\n", V);
-        return false;
-      }
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--objective") {
-      const char *V = needValue("--objective");
-      if (!V)
-        return false;
-      if (!parseObjectiveKind(V, Options.Request.Objective)) {
-        std::fprintf(stderr, "error: unknown --objective '%s' (want "
-                     "fallthrough or exttsp)\n", V);
-        return false;
-      }
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--exttsp-window") {
-      uint64_t Window = 0;
-      if (!flagUIntInRange("--exttsp-window", Argc, Argv, I, Window, 1,
-                           1u << 20))
-        return false;
-      Options.Request.ExtTspForwardWindow = static_cast<uint32_t>(Window);
-      Options.Request.ExtTspBackwardWindow = static_cast<uint32_t>(Window);
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--exttsp-weights") {
-      if (!flagDoublePair("--exttsp-weights", Argc, Argv, I,
-                          Options.Request.ExtTspForwardWeight,
-                          Options.Request.ExtTspBackwardWeight, 1024.0))
-        return false;
-      Options.Request.HasObjective = true;
     } else if (Arg == "--batch") {
       const char *V = needValue("--batch");
       if (!V)
@@ -154,7 +87,8 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
       if (!flagUIntInRange("--retry", Argc, Argv, I, Options.Retry, 1, 100))
         return false;
     } else if (Arg == "--retry-backoff") {
-      if (!needInt("--retry-backoff", Options.RetryBackoffMs, 60000))
+      if (!flagUInt("--retry-backoff", Argc, Argv, I, Options.RetryBackoffMs,
+                    60000))
         return false;
     } else if (Arg == "--ping") {
       Options.Ping = true;
@@ -163,27 +97,23 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
     } else if (Arg == "--shutdown") {
       Options.Shutdown = true;
     } else if (Arg == "--help" || Arg == "-h") {
-      std::printf("usage: balign_client SOCK [file.cfg] [--profile FILE] "
-                  "[--seed N] [--budget N]\n"
-                  "                     [--bounds] [--deadline MS] "
-                  "[--on-error abort|fallback|skip]\n"
-                  "                     [--effort-policy P] "
-                  "[--aligner tsp|exttsp]\n"
-                  "                     [--objective fallthrough|exttsp] "
-                  "[--exttsp-window N]\n"
-                  "                     [--exttsp-weights F,B] "
-                  "[--batch LIST] [--retry N]\n"
-                  "                     [--retry-backoff MS] [--ping] "
-                  "[--metrics] [--shutdown]\n"
+      std::printf("usage: balign_client SOCK [file.cfg] [request flags] "
+                  "[--profile FILE] [--deadline MS]\n"
+                  "                     [--batch LIST] [--retry N] "
+                  "[--retry-backoff MS] [--ping] [--metrics]\n"
+                  "                     [--shutdown]\n"
                   "Sends requests to an `align_tool --serve SOCK` server; "
                   "align reports go to\n"
-                  "stdout byte-identical to one-shot align_tool. --batch "
-                  "LIST aligns every .cfg\n"
-                  "named in LIST (one path per line); --retry N resends "
-                  "transport-failed\n"
-                  "requests idempotently. Exit: 0 ok, 1 usage or local "
-                  "file error, 2 a\n"
-                  "connect/transport failure or a server error frame.\n");
+                  "stdout byte-identical to one-shot align_tool given the "
+                  "same request flags.\n"
+                  "--batch LIST aligns every .cfg named in LIST (one path "
+                  "per line); --retry N\n"
+                  "resends transport-failed requests idempotently. Exit: 0 "
+                  "ok, 1 usage or local\n"
+                  "file error, 2 a connect/transport failure or a server "
+                  "error frame.\n"
+                  "request flags (shared with align_tool):\n%s",
+                  requestFlagsHelp());
       return false;
     } else if (!Arg.empty() && Arg[0] != '-') {
       if (Options.Socket.empty())
@@ -215,6 +145,7 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                  "not both\n");
     return false;
   }
+  warnIgnoredRequestFlags(Options.Flags);
   return true;
 }
 
@@ -282,7 +213,7 @@ int main(int Argc, char **Argv) {
   }
 
   for (const std::string &File : AlignFiles) {
-    AlignRequest Request = Options.Request;
+    AlignRequest Request = Options.Flags.Request;
     if (!readFile(File, Request.CfgText))
       return 1;
     if (!Options.ProfileFile.empty()) {

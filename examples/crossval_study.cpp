@@ -10,8 +10,8 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Penalty.h"
 #include "align/Pipeline.h"
+#include "objective/Penalty.h"
 #include "support/Flags.h"
 #include "support/Format.h"
 #include "support/Table.h"

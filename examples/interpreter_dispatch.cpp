@@ -17,9 +17,9 @@
 //===--------------------------------------------------------------------===//
 
 #include "align/Aligners.h"
-#include "align/Penalty.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "sim/Simulator.h"
 #include "support/Format.h"

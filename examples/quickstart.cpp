@@ -10,9 +10,9 @@
 
 #include "align/Aligners.h"
 #include "align/Bounds.h"
-#include "align/Penalty.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 

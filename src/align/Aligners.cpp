@@ -2,7 +2,7 @@
 
 #include "align/Aligners.h"
 
-#include "align/Penalty.h"
+#include "objective/Penalty.h"
 #include "robust/FaultInjector.h"
 
 #include <algorithm>

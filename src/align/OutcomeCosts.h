@@ -26,10 +26,10 @@
 #ifndef BALIGN_ALIGN_OUTCOMECOSTS_H
 #define BALIGN_ALIGN_OUTCOMECOSTS_H
 
-#include "align/Layout.h"
 #include "align/Reduction.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Trace.h"
 
 #include <cstdint>

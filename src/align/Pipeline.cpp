@@ -2,9 +2,9 @@
 
 #include "align/Pipeline.h"
 
-#include "align/Penalty.h"
 #include "analysis/Diagnostics.h"
 #include "objective/Displace.h"
+#include "objective/Penalty.h"
 #include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
 #include "support/ThreadPool.h"
@@ -240,7 +240,7 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   // one refinement round re-solves with the observed long branches
   // surcharged and keeps the better layout. Charged to the solver stage
   // (it is a second, smaller solve) so Table 2 totals stay meaningful.
-  if (Options.Model.Encoding == BranchEncoding::ShortLong) {
+  if (Options.Model.Encoding != BranchEncoding::Fixed) {
     CpuStopwatch DisplaceTimer;
     ScopedSpan DisplaceSpan("stage.displace", SpanCat::Stage);
     if (refineLayoutForEncoding(Proc, Profile, Options.Model, Atsp,

@@ -21,9 +21,9 @@
 
 #include "align/Aligners.h"
 #include "align/Bounds.h"
-#include "align/Layout.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Profile.h"
 #include "robust/Deadline.h"
 #include "robust/FailureReport.h"

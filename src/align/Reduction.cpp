@@ -2,7 +2,7 @@
 
 #include "align/Reduction.h"
 
-#include "align/Penalty.h"
+#include "objective/Penalty.h"
 
 #include <algorithm>
 #include <cassert>

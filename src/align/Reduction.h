@@ -29,9 +29,9 @@
 #ifndef BALIGN_ALIGN_REDUCTION_H
 #define BALIGN_ALIGN_REDUCTION_H
 
-#include "align/Layout.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Profile.h"
 #include "tsp/Instance.h"
 

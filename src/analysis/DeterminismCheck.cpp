@@ -12,8 +12,8 @@
 
 #include "analysis/Verifier.h"
 
-#include "align/Penalty.h"
 #include "align/Pipeline.h"
+#include "objective/Penalty.h"
 #include "robust/FaultInjector.h"
 
 using namespace balign;

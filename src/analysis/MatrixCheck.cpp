@@ -18,8 +18,8 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Penalty.h"
 #include "analysis/Verifier.h"
+#include "objective/Penalty.h"
 #include "robust/FaultInjector.h"
 #include "tsp/Transform.h"
 

@@ -19,8 +19,8 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Penalty.h"
 #include "analysis/Verifier.h"
+#include "objective/Penalty.h"
 
 using namespace balign;
 

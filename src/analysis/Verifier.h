@@ -48,11 +48,11 @@
 #define BALIGN_ANALYSIS_VERIFIER_H
 
 #include "align/Bounds.h"
-#include "align/Layout.h"
 #include "align/Reduction.h"
 #include "analysis/Diagnostics.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Profile.h"
 #include "tsp/Instance.h"
 #include "tsp/IteratedOpt.h"

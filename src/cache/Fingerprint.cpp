@@ -3,22 +3,12 @@
 #include "cache/Fingerprint.h"
 
 #include "static/EffortPolicy.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstring>
 
 using namespace balign;
-
-namespace {
-
-/// SplitMix64's finalizer: full avalanche in three multiply-xor rounds.
-uint64_t avalanche(uint64_t Z) {
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-} // namespace
 
 std::string Fingerprint::str() const {
   char Buffer[2 * 16 + 2];
@@ -31,8 +21,8 @@ std::string Fingerprint::str() const {
 void Hasher::bytes(const void *Data, size_t Size) {
   const auto *P = static_cast<const unsigned char *>(Data);
   for (size_t I = 0; I != Size; ++I) {
-    LaneA = (LaneA ^ P[I]) * 0x100000001b3ULL;
-    LaneB = (LaneB + P[I] + 1) * 0x9e3779b97f4a7c15ULL;
+    LaneA = (LaneA ^ P[I]) * Fnv1aPrime;
+    LaneB = (LaneB + P[I] + 1) * GoldenGamma;
   }
   Length += Size;
 }
@@ -69,8 +59,8 @@ Fingerprint Hasher::digest() const {
   uint64_t A = LaneA ^ (Length * 0xff51afd7ed558ccdULL);
   uint64_t B = LaneB + Length;
   Fingerprint F;
-  F.Hi = avalanche(A + 0x2545f4914f6cdd1dULL * B);
-  F.Lo = avalanche(B ^ (A >> 17) ^ 0x94d049bb133111ebULL);
+  F.Hi = splitMix64Finalize(A + 0x2545f4914f6cdd1dULL * B);
+  F.Lo = splitMix64Finalize(B ^ (A >> 17) ^ 0x94d049bb133111ebULL);
   return F;
 }
 

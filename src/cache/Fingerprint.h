@@ -33,6 +33,7 @@
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
 #include "profile/Profile.h"
+#include "support/Hash.h"
 #include "tsp/HeldKarp.h"
 #include "tsp/IteratedOpt.h"
 
@@ -74,7 +75,7 @@ struct Fingerprint {
 struct FingerprintHasher {
   size_t operator()(const Fingerprint &F) const {
     // The digest is already avalanched; fold the lanes.
-    return static_cast<size_t>(F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL));
+    return static_cast<size_t>(F.Hi ^ (F.Lo * GoldenGamma));
   }
 };
 
@@ -105,7 +106,7 @@ public:
 private:
   // FNV-1a 64-bit offset/prime for lane A; lane B runs an add-multiply
   // variant from a different offset so the lanes decorrelate.
-  uint64_t LaneA = 0xcbf29ce484222325ULL;
+  uint64_t LaneA = Fnv1aOffset;
   uint64_t LaneB = 0x6c62272e07bb0143ULL;
   uint64_t Length = 0;
 };

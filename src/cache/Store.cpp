@@ -2,8 +2,8 @@
 
 #include "cache/Store.h"
 
-#include "align/Penalty.h"
 #include "analysis/Verifier.h"
+#include "objective/Penalty.h"
 #include "robust/CrashInjector.h"
 #include "robust/Durability.h"
 #include "robust/FaultInjector.h"
@@ -37,21 +37,6 @@ constexpr uint32_t MaxReasonablePayload = 64u << 20;
 //===--------------------------------------------------------------------===//
 // Little-endian byte (de)serialization of ProcedureAlignment payloads.
 //===--------------------------------------------------------------------===//
-
-/// write(2) all of it, absorbing EINTR and short writes.
-bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
-  while (Size != 0) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
 
 void putU32(std::vector<uint8_t> &Out, uint32_t V) {
   for (int I = 0; I != 4; ++I)
@@ -210,7 +195,7 @@ uint64_t balign::entryChecksum(uint64_t KeyHi, uint64_t KeyLo,
   H.u64(KeyLo);
   H.bytes(Payload, Size);
   Fingerprint F = H.digest();
-  return F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL);
+  return F.Hi ^ (F.Lo * GoldenGamma);
 }
 
 AlignmentCache::AlignmentCache(AlignmentCacheConfig Config)
@@ -271,7 +256,9 @@ void AlignmentCache::loadFromDisk() {
   // old version, an absurd length field, a checksum mismatch) is
   // invalidation: the store was read fine but its content is discarded.
   if (File.size() < HeaderBytes) {
-    if (std::memcmp(File.data(), StoreMagic,
+    // An empty vector's data() may be null, which memcmp must not see.
+    if (File.empty() ||
+        std::memcmp(File.data(), StoreMagic,
                     std::min(File.size(), sizeof(StoreMagic))) == 0) {
       ++Stats.LoadFailures; // Our store, cut off mid-header.
       scopeCounterAdd("cache.load-failures");

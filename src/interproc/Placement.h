@@ -18,10 +18,10 @@
 #ifndef BALIGN_INTERPROC_PLACEMENT_H
 #define BALIGN_INTERPROC_PLACEMENT_H
 
-#include "align/Layout.h"
 #include "interproc/Interleave.h"
 #include "interproc/ProcOrder.h"
 #include "ir/CFG.h"
+#include "objective/Layout.h"
 #include "profile/Trace.h"
 #include "sim/Simulator.h"
 

@@ -9,6 +9,20 @@
 
 using namespace balign;
 
+bool balign::writeAll(int Fd, const void *Data, size_t Size) {
+  const auto *Bytes = static_cast<const char *>(Data);
+  while (Size != 0) {
+    ssize_t N = ::write(Fd, Bytes, Size);
+    if (N > 0) {
+      Bytes += N;
+      Size -= static_cast<size_t>(N);
+    } else if (N == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool balign::fsyncFd(int Fd) {
   int Rc;
   do {

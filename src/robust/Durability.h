@@ -1,17 +1,18 @@
-//===- robust/Durability.h - fsync policy and primitives ------------------===//
+//===- robust/Durability.h - Durability policy and write primitives -------===//
 //
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// The balign-sentinel durability policy and the two fsync primitives
-/// the persistence layers share. `rename` alone is atomic against
-/// concurrent readers but not against power loss: without an fsync of
-/// the source file first, the rename can land while the file's *data*
-/// is still only in the page cache, leaving a torn file under the final
-/// name; without an fsync of the containing directory after, the rename
-/// itself can be lost. Durability::Full pays both fsyncs;
+/// The balign-sentinel durability policy and the primitives the
+/// persistence layers (cache store, checkpoint journal, serve frames)
+/// share: one complete-write loop and two fsyncs. `rename` alone is
+/// atomic against concurrent readers but not against power loss: without
+/// an fsync of the source file first, the rename can land while the
+/// file's *data* is still only in the page cache, leaving a torn file
+/// under the final name; without an fsync of the containing directory
+/// after, the rename itself can be lost. Durability::Full pays both fsyncs;
 /// Durability::Relaxed skips them for throwaway stores (benchmarks,
 /// tests that measure flush cost) where a crash may legitimately lose
 /// the file — never a default for user data.
@@ -21,6 +22,7 @@
 #ifndef BALIGN_ROBUST_DURABILITY_H
 #define BALIGN_ROBUST_DURABILITY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -31,6 +33,12 @@ enum class Durability : uint8_t {
   Relaxed, ///< No fsync: atomic against readers, not against crashes.
   Full,    ///< fsync file data before rename and the directory after.
 };
+
+/// write(2)s all \p Size bytes of \p Data to \p Fd, retrying short writes
+/// and EINTR. Returns false on any other failure (errno set by write;
+/// EPIPE after a socket peer vanished is the common one), so a partial
+/// write is never left unreported.
+bool writeAll(int Fd, const void *Data, size_t Size);
 
 /// fsync(2) on \p Fd; returns false (leaving errno set) on failure.
 bool fsyncFd(int Fd);

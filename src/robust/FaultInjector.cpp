@@ -2,6 +2,7 @@
 
 #include "robust/FaultInjector.h"
 
+#include "support/Hash.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
@@ -11,14 +12,6 @@
 using namespace balign;
 
 namespace {
-
-/// SplitMix64: the seeded per-hit coin of FaultSpec::Mode::Rate.
-uint64_t splitmix64(uint64_t Z) {
-  Z += 0x9e3779b97f4a7c15ULL;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
 
 /// Suppression depth of the current thread (ScopedSuppress nests).
 thread_local unsigned SuppressDepth = 0;
@@ -93,7 +86,8 @@ bool FaultSpec::fires(uint64_t Hit) const {
   case Mode::Count:
     return Hit <= K;
   case Mode::Rate:
-    return D != 0 && splitmix64(Seed ^ Hit) % D < K;
+    // SplitMix64 is the seeded per-hit coin.
+    return D != 0 && splitMix64Mix(Seed ^ Hit) % D < K;
   }
   return false;
 }

@@ -3,7 +3,9 @@
 #include "robust/Journal.h"
 
 #include "robust/CrashInjector.h"
+#include "robust/Durability.h"
 #include "robust/FaultInjector.h"
+#include "support/Hash.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -53,21 +55,6 @@ uint64_t readU64(const char *P) {
   return V;
 }
 
-/// write(2) all of it, absorbing EINTR and short writes.
-bool writeAll(int Fd, const char *Data, size_t Size) {
-  while (Size != 0) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 std::string headerBytes() {
   std::string Out(AppendJournal::Magic, sizeof(AppendJournal::Magic));
   putU32(Out, AppendJournal::FormatVersion);
@@ -88,16 +75,7 @@ std::string encodeRecord(const std::string &Record) {
 uint64_t balign::journalChecksum(const void *Data, size_t Size) {
   // FNV-1a with a splitmix64 finalizer: cheap, and a single flipped bit
   // anywhere in the record flips about half the checksum.
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ULL;
-  }
-  H += 0x9e3779b97f4a7c15ULL;
-  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  H = (H ^ (H >> 27)) * 0x94d049bb133111ebULL;
-  return H ^ (H >> 31);
+  return splitMix64Mix(fnv1a64(Data, Size));
 }
 
 std::string JournalStats::summary() const {

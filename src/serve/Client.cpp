@@ -3,6 +3,7 @@
 #include "serve/Client.h"
 
 #include "robust/FaultInjector.h"
+#include "support/Hash.h"
 
 #include <cerrno>
 #include <cstring>
@@ -26,15 +27,7 @@ uint64_t balign::requestFingerprint(const AlignRequest &Request) {
   // FNV-1a + splitmix64 finalizer over the exact wire bytes, so the
   // fingerprint pins what actually crosses the socket.
   std::string Wire = encodeAlignRequest(Request);
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (char C : Wire) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 0x100000001b3ULL;
-  }
-  H += 0x9e3779b97f4a7c15ULL;
-  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  H = (H ^ (H >> 27)) * 0x94d049bb133111ebULL;
-  return H ^ (H >> 31);
+  return splitMix64Mix(fnv1a64(Wire.data(), Wire.size()));
 }
 
 ServeClient &ServeClient::operator=(ServeClient &&Other) noexcept {

@@ -1,16 +1,59 @@
-//===- serve/Oneshot.cpp - Shared one-shot report/profile building --------===//
+//===- serve/Oneshot.cpp - Shared one-shot request, profile and report ----===//
 
 #include "serve/Oneshot.h"
 
 #include "ir/Dot.h"
 #include "profile/Trace.h"
+#include "support/Flags.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "support/Table.h"
 
+#include <cstdio>
+#include <cstring>
+#include <string_view>
+
 using namespace balign;
 
 namespace {
+
+bool parseOnErrorPolicy(const std::string &Name, OnErrorPolicy &Out) {
+  if (Name == "abort")
+    Out = OnErrorPolicy::Abort;
+  else if (Name == "fallback")
+    Out = OnErrorPolicy::Fallback;
+  else if (Name == "skip")
+    Out = OnErrorPolicy::Skip;
+  else
+    return false;
+  return true;
+}
+
+bool parsePrimaryAligner(const std::string &Name, PrimaryAligner &Out) {
+  if (Name == "tsp")
+    Out = PrimaryAligner::Tsp;
+  else if (Name == "exttsp")
+    Out = PrimaryAligner::ExtTsp;
+  else
+    return false;
+  return true;
+}
+
+/// Parses the already consumed \p Value of \p Flag (null when it was
+/// missing, already reported) with \p Parse; an unknown name prints
+/// "error: unknown <flag> '<value>' (want <Want>)".
+template <typename T>
+bool parseName(const char *Flag, const char *Value,
+               bool (*Parse)(const std::string &, T &), T &Out,
+               const char *Want) {
+  if (!Value)
+    return false;
+  if (Parse(Value, Out))
+    return true;
+  std::fprintf(stderr, "error: unknown %s '%s' (want %s)\n", Flag, Value,
+               Want);
+  return false;
+}
 
 /// A seeded, skewed behavior: real branches are biased, not coin flips.
 /// Moved verbatim from align_tool — the constants are part of the seeded
@@ -38,6 +81,151 @@ BranchBehavior skewedBehavior(const Procedure &Proc, Rng &R) {
 }
 
 } // namespace
+
+FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
+                                   RequestFlags &Flags) {
+  AlignRequest &Req = Flags.Request;
+  const char *Flag = Argv[I];
+  std::string_view Arg = Flag;
+  auto value = [&] { return flagValue(Flag, Argc, Argv, I); };
+  if (Arg == "--seed") {
+    if (!flagUInt(Flag, Argc, Argv, I, Req.Seed))
+      return FlagParse::Error;
+  } else if (Arg == "--budget") {
+    if (!flagUInt(Flag, Argc, Argv, I, Req.Budget))
+      return FlagParse::Error;
+  } else if (Arg == "--bounds") {
+    Req.ComputeBounds = true;
+  } else if (Arg == "--on-error" || Arg.starts_with("--on-error=")) {
+    const char *V = Arg == "--on-error"
+                        ? value()
+                        : Flag + std::strlen("--on-error=");
+    if (!parseName("--on-error", V, parseOnErrorPolicy, Req.OnError,
+                   "abort, fallback, or skip"))
+      return FlagParse::Error;
+    Flags.OnErrorGiven = true;
+  } else if (Arg == "--effort-policy") {
+    if (!parseName(Flag, value(), parseEffortPolicy, Req.Effort,
+                   "uniform, scaled, or scaled-cold-greedy"))
+      return FlagParse::Error;
+  } else if (Arg == "--aligner") {
+    if (!parseName(Flag, value(), parsePrimaryAligner, Req.Primary,
+                   "tsp or exttsp"))
+      return FlagParse::Error;
+    Req.HasObjective = true;
+  } else if (Arg == "--objective") {
+    if (!parseName(Flag, value(), parseObjectiveKind, Req.Objective,
+                   "fallthrough or exttsp"))
+      return FlagParse::Error;
+    Req.HasObjective = Flags.ObjectiveGiven = true;
+  } else if (Arg == "--exttsp-window") {
+    // A zero window would make every jump worthless and a huge one makes
+    // the linear decay meaningless; both are almost certainly typos.
+    uint64_t Window = 0;
+    if (!flagUIntInRange(Flag, Argc, Argv, I, Window, 1, MaxExtTspWindow))
+      return FlagParse::Error;
+    Req.ExtTspForwardWindow = Req.ExtTspBackwardWindow =
+        static_cast<uint32_t>(Window);
+    Req.HasObjective = true;
+  } else if (Arg == "--exttsp-weights") {
+    if (!flagDoublePair(Flag, Argc, Argv, I, Req.ExtTspForwardWeight,
+                        Req.ExtTspBackwardWeight, MaxExtTspWeight))
+      return FlagParse::Error;
+    Req.HasObjective = true;
+  } else if (Arg == "--encoding") {
+    if (!parseName(Flag, value(), parseBranchEncoding, Req.Encoding,
+                   "fixed or short-long"))
+      return FlagParse::Error;
+    Req.HasEncoding = true;
+  } else if (Arg == "--short-range") {
+    // 0 is legal and meaningful: it forces every branch long, the
+    // degenerate case the displacement tests pin.
+    if (!flagUInt(Flag, Argc, Argv, I, Req.ShortBranchRange))
+      return FlagParse::Error;
+    Req.HasEncoding = Flags.ShortRangeGiven = true;
+  } else {
+    return FlagParse::NotMine;
+  }
+  return FlagParse::Consumed;
+}
+
+void balign::warnIgnoredRequestFlags(const RequestFlags &Flags) {
+  if (Flags.ObjectiveGiven && Flags.Request.Primary != PrimaryAligner::ExtTsp)
+    std::fprintf(stderr, "warning: --objective only affects --aligner "
+                         "exttsp; ignored\n");
+  if (Flags.ShortRangeGiven &&
+      Flags.Request.Encoding != BranchEncoding::ShortLong)
+    std::fprintf(stderr, "warning: --short-range only affects --encoding "
+                         "short-long; ignored\n");
+}
+
+const char *balign::requestFlagsHelp() {
+  return "  --seed N      root seed of the synthetic profile and the solver "
+         "(default 1)\n"
+         "  --budget N    branches in the synthetic profile run (default "
+         "50000)\n"
+         "  --bounds      add the Held-Karp lower-bound column\n"
+         "  --on-error P  per-procedure failure policy: abort (default, "
+         "exit 2),\n"
+         "                fallback (degrade greedy -> original, exit 0), or "
+         "skip\n"
+         "                (keep the original layout, exit 0)\n"
+         "  --effort-policy P  spread solver effort per procedure: uniform "
+         "(default),\n"
+         "                scaled (kicks follow loop nesting and hotness), "
+         "or\n"
+         "                scaled-cold-greedy (cold procedures skip the "
+         "solver)\n"
+         "  --aligner tsp|exttsp  primary aligner: the paper's DTSP solve "
+         "(default) or\n"
+         "                chain merging on the Ext-TSP locality objective\n"
+         "  --objective O fallthrough|exttsp: what the exttsp aligner "
+         "maximizes\n"
+         "                (default exttsp)\n"
+         "  --exttsp-window N  Ext-TSP forward/backward window in bytes, "
+         "in\n"
+         "                [1, 1048576] (defaults 1024 forward / 640 "
+         "backward)\n"
+         "  --exttsp-weights F,B  Ext-TSP forward,backward jump weights "
+         "as\n"
+         "                decimals in [0, 1024] (default 0.1,0.1)\n"
+         "  --encoding E  branch encoding: fixed (default; every branch is "
+         "one\n"
+         "                instruction) or short-long (branches beyond the "
+         "short\n"
+         "                range grow and are re-priced by the displacement "
+         "fixpoint)\n"
+         "  --short-range N  short-form branch reach in bytes under "
+         "--encoding\n"
+         "                short-long (default 32768; 0 forces every branch "
+         "long)\n";
+}
+
+void balign::applyAlignRequest(const AlignRequest &Req,
+                               AlignmentOptions &Options) {
+  Options.Solver.Seed = Req.Seed;
+  Options.Effort = Req.Effort;
+  Options.ComputeBounds = Req.ComputeBounds;
+  Options.OnError = Req.OnError;
+  if (Req.HasObjective) {
+    // The Ext-TSP knobs live on the machine model, where the cache
+    // fingerprint absorbs them under the exttsp primary.
+    Options.Primary = Req.Primary;
+    Options.Objective = Req.Objective;
+    Options.Model.ExtTspForwardWindow = Req.ExtTspForwardWindow;
+    Options.Model.ExtTspBackwardWindow = Req.ExtTspBackwardWindow;
+    Options.Model.ExtTspForwardWeight = Req.ExtTspForwardWeight;
+    Options.Model.ExtTspBackwardWeight = Req.ExtTspBackwardWeight;
+  }
+  if (Req.HasEncoding) {
+    // Likewise the branch encoding (balign-displace); the fingerprint
+    // absorbs it only under a variable encoding.
+    Options.Model.Encoding = Req.Encoding;
+    Options.Model.ShortBranchRange = Req.ShortBranchRange;
+    Options.Model.LongBranchExtraInstrs = Req.LongBranchExtraInstrs;
+    Options.Model.LongBranchPenalty = Req.LongBranchPenalty;
+  }
+}
 
 ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,
                                          uint64_t Budget) {

@@ -1,14 +1,15 @@
-//===- serve/Oneshot.h - Shared one-shot report/profile building ----------===//
+//===- serve/Oneshot.h - Shared one-shot request, profile and report ------===//
 //
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// The two pieces of align_tool's one-shot behavior that balign-serve
-/// must reproduce byte-for-byte: synthetic profile generation and the
-/// pipeline report. They live here — linked by the CLI *and* the server
-/// — so the byte-identity contract is structural, not two copies kept
+/// The pieces of align_tool's one-shot behavior that balign-serve must
+/// reproduce byte-for-byte: the request flags and their mapping onto
+/// AlignmentOptions, synthetic profile generation, and the pipeline
+/// report. They live here — linked by the CLI, the client *and* the
+/// server — so the byte-identity contract is structural, not copies kept
 /// in sync by tests alone.
 ///
 //===--------------------------------------------------------------------===//
@@ -18,11 +19,56 @@
 
 #include "align/Pipeline.h"
 #include "profile/Profile.h"
+#include "serve/Protocol.h"
 
 #include <cstdint>
 #include <string>
 
 namespace balign {
+
+/// The request flags align_tool and balign_client share, parsed into one
+/// AlignRequest: --seed --budget --bounds --on-error[=]P --effort-policy
+/// --aligner tsp|exttsp --objective --exttsp-window --exttsp-weights
+/// --encoding --short-range. The *Given bits record flags whose mere
+/// presence matters beyond the value they leave in the request.
+struct RequestFlags {
+  AlignRequest Request;
+  bool OnErrorGiven = false;    ///< align_tool takes the pipeline path.
+  bool ObjectiveGiven = false;  ///< For warnIgnoredRequestFlags.
+  bool ShortRangeGiven = false; ///< For warnIgnoredRequestFlags.
+};
+
+/// Outcome of parseRequestFlag.
+enum class FlagParse : uint8_t {
+  NotMine,  ///< Argv[I] is not a request flag; nothing was consumed.
+  Consumed, ///< Parsed; I now indexes the flag's last argv slot.
+  Error,    ///< Missing value, out of range, or unknown name; a one-line
+            ///< "error: ..." is on stderr.
+};
+
+/// Parses Argv[I] when it is a request flag, consuming its value through
+/// support/Flags.h's strict helpers. Numeric ranges are Protocol.h's,
+/// so whatever parses also survives decodeAlignRequest. The objective
+/// flags set Request.HasObjective and the encoding flags HasEncoding.
+FlagParse parseRequestFlag(int Argc, char **Argv, int &I,
+                           RequestFlags &Flags);
+
+/// Warns on stderr about given flags the other flags make inert:
+/// --objective without --aligner exttsp, --short-range without
+/// --encoding short-long.
+void warnIgnoredRequestFlags(const RequestFlags &Flags);
+
+/// The --help entries of the request flags, one or more lines each.
+const char *requestFlagsHelp();
+
+/// The one AlignRequest -> AlignmentOptions mapping, shared by align_tool
+/// and AlignService: the solver seed, effort policy, bounds and on-error
+/// policy always; the primary aligner, objective and the model's Ext-TSP
+/// parameters under HasObjective; the model's branch-encoding parameters
+/// under HasEncoding. Every other field of \p Options is left alone.
+/// Budget and the texts are inputs of synthesizeProfile and the parsers,
+/// DeadlineMs is the server's business.
+void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 
 /// Simulates the seeded synthetic run align_tool performs when no
 /// --profile file is given: per procedure P, a skewed branch behavior

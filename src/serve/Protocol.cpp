@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include "robust/Durability.h"
+
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -290,8 +292,10 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
       return fail(Error, "align request names an unknown primary aligner");
     if (Objective > static_cast<uint8_t>(ObjectiveKind::ExtTsp))
       return fail(Error, "align request names an unknown objective");
-    if (Out.ExtTspForwardWindow < 1 || Out.ExtTspForwardWindow > (1u << 20) ||
-        Out.ExtTspBackwardWindow < 1 || Out.ExtTspBackwardWindow > (1u << 20))
+    if (Out.ExtTspForwardWindow < 1 ||
+        Out.ExtTspForwardWindow > MaxExtTspWindow ||
+        Out.ExtTspBackwardWindow < 1 ||
+        Out.ExtTspBackwardWindow > MaxExtTspWindow)
       return fail(Error, "align request Ext-TSP window is out of range");
     Out.Primary = static_cast<PrimaryAligner>(Primary);
     Out.Objective = static_cast<ObjectiveKind>(Objective);
@@ -300,9 +304,9 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
     // NaN fails both comparisons, so this one test rejects NaN and
     // every out-of-range (including infinite) weight at once.
     if (!(Out.ExtTspForwardWeight >= 0.0 &&
-          Out.ExtTspForwardWeight <= 1024.0) ||
+          Out.ExtTspForwardWeight <= MaxExtTspWeight) ||
         !(Out.ExtTspBackwardWeight >= 0.0 &&
-          Out.ExtTspBackwardWeight <= 1024.0))
+          Out.ExtTspBackwardWeight <= MaxExtTspWeight))
       return fail(Error, "align request Ext-TSP weight is out of range");
   }
   if (Out.HasEncoding) {
@@ -312,8 +316,8 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
       return fail(Error, "align request encoding extension is truncated");
     if (Encoding > static_cast<uint8_t>(BranchEncoding::ShortLong))
       return fail(Error, "align request names an unknown branch encoding");
-    if (Out.LongBranchExtraInstrs > (1u << 20) ||
-        Out.LongBranchPenalty > (1u << 20))
+    if (Out.LongBranchExtraInstrs > MaxLongBranchParam ||
+        Out.LongBranchPenalty > MaxLongBranchParam)
       return fail(Error, "align request long-branch parameter is out of "
                          "range");
     Out.Encoding = static_cast<BranchEncoding>(Encoding);
@@ -385,23 +389,7 @@ ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
   return ReadStatus::Ok;
 }
 
-bool balign::writeFull(int Fd, const void *Data, size_t Size) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  size_t Written = 0;
-  while (Written != Size) {
-    ssize_t N = ::write(Fd, Bytes + Written, Size - Written);
-    if (N > 0) {
-      Written += static_cast<size_t>(N);
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-  return true;
-}
-
 bool balign::writeFrame(int Fd, const Frame &F) {
   std::string Wire = encodeFrame(F);
-  return writeFull(Fd, Wire.data(), Wire.size());
+  return writeAll(Fd, Wire.data(), Wire.size());
 }

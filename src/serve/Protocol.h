@@ -109,9 +109,20 @@ struct Frame {
   std::string Body;
 };
 
-/// One align request. Field-for-field this mirrors the one-shot
-/// align_tool flags that affect pipeline output, so a request and a CLI
-/// invocation over the same inputs produce byte-identical reports.
+/// Ranges the request knobs must lie in. The shared flag parser
+/// (parseRequestFlag in serve/Oneshot.h) and decodeAlignRequest enforce
+/// the same bounds: Ext-TSP windows in [1, MaxExtTspWindow], weights in
+/// [0, MaxExtTspWeight], long-branch parameters <= MaxLongBranchParam.
+inline constexpr uint32_t MaxExtTspWindow = 1u << 20;
+inline constexpr double MaxExtTspWeight = 1024.0;
+inline constexpr uint32_t MaxLongBranchParam = 1u << 20;
+
+/// One align request: the inputs and the result-affecting options of one
+/// alignment. align_tool and balign_client parse their shared flags into
+/// this struct, and both align_tool and AlignService turn it into
+/// AlignmentOptions through applyAlignRequest (serve/Oneshot.h), so a
+/// request and a CLI invocation over the same inputs produce
+/// byte-identical reports.
 ///
 /// Flag bit 2 carries the objective extension (--aligner exttsp and its
 /// knobs): when set, an extension block
@@ -208,12 +219,9 @@ ReadStatus readFrame(int Fd, Frame &Out, FrameError &Code,
 /// retry-forever behavior.
 void setFrameReadInterrupt(bool (*Check)());
 
-/// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
-/// Returns false on any unrecoverable write error (EPIPE after the peer
-/// vanished, most commonly) — never a partial frame left unreported.
-bool writeFull(int Fd, const void *Data, size_t Size);
-
-/// Encodes and writes one frame.
+/// Encodes and writes one frame through writeAll (robust/Durability.h):
+/// false on any unrecoverable write error, never a partial frame left
+/// unreported.
 bool writeFrame(int Fd, const Frame &F);
 
 } // namespace balign

@@ -33,34 +33,13 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
 
   // The per-request view of the shared base: one pool worker runs the
   // whole request (Threads = 1), verification hooks never apply, and
-  // the request's own knobs replace the CLI's. CacheImpl rides along
-  // from the base — that is the shared warm cache.
+  // the request's own knobs replace the CLI's through the same mapping
+  // align_tool uses. CacheImpl rides along from the base — that is the
+  // shared warm cache.
   AlignmentOptions Options = Base;
   Options.Threads = 1;
   Options.Hooks = {};
-  Options.Solver.Seed = Req.Seed;
-  Options.Effort = Req.Effort;
-  Options.ComputeBounds = Req.ComputeBounds;
-  Options.OnError = Req.OnError;
-  if (Req.HasObjective) {
-    // The objective extension mirrors --aligner exttsp and its knobs;
-    // the model fields feed the cache fingerprint exactly as the CLI's.
-    Options.Primary = Req.Primary;
-    Options.Objective = Req.Objective;
-    Options.Model.ExtTspForwardWindow = Req.ExtTspForwardWindow;
-    Options.Model.ExtTspBackwardWindow = Req.ExtTspBackwardWindow;
-    Options.Model.ExtTspForwardWeight = Req.ExtTspForwardWeight;
-    Options.Model.ExtTspBackwardWeight = Req.ExtTspBackwardWeight;
-  }
-  if (Req.HasEncoding) {
-    // The encoding extension mirrors --encoding and its knobs
-    // (balign-displace); the fingerprint keys on these model fields only
-    // under a variable encoding, exactly as for the CLI.
-    Options.Model.Encoding = Req.Encoding;
-    Options.Model.ShortBranchRange = Req.ShortBranchRange;
-    Options.Model.LongBranchExtraInstrs = Req.LongBranchExtraInstrs;
-    Options.Model.LongBranchPenalty = Req.LongBranchPenalty;
-  }
+  applyAlignRequest(Req, Options);
   if (Config.Clock)
     Options.Clock = Config.Clock;
 

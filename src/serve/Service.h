@@ -14,9 +14,10 @@
 /// Determinism: handleAlign builds a per-request AlignmentOptions from
 /// the shared base — Threads forced to 1 (each request already runs on
 /// one pool worker; the repo's thread-count invariance does the rest),
-/// hooks stripped, seed/effort/bounds/on-error taken from the request —
-/// so the response body is byte-identical to one-shot align_tool stdout
-/// for the same inputs, at every server thread count, hit or miss.
+/// hooks stripped, and the request applied through applyAlignRequest in
+/// serve/Oneshot.h, the mapping one-shot align_tool uses too — so the
+/// response body is byte-identical to one-shot align_tool stdout for the
+/// same inputs, at every server thread count, hit or miss.
 ///
 //===--------------------------------------------------------------------===//
 

@@ -14,11 +14,11 @@
 #ifndef BALIGN_SIM_REPLAYER_H
 #define BALIGN_SIM_REPLAYER_H
 
-#include "align/Layout.h"
 #include "ir/CFG.h"
-#include "profile/Trace.h"
 #include "machine/Btb.h"
 #include "machine/Predictors.h"
+#include "objective/Layout.h"
+#include "profile/Trace.h"
 #include "sim/ICache.h"
 #include "sim/Simulator.h"
 

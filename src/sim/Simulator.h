@@ -31,11 +31,11 @@
 #ifndef BALIGN_SIM_SIMULATOR_H
 #define BALIGN_SIM_SIMULATOR_H
 
-#include "align/Layout.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
-#include "profile/Trace.h"
 #include "machine/Predictors.h"
+#include "objective/Layout.h"
+#include "profile/Trace.h"
 #include "sim/ICache.h"
 
 #include <vector>

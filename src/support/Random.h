@@ -18,23 +18,14 @@
 #ifndef BALIGN_SUPPORT_RANDOM_H
 #define BALIGN_SUPPORT_RANDOM_H
 
+#include "support/Hash.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace balign {
-
-/// SplitMix64 step; used to expand a single seed into a full generator
-/// state. Reference: Steele, Lea, Flood, "Fast splittable pseudorandom
-/// number generators", OOPSLA 2014.
-inline uint64_t splitMix64(uint64_t &State) {
-  State += 0x9e3779b97f4a7c15ULL;
-  uint64_t Z = State;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
 
 /// xoshiro256** generator (Blackman & Vigna). Small, fast, and high
 /// quality; state seeded via SplitMix64 so that nearby seeds give

@@ -1,10 +1,10 @@
 //===- tests/align_aligners_test.cpp - Aligner algorithm tests ----------------===//
 
 #include "align/Aligners.h"
-#include "align/Penalty.h"
 #include "align/Reduction.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "tsp/Exact.h"

@@ -2,9 +2,9 @@
 
 #include "align/Aligners.h"
 #include "align/Bounds.h"
-#include "align/Penalty.h"
 #include "align/Reduction.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "tsp/Exact.h"

@@ -1,9 +1,9 @@
 //===- tests/align_layout_test.cpp - Layout materializer tests ----------------===//
 
-#include "align/Layout.h"
-#include "align/Penalty.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "workloads/Generator.h"

@@ -1,10 +1,10 @@
 //===- tests/align_outcome_test.cpp - Trace-driven cost-model tests ------------===//
 
 #include "align/OutcomeCosts.h"
-#include "align/Penalty.h"
 #include "align/Reduction.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "tsp/IteratedOpt.h"

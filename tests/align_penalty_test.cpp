@@ -1,9 +1,9 @@
 //===- tests/align_penalty_test.cpp - Penalty model and reduction tests -------===//
 
-#include "align/Penalty.h"
 #include "align/Reduction.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "workloads/Generator.h"

@@ -1,8 +1,8 @@
 //===- tests/integration_test.cpp - Whole-pipeline integration tests ----------===//
 
-#include "align/Penalty.h"
 #include "align/Pipeline.h"
 #include "analysis/PipelineVerifier.h"
+#include "objective/Penalty.h"
 #include "sim/Simulator.h"
 #include "workloads/Workloads.h"
 

@@ -1,8 +1,8 @@
 //===- tests/pipeline_unit_test.cpp - Pipeline policy unit tests --------------===//
 
-#include "align/Penalty.h"
 #include "align/Pipeline.h"
 #include "ir/CFGBuilder.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 #include "tsp/Construct.h"

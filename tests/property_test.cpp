@@ -1,10 +1,10 @@
 //===- tests/property_test.cpp - Cross-cutting property tests -----------------===//
 
 #include "align/Aligners.h"
-#include "align/Penalty.h"
 #include "interproc/ProcOrder.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "sim/ICache.h"
 #include "tsp/Transform.h"
 #include "workloads/Workloads.h"

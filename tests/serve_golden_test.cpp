@@ -12,6 +12,7 @@
 
 #include "serve/Server.h"
 
+#include "robust/Durability.h"
 #include "serve/Client.h"
 
 #include <gtest/gtest.h>
@@ -108,7 +109,7 @@ std::string replay(const std::string &RequestBytes,
   });
 
   std::string ResponseBytes;
-  EXPECT_TRUE(writeFull(Fds[0], RequestBytes.data(), RequestBytes.size()));
+  EXPECT_TRUE(writeAll(Fds[0], RequestBytes.data(), RequestBytes.size()));
   ::shutdown(Fds[0], SHUT_WR); // One request, then EOF.
   Frame Response;
   FrameError Code = FrameError::None;

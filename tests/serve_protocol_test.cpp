@@ -10,6 +10,7 @@
 
 #include "serve/Protocol.h"
 
+#include "robust/Durability.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "support/Random.h"
@@ -109,7 +110,7 @@ struct ServerFixture {
 };
 
 void writeAll(int Fd, const std::string &Bytes) {
-  ASSERT_TRUE(writeFull(Fd, Bytes.data(), Bytes.size()));
+  ASSERT_TRUE(balign::writeAll(Fd, Bytes.data(), Bytes.size()));
 }
 
 Frame readResponse(int Fd) {
@@ -141,7 +142,7 @@ TEST(ServeProtocolTest, FrameRoundTrip) {
 
   int Pipe[2];
   ASSERT_EQ(0, ::pipe(Pipe));
-  ASSERT_TRUE(writeFull(Pipe[1], Wire.data(), Wire.size()));
+  ASSERT_TRUE(balign::writeAll(Pipe[1], Wire.data(), Wire.size()));
   ::close(Pipe[1]);
   Frame Out;
   FrameError Code = FrameError::None;
@@ -373,7 +374,8 @@ TEST(ServeProtocolTest, ServerAnswersGarbageWithErrorFrameAndSurvives) {
       C = static_cast<char>(R.nextIndex(256));
     // Avoid the one prefix that waits for more input: a plausible small
     // length with too few bytes behind it is the half-close case below.
-    ASSERT_TRUE(writeFull(Pair.client(), Garbage.data(), Garbage.size()));
+    ASSERT_TRUE(
+        balign::writeAll(Pair.client(), Garbage.data(), Garbage.size()));
     ::shutdown(Pair.client(), SHUT_WR); // Mid-stream disconnect.
     // Whatever the garbage looked like, the connection must end in
     // bounded time with either a clean close or one error frame.

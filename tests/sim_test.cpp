@@ -1,9 +1,9 @@
 //===- tests/sim_test.cpp - Cache and pipeline-simulator tests ----------------===//
 
 #include "align/Aligners.h"
-#include "align/Penalty.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
+#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "sim/ICache.h"
 #include "sim/Simulator.h"
