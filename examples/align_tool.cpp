@@ -589,7 +589,8 @@ int runBatch(const ToolOptions &Options, AlignmentOptions &AlignOptions) {
   // journal is checksummed and fsync'd per record: a kill -9 (or power
   // loss) mid-append leaves at most one torn tail record, which open()
   // salvages by truncation — never a half-recorded program counted as
-  // done. Pre-sentinel plain-line checkpoints are migrated in place.
+  // done. Pre-sentinel plain-line checkpoints are migrated in place; a
+  // binary file (a cache store, say) is refused and left untouched.
   AppendJournal Checkpoint;
   std::set<std::string> Done;
   if (!Options.CheckpointFile.empty()) {

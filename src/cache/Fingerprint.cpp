@@ -3,6 +3,7 @@
 #include "cache/Fingerprint.h"
 
 #include "static/EffortPolicy.h"
+#include "support/Bytes.h"
 #include "support/Hash.h"
 
 #include <cstdio>
@@ -28,16 +29,14 @@ void Hasher::bytes(const void *Data, size_t Size) {
 }
 
 void Hasher::u32(uint32_t V) {
-  unsigned char Buffer[4];
-  for (int I = 0; I != 4; ++I)
-    Buffer[I] = static_cast<unsigned char>(V >> (8 * I));
+  char Buffer[sizeof(V)];
+  storeLittleEndian(Buffer, V);
   bytes(Buffer, sizeof(Buffer));
 }
 
 void Hasher::u64(uint64_t V) {
-  unsigned char Buffer[8];
-  for (int I = 0; I != 8; ++I)
-    Buffer[I] = static_cast<unsigned char>(V >> (8 * I));
+  char Buffer[sizeof(V)];
+  storeLittleEndian(Buffer, V);
   bytes(Buffer, sizeof(Buffer));
 }
 

@@ -55,7 +55,10 @@ namespace balign {
 /// kind, short range, long-branch growth, and long-branch penalty are
 /// keyed; BranchEncoding::Fixed absorbs nothing extra, so fixed-encoding
 /// keys stay stable across the encoding knobs.
-inline constexpr uint32_t CacheFormatVersion = 4;
+/// v5: the store became a robust/Journal.h record file (one record per
+/// entry: key, then payload; the checksum frames the whole record). The
+/// absorbed inputs are unchanged.
+inline constexpr uint32_t CacheFormatVersion = 5;
 
 /// A 128-bit content fingerprint.
 struct Fingerprint {

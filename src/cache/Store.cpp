@@ -4,58 +4,34 @@
 
 #include "analysis/Verifier.h"
 #include "objective/Penalty.h"
-#include "robust/CrashInjector.h"
-#include "robust/Durability.h"
 #include "robust/FaultInjector.h"
+#include "robust/Journal.h"
+#include "support/Bytes.h"
 #include "support/Timer.h"
 #include "trace/Scope.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace balign;
 
 namespace {
 
-constexpr char StoreMagic[8] = {'B', 'A', 'L', 'N', 'C', 'A', 'C', 'H'};
-constexpr size_t HeaderBytes = sizeof(StoreMagic) + 2 * sizeof(uint32_t);
-/// Key (2 x u64) + payload size (u32) before the payload, checksum
-/// (u64) after it.
-constexpr size_t EntryOverheadBytes = 2 * sizeof(uint64_t) +
-                                      sizeof(uint32_t) + sizeof(uint64_t);
-/// No legitimate payload is remotely this large (a layout entry is a
-/// few bytes per block); larger sizes mean a corrupted length field.
-constexpr uint32_t MaxReasonablePayload = 64u << 20;
+constexpr std::string_view StoreMagic = "BALNCACH";
 
 //===--------------------------------------------------------------------===//
 // Little-endian byte (de)serialization of ProcedureAlignment payloads.
 //===--------------------------------------------------------------------===//
 
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putLayout(std::vector<uint8_t> &Out, const Layout &L) {
+void putLayout(std::string &Out, const Layout &L) {
   putU32(Out, static_cast<uint32_t>(L.Order.size()));
   for (BlockId Id : L.Order)
     putU32(Out, Id);
 }
 
-std::vector<uint8_t> encodeAlignment(const ProcedureAlignment &PA) {
-  std::vector<uint8_t> Out;
+std::string encodeAlignment(const ProcedureAlignment &PA) {
+  std::string Out;
   putLayout(Out, PA.OriginalLayout);
   putLayout(Out, PA.GreedyLayout);
   putLayout(Out, PA.TspLayout);
@@ -73,67 +49,31 @@ std::vector<uint8_t> encodeAlignment(const ProcedureAlignment &PA) {
   return Out;
 }
 
-/// Bounds-checked reader over a byte span; any out-of-range read sets
-/// Failed and sticks.
-struct ByteReader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  uint32_t u32() {
-    if (Failed || Size - Pos < 4) {
-      Failed = true;
-      return 0;
-    }
-    uint32_t V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-
-  uint64_t u64() {
-    if (Failed || Size - Pos < 8) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I != 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
-};
-
-bool decodeLayout(ByteReader &R, Layout &L) {
-  uint32_t Len = R.u32();
-  if (R.Failed || static_cast<size_t>(Len) * 4 > R.Size - R.Pos)
+bool decodeLayout(ByteReader &In, Layout &L) {
+  uint32_t Len = 0;
+  if (!In.u32(Len) || static_cast<size_t>(Len) * 4 > In.remaining())
     return false;
-  L.Order.clear();
-  L.Order.reserve(Len);
-  for (uint32_t I = 0; I != Len; ++I)
-    L.Order.push_back(R.u32());
-  return !R.Failed;
+  L.Order.resize(Len);
+  for (BlockId &Id : L.Order)
+    In.u32(Id);
+  return true;
 }
 
-bool decodeAlignment(const std::vector<uint8_t> &Payload,
-                     ProcedureAlignment &PA) {
-  ByteReader R{Payload.data(), Payload.size()};
-  if (!decodeLayout(R, PA.OriginalLayout) ||
-      !decodeLayout(R, PA.GreedyLayout) || !decodeLayout(R, PA.TspLayout))
+bool decodeAlignment(std::string_view Payload, ProcedureAlignment &PA) {
+  ByteReader In(Payload);
+  uint64_t HkBits = 0, Assignment = 0, Cycles = 0;
+  if (!decodeLayout(In, PA.OriginalLayout) ||
+      !decodeLayout(In, PA.GreedyLayout) || !decodeLayout(In, PA.TspLayout) ||
+      !In.u64(PA.OriginalPenalty) || !In.u64(PA.GreedyPenalty) ||
+      !In.u64(PA.TspPenalty) || !In.u64(HkBits) || !In.u64(Assignment) ||
+      !In.u64(Cycles) || !In.u32(PA.SolverRuns) ||
+      !In.u32(PA.RunsFindingBest))
     return false;
-  PA.OriginalPenalty = R.u64();
-  PA.GreedyPenalty = R.u64();
-  PA.TspPenalty = R.u64();
-  uint64_t HkBits = R.u64();
   std::memcpy(&PA.Bounds.HeldKarp, &HkBits, sizeof(HkBits));
-  PA.Bounds.Assignment = static_cast<int64_t>(R.u64());
-  PA.Bounds.AssignmentCycles = static_cast<size_t>(R.u64());
-  PA.SolverRuns = R.u32();
-  PA.RunsFindingBest = R.u32();
+  PA.Bounds.Assignment = static_cast<int64_t>(Assignment);
+  PA.Bounds.AssignmentCycles = static_cast<size_t>(Cycles);
   // Trailing bytes mean the payload is not what the encoder produced.
-  return !R.Failed && R.Pos == R.Size;
+  return In.atEnd();
 }
 
 /// Semantic hit validation: the decoded result must be something
@@ -188,16 +128,6 @@ std::string CacheStats::summary() const {
   return Buffer;
 }
 
-uint64_t balign::entryChecksum(uint64_t KeyHi, uint64_t KeyLo,
-                               const void *Payload, size_t Size) {
-  Hasher H;
-  H.u64(KeyHi);
-  H.u64(KeyLo);
-  H.bytes(Payload, Size);
-  Fingerprint F = H.digest();
-  return F.Hi ^ (F.Lo * GoldenGamma);
-}
-
 AlignmentCache::AlignmentCache(AlignmentCacheConfig Config)
     : Config(Config) {}
 
@@ -209,7 +139,7 @@ AlignmentCache::AlignmentCache(std::string Dir, AlignmentCacheConfig Config)
 void AlignmentCache::loadFromDisk() {
   ScopedSpan LoadSpan("cache.load", SpanCat::Cache);
   std::string Path = Dir + "/" + StoreFileName;
-  std::vector<uint8_t> File;
+  std::string File;
   bool Exists = false;
   RetryOutcome Outcome = retryWithBackoff(
       Config.DiskRetry,
@@ -221,14 +151,8 @@ void AlignmentCache::loadFromDisk() {
             *Error = "injected fault at 'cache.load'";
           return false;
         }
-        std::ifstream In(Path, std::ios::binary);
-        if (!In) {
-          Exists = false; // No store yet: a cold cache, not an error.
-          return true;
-        }
-        File.assign((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-        Exists = true;
+        // No store yet is a cold cache, not an error.
+        Exists = readFileBytes(Path, File);
         return true;
       },
       nullptr, Config.RetrySleep);
@@ -236,95 +160,67 @@ void AlignmentCache::loadFromDisk() {
     Stats.Retries += Outcome.Attempts - 1;
     scopeGaugeAdd("cache.retries", Outcome.Attempts - 1);
   }
+  auto countLoadFailure = [&] {
+    ++Stats.LoadFailures;
+    scopeCounterAdd("cache.load-failures");
+  };
+  auto countInvalidations = [&](uint64_t N) {
+    Stats.Invalidations += N;
+    scopeCounterAdd("cache.invalidations", N);
+  };
   if (!Outcome.Succeeded) {
     // Persistent read failure: degrade to a cold cache. Every lookup
     // recomputes (correct, just slower), and the next flush rebuilds
     // the store from scratch.
-    ++Stats.LoadFailures;
-    scopeCounterAdd("cache.load-failures");
+    countLoadFailure();
     return;
   }
   if (!Exists)
     return;
 
-  // Corruption taxonomy for everything below: a *truncated* store (a
-  // crash or full disk cut the file short) is a partial-load failure —
-  // every complete preceding entry is salvaged and exactly one
+  // Corruption taxonomy: a *truncated* store (a crash or full disk cut
+  // the file short, even before its first byte) is a partial-load
+  // failure — every complete preceding entry is salvaged and exactly one
   // load-failures increment is reported, never double-counted through
   // the retry wrapper above (truncation is not transient, so it is not
   // retried at all). Content that is the wrong *shape* (foreign magic,
-  // old version, an absurd length field, a checksum mismatch) is
-  // invalidation: the store was read fine but its content is discarded.
-  if (File.size() < HeaderBytes) {
-    // An empty vector's data() may be null, which memcmp must not see.
-    if (File.empty() ||
-        std::memcmp(File.data(), StoreMagic,
-                    std::min(File.size(), sizeof(StoreMagic))) == 0) {
-      ++Stats.LoadFailures; // Our store, cut off mid-header.
-      scopeCounterAdd("cache.load-failures");
-    } else {
-      ++Stats.Invalidations; // Not our file at all.
-      scopeCounterAdd("cache.invalidations");
-    }
+  // another version, an absurd length field, a checksum mismatch, a
+  // record too short for its key) is invalidation: the store was read
+  // fine but that content is discarded. A checksum-bad record still
+  // frames the next one, so salvage continues past it.
+  RecordScan Scan = scanRecordFile(File, StoreMagic, CacheFormatVersion);
+  switch (Scan.Header) {
+  case RecordHeader::Missing:
+  case RecordHeader::Torn:
+    countLoadFailure();
     return;
-  }
-  if (std::memcmp(File.data(), StoreMagic, sizeof(StoreMagic)) != 0) {
-    ++Stats.Invalidations; // Not ours.
-    scopeCounterAdd("cache.invalidations");
+  case RecordHeader::Foreign:
+  case RecordHeader::WrongVersion:
+    countInvalidations(1); // Not ours, or an old format: discard wholesale.
     return;
+  case RecordHeader::Ok:
+    break;
   }
-  uint32_t Version = 0;
-  std::memcpy(&Version, File.data() + sizeof(StoreMagic), sizeof(Version));
-  if (Version != CacheFormatVersion) {
-    ++Stats.Invalidations; // Old format: discard wholesale.
-    scopeCounterAdd("cache.invalidations");
-    return;
-  }
-
-  uint64_t Salvaged = 0;
-  bool SawCorruption = false;
-  size_t Pos = HeaderBytes;
-  while (Pos < File.size()) {
-    if (File.size() - Pos < EntryOverheadBytes) {
-      ++Stats.LoadFailures; // Truncated mid-entry: partial load.
-      scopeCounterAdd("cache.load-failures");
-      SawCorruption = true;
-      break;
-    }
-    ByteReader R{File.data() + Pos, File.size() - Pos};
+  uint64_t Salvaged = 0, Bad = Scan.BadRecords;
+  for (std::string_view Record : Scan.Records) {
+    ByteReader In(Record);
     Fingerprint Key;
-    Key.Hi = R.u64();
-    Key.Lo = R.u64();
-    uint32_t PayloadSize = R.u32();
-    if (PayloadSize > MaxReasonablePayload) {
-      ++Stats.Invalidations; // Corrupt length field; cannot resync.
-      scopeCounterAdd("cache.invalidations");
-      SawCorruption = true;
-      break;
-    }
-    if (File.size() - Pos - R.Pos < PayloadSize + sizeof(uint64_t)) {
-      ++Stats.LoadFailures; // Truncated mid-payload: partial load.
-      scopeCounterAdd("cache.load-failures");
-      SawCorruption = true;
-      break;
-    }
-    std::vector<uint8_t> Payload(File.data() + Pos + R.Pos,
-                                 File.data() + Pos + R.Pos + PayloadSize);
-    R.Pos += PayloadSize;
-    uint64_t Checksum = R.u64();
-    Pos += R.Pos;
-    if (Checksum !=
-        entryChecksum(Key.Hi, Key.Lo, Payload.data(), Payload.size())) {
-      ++Stats.Invalidations; // Bit rot; sizes were plausible, so the
-      scopeCounterAdd("cache.invalidations");
-      SawCorruption = true;
-      continue;              // stream stays aligned — keep salvaging.
+    if (!In.u64(Key.Hi) || !In.u64(Key.Lo)) {
+      ++Bad;
+      continue;
     }
     ++Salvaged;
-    insertLocked(Key, std::move(Payload)); // Ctor context: single thread.
+    // Ctor context: single thread.
+    insertLocked(Key, std::string(Record.substr(In.pos())));
   }
+  if (Bad != 0)
+    countInvalidations(Bad);
+  if (Scan.Tail == RecordTail::Torn)
+    countLoadFailure();
+  else if (Scan.Tail == RecordTail::Corrupt)
+    countInvalidations(1);
   scopeCounterAdd("cache.loaded-entries", Salvaged);
-  if (SawCorruption)
+  if (Bad != 0 || Scan.Tail != RecordTail::Clean)
     scopeCounterAdd("cache.salvaged-entries", Salvaged);
 }
 
@@ -335,7 +231,7 @@ void AlignmentCache::touchLocked(Entry &E, const Fingerprint &Key) {
 }
 
 void AlignmentCache::insertLocked(const Fingerprint &Key,
-                                  std::vector<uint8_t> Payload) {
+                                  std::string Payload) {
   auto It = Entries.find(Key);
   if (It != Entries.end()) {
     Stats.PayloadBytes -= It->second.Payload.size();
@@ -377,7 +273,7 @@ bool AlignmentCache::lookup(const Procedure &Proc,
                                                ProcIndex);
   // Copy the payload out under the lock; the expensive decode and
   // validation run unlocked so parallel workers do not serialize.
-  std::vector<uint8_t> Payload;
+  std::string Payload;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Entries.find(Key);
@@ -393,8 +289,7 @@ bool AlignmentCache::lookup(const Procedure &Proc,
 
   ProcedureAlignment PA;
   bool Valid = decodeAlignment(Payload, PA) &&
-               (!Config.ValidateHits ||
-                validateHit(Proc, Train, Options.Model, PA));
+               validateHit(Proc, Train, Options.Model, PA);
   std::lock_guard<std::mutex> Lock(Mutex);
   if (!Valid) {
     // Checksum-clean but semantically wrong (tampered store, or a
@@ -428,7 +323,7 @@ void AlignmentCache::store(const Procedure &Proc,
   CpuStopwatch Timer;
   Fingerprint Key = fingerprintProcedureInputs(Proc, Train, Options,
                                                ProcIndex);
-  std::vector<uint8_t> Payload = encodeAlignment(Result);
+  std::string Payload = encodeAlignment(Result);
   // FlushEveryStores must trigger the flush *outside* the lock (flush
   // retakes it); the flag decided under the lock keeps the counter
   // race-free across concurrent pipeline workers.
@@ -458,31 +353,22 @@ bool AlignmentCache::flush(std::string *Error) {
   if (DiskDisabled)
     return true; // Downgraded to memory-only; nothing left to persist.
 
-  std::vector<uint8_t> File;
-  File.reserve(HeaderBytes);
-  for (char C : StoreMagic)
-    File.push_back(static_cast<uint8_t>(C));
-  putU32(File, CacheFormatVersion);
-  putU32(File, 0); // Reserved.
+  std::string File = recordFileHeader(StoreMagic, CacheFormatVersion);
+  std::string Record;
   for (const Fingerprint &Key : Lru) { // Oldest first: reload keeps LRU.
-    const Entry &E = Entries.at(Key);
-    putU64(File, Key.Hi);
-    putU64(File, Key.Lo);
-    putU32(File, static_cast<uint32_t>(E.Payload.size()));
-    File.insert(File.end(), E.Payload.begin(), E.Payload.end());
-    putU64(File,
-           entryChecksum(Key.Hi, Key.Lo, E.Payload.data(), E.Payload.size()));
+    Record.clear();
+    putU64(Record, Key.Hi);
+    putU64(Record, Key.Lo);
+    Record += Entries.at(Key).Payload;
+    appendRecord(File, Record);
   }
 
-  std::string TmpPath =
-      Dir + "/" + StoreFileName + ".tmp." + std::to_string(::getpid());
   std::string FlushError;
   RetryOutcome Outcome = retryWithBackoff(
       Config.DiskRetry,
       [&](std::string *AttemptError) {
         // balign-shield fault site: a transient write failure anywhere
-        // in the atomic tmp-write-then-rename, retried with bounded
-        // backoff.
+        // in the atomic replace, retried with bounded backoff.
         if (FaultInjector::instance().shouldFail(FaultSite::CacheFlush)) {
           if (AttemptError)
             *AttemptError = "injected fault at 'cache.flush'";
@@ -496,54 +382,8 @@ bool AlignmentCache::flush(std::string *Error) {
                             "': " + Ec.message();
           return false;
         }
-        int TmpFd = ::open(TmpPath.c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-        if (TmpFd < 0) {
-          if (AttemptError)
-            *AttemptError = "cannot open '" + TmpPath + "': " +
-                            std::strerror(errno);
-          return false;
-        }
-        // balign-sentinel crash site: die with the tmp file half written.
-        // The half-file carries the tmp suffix, so the live store under
-        // the final name is untouched and the next run ignores the husk.
-        size_t Half = File.size() / 2;
-        bool Written = writeAll(TmpFd, File.data(), Half);
-        if (Written)
-          CrashInjector::instance().crashPoint(CrashSite::CacheTmpWrite);
-        Written = Written &&
-                  writeAll(TmpFd, File.data() + Half, File.size() - Half);
-        // fsync before rename: without it the rename can land while the
-        // tmp file's data is still only in the page cache, and a power
-        // cut then leaves a torn file under the *final* name.
-        if (Written && Config.Durable == Durability::Full)
-          Written = fsyncFd(TmpFd);
-        ::close(TmpFd);
-        if (!Written) {
-          std::filesystem::remove(TmpPath, Ec);
-          if (AttemptError)
-            *AttemptError = "cannot write '" + TmpPath + "': " +
-                            std::strerror(errno);
-          return false;
-        }
-        // balign-sentinel crash site: tmp file durable, rename not yet
-        // issued — the old store (if any) must still load cleanly.
-        CrashInjector::instance().crashPoint(CrashSite::CachePreRename);
-        std::filesystem::rename(TmpPath, Dir + "/" + StoreFileName, Ec);
-        if (Ec) {
-          std::filesystem::remove(TmpPath, Ec);
-          if (AttemptError)
-            *AttemptError = "cannot replace store file in '" + Dir +
-                            "': " + Ec.message();
-          return false;
-        }
-        // balign-sentinel crash site: rename issued but the directory
-        // not yet fsync'd — either the old or the new store is visible,
-        // both complete.
-        CrashInjector::instance().crashPoint(CrashSite::CachePostRename);
-        if (Config.Durable == Durability::Full)
-          fsyncParentDirectory(Dir + "/" + StoreFileName); // Best effort.
-        return true;
+        return replaceFileAtomically(Dir + "/" + StoreFileName, File,
+                                     AttemptError);
       },
       &FlushError, Config.RetrySleep);
   if (Outcome.Attempts > 1) {

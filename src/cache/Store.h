@@ -14,23 +14,20 @@
 /// Trust model: *never trust, always validate*. Every disk entry carries
 /// a checksum over key + payload; corrupt, truncated, or
 /// version-mismatched data is dropped at load (counted as an
-/// invalidation), never served. A checksum-clean hit is still
-/// re-validated semantically before use — layout legality via the
-/// balign-verify layout-check pass and penalty agreement via
+/// invalidation or a load failure), never served. A checksum-clean hit
+/// is still re-validated semantically before use — layout legality via
+/// the balign-verify layout-check pass and penalty agreement via
 /// re-evaluation — so even an adversarially patched store can only
 /// cause a recompute, not a wrong result.
 ///
-/// On-disk format (little-endian, atomically replaced on flush via
-/// write-to-tmp-then-rename):
+/// On disk the store is a record file (robust/Journal.h: 16-byte header,
+/// then `[u32 size][bytes][u64 checksum]` per record), written whole on
+/// every flush through the shared atomic replace:
 ///
-///   [8]  magic "BALNCACH"
-///   [u32] CacheFormatVersion
-///   [u32] reserved (0)
-///   entry*:
+///   header: magic "BALNCACH", version CacheFormatVersion
+///   record per entry:
 ///     [u64] key hi   [u64] key lo
-///     [u32] payload size in bytes
 ///     [payload]      serialized ProcedureAlignment
-///     [u64] checksum over key + payload (entryChecksum)
 ///
 /// Entries appear oldest-first, so reloading preserves LRU order. The
 /// store is LRU-bounded by entry count and payload bytes; flushing
@@ -43,7 +40,6 @@
 
 #include "align/Pipeline.h"
 #include "cache/Fingerprint.h"
-#include "robust/Durability.h"
 #include "robust/Retry.h"
 
 #include <cstdint>
@@ -52,7 +48,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace balign {
 
@@ -83,22 +78,11 @@ struct AlignmentCacheConfig {
   size_t MaxEntries = size_t(1) << 20;       ///< LRU bound on entries.
   size_t MaxPayloadBytes = size_t(256) << 20;///< LRU bound on bytes.
 
-  /// Re-validate hits semantically (layout-check + penalty
-  /// re-evaluation). Only tests that measure raw lookup cost turn this
-  /// off.
-  bool ValidateHits = true;
-
   /// Disk mode: flush automatically after every N stores (0 = only on
   /// explicit flush / session teardown). Long-lived owners — the
   /// balign-serve server, whose CacheSession may never destruct if the
   /// process is killed — set this so a crash loses at most N results.
   size_t FlushEveryStores = 0;
-
-  /// balign-sentinel: Full fsyncs the tmp file before the rename and
-  /// the cache directory after it, so a flush that returned true
-  /// survives kill -9 / power loss. Relaxed keeps the old
-  /// atomic-against-readers-only behavior for throwaway stores.
-  Durability Durable = Durability::Full;
 
   /// balign-shield: disk reads and writes retry transient failures with
   /// bounded exponential backoff before giving up.
@@ -108,12 +92,6 @@ struct AlignmentCacheConfig {
   /// Tests pass a recording stub so retry runs take no wall time.
   SleepFn RetrySleep;
 };
-
-/// Checksum guarding one store entry: a fingerprint-hash over the key
-/// words and the payload bytes. Exposed so tests (and external tooling)
-/// can craft or audit entries.
-uint64_t entryChecksum(uint64_t KeyHi, uint64_t KeyLo, const void *Payload,
-                       size_t Size);
 
 /// The concrete ProcedureResultCache: an LRU map from input fingerprint
 /// to serialized ProcedureAlignment, optionally mirrored to
@@ -141,11 +119,9 @@ public:
              const ProcedureAlignment &Result) override;
 
   /// Writes the store file (disk mode; a no-op returning true in memory
-  /// mode): serializes to `balign.cache.tmp.<pid>` in the cache
-  /// directory, then renames over the store, so readers never observe a
-  /// partial file. Under Durability::Full the tmp file is fsync'd before
-  /// the rename and the directory after it, so success means the store
-  /// survives kill -9. Returns false and fills \p Error on I/O failure.
+  /// mode) through replaceFileAtomically: readers never observe a
+  /// partial file, and success means the store survives kill -9.
+  /// Returns false and fills \p Error on I/O failure.
   bool flush(std::string *Error = nullptr);
 
   /// Snapshot of the counters.
@@ -162,12 +138,12 @@ public:
 
 private:
   struct Entry {
-    std::vector<uint8_t> Payload;
+    std::string Payload;
     std::list<Fingerprint>::iterator LruPos;
   };
 
   void loadFromDisk();
-  void insertLocked(const Fingerprint &Key, std::vector<uint8_t> Payload);
+  void insertLocked(const Fingerprint &Key, std::string Payload);
   void touchLocked(Entry &E, const Fingerprint &Key);
   void evictLocked();
 

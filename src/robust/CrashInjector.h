@@ -11,11 +11,13 @@
 /// `_exit(2)` — no destructors, no flushes, no atexit — which is the
 /// closest a test can get to `kill -9` or power loss at a chosen
 /// instruction. Crash points bracket the durability-critical I/O
-/// sequences (the cache store's tmp write and rename, the checkpoint
-/// journal's append, the serve response write, pool task execution) so a
-/// fork-based chaos harness can kill a child at every site and assert
-/// the survivor-side invariants: the store reopens salvageable, the
-/// journal resumes exactly-once, the client retries through.
+/// sequences (the shared atomic replace behind a cache flush or a legacy
+/// checkpoint migration, the checkpoint journal's append, the serve
+/// response write, pool task execution) so a fork-based chaos harness
+/// can kill a child at every site and assert the survivor-side
+/// invariants: the store reopens salvageable, a migrating checkpoint is
+/// either still the old file or fully migrated, the journal resumes
+/// exactly-once, the client retries through.
 ///
 /// Armed from the environment (the chaos harness arms the child
 /// programmatically after fork instead):
@@ -29,7 +31,7 @@
 ///
 /// Placement contract: a crash point sits *between* the bytes of a
 /// multi-part write wherever a torn artifact is physically possible
-/// (cache.tmp-write fires with only half the store file written,
+/// (cache.tmp-write fires with only half the replacement file written,
 /// checkpoint.append with half a record), and *between* a write and its
 /// matching fsync/rename wherever ordering matters — so surviving every
 /// site proves the recovery code, not the luck of the buffer cache.
@@ -50,9 +52,12 @@ namespace balign {
 /// Every durability-critical point balign-sentinel can kill the process
 /// at. The printable names (crashSiteName) are the BALIGN_CRASH spelling
 /// and part of the public contract; never rename a released one.
+/// The three cache.* sites sit in the shared atomic replace
+/// (replaceFileAtomically, robust/Journal.h): a cache flush or a legacy
+/// checkpoint migration reaches them.
 enum class CrashSite : uint8_t {
-  CacheTmpWrite,    ///< cache.tmp-write — mid-write of the store tmp file
-                    ///< (a torn tmp, never renamed in).
+  CacheTmpWrite,    ///< cache.tmp-write — mid-write of the replacement's
+                    ///< tmp file (a torn tmp, never renamed in).
   CachePreRename,   ///< cache.pre-rename — tmp complete and fsync'd, the
                     ///< rename not yet issued.
   CachePostRename,  ///< cache.post-rename — renamed in, the directory

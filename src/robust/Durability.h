@@ -1,21 +1,19 @@
-//===- robust/Durability.h - Durability policy and write primitives -------===//
+//===- robust/Durability.h - Durable write primitives ---------------------===//
 //
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// The balign-sentinel durability policy and the primitives the
-/// persistence layers (cache store, checkpoint journal, serve frames)
-/// share: one complete-write loop and two fsyncs. `rename` alone is
-/// atomic against concurrent readers but not against power loss: without
-/// an fsync of the source file first, the rename can land while the
-/// file's *data* is still only in the page cache, leaving a torn file
-/// under the final name; without an fsync of the containing directory
-/// after, the rename itself can be lost. Durability::Full pays both fsyncs;
-/// Durability::Relaxed skips them for throwaway stores (benchmarks,
-/// tests that measure flush cost) where a crash may legitimately lose
-/// the file — never a default for user data.
+/// The balign-sentinel write primitives the persistence layers (record
+/// files, serve frames) share: one complete-write loop and two fsyncs.
+/// `rename` alone is atomic against concurrent readers but not against
+/// power loss: without an fsync of the source file first, the rename can
+/// land while the file's *data* is still only in the page cache, leaving
+/// a torn file under the final name; without an fsync of the containing
+/// directory after, the rename itself can be lost. Every balign write of
+/// user data pays both fsyncs; there is no switch to skip them. The one
+/// place that sequences them is replaceFileAtomically (robust/Journal.h).
 ///
 //===--------------------------------------------------------------------===//
 
@@ -23,16 +21,9 @@
 #define BALIGN_ROBUST_DURABILITY_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace balign {
-
-/// How hard persistence code must try to survive `kill -9` / power loss.
-enum class Durability : uint8_t {
-  Relaxed, ///< No fsync: atomic against readers, not against crashes.
-  Full,    ///< fsync file data before rename and the directory after.
-};
 
 /// write(2)s all \p Size bytes of \p Data to \p Fd, retrying short writes
 /// and EINTR. Returns false on any other failure (errno set by write;

@@ -3,6 +3,7 @@
 #include "serve/Protocol.h"
 
 #include "robust/Durability.h"
+#include "support/Bytes.h"
 
 #include <atomic>
 #include <bit>
@@ -14,65 +15,6 @@
 using namespace balign;
 
 namespace {
-
-void putU32(std::string &Out, uint32_t Value) {
-  for (int Shift = 0; Shift != 32; Shift += 8)
-    Out.push_back(static_cast<char>((Value >> Shift) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t Value) {
-  for (int Shift = 0; Shift != 64; Shift += 8)
-    Out.push_back(static_cast<char>((Value >> Shift) & 0xff));
-}
-
-/// Bounds-checked little-endian reads over a body string. Every getter
-/// fails (returns false) instead of over-reading, which is what keeps
-/// arbitrary fuzz bytes crash-free.
-class BodyReader {
-public:
-  explicit BodyReader(const std::string &Body) : Body(Body) {}
-
-  bool u8(uint8_t &Out) {
-    if (Pos + 1 > Body.size())
-      return false;
-    Out = static_cast<uint8_t>(Body[Pos++]);
-    return true;
-  }
-
-  bool u32(uint32_t &Out) {
-    if (Pos + 4 > Body.size())
-      return false;
-    Out = 0;
-    for (int Shift = 0; Shift != 32; Shift += 8)
-      Out |= static_cast<uint32_t>(static_cast<uint8_t>(Body[Pos++]))
-             << Shift;
-    return true;
-  }
-
-  bool u64(uint64_t &Out) {
-    if (Pos + 8 > Body.size())
-      return false;
-    Out = 0;
-    for (int Shift = 0; Shift != 64; Shift += 8)
-      Out |= static_cast<uint64_t>(static_cast<uint8_t>(Body[Pos++]))
-             << Shift;
-    return true;
-  }
-
-  bool bytes(size_t Count, std::string &Out) {
-    if (Count > Body.size() - Pos)
-      return false;
-    Out.assign(Body, Pos, Count);
-    Pos += Count;
-    return true;
-  }
-
-  bool atEnd() const { return Pos == Body.size(); }
-
-private:
-  const std::string &Body;
-  size_t Pos = 0;
-};
 
 bool fail(std::string *Error, const char *Reason) {
   if (Error)
@@ -253,7 +195,7 @@ std::string balign::encodeAlignRequest(const AlignRequest &Request) {
 
 bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
                                 std::string *Error) {
-  BodyReader In(Body);
+  ByteReader In(Body);
   uint8_t Effort = 0, OnError = 0, Flags = 0, Reserved = 0;
   uint32_t CfgLen = 0, ProfLen = 0;
   if (!In.u64(Out.Seed) || !In.u64(Out.Budget) || !In.u32(Out.DeadlineMs) ||
@@ -333,7 +275,7 @@ void balign::setFrameReadInterrupt(bool (*Check)()) {
 
 ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
                              std::string &Message) {
-  uint8_t LenBytes[4];
+  char LenBytes[4];
   size_t Got = readFull(Fd, LenBytes, sizeof(LenBytes),
                         /*InterruptAtStart=*/true);
   if (Got == 0)
@@ -345,8 +287,7 @@ ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
     return ReadStatus::Error;
   }
   uint32_t Len = 0;
-  for (int I = 0; I != 4; ++I)
-    Len |= static_cast<uint32_t>(LenBytes[I]) << (8 * I);
+  ByteReader(std::string_view(LenBytes, sizeof(LenBytes))).u32(Len);
   // Reject a hostile length *before* reading any payload: waiting on
   // bytes a lying prefix promised is the unbounded-time failure mode the
   // protocol tests attack.

@@ -11,6 +11,7 @@
 
 #include "align/Pipeline.h"
 #include "profile/Trace.h"
+#include "robust/Journal.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
@@ -133,19 +134,22 @@ void writeU64(std::vector<uint8_t> &File, size_t Pos, uint64_t V) {
     File[Pos + I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
-/// Byte layout of the first entry in a store file.
+/// Byte layout of the first entry in a store file: one record whose
+/// bytes are the key (2 x u64) followed by the payload.
 struct EntryView {
-  size_t KeyPos = HeaderBytes;
-  size_t PayloadSizePos = HeaderBytes + 16;
+  size_t RecordSizePos = HeaderBytes;
+  size_t KeyPos = HeaderBytes + 4;
   size_t PayloadPos = HeaderBytes + 20;
+  uint32_t RecordSize = 0;
   uint32_t PayloadSize = 0;
   size_t ChecksumPos = 0;
 };
 
 EntryView firstEntry(const std::vector<uint8_t> &File) {
   EntryView E;
-  E.PayloadSize = readU32(File, E.PayloadSizePos);
-  E.ChecksumPos = E.PayloadPos + E.PayloadSize;
+  E.RecordSize = readU32(File, E.RecordSizePos);
+  E.PayloadSize = E.RecordSize - 16;
+  E.ChecksumPos = E.KeyPos + E.RecordSize;
   return E;
 }
 
@@ -281,13 +285,14 @@ TEST(CacheStoreTest, TruncationAtEveryByteOffset) {
   }
   std::vector<uint8_t> Full = readFile(storePath(Dir));
 
-  // Walk the entry framing (key[16] + size u32 + payload + checksum u64)
-  // to find the clean cut points: end-of-header and each entry's end.
+  // Walk the record framing (size u32 + key[16] and payload + checksum
+  // u64) to find the clean cut points: end-of-header and each entry's
+  // end.
   std::vector<size_t> Boundaries{HeaderBytes};
   size_t Pos = HeaderBytes;
   while (Pos < Full.size()) {
-    uint32_t PayloadSize = readU32(Full, Pos + 16);
-    Pos += 16 + 4 + PayloadSize + 8;
+    uint32_t RecordSize = readU32(Full, Pos);
+    Pos += 4 + RecordSize + 8;
     Boundaries.push_back(Pos);
   }
   ASSERT_EQ(Pos, Full.size());
@@ -396,8 +401,7 @@ TEST(CacheStoreTest, ForgedChecksumStillRejectedByValidation) {
   ASSERT_LT(TspPenaltyPos + 8, E.ChecksumPos);
   writeU64(File, TspPenaltyPos, readU64(File, TspPenaltyPos) + 1);
   writeU64(File, E.ChecksumPos,
-           entryChecksum(readU64(File, E.KeyPos), readU64(File, E.KeyPos + 8),
-                         File.data() + E.PayloadPos, E.PayloadSize));
+           journalChecksum(File.data() + E.KeyPos, E.RecordSize));
   writeFile(storePath(Dir), File);
 
   AlignmentCache Reopened(Dir);
@@ -410,6 +414,19 @@ TEST(CacheStoreTest, ForgedChecksumStillRejectedByValidation) {
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Invalidations, 1u);
   EXPECT_EQ(Reopened.size(), 0u); // And it is dropped, not retried.
+}
+
+TEST(CacheStoreTest, RecordTooShortForItsKeyIsInvalidated) {
+  // A checksum-clean record must still hold the 16-byte key; a shorter
+  // one (forged, or written by something else) is damaged content.
+  std::string Dir = freshDir("shortkey");
+  std::string File = recordFileHeader("BALNCACH", CacheFormatVersion);
+  appendRecord(File, "short");
+  writeFile(storePath(Dir), std::vector<uint8_t>(File.begin(), File.end()));
+  AlignmentCache Cache(Dir);
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(Cache.stats().Invalidations, 1u);
+  EXPECT_EQ(Cache.stats().LoadFailures, 0u);
 }
 
 TEST(CacheStoreTest, StaleTmpFilesAreHarmless) {

@@ -9,6 +9,8 @@
 //  - the checkpoint journal resumes exactly-once: a program whose append
 //    survived is never re-run, a program whose append was torn is never
 //    skipped (its work re-runs, the journal ends with one record);
+//  - a legacy plain-line checkpoint killed mid-migration is either the
+//    untouched old file or the complete journal, listing the same lines;
 //  - a server killed mid-response is invisible to a client that retries
 //    against its restarted successor.
 //
@@ -262,6 +264,55 @@ TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
   EXPECT_EQ(2u, countLines(Dir + "/p1.runs"));
   EXPECT_EQ(2u, countLines(Dir + "/p2.runs"));
   EXPECT_EQ(2u, countLines(Dir + "/p3.runs"));
+}
+
+TEST(ChaosKillTest, LegacyMigrationSurvivesKillsAtEveryReplaceSite) {
+  // Migration rewrites a plain-line checkpoint through the same atomic
+  // replace a cache flush uses, so it must reach the same three sites.
+  // A kill before the rename leaves the plain-line file byte-identical;
+  // a kill after it leaves the finished journal. Either way the reopen
+  // lists exactly the legacy lines.
+  const std::string Legacy = "old1.cfg\nold2.cfg\n\nold3.cfg";
+  const std::vector<std::string> Lines{"old1.cfg", "old2.cfg", "old3.cfg"};
+  const CrashSite Sweep[] = {CrashSite::CacheTmpWrite,
+                             CrashSite::CachePreRename,
+                             CrashSite::CachePostRename};
+  for (CrashSite Site : Sweep) {
+    std::string DirName = std::string("migrate_") + crashSiteName(Site);
+    std::replace(DirName.begin(), DirName.end(), '.', '_');
+    std::string Path = freshDir(DirName.c_str()) + "/checkpoint";
+    {
+      std::ofstream Out(Path, std::ios::binary);
+      Out << Legacy;
+    }
+
+    int Status = runKilledChild([&] {
+      CrashInjector::instance().arm(Site);
+      AppendJournal Journal;
+      Journal.open(Path);
+    });
+    ASSERT_EQ(CrashExitCode, Status)
+        << crashSiteName(Site) << " never fired (or died differently)";
+
+    std::string Bytes;
+    ASSERT_TRUE(readFileBytes(Path, Bytes));
+    bool Renamed = Site == CrashSite::CachePostRename;
+    if (Renamed)
+      EXPECT_EQ(0, Bytes.compare(0, sizeof(AppendJournal::Magic),
+                                 AppendJournal::Magic,
+                                 sizeof(AppendJournal::Magic)))
+          << crashSiteName(Site);
+    else
+      EXPECT_EQ(Legacy, Bytes) << crashSiteName(Site);
+
+    AppendJournal After;
+    std::string Error;
+    ASSERT_TRUE(After.open(Path, &Error)) << crashSiteName(Site) << ": "
+                                          << Error;
+    EXPECT_EQ(Lines, After.records()) << crashSiteName(Site);
+    EXPECT_EQ(!Renamed, After.stats().MigratedLegacy) << crashSiteName(Site);
+    EXPECT_FALSE(After.stats().RecoveredTail) << crashSiteName(Site);
+  }
 }
 
 TEST(ChaosKillTest, ServerKilledMidResponseIsInvisibleThroughRetry) {

@@ -4,16 +4,21 @@
 // byte-precisely: a torn tail at *every* possible cut point must salvage
 // exactly the complete records before the cut, a checksum-corrupted record
 // must drop the tail from that record on, a pre-journal plain-line
-// checkpoint must migrate in place, and an unknown format version must be
-// refused rather than clobbered. The resume edge cases of `align_tool
-// --checkpoint` (empty journal, duplicates, mid-record ends) live here
-// too, against the same AppendJournal the tool uses.
+// checkpoint must migrate in place, and an unknown format version or a
+// file that is not a checkpoint at all (a cache store, a journal whose
+// magic rotted) must be refused rather than clobbered. The resume edge
+// cases of `align_tool --checkpoint` (empty journal, duplicates,
+// mid-record ends) live here too, against the same AppendJournal the
+// tool uses.
 //
 //===--------------------------------------------------------------------===//
 
 #include "robust/Journal.h"
 
+#include "cache/Store.h"
+#include "profile/Trace.h"
 #include "robust/FaultInjector.h"
+#include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -247,6 +252,68 @@ TEST(SentinelJournalTest, UnknownFormatVersionIsRefusedNotClobbered) {
   EXPECT_NE(std::string::npos, Error.find("version")) << Error;
   // Refusal must leave the file byte-identical: a newer tool's journal
   // is data, not salvage fodder.
+  EXPECT_EQ(Bytes, readBytes(Path));
+}
+
+TEST(SentinelJournalTest, CacheStoreIsRefusedAndLeftByteIdentical) {
+  // `--checkpoint <cachedir>/balign.cache` is an easy slip. The store is
+  // a record file too, just not a journal; it must not be mistaken for a
+  // plain-line checkpoint and "migrated" into binary garbage records.
+  std::string Dir = ::testing::TempDir() + "balign_journal_cachestore";
+  std::filesystem::remove_all(Dir);
+  Program Prog("refuse");
+  Rng R(7);
+  Prog.addProcedure(generateProcedure("p0", GenParams(), R).Proc);
+  ProgramProfile Train;
+  TraceGenOptions TraceOptions;
+  TraceOptions.BranchBudget = 200;
+  Train.Procs.push_back(collectProfile(
+      Prog.proc(0), generateTrace(Prog.proc(0),
+                                  BranchBehavior::uniform(Prog.proc(0)), R,
+                                  TraceOptions)));
+  AlignmentOptions Options;
+  Options.Cache = CacheMode::Disk;
+  Options.CachePath = Dir;
+  {
+    CacheSession Session(Options);
+    alignProgram(Prog, Train, Options);
+    ASSERT_TRUE(Session.flush());
+  }
+  std::string Path = Dir + "/" + AlignmentCache::StoreFileName;
+  std::vector<uint8_t> Bytes = readBytes(Path);
+
+  AppendJournal J;
+  std::string Error;
+  EXPECT_FALSE(J.open(Path, &Error));
+  EXPECT_FALSE(J.isOpen());
+  EXPECT_FALSE(J.stats().MigratedLegacy);
+  EXPECT_TRUE(J.records().empty());
+  EXPECT_NE(std::string::npos, Error.find("neither a checkpoint journal"))
+      << Error;
+  EXPECT_EQ(Bytes, readBytes(Path));
+
+  // The store is still whole and warm.
+  AlignmentCache Store(Dir);
+  EXPECT_EQ(1u, Store.size());
+  EXPECT_EQ(0u, Store.stats().Invalidations);
+  EXPECT_EQ(0u, Store.stats().LoadFailures);
+}
+
+TEST(SentinelJournalTest, RottedMagicIsRefusedNotMigrated) {
+  // A journal whose magic lost a bit is binary, not a list of paths (no
+  // path holds a NUL byte): refuse it untouched rather than turn its
+  // records into garbage lines.
+  std::string Path = freshPath("rotted_magic");
+  buildJournal(Path, {"one.cfg", "two.cfg"});
+  std::vector<uint8_t> Bytes = readBytes(Path);
+  Bytes[0] ^= 0x01;
+  writeBytes(Path, Bytes);
+
+  AppendJournal J;
+  std::string Error;
+  EXPECT_FALSE(J.open(Path, &Error));
+  EXPECT_FALSE(J.isOpen());
+  EXPECT_FALSE(J.stats().MigratedLegacy);
   EXPECT_EQ(Bytes, readBytes(Path));
 }
 

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Support library tests ----------------------===//
 
 #include "align/Pipeline.h"
+#include "support/Bytes.h"
 #include "support/Flags.h"
 #include "support/Format.h"
 #include "support/Parse.h"
@@ -136,6 +137,45 @@ TEST(TableTest, SeparatorRows) {
   size_t First = Out.find("-\n");
   ASSERT_NE(First, std::string::npos);
   EXPECT_NE(Out.find("-\n", First + 1), std::string::npos);
+}
+
+TEST(BytesTest, PutsAreLittleEndian) {
+  std::string Out;
+  putU32(Out, 0x01020304u);
+  putU64(Out, 0x1122334455667788ULL);
+  EXPECT_EQ(std::string("\x04\x03\x02\x01"
+                        "\x88\x77\x66\x55\x44\x33\x22\x11",
+                        12),
+            Out);
+}
+
+TEST(BytesTest, ReaderRoundTripsAndRefusesToOverRead) {
+  std::string Bytes;
+  putU32(Bytes, 0xdeadbeefu);
+  putU64(Bytes, ~uint64_t(0));
+  Bytes += "tail";
+  ByteReader In(Bytes);
+  uint32_t A = 0;
+  uint64_t B = 0;
+  ASSERT_TRUE(In.u32(A));
+  ASSERT_TRUE(In.u64(B));
+  EXPECT_EQ(0xdeadbeefu, A);
+  EXPECT_EQ(~uint64_t(0), B);
+  // A failed read consumes nothing and leaves its output alone.
+  uint64_t Untouched = 7;
+  EXPECT_FALSE(In.u64(Untouched));
+  EXPECT_EQ(7u, Untouched);
+  EXPECT_EQ(4u, In.remaining());
+  std::string Copy;
+  EXPECT_FALSE(In.bytes(5, Copy));
+  ASSERT_TRUE(In.bytes(4, Copy));
+  EXPECT_EQ("tail", Copy);
+  EXPECT_TRUE(In.atEnd());
+  uint8_t C = 0;
+  EXPECT_FALSE(In.u8(C));
+  std::string_view View;
+  EXPECT_FALSE(In.bytes(1, View));
+  EXPECT_TRUE(In.bytes(0, View));
 }
 
 TEST(ParseFlagIntTest, AcceptsCompleteDecimalLiterals) {
