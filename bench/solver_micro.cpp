@@ -17,7 +17,6 @@
 #include "tsp/Instance.h"
 #include "tsp/IteratedOpt.h"
 #include "tsp/LocalSearch.h"
-#include "tsp/Transform.h"
 
 #include <benchmark/benchmark.h>
 
@@ -65,16 +64,14 @@ BENCHMARK(BM_NearestNeighborConstruction)->Arg(16)->Arg(64)->Arg(256);
 void BM_LocalSearch(benchmark::State &State) {
   size_t N = static_cast<size_t>(State.range(0));
   DirectedTsp D = alignmentLikeInstance(N, 42);
-  SymmetricTransform T = transformToSymmetric(D);
-  NeighborLists Neighbors(T.Sym, 12);
+  PredecessorLists Candidates(D, 12);
   Rng R(3);
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<City> Dir = canonicalTour(N);
     R.shuffle(Dir);
-    std::vector<City> Sym = T.toSymmetricTour(Dir);
     State.ResumeTiming();
-    benchmark::DoNotOptimize(localSearchSymmetric(T.Sym, Neighbors, Sym));
+    benchmark::DoNotOptimize(localSearchDirected(D, Candidates, Dir));
   }
 }
 BENCHMARK(BM_LocalSearch)->Arg(16)->Arg(64)->Arg(128)->Arg(256);

@@ -347,20 +347,24 @@ void AlignmentCache::store(const Procedure &Proc,
 bool AlignmentCache::flush(std::string *Error) {
   ScopedSpan FlushSpan("cache.flush", SpanCat::Cache);
   CpuStopwatch Timer;
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Dir.empty())
     return true;
-  if (DiskDisabled)
-    return true; // Downgraded to memory-only; nothing left to persist.
-
+  // The fsync'd replace runs outside Mutex so lookups and stores never
+  // queue behind the disk.
+  std::lock_guard<std::mutex> FlushLock(FlushMutex);
   std::string File = recordFileHeader(StoreMagic, CacheFormatVersion);
-  std::string Record;
-  for (const Fingerprint &Key : Lru) { // Oldest first: reload keeps LRU.
-    Record.clear();
-    putU64(Record, Key.Hi);
-    putU64(Record, Key.Lo);
-    Record += Entries.at(Key).Payload;
-    appendRecord(File, Record);
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (DiskDisabled)
+      return true; // Downgraded to memory-only; nothing left to persist.
+    std::string Record;
+    for (const Fingerprint &Key : Lru) { // Oldest first: reload keeps LRU.
+      Record.clear();
+      putU64(Record, Key.Hi);
+      putU64(Record, Key.Lo);
+      Record += Entries.at(Key).Payload;
+      appendRecord(File, Record);
+    }
   }
 
   std::string FlushError;
@@ -386,6 +390,7 @@ bool AlignmentCache::flush(std::string *Error) {
                                      AttemptError);
       },
       &FlushError, Config.RetrySleep);
+  std::lock_guard<std::mutex> Lock(Mutex);
   if (Outcome.Attempts > 1) {
     Stats.Retries += Outcome.Attempts - 1;
     scopeGaugeAdd("cache.retries", Outcome.Attempts - 1);
@@ -405,6 +410,11 @@ bool AlignmentCache::flush(std::string *Error) {
   Stats.BytesWritten += File.size();
   scopeCounterAdd("cache.bytes-written", File.size());
   return true;
+}
+
+bool AlignmentCache::isDiskBacked() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return !Dir.empty() && !DiskDisabled;
 }
 
 CacheStats AlignmentCache::stats() const {

@@ -134,7 +134,7 @@ public:
   /// downgraded the cache to memory-only (balign-shield graceful
   /// degradation: alignment results stay correct, only persistence is
   /// lost).
-  bool isDiskBacked() const { return !Dir.empty() && !DiskDisabled; }
+  bool isDiskBacked() const;
 
 private:
   struct Entry {
@@ -147,7 +147,13 @@ private:
   void touchLocked(Entry &E, const Fingerprint &Key);
   void evictLocked();
 
+  /// Guards everything below except Dir and Config, which are fixed at
+  /// construction. A flush holds it only to snapshot the records and to
+  /// publish its outcome, never across the disk write.
   mutable std::mutex Mutex;
+  /// Orders flushes: each one snapshots after the previous one finished
+  /// writing, so an older snapshot never replaces a newer file.
+  std::mutex FlushMutex;
   std::string Dir; ///< Empty for memory-only mode.
   bool DiskDisabled = false; ///< Set after a persistent flush failure.
   size_t StoresSinceFlush = 0; ///< Drives FlushEveryStores.

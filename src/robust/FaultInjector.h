@@ -59,7 +59,8 @@ namespace balign {
 /// contract; never rename a released one.
 enum class FaultSite : uint8_t {
   ProfileParse, ///< profile.parse — ProfileIO record parsing.
-  TspTransform, ///< tsp.transform — the DTSP->STSP transformation.
+  TspTransform, ///< tsp.transform — the DTSP->STSP transformation and
+                ///< the 3-Opt candidate lists that stand in for it.
   TspSolve,     ///< tsp.solve — solveDirectedTsp entry.
   AlignGreedy,  ///< align.greedy — the greedy (fallback-rung) aligner.
   PoolTask,     ///< pool.task — per-procedure pipeline task execution.

@@ -15,32 +15,38 @@ std::vector<City> balign::nearestNeighborTour(const DirectedTsp &Dtsp,
   assert(N >= 1 && "empty instance");
   std::vector<City> Tour;
   Tour.reserve(N);
-  std::vector<bool> Visited(N, false);
+  std::vector<City> Unvisited(N); // In index order.
+  std::iota(Unvisited.begin(), Unvisited.end(), 0);
 
   City Current = static_cast<City>(Rng.nextIndex(N));
   Tour.push_back(Current);
-  Visited[Current] = true;
+  Unvisited.erase(Unvisited.begin() + Current);
 
-  std::vector<City> Candidates;
-  while (Tour.size() != N) {
-    // Gather the best `CandidateWindow` unvisited continuations.
-    Candidates.clear();
-    for (City Next = 0; Next != N; ++Next) {
-      if (Visited[Next])
-        continue;
-      Candidates.push_back(Next);
-    }
+  // The best `CandidateWindow` unvisited continuations as (cost, city),
+  // ascending by (cost, index): scanning in index order puts a tie after
+  // its equals.
+  std::vector<std::pair<int64_t, City>> Best;
+  while (!Unvisited.empty()) {
     size_t Window = std::min<size_t>(std::max(1u, CandidateWindow),
-                                     Candidates.size());
-    std::partial_sort(Candidates.begin(), Candidates.begin() + Window,
-                      Candidates.end(), [&](City A, City B) {
-                        int64_t CA = Dtsp.cost(Current, A);
-                        int64_t CB = Dtsp.cost(Current, B);
-                        return CA != CB ? CA < CB : A < B;
-                      });
-    Current = Candidates[Rng.nextIndex(Window)];
+                                     Unvisited.size());
+    Best.clear();
+    for (City Next : Unvisited) {
+      int64_t Cost = Dtsp.cost(Current, Next);
+      if (Best.size() == Window && Cost >= Best.back().first)
+        continue;
+      auto At = std::upper_bound(
+          Best.begin(), Best.end(), Cost,
+          [](int64_t C, const std::pair<int64_t, City> &E) {
+            return C < E.first;
+          });
+      Best.insert(At, {Cost, Next});
+      if (Best.size() > Window)
+        Best.pop_back();
+    }
+    Current = Best[Rng.nextIndex(Window)].second;
     Tour.push_back(Current);
-    Visited[Current] = true;
+    Unvisited.erase(
+        std::lower_bound(Unvisited.begin(), Unvisited.end(), Current));
   }
   return Tour;
 }

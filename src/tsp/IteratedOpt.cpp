@@ -5,7 +5,6 @@
 #include "robust/FaultInjector.h"
 #include "tsp/Construct.h"
 #include "tsp/LocalSearch.h"
-#include "tsp/Transform.h"
 #include "trace/Scope.h"
 
 #include <algorithm>
@@ -43,39 +42,25 @@ void balign::doubleBridge(std::vector<City> &Tour, Rng &Rng,
 
 namespace {
 
+/// Builds the candidate predecessor lists. They stand in for the
+/// symmetric instance (LocalSearch.h), so they carry its span and fault
+/// site: any failure while preparing the O(N^2) search structures
+/// surfaces as a tsp.transform fault.
+PredecessorLists buildCandidates(const DirectedTsp &Dtsp, unsigned K) {
+  ScopedSpan Span("tsp.transform", SpanCat::Solver);
+  FaultInjector::instance().throwIfFault(FaultSite::TspTransform);
+  return PredecessorLists(Dtsp, K);
+}
+
 /// Shared state for one solver invocation.
 struct Solver {
   const DirectedTsp &Dtsp;
   const IteratedOptOptions &Options;
-  SymmetricTransform Transform;
-  NeighborLists Neighbors;
+  PredecessorLists Candidates;
 
   Solver(const DirectedTsp &Dtsp, const IteratedOptOptions &Options)
       : Dtsp(Dtsp), Options(Options),
-        Transform(transformToSymmetric(Dtsp)),
-        Neighbors(Transform.Sym, Options.NeighborListSize) {}
-
-  /// Local-search the directed tour via the symmetric space; returns the
-  /// directed cost of the improved tour. When \p TouchedDirected is
-  /// non-null, only those cities (both their in and out twins) seed the
-  /// search — the iterated-local-search restart trick after a kick.
-  int64_t optimize(std::vector<City> &Directed,
-                   const std::vector<City> *TouchedDirected = nullptr) {
-    std::vector<City> Sym = Transform.toSymmetricTour(Directed);
-    if (TouchedDirected) {
-      std::vector<City> Seeds;
-      Seeds.reserve(2 * TouchedDirected->size());
-      for (City C : *TouchedDirected) {
-        Seeds.push_back(C);
-        Seeds.push_back(C + static_cast<City>(Transform.DirectedN));
-      }
-      localSearchSymmetric(Transform.Sym, Neighbors, Sym, &Seeds);
-    } else {
-      localSearchSymmetric(Transform.Sym, Neighbors, Sym);
-    }
-    Directed = Transform.toDirectedTour(Sym);
-    return Dtsp.tourCost(Directed);
-  }
+        Candidates(buildCandidates(Dtsp, Options.NeighborListSize)) {}
 
   /// Batches the solver's inner-loop metrics into two counter
   /// publications per run (its destructor), so tracing costs the hot
@@ -97,8 +82,10 @@ struct Solver {
                                             Rng &Rng) {
     ScopedSpan RunSpan("solver.run", SpanCat::Solver);
     RunCounters Counters;
+    // Local search returns tours rotated to start at city 0, which the
+    // double-bridge cut points depend on.
     std::vector<City> Best = std::move(Start);
-    int64_t BestCost = optimize(Best);
+    int64_t BestCost = localSearchDirected(Dtsp, Candidates, Best);
     size_t Iterations = std::min<size_t>(
         Options.MaxIterationsPerRun,
         std::max<size_t>(Options.MinIterationsPerRun,
@@ -114,8 +101,8 @@ struct Solver {
       doubleBridge(Candidate, Rng, &Touched);
       if (!Touched.empty())
         ++Counters.Kicks;
-      int64_t Cost = optimize(Candidate, Touched.empty() ? nullptr
-                                                         : &Touched);
+      int64_t Cost = localSearchDirected(
+          Dtsp, Candidates, Candidate, Touched.empty() ? nullptr : &Touched);
       if (Cost < BestCost) {
         Best = std::move(Candidate);
         BestCost = Cost;

@@ -5,9 +5,10 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's solution procedure: transform the directed instance to a
-/// pair-locked symmetric one and run iterated 3-Opt (Martin-Otto-Felten
-/// large-step Markov chains): each iteration runs local search to
+/// The paper's solution procedure: iterated 3-Opt (Martin-Otto-Felten
+/// large-step Markov chains) on the pair-locked symmetric transformation
+/// of the directed instance, whose improving moves LocalSearch.h applies
+/// to the directed tour directly. Each iteration runs local search to
 /// exhaustion and then applies a random double-bridge 4-opt kick to the
 /// best tour found so far.
 ///

@@ -4,54 +4,55 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 using namespace balign;
 
-NeighborLists::NeighborLists(const SymmetricTsp &Sym, unsigned K) {
-  size_t N = Sym.numCities();
-  Lists.resize(N);
-  size_t Keep = std::min<size_t>(K, N > 0 ? N - 1 : 0);
-  std::vector<City> All(N);
-  std::iota(All.begin(), All.end(), 0);
-  for (City C = 0; C != N; ++C) {
-    std::vector<City> Others;
-    Others.reserve(N - 1);
-    for (City O : All)
-      if (O != C)
-        Others.push_back(O);
-    std::partial_sort(Others.begin(), Others.begin() + Keep, Others.end(),
-                      [&](City A, City B) {
-                        int64_t DA = Sym.dist(C, A);
-                        int64_t DB = Sym.dist(C, B);
-                        return DA != DB ? DA < DB : A < B;
+PredecessorLists::PredecessorLists(const DirectedTsp &Dtsp, unsigned K) {
+  size_t N = Dtsp.numCities();
+  Width = K == 0 || N == 0 ? 0 : std::min<size_t>(K - 1, N - 1);
+  Lists.resize(N * Width);
+  std::vector<City> Others;
+  Others.reserve(N);
+  for (City A = 0; A != N; ++A) {
+    Others.clear();
+    for (City J = 0; J != N; ++J)
+      if (J != A)
+        Others.push_back(J);
+    std::partial_sort(Others.begin(), Others.begin() + Width, Others.end(),
+                      [&](City X, City Y) {
+                        int64_t CX = Dtsp.cost(X, A);
+                        int64_t CY = Dtsp.cost(Y, A);
+                        return CX != CY ? CX < CY : X < Y;
                       });
-    Others.resize(Keep);
-    Lists[C] = std::move(Others);
+    std::copy_n(Others.begin(), Width, Lists.begin() + A * Width);
   }
 }
 
 namespace {
 
-/// Array-based tour with position index and don't-look bits.
+/// Doubly linked tour with a LIFO don't-look queue.
 class TourState {
 public:
-  TourState(const SymmetricTsp &Sym, const NeighborLists &Neighbors,
-            std::vector<City> &Tour, const std::vector<City> *Seeds)
-      : Sym(Sym), Neighbors(Neighbors), Order(Tour), Pos(Tour.size()) {
-    for (size_t P = 0; P != Order.size(); ++P)
-      Pos[Order[P]] = static_cast<uint32_t>(P);
-    Queue.reserve(Order.size());
+  TourState(const DirectedTsp &Dtsp, const PredecessorLists &Candidates,
+            const std::vector<City> &Tour, const std::vector<City> *Seeds)
+      : Dtsp(Dtsp), Candidates(Candidates), Succ(Tour.size()),
+        Pred(Tour.size()), InQueue(Tour.size(), false) {
+    for (size_t P = 0; P != Tour.size(); ++P) {
+      City Next = Tour[(P + 1) % Tour.size()];
+      Succ[Tour[P]] = Next;
+      Pred[Next] = Tour[P];
+    }
+    Queue.reserve(Tour.size());
     if (Seeds) {
       for (City C : *Seeds)
         pushActive(C);
     } else {
-      for (City C = 0; C != Order.size(); ++C)
+      for (City C = 0; C != Tour.size(); ++C)
         pushActive(C);
     }
   }
 
-  /// Runs to exhaustion; Order holds the local optimum afterwards.
+  /// Runs to exhaustion.
   void run() {
     while (!Queue.empty()) {
       City C = Queue.back();
@@ -64,18 +65,26 @@ public:
     }
   }
 
+  /// Writes the tour out starting at city 0.
+  void writeTour(std::vector<City> &Tour) const {
+    City C = 0;
+    for (City &Slot : Tour) {
+      Slot = C;
+      C = Succ[C];
+    }
+  }
+
 private:
-  const SymmetricTsp &Sym;
-  const NeighborLists &Neighbors;
-  std::vector<City> &Order;
-  std::vector<uint32_t> Pos;
+  const DirectedTsp &Dtsp;
+  const PredecessorLists &Candidates;
+  std::vector<City> Succ, Pred;
   std::vector<City> Queue;
-  std::vector<bool> InQueue = std::vector<bool>(Order.size(), false);
+  std::vector<bool> InQueue;
 
-  size_t size() const { return Order.size(); }
-
-  City succ(City C) const { return Order[(Pos[C] + 1) % size()]; }
-  City pred(City C) const { return Order[(Pos[C] + size() - 1) % size()]; }
+  /// Longest segment moved. The symmetric search moved up to 12 cities,
+  /// i.e. 6 locked pairs: runs of basic blocks that want to move as
+  /// units.
+  static constexpr unsigned MaxSegment = 6;
 
   void pushActive(City C) {
     if (InQueue[C])
@@ -84,172 +93,55 @@ private:
     Queue.push_back(C);
   }
 
-  /// Reverses the tour segment running forward from city B to city C
-  /// (inclusive); reverses whichever representation side is contiguous.
-  void reverseSegment(City B, City C) {
-    uint32_t I = Pos[B], J = Pos[C];
-    size_t SegLen = (J + size() - I) % size() + 1;
-    if (SegLen * 2 > size()) {
-      // Reversing the complement yields the same cyclic tour.
-      std::swap(I, J);
-      I = (I + 1) % size();
-      J = (J + size() - 1) % size();
-    }
-    // Reverse positions I..J walking inward cyclically.
-    size_t Len = (J + size() - I) % size() + 1;
-    for (size_t S = 0; S < Len / 2; ++S) {
-      uint32_t A = (I + S) % size();
-      uint32_t Z = (J + size() - S) % size();
-      std::swap(Order[A], Order[Z]);
-      Pos[Order[A]] = A;
-      Pos[Order[Z]] = Z;
-    }
-  }
-
+  /// Applies the first improving move of a segment A..S, shortest first,
+  /// to sit between a candidate predecessor C of A and C's successor D.
   bool improveCity(City A) {
-    if (tryTwoOpt(A, /*Forward=*/true) || tryTwoOpt(A, /*Forward=*/false))
-      return true;
-    unsigned MaxSegment = std::min<unsigned>(MaxOrOptSegment,
-                                             static_cast<unsigned>(size() / 2));
-    for (unsigned L = 1; L <= MaxSegment; ++L)
-      if (tryOrOpt(A, L))
-        return true;
-    return false;
-  }
-
-  /// Longest segment Or-opt relocates. Length-1..3 moves are the classic
-  /// Or-opt; longer lengths realize the remaining 3-opt segment
-  /// relocations, which matter here because chains of locked city pairs
-  /// (= runs of basic blocks) want to move as units.
-  static constexpr unsigned MaxOrOptSegment = 12;
-
-  /// 2-opt: removes (A, B) where B = succ(A) (or pred for the backward
-  /// direction) and (C, D); adds (A, C) and (B, D).
-  bool tryTwoOpt(City A, bool Forward) {
-    City B = Forward ? succ(A) : pred(A);
-    int64_t DistAB = Sym.dist(A, B);
-    for (City C : Neighbors.neighbors(A)) {
-      int64_t DistAC = Sym.dist(A, C);
-      if (DistAC >= DistAB)
-        break; // Sorted list: no closer candidate remains.
-      if (C == B)
-        continue;
-      City D = Forward ? succ(C) : pred(C);
-      if (D == A)
-        continue;
-      int64_t Delta = DistAC + Sym.dist(B, D) - DistAB - Sym.dist(C, D);
-      if (Delta >= 0)
-        continue;
-      // In forward orientation the reversed run is B..C; in backward
-      // orientation the tour reads ...B A...D C... and reversing the
-      // forward run A..D realizes the same reconnection.
-      if (Forward)
-        reverseSegment(B, C);
-      else
-        reverseSegment(A, D);
-      pushActive(A);
-      pushActive(B);
-      pushActive(C);
-      pushActive(D);
-      return true;
-    }
-    return false;
-  }
-
-  /// Or-opt: moves the length-L segment starting at A to sit after some
-  /// candidate city C elsewhere in the tour, in either orientation.
-  bool tryOrOpt(City A, unsigned L) {
-    if (size() < L + 3)
-      return false;
-    // Segment A = S0 .. SLast, with P before it and N after it.
-    City Seg[MaxOrOptSegment];
-    Seg[0] = A;
-    for (unsigned I = 1; I < L; ++I)
-      Seg[I] = succ(Seg[I - 1]);
-    City SLast = Seg[L - 1];
-    City P = pred(A);
-    City Next = succ(SLast);
-    if (Next == P)
-      return false; // Segment plus endpoints is the whole tour.
-    int64_t RemoveGain =
-        Sym.dist(P, A) + Sym.dist(SLast, Next) - Sym.dist(P, Next);
-
-    auto InSegment = [&](City X) {
-      for (unsigned I = 0; I != L; ++I)
-        if (Seg[I] == X)
-          return true;
-      return false;
-    };
-
-    // Candidate insertion points: after C, where C is near either
-    // endpoint of the segment.
-    for (unsigned EndIdx = 0; EndIdx != 2; ++EndIdx) {
-      City Endpoint = EndIdx == 0 ? A : SLast;
-      if (EndIdx == 1 && L == 1)
-        break; // Same endpoint twice.
-      for (City C : Neighbors.neighbors(Endpoint)) {
-        if (InSegment(C) || C == P)
+    City Seg[MaxSegment];
+    unsigned MaxLen = std::min<unsigned>(
+        MaxSegment, static_cast<unsigned>(Succ.size() / 2));
+    City P = Pred[A];
+    City S = A;
+    for (unsigned Len = 1; Len <= MaxLen; S = Succ[S], ++Len) {
+      Seg[Len - 1] = S;
+      City Next = Succ[S];
+      int64_t RemoveGain =
+          Dtsp.cost(P, A) + Dtsp.cost(S, Next) - Dtsp.cost(P, Next);
+      for (City C : Candidates.candidates(A)) {
+        if (C == P || std::find(Seg, Seg + Len, C) != Seg + Len)
           continue;
-        City D = succ(C);
-        if (InSegment(D))
-          continue;
-        int64_t Base = Sym.dist(C, D);
-        // Forward: C -> S0 ... SLast -> D. Reversed: C -> SLast ... S0 -> D.
-        int64_t AddForward = Sym.dist(C, A) + Sym.dist(SLast, D);
-        int64_t AddReversed = Sym.dist(C, SLast) + Sym.dist(A, D);
-        bool Reversed = AddReversed < AddForward;
-        int64_t Add = Reversed ? AddReversed : AddForward;
-        int64_t Delta = Add - Base - RemoveGain;
+        City D = Succ[C];
+        int64_t Delta = Dtsp.cost(C, A) + Dtsp.cost(S, D) -
+                        Dtsp.cost(C, D) - RemoveGain;
         if (Delta >= 0)
           continue;
-        applyOrOpt(Seg, L, C, Reversed);
+        Succ[P] = Next;
+        Pred[Next] = P;
+        Succ[C] = A;
+        Pred[A] = C;
+        Succ[S] = D;
+        Pred[D] = S;
         pushActive(A);
-        pushActive(SLast);
-        pushActive(P);
         pushActive(Next);
-        pushActive(C);
         pushActive(D);
         return true;
       }
     }
     return false;
   }
-
-  /// Rebuilds the order with segment \p Seg (length \p L) removed and
-  /// reinserted directly after city \p C.
-  void applyOrOpt(const City *Seg, unsigned L, City C, bool Reversed) {
-    std::vector<City> NewOrder;
-    NewOrder.reserve(size());
-    std::vector<bool> InSeg(size(), false);
-    for (unsigned I = 0; I != L; ++I)
-      InSeg[Seg[I]] = true;
-    for (City X : Order) {
-      if (InSeg[X])
-        continue;
-      NewOrder.push_back(X);
-      if (X == C) {
-        for (unsigned I = 0; I != L; ++I)
-          NewOrder.push_back(Reversed ? Seg[L - 1 - I] : Seg[I]);
-      }
-    }
-    assert(NewOrder.size() == size() && "or-opt lost a city");
-    Order = std::move(NewOrder);
-    for (size_t Position = 0; Position != Order.size(); ++Position)
-      Pos[Order[Position]] = static_cast<uint32_t>(Position);
-  }
 };
 
 } // namespace
 
-int64_t balign::localSearchSymmetric(const SymmetricTsp &Sym,
-                                     const NeighborLists &Neighbors,
-                                     std::vector<City> &Tour,
-                                     const std::vector<City> *Seeds) {
-  assert(isValidTour(Tour, Sym.numCities()) && "invalid input tour");
-  if (Tour.size() >= 5) {
-    TourState State(Sym, Neighbors, Tour, Seeds);
+int64_t balign::localSearchDirected(const DirectedTsp &Dtsp,
+                                    const PredecessorLists &Candidates,
+                                    std::vector<City> &Tour,
+                                    const std::vector<City> *Seeds) {
+  assert(isValidTour(Tour, Dtsp.numCities()) && "invalid input tour");
+  TourState State(Dtsp, Candidates, Tour, Seeds);
+  // Below three cities every insertion reproduces the same cycle.
+  if (Tour.size() >= 3)
     State.run();
-  }
-  assert(isValidTour(Tour, Sym.numCities()) && "local search broke the tour");
-  return Sym.tourCost(Tour);
+  State.writeTour(Tour);
+  assert(isValidTour(Tour, Dtsp.numCities()) && "local search broke the tour");
+  return Dtsp.tourCost(Tour);
 }

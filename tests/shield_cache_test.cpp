@@ -17,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <thread>
 
 using namespace balign;
 
@@ -93,6 +96,62 @@ TEST(ShieldCacheTest, TransientFlushFaultIsRetriedAway) {
   EXPECT_TRUE(Cache.isDiskBacked());
   EXPECT_TRUE(std::filesystem::exists(storePath(Dir)));
   EXPECT_NE(Stats.BytesWritten, 0u);
+}
+
+TEST(ShieldCacheTest, LookupsAndStoresProceedWhileAFlushRetries) {
+  FaultInjector::instance().reset();
+  std::string Dir = freshDir("parked_flush");
+  Workload W = makeWorkload();
+  Workload Later = makeWorkload(7);
+  std::promise<void> Parked, Release;
+  std::shared_future<void> Released = Release.get_future().share();
+  AlignmentCacheConfig Config;
+  Config.RetrySleep = [&](uint64_t) {
+    Parked.set_value();
+    Released.wait();
+  };
+  AlignmentCache Cache(Dir, Config);
+  Cache.store(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0,
+              W.Truth.Procs[0]);
+
+  // The first write attempt fails, so the flush parks in its backoff
+  // sleep with its snapshot taken and the disk write still to come.
+  ScopedFault Fault(FaultSite::CacheFlush, FaultSpec::once());
+  bool Flushed = false;
+  std::string Error;
+  std::future<void> ParkedSignal = Parked.get_future();
+  std::thread Flusher([&] { Flushed = Cache.flush(&Error); });
+  if (ParkedSignal.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    Flusher.join();
+    FAIL() << "the flush never reached its backoff sleep";
+  }
+  std::future<bool> Work = std::async(std::launch::async, [&] {
+    ProcedureAlignment Out;
+    bool Hit =
+        Cache.lookup(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0, Out);
+    Cache.store(Later.Prog.proc(0), Later.Train.Procs[0], Later.Options, 0,
+                Later.Truth.Procs[0]);
+    return Hit;
+  });
+  EXPECT_EQ(Work.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "lookup and store queued behind the flush's disk write";
+  Release.set_value();
+  Flusher.join();
+  EXPECT_TRUE(Work.get());
+  EXPECT_TRUE(Flushed) << Error;
+
+  CacheStats Stats = Cache.stats();
+  EXPECT_EQ(Stats.Retries, 1u);
+  EXPECT_EQ(Stats.Hits, 1u);
+  EXPECT_EQ(Stats.Stores, 2u);
+  EXPECT_TRUE(Cache.isDiskBacked());
+  // The parked flush wrote the snapshot it took; the next one adds the
+  // entry stored meanwhile.
+  EXPECT_EQ(AlignmentCache(Dir).size(), 1u);
+  EXPECT_TRUE(Cache.flush(&Error)) << Error;
+  EXPECT_EQ(AlignmentCache(Dir).size(), 2u);
 }
 
 TEST(ShieldCacheTest, PersistentFlushFaultDowngradesToMemoryOnly) {

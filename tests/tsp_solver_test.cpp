@@ -1,5 +1,6 @@
 //===- tests/tsp_solver_test.cpp - Local search and iterated-3-Opt tests ------===//
 
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "tsp/Construct.h"
 #include "tsp/Exact.h"
@@ -72,27 +73,31 @@ TEST(LocalSearchTest, NeverWorsensAndStaysValid) {
   for (uint64_t Seed = 1; Seed != 8; ++Seed) {
     DirectedTsp D = randomInstance(15, Seed * 31);
     SymmetricTransform T = transformToSymmetric(D);
-    NeighborLists Neighbors(T.Sym, 10);
+    PredecessorLists Candidates(D, 10);
     Rng R(Seed);
     std::vector<City> Dir = canonicalTour(15);
     R.shuffle(Dir);
-    std::vector<City> Sym = T.toSymmetricTour(Dir);
-    int64_t Before = T.Sym.tourCost(Sym);
-    int64_t After = localSearchSymmetric(T.Sym, Neighbors, Sym);
+    int64_t Before = D.tourCost(Dir);
+    int64_t After = localSearchDirected(D, Candidates, Dir);
     EXPECT_LE(After, Before);
+    EXPECT_EQ(Dir.front(), 0u) << "result must start at city 0";
+    std::vector<City> Sym = T.toSymmetricTour(Dir);
     EXPECT_TRUE(isValidTour(Sym, 30));
-    // Pair edges survive local search, so the tour collapses.
+    // The expanded result keeps every pair edge, so it collapses back.
     std::vector<City> Back = T.toDirectedTour(Sym);
-    EXPECT_EQ(D.tourCost(Back), T.toDirectedCost(After));
+    EXPECT_EQ(Back, Dir);
+    EXPECT_EQ(D.tourCost(Back), After);
+    EXPECT_EQ(T.toDirectedCost(T.Sym.tourCost(Sym)), After);
   }
 }
 
 TEST(LocalSearchTest, ReachesTwoOptLocalOptimum) {
   DirectedTsp D = randomInstance(12, 99);
   SymmetricTransform T = transformToSymmetric(D);
-  NeighborLists Neighbors(T.Sym, 23); // Full lists.
-  std::vector<City> Sym = T.toSymmetricTour(canonicalTour(12));
-  localSearchSymmetric(T.Sym, Neighbors, Sym);
+  PredecessorLists Candidates(D, 23); // Full lists.
+  std::vector<City> Dir = canonicalTour(12);
+  localSearchDirected(D, Candidates, Dir);
+  std::vector<City> Sym = T.toSymmetricTour(Dir);
   int64_t Cost = T.Sym.tourCost(Sym);
 
   // No single 2-opt move may improve the result further.
@@ -107,6 +112,139 @@ TEST(LocalSearchTest, ReachesTwoOptLocalOptimum) {
           << "improving 2-opt move left at (" << I << "," << J << ")";
     }
   }
+}
+
+TEST(LocalSearchTest, ReachesInsertionLocalOptimum) {
+  // Under full candidate lists, no insertion of a segment of 1-6 cities
+  // (at most half the tour) between two other adjacent cities improves
+  // the result. Don't-look bits re-queue only the cities next to a move,
+  // so one call may leave such an insertion elsewhere; a call that
+  // changes nothing has evaluated every one, so search to that fixpoint.
+  for (uint64_t Seed = 1; Seed != 7; ++Seed) {
+    size_t N = 6 + 4 * Seed; // 10..30 cities.
+    DirectedTsp D = randomInstance(N, Seed * 17, Seed % 2 ? 100 : 4);
+    PredecessorLists Candidates(D, static_cast<unsigned>(N));
+    Rng R(Seed);
+    std::vector<City> Dir = canonicalTour(N);
+    R.shuffle(Dir);
+    int64_t Cost = 0;
+    for (std::vector<City> Prev; Prev != Dir;) {
+      Prev = Dir;
+      Cost = localSearchDirected(D, Candidates, Dir);
+    }
+    for (size_t Start = 0; Start != N; ++Start) {
+      for (size_t Len = 1; Len <= std::min<size_t>(6, N / 2); ++Len) {
+        // Rotate the segment to the front; the rest keeps its order.
+        std::vector<City> Rot(Dir.begin() + Start, Dir.end());
+        Rot.insert(Rot.end(), Dir.begin(), Dir.begin() + Start);
+        std::vector<City> Seg(Rot.begin(), Rot.begin() + Len);
+        std::vector<City> Rest(Rot.begin() + Len, Rot.end());
+        for (size_t After = 0; After + 1 < Rest.size(); ++After) {
+          std::vector<City> Alt(Rest.begin(), Rest.begin() + After + 1);
+          Alt.insert(Alt.end(), Seg.begin(), Seg.end());
+          Alt.insert(Alt.end(), Rest.begin() + After + 1, Rest.end());
+          EXPECT_GE(D.tourCost(Alt), Cost)
+              << "N=" << N << ": improving insertion of " << Len
+              << " cities from position " << Start;
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// A random instance whose city 0 must lead into city 1, like the
+/// alignment reduction's dummy and entry (Reduction.h): every other arc
+/// out of city 0 costs more than any tour's real cost.
+DirectedTsp entryPinnedInstance(size_t N, uint64_t Seed, int64_t MaxCost) {
+  DirectedTsp D = randomInstance(N, Seed, MaxCost);
+  int64_t Pin = MaxCost * static_cast<int64_t>(N) + 1;
+  D.setCost(0, 1, 0);
+  for (City J = 2; J != N; ++J)
+    D.setCost(0, J, Pin);
+  return D;
+}
+
+/// Directed delta of moving the segment Tour[0..Len) to sit after city
+/// C, which must not be the tour's last city, from the arcs it replaces.
+int64_t insertionDelta(const DirectedTsp &D, const std::vector<City> &Tour,
+                       size_t Len, City C) {
+  City A = Tour[0], S = Tour[Len - 1], P = Tour.back(), Next = Tour[Len];
+  City Dst = *(std::find(Tour.begin(), Tour.end(), C) + 1);
+  return D.cost(C, A) + D.cost(S, Dst) - D.cost(C, Dst) -
+         (D.cost(P, A) + D.cost(S, Next) - D.cost(P, Next));
+}
+
+} // namespace
+
+TEST(PairLockedMoveTest, OnlyForwardPairInsertionsCanImprove) {
+  // The move lemma the directed search rests on: on a pair-locked
+  // symmetric tour written in -> out, the only improving 2-opt or
+  // Or-opt moves insert a segment of whole pairs, starting at an
+  // in-city, forwards after an out-city — and each such move's delta is
+  // the directed insertion delta.
+  size_t Improving = 0;
+  for (size_t N = 4; N <= 16; ++N) {
+    for (int64_t MaxCost : {int64_t(3), int64_t(1000000)}) {
+      DirectedTsp D = entryPinnedInstance(
+          N, N * 101 + static_cast<uint64_t>(MaxCost % 7), MaxCost);
+      SymmetricTransform T = transformToSymmetric(D);
+      Rng R(N + static_cast<uint64_t>(MaxCost));
+      std::vector<City> Dir = canonicalTour(N);
+      R.shuffle(Dir);
+      std::vector<City> Sym = T.toSymmetricTour(Dir);
+      const size_t M = Sym.size();
+      int64_t Cost = T.Sym.tourCost(Sym);
+
+      for (size_t I = 0; I + 2 < M; ++I)
+        for (size_t J = I + 2; J < M; ++J) {
+          std::vector<City> Alt = Sym;
+          std::reverse(Alt.begin() + I + 1, Alt.begin() + J + 1);
+          EXPECT_GE(T.Sym.tourCost(Alt), Cost)
+              << "N=" << N << ": improving 2-opt move (" << I << "," << J
+              << ")";
+        }
+
+      for (size_t Start = 0; Start != M; ++Start) {
+        std::vector<City> Rot(Sym.begin() + Start, Sym.end());
+        Rot.insert(Rot.end(), Sym.begin(), Sym.begin() + Start);
+        for (size_t L = 1; L <= 12 && L + 2 <= M; ++L) {
+          std::vector<City> Seg(Rot.begin(), Rot.begin() + L);
+          std::vector<City> Rest(Rot.begin() + L, Rot.end());
+          for (bool Reversed : {false, true}) {
+            std::vector<City> Moved = Seg;
+            if (Reversed)
+              std::reverse(Moved.begin(), Moved.end());
+            for (size_t After = 0; After != Rest.size(); ++After) {
+              std::vector<City> Alt(Rest.begin(), Rest.begin() + After + 1);
+              Alt.insert(Alt.end(), Moved.begin(), Moved.end());
+              Alt.insert(Alt.end(), Rest.begin() + After + 1, Rest.end());
+              int64_t Delta = T.Sym.tourCost(Alt) - Cost;
+              if (Delta >= 0)
+                continue;
+              ++Improving;
+              City C = Rest[After];
+              ASSERT_FALSE(Reversed) << "N=" << N;
+              ASSERT_EQ(L % 2, 0u) << "N=" << N;
+              ASSERT_LT(Seg.front(), N) << "segment must start at an in-city";
+              ASSERT_GE(C, N) << "insertion must follow an out-city";
+              // Collapse: the directed rotation starting at the segment.
+              std::vector<City> DirRot;
+              for (size_t K = 0; K < M; K += 2)
+                DirRot.push_back(Rot[K]);
+              int64_t Directed = insertionDelta(
+                  D, DirRot, L / 2, static_cast<City>(C - N));
+              EXPECT_EQ(Delta, Directed) << "N=" << N;
+              EXPECT_EQ(D.tourCost(T.toDirectedTour(Alt)) - D.tourCost(Dir),
+                        Delta);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(Improving, 0u) << "the sweep must exercise improving moves";
 }
 
 TEST(DoubleBridgeTest, PreservesPermutationAndStart) {
@@ -198,4 +336,65 @@ TEST(IteratedOptTest, DeterministicForFixedSeed) {
   EXPECT_EQ(A.Cost, B.Cost);
   EXPECT_EQ(A.Tour, B.Tour);
   EXPECT_EQ(A.RunsFindingBest, B.RunsFindingBest);
+}
+
+/// solveDirectedTsp's cost, RunsFindingBest and tour (as an FNV-1a hash of
+/// its cities) on fixed instances, recorded from the symmetric-space
+/// 3-Opt search the directed search replaced. The two must take the same
+/// moves, so these pins must never move. N <= 11 with width 12, and
+/// N = 9 with width 23, are where the symmetric lists spilled past the
+/// real arcs into forbidden entries.
+TEST(SolverPinTest, MatchesRecordedSymmetricSearch) {
+  struct Pin {
+    size_t N;
+    uint64_t Seed;
+    int64_t MaxCost;
+    bool EntryPinned;
+    unsigned NeighborListSize;
+    int64_t Cost;
+    unsigned RunsFindingBest;
+    uint64_t TourHash;
+  };
+  const Pin Pins[] = {
+      {4, 11, 100, false, 12, 89, 10, 0x5c6912521a516e15ULL},
+      {5, 12, 100, false, 1, 164, 5, 0xfa7e6ef925a43521ULL},
+      {6, 13, 3, false, 2, 4, 10, 0x80d17faa25cd4484ULL},
+      {8, 14, 100, true, 12, 170, 10, 0x778a60b7c26eda95ULL},
+      {9, 15, 1000000, false, 23, 1923511, 10, 0x9a13b6ed1fb8e4edULL},
+      {11, 16, 100, false, 12, 148, 10, 0xddc29a3adeac577eULL},
+      {12, 17, 100, true, 12, 162, 10, 0x18f9649d6d115e75ULL},
+      {20, 18, 5, false, 2, 5, 6, 0xb1d6ca052f84e635ULL},
+      {32, 19, 100, false, 23, 174, 2, 0xedcef46a149a2625ULL},
+      {64, 20, 1000, true, 12, 2312, 1, 0xa56f87f2ed5002f5ULL},
+      {100, 21, 100, false, 12, 160, 1, 0x2286783916ce4cb5ULL},
+      {140, 22, 100, true, 12, 211, 1, 0x9eafa9eb3bc02545ULL},
+  };
+  for (const Pin &P : Pins) {
+    DirectedTsp D = P.EntryPinned ? entryPinnedInstance(P.N, P.Seed, P.MaxCost)
+                                  : randomInstance(P.N, P.Seed, P.MaxCost);
+    IteratedOptOptions Options;
+    Options.Seed = P.Seed;
+    Options.NeighborListSize = P.NeighborListSize;
+    DtspSolution S = solveDirectedTsp(D, Options);
+    EXPECT_EQ(S.Cost, P.Cost) << "N=" << P.N;
+    EXPECT_EQ(S.RunsFindingBest, P.RunsFindingBest) << "N=" << P.N;
+    EXPECT_EQ(fnv1a64(S.Tour.data(), S.Tour.size() * sizeof(City)),
+              P.TourHash)
+        << "N=" << P.N;
+  }
+}
+
+/// Randomized nearest-neighbor tours on a tie-heavy instance, recorded
+/// from the per-step partial_sort the windowed scan replaced: the same
+/// picks under the (cost, index) order, and the same RNG draws, since
+/// consecutive calls share one stream.
+TEST(SolverPinTest, NearestNeighborMatchesRecordedPartialSort) {
+  DirectedTsp D = randomInstance(40, 5, 3);
+  Rng R(11);
+  uint64_t Hash = Fnv1aOffset;
+  for (unsigned Window : {1u, 3u, 5u, 3u}) {
+    std::vector<City> Tour = nearestNeighborTour(D, R, Window);
+    Hash = fnv1a64(Tour.data(), Tour.size() * sizeof(City), Hash);
+  }
+  EXPECT_EQ(Hash, 0xd8b0ebf61302e0f5ULL);
 }
