@@ -3,12 +3,13 @@
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 // Reads a program in the textual CFG format, profiles it with a seeded
-// synthetic run, aligns every procedure with the requested method, and
-// prints a per-procedure penalty report plus the aligned block orders.
+// synthetic run, aligns every procedure through alignProgram, and prints
+// the aligned block orders plus a per-procedure penalty report with the
+// original, greedy and primary-aligner layouts side by side.
 //
 // Usage:
-//   align_tool <program.cfg> [request flags] [--aligner greedy|cg|original]
-//              [--threads N] [--dot] [--verify[=quick|full|none]]
+//   align_tool <program.cfg> [request flags] [--threads N] [--dot]
+//              [--verify[=quick|full|none]]
 //              [--profile FILE] [--emit-profile FILE]
 //              [--cache DIR] [--cache-stats] [--batch FILE]
 //              [--time-budget MS] [--deadline MS] [--checkpoint FILE]
@@ -19,8 +20,9 @@
 // The request flags (--seed --budget --bounds --on-error --effort-policy
 // --aligner tsp|exttsp --objective --exttsp-window --exttsp-weights
 // --encoding --short-range) are shared with balign_client: serve/Oneshot.h
-// parses them and maps them onto AlignmentOptions for this tool and for
-// the server alike, so a one-shot run and a served request agree.
+// parses them, maps them onto AlignmentOptions and renders the report for
+// this tool and for the server alike, so a one-shot run prints exactly
+// the bytes a served request returns.
 //
 // With no file argument a built-in demo program is used, so the tool is
 // runnable out of the box.
@@ -29,13 +31,16 @@
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
 // many programs (one "prog.cfg [profile.prof]" per line) through one
-// shared cache session. Both run the full alignment pipeline, so
-// --aligner is ignored there (the report shows greedy and TSP side by
-// side). --cache-stats prints the hit/miss counters to stderr, keeping
-// stdout byte-comparable between cold and warm runs.
+// shared cache session. --cache-stats prints the hit/miss counters to
+// stderr, keeping stdout byte-comparable between cold and warm runs.
 //
-// The balign-shield flags (--on-error, --time-budget, --deadline) also
-// run the full pipeline. Exit-code contract:
+// --verify first runs the pipeline under the balign-verify analyses,
+// with bounds always computed so the bound checks have bounds to check,
+// and prints one summary line; the report then comes from a separate
+// run with the request's options, so it matches an unverified run.
+//
+// The balign-shield flags (--on-error, --time-budget, --deadline) add a
+// stderr report of degraded procedures. Exit-code contract:
 //
 //   0  success (including runs that degraded procedures under
 //      --on-error=fallback/skip — degradations are reported on stderr)
@@ -59,31 +64,20 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Aligners.h"
-#include "align/Bounds.h"
 #include "analysis/PipelineVerifier.h"
 #include "cache/Store.h"
-#include "ir/Dot.h"
 #include "ir/TextFormat.h"
-#include "machine/MachineModel.h"
-#include "objective/Penalty.h"
 #include "profile/ProfileIO.h"
-#include "profile/Trace.h"
-#include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "serve/Oneshot.h"
 #include "serve/Server.h"
 #include "static/Lint.h"
 #include "support/Flags.h"
-#include "support/Format.h"
-#include "support/Table.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -120,9 +114,6 @@ enum class LintMode : uint8_t {
 
 struct ToolOptions {
   std::string File;
-  /// --aligner greedy|cg|original: one-shot-only aligners with no
-  /// pipeline or wire form; empty = the request's primary aligner.
-  std::string LegacyAligner;
   /// The result-affecting flags, shared with balign_client and mapped
   /// onto AlignmentOptions exactly as a served request is.
   RequestFlags Flags;
@@ -155,8 +146,8 @@ struct ToolOptions {
   uint64_t ServeQueue = 0;  ///< --serve-queue: align budget (0 = inf).
   uint64_t DrainTimeoutMs = 5000; ///< --drain-timeout: graceful budget.
 
-  /// True when any shield flag was given; forces the pipeline path and
-  /// enables the stderr shield report.
+  /// True when any shield flag was given; enables the stderr shield
+  /// report.
   bool shieldActive() const {
     return Flags.OnErrorGiven || TimeBudgetMs != 0 || DeadlineMs != 0;
   }
@@ -172,11 +163,6 @@ struct ToolOptions {
   }
 };
 
-bool isLegacyAligner(const char *Name) {
-  return std::strcmp(Name, "greedy") == 0 || std::strcmp(Name, "cg") == 0 ||
-         std::strcmp(Name, "original") == 0;
-}
-
 bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
@@ -189,20 +175,11 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                        uint64_t Max = UINT64_MAX) -> bool {
       return flagUInt(Flag, Argc, Argv, I, Out, Max);
     };
-    // The last --aligner wins, legacy name or not.
-    if (Arg == "--aligner" && I + 1 < Argc && isLegacyAligner(Argv[I + 1])) {
-      Options.LegacyAligner = Argv[++I];
-      Options.Flags.Request.Primary = PrimaryAligner::Tsp;
-      continue;
-    }
     FlagParse Shared = parseRequestFlag(Argc, Argv, I, Options.Flags);
     if (Shared == FlagParse::Error)
       return false;
-    if (Shared == FlagParse::Consumed) {
-      if (Arg == "--aligner")
-        Options.LegacyAligner.clear();
+    if (Shared == FlagParse::Consumed)
       continue;
-    }
     if (Arg == "--threads") {
       uint64_t N = 0;
       if (!needInt("--threads", N, UINT32_MAX))
@@ -305,20 +282,26 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                    Arg.c_str() + std::strlen("--verify="));
       return false;
     } else if (Arg == "--help" || Arg == "-h") {
-      std::printf("usage: align_tool [file.cfg] [request flags] [--aligner "
-                  "greedy|cg|original] [--threads N]\n"
-                  "                  [--dot] [--verify[=quick|full|none]] "
+      std::printf("usage: align_tool [file.cfg] [request flags] "
+                  "[--threads N] [--dot]\n"
+                  "                  [--verify[=quick|full|none]] "
                   "[--profile FILE] [--emit-profile FILE]\n"
                   "                  [--cache DIR] [--cache-stats] "
                   "[--batch FILE]\n"
+                  "Aligns every procedure through the alignment pipeline "
+                  "and prints its layout\n"
+                  "and its original, greedy and primary-aligner penalties; "
+                  "stdout equals what\n"
+                  "balign_client gets from a server for the same file and "
+                  "request flags.\n"
                   "request flags (shared with balign_client):\n%s"
-                  "tool flags:\n"
-                  "  --aligner greedy|cg|original  one-shot-only aligners, "
-                  "reported in a\n"
-                  "                single column (the pipeline modes "
-                  "ignore them)\n",
+                  "tool flags:\n",
                   requestFlagsHelp());
-      std::printf("  --threads N   pipeline worker threads "
+      std::printf("  --verify[=L]  first run the balign-verify analyses "
+                  "(quick or full, bounds\n"
+                  "                always on) and print one summary line; "
+                  "exit 1 on errors\n"
+                  "  --threads N   pipeline worker threads "
                   "(0 = all hardware threads, 1 = serial;\n"
                   "                results are identical at every "
                   "setting)\n"
@@ -397,21 +380,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   return true;
 }
 
-/// The legacy path's aligner: a one-shot-only one when named, else the
-/// primary aligner the request flags chose.
-std::unique_ptr<Aligner> makeAligner(const std::string &LegacyName,
-                                     const AlignmentOptions &AlignOptions) {
-  if (LegacyName == "greedy")
-    return std::make_unique<GreedyAligner>();
-  if (LegacyName == "cg")
-    return std::make_unique<CalderGrunwaldAligner>();
-  if (LegacyName == "original")
-    return std::make_unique<OriginalAligner>();
-  if (AlignOptions.Primary == PrimaryAligner::ExtTsp)
-    return std::make_unique<ExtTspAligner>(AlignOptions.Objective);
-  return std::make_unique<TspAligner>();
-}
-
 std::optional<Program> loadProgram(const std::string &File,
                                    bool AnnounceDemo) {
   std::string Text;
@@ -463,26 +431,12 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
                            Options.Flags.Request.Budget);
 }
 
-/// The pipeline-based report used in cache and batch modes: all three
-/// layouts come from alignProgram (so warm caches replay them), with
-/// greedy and TSP side by side instead of one --aligner column.
-void reportPipelineAlignment(const Program &Prog,
-                             const ProgramProfile &Counts,
-                             const ProgramAlignment &Result,
-                             const ToolOptions &Options,
-                             const AlignmentOptions &AlignOptions) {
-  // Shared with balign-serve: an AlignOk response body must be
-  // byte-identical to this stdout, so both render through one function.
-  std::string Report = renderAlignmentReport(
-      Prog, Counts, Result, AlignOptions.ComputeBounds, Options.EmitDot,
-      primaryAlignerName(AlignOptions.Primary));
-  std::fwrite(Report.data(), 1, Report.size(), stdout);
-}
-
 /// Runs --verify over one program; returns false when errors were found.
+/// The verify run always computes bounds, so the Held-Karp and
+/// assignment bound checks have bounds to check.
 bool runVerified(const Program &Prog, const ProgramProfile &Counts,
-                 const ToolOptions &Options,
-                 const AlignmentOptions &AlignOptions) {
+                 const ToolOptions &Options, AlignmentOptions AlignOptions) {
+  AlignOptions.ComputeBounds = true;
   DiagnosticEngine Diags;
   Diags.setEchoToStderr(true);
   VerifyOptions Verify;
@@ -540,12 +494,13 @@ void reportShieldOutcome(const ProgramAlignment &Result, size_t NumProcs) {
                Result.Failures.summary(NumProcs).c_str());
 }
 
-/// Cache/batch-mode alignment of one program: verify first when asked
-/// (which also warms the cache through the store path), then the
-/// pipeline report. \p AnySkipped (when given) reports whether any
-/// procedure kept its original layout under --on-error skip — the
-/// checkpoint journal must not record such a program as done, or a
-/// resumed batch would never revisit the skipped work.
+/// Aligns one program, a single input or a batch entry alike: the
+/// verify run first when asked (its fresh results also warm the cache),
+/// then the report of a separate alignProgram run with the request's
+/// options. \p AnySkipped (when given) reports whether any procedure
+/// kept its original layout under --on-error skip — the checkpoint
+/// journal must not record such a program as done, or a resumed batch
+/// would never revisit the skipped work.
 bool alignOneProgram(const Program &Prog, const ProgramProfile &Counts,
                      const ToolOptions &Options,
                      const AlignmentOptions &AlignOptions,
@@ -554,7 +509,12 @@ bool alignOneProgram(const Program &Prog, const ProgramProfile &Counts,
       !runVerified(Prog, Counts, Options, AlignOptions))
     return false;
   ProgramAlignment Result = alignProgram(Prog, Counts, AlignOptions);
-  reportPipelineAlignment(Prog, Counts, Result, Options, AlignOptions);
+  // Shared with balign-serve: an AlignOk response body must be
+  // byte-identical to this stdout, so both render through one function.
+  std::string Report = renderAlignmentReport(
+      Prog, Counts, Result, AlignOptions.ComputeBounds, Options.EmitDot,
+      primaryAlignerName(AlignOptions.Primary));
+  std::fwrite(Report.data(), 1, Report.size(), stdout);
   if (Options.shieldActive())
     reportShieldOutcome(Result, Prog.numProcedures());
   if (AnySkipped)
@@ -573,7 +533,8 @@ bool parseBatchLine(const std::string &Line, std::string &ProgramFile,
   return !ProgramFile.empty() && ProgramFile[0] != '#';
 }
 
-int runBatch(const ToolOptions &Options, AlignmentOptions &AlignOptions) {
+int runBatch(const ToolOptions &Options,
+             const AlignmentOptions &AlignOptions) {
   std::ifstream In(Options.BatchFile);
   if (!In) {
     std::fprintf(stderr, "error: cannot open batch file '%s'\n",
@@ -725,8 +686,51 @@ int runBatch(const ToolOptions &Options, AlignmentOptions &AlignOptions) {
   return 0;
 }
 
-int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
-                 bool UsePipeline);
+/// Aligns the --batch list, or else the single input (the demo program
+/// when none is given), through alignOneProgram.
+int runAlignment(const ToolOptions &Options,
+                 const AlignmentOptions &AlignOptions) {
+  if (!Options.BatchFile.empty()) {
+    if (!Options.File.empty())
+      std::fprintf(stderr,
+                   "warning: positional input '%s' is ignored in --batch "
+                   "mode\n",
+                   Options.File.c_str());
+    return runBatch(Options, AlignOptions);
+  }
+  std::optional<Program> Prog = loadProgram(Options.File, true);
+  if (!Prog)
+    return 1;
+  std::optional<ProgramProfile> Counts =
+      obtainProfile(*Prog, Options.ProfileFile, Options);
+  if (!Counts)
+    return 1;
+  if (!Options.EmitProfileFile.empty()) {
+    std::ofstream ProfOut(Options.EmitProfileFile);
+    if (!ProfOut) {
+      std::fprintf(stderr, "error: cannot write '%s'\n",
+                   Options.EmitProfileFile.c_str());
+      return 1;
+    }
+    ProfOut << printProgramProfile(*Prog, *Counts);
+    std::printf("wrote profile to %s\n", Options.EmitProfileFile.c_str());
+  }
+
+  if (Options.lintActive()) {
+    LintResult LR = runLintChecks(
+        *Prog, *Counts, AlignOptions,
+        Options.File.empty() ? std::string("<demo>") : Options.File);
+    if (!Options.LintJsonFile.empty() &&
+        !writeTextFile(Options.LintJsonFile, lintReportJson(LR) + "\n"))
+      return 1;
+    if (Options.Lint == LintMode::Err && LR.failedAt(Severity::Error)) {
+      std::fprintf(stderr, "error: lint found errors; not aligning "
+                   "(use --lint=warn to report without gating)\n");
+      return 1;
+    }
+  }
+  return alignOneProgram(*Prog, *Counts, Options, AlignOptions) ? 0 : 1;
+}
 
 } // namespace
 
@@ -745,16 +749,6 @@ int main(int Argc, char **Argv) {
 
   int Exit = 0;
   {
-    // The shield flags run through alignProgram, so they force the
-    // pipeline path just like --cache/--batch.
-    bool UsePipeline = !Options.CacheDir.empty() ||
-                       !Options.BatchFile.empty() || Options.shieldActive();
-    if (UsePipeline && !Options.LegacyAligner.empty())
-      std::fprintf(stderr,
-                   "warning: --aligner %s is ignored with "
-                   "--cache/--batch/--on-error (the full pipeline reports "
-                   "greedy and tsp)\n",
-                   Options.LegacyAligner.c_str());
     warnIgnoredRequestFlags(Options.Flags);
     if (!Options.CheckpointFile.empty() && Options.BatchFile.empty())
       std::fprintf(stderr,
@@ -819,16 +813,11 @@ int main(int Argc, char **Argv) {
                    ? Server.serveStdio()
                    : Server.serveUnixSocket(Options.ServePath);
       } else {
-        Exit = runAlignment(Options, AlignOptions, UsePipeline);
+        Exit = runAlignment(Options, AlignOptions);
       }
     } catch (const AlignmentAborted &E) {
       // Exit 2 contract: a procedure failure under OnErrorPolicy::Abort
       // (the default policy) aborts alignment.
-      std::fprintf(stderr, "error: alignment aborted: %s\n", E.what());
-      Exit = 2;
-    } catch (const FaultInjectedError &E) {
-      // The legacy single-aligner path has no per-procedure isolation;
-      // an injected fault escaping it is the same abort.
       std::fprintf(stderr, "error: alignment aborted: %s\n", E.what());
       Exit = 2;
     } catch (const DeadlineExceeded &E) {
@@ -866,121 +855,3 @@ int main(int Argc, char **Argv) {
   }
   return Exit;
 }
-
-namespace {
-
-int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
-                 bool UsePipeline) {
-  if (!Options.BatchFile.empty()) {
-    if (!Options.File.empty())
-      std::fprintf(stderr,
-                   "warning: positional input '%s' is ignored in --batch "
-                   "mode\n",
-                   Options.File.c_str());
-    return runBatch(Options, AlignOptions);
-  } else {
-    std::optional<Program> Prog = loadProgram(Options.File, true);
-    if (!Prog)
-      return 1;
-    std::optional<ProgramProfile> Counts =
-        obtainProfile(*Prog, Options.ProfileFile, Options);
-    if (!Counts)
-      return 1;
-    if (!Options.EmitProfileFile.empty()) {
-      std::ofstream ProfOut(Options.EmitProfileFile);
-      if (!ProfOut) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     Options.EmitProfileFile.c_str());
-        return 1;
-      }
-      ProfOut << printProgramProfile(*Prog, *Counts);
-      std::printf("wrote profile to %s\n", Options.EmitProfileFile.c_str());
-    }
-
-    if (Options.lintActive()) {
-      LintResult LR = runLintChecks(
-          *Prog, *Counts, AlignOptions,
-          Options.File.empty() ? std::string("<demo>") : Options.File);
-      if (!Options.LintJsonFile.empty() &&
-          !writeTextFile(Options.LintJsonFile, lintReportJson(LR) + "\n"))
-        return 1;
-      if (Options.Lint == LintMode::Err && LR.failedAt(Severity::Error)) {
-        std::fprintf(stderr, "error: lint found errors; not aligning "
-                     "(use --lint=warn to report without gating)\n");
-        return 1;
-      }
-    }
-
-    if (UsePipeline) {
-      // --bounds changes the fingerprint (bounds are part of the cached
-      // artifact), and --verify always computes them; align the two so
-      // a verified run warms the cache the report then hits.
-      return alignOneProgram(*Prog, *Counts, Options, AlignOptions) ? 0 : 1;
-    } else {
-      // Legacy single-aligner path, byte-compatible with prior releases.
-      std::unique_ptr<Aligner> TheAligner =
-          makeAligner(Options.LegacyAligner, AlignOptions);
-      const MachineModel &Model = AlignOptions.Model;
-
-      if (Options.Verify != VerifyLevel::None) {
-        AlignmentOptions VerifyAlign = AlignOptions;
-        VerifyAlign.ComputeBounds = true;
-        if (!runVerified(*Prog, *Counts, Options, VerifyAlign))
-          return 1;
-      }
-
-      TextTable Report;
-      Report.addColumn("procedure");
-      Report.addColumn("blocks", TextTable::AlignKind::Right);
-      Report.addColumn("branches", TextTable::AlignKind::Right);
-      Report.addColumn("original", TextTable::AlignKind::Right);
-      Report.addColumn(TheAligner->name(), TextTable::AlignKind::Right);
-      Report.addColumn("removed", TextTable::AlignKind::Right);
-      if (AlignOptions.ComputeBounds)
-        Report.addColumn("hk-bound", TextTable::AlignKind::Right);
-
-      for (size_t P = 0; P != Prog->numProcedures(); ++P) {
-        const Procedure &Proc = Prog->proc(P);
-        const ProcedureProfile &Profile = Counts->Procs[P];
-
-        Layout Aligned = TheAligner->align(Proc, Profile, Model);
-        uint64_t Original = evaluateLayout(Proc, Layout::original(Proc),
-                                           Model, Profile, Profile);
-        uint64_t After =
-            evaluateLayout(Proc, Aligned, Model, Profile, Profile);
-
-        std::vector<std::string> Row = {
-            Proc.getName(),
-            std::to_string(Proc.numBlocks()),
-            formatCount(Profile.executedBranches(Proc)),
-            std::to_string(Original),
-            std::to_string(After),
-            Original > 0
-                ? formatPercent(1.0 - static_cast<double>(After) /
-                                          static_cast<double>(Original))
-                : "0%"};
-        if (AlignOptions.ComputeBounds) {
-          PenaltyBounds Bounds =
-              computePenaltyBounds(Proc, Profile, Model, After);
-          Row.push_back(formatFixed(Bounds.HeldKarp, 1));
-        }
-        Report.addRow(std::move(Row));
-
-        std::printf("proc %s layout:", Proc.getName().c_str());
-        for (BlockId Id : Aligned.Order) {
-          const BasicBlock &Block = Proc.block(Id);
-          std::printf(" %s", Block.Name.empty()
-                                 ? ("b" + std::to_string(Id)).c_str()
-                                 : Block.Name.c_str());
-        }
-        std::printf("\n");
-        if (Options.EmitDot)
-          std::printf("%s", printDot(Proc, &Profile.EdgeCounts).c_str());
-      }
-      std::printf("\n%s", Report.render().c_str());
-    }
-  }
-  return 0;
-}
-
-} // namespace

@@ -4,8 +4,8 @@
 //
 // Talks to an `align_tool --serve SOCK` server: sends align requests
 // over the length-prefixed wire protocol and prints the report bytes —
-// byte-identical to running align_tool one-shot on the same inputs —
-// to stdout. Also exposes the service frames (ping, metrics, shutdown)
+// byte-identical to running align_tool one-shot on the same inputs and
+// request flags, none included — to stdout. Also exposes the service frames (ping, metrics, shutdown)
 // so a shell script can health-check, scrape, and stop a server.
 //
 // Usage:
@@ -16,8 +16,9 @@
 // The request flags are align_tool's: --seed --budget --bounds
 // --on-error --effort-policy --aligner tsp|exttsp --objective
 // --exttsp-window --exttsp-weights --encoding --short-range, parsed by
-// the same serve/Oneshot.h function, so a served report equals the
-// one-shot report for the same flags.
+// the same serve/Oneshot.h function. The server and align_tool both
+// run alignProgram and render the same report, so a served report
+// equals the one-shot report for the same flags.
 //
 // Request order on one connection: ping first (when asked), then the
 // align for file.cfg (or each line of --batch LIST), then metrics,
@@ -105,7 +106,8 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                   "Sends requests to an `align_tool --serve SOCK` server; "
                   "align reports go to\n"
                   "stdout byte-identical to one-shot align_tool given the "
-                  "same request flags.\n"
+                  "same request flags\n"
+                  "(or none).\n"
                   "--batch LIST aligns every .cfg named in LIST (one path "
                   "per line); --retry N\n"
                   "resends transport-failed requests idempotently. Exit: 0 "

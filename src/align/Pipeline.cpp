@@ -360,8 +360,9 @@ ProcedureTask alignOneProcedure(const Procedure &Proc,
           "DTSP instance of " + std::to_string(Cities) +
           " cities exceeds the cap of " +
           std::to_string(Options.MaxTspCities));
-    // The symmetric transform's 2N x 2N matrix of 8-byte costs is the
-    // dominant allocation of the full path.
+    // The size of the symmetric transform's 2N x 2N matrix of 8-byte
+    // costs. Only the Held-Karp bound builds it (under ComputeBounds),
+    // but the cap bounds the instance and trips with bounds off too.
     size_t MatrixBytes = 4 * Cities * Cities * sizeof(int64_t);
     if (Options.MaxTspMatrixBytes && MatrixBytes > Options.MaxTspMatrixBytes)
       throw ResourceCapError(

@@ -268,10 +268,14 @@ struct AlignmentOptions {
   /// once it expires every remaining procedure degrades per OnError.
   const Deadline *RunDeadline = nullptr;
 
-  /// Resource caps on the DTSP reduction (0 = unlimited): a procedure
-  /// whose instance would exceed MaxTspCities cities (blocks + dummy) or
-  /// whose symmetric transform would exceed MaxTspMatrixBytes is a
-  /// FailureKind::ResourceCap failure handled per OnError.
+  /// Resource caps on the DTSP reduction (0 = unlimited), checked before
+  /// any stage runs: a procedure whose instance of C cities (blocks +
+  /// dummy) exceeds MaxTspCities, or whose 2C x 2C symmetric transform
+  /// (4 * C * C 8-byte costs) would exceed MaxTspMatrixBytes, is a
+  /// FailureKind::ResourceCap failure handled per OnError. The byte cap
+  /// measures instance size: the 3-Opt solve never builds that matrix,
+  /// only the Held-Karp bound (under ComputeBounds) and the verifier's
+  /// matrix audit do, yet the cap trips with or without them.
   size_t MaxTspCities = 0;
   size_t MaxTspMatrixBytes = 0;
 

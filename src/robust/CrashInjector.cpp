@@ -2,30 +2,15 @@
 
 #include "robust/CrashInjector.h"
 
+#include "support/Parse.h"
+
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include <unistd.h>
 
 using namespace balign;
-
-namespace {
-
-/// Strict decimal parse for the nth parameter; rejects empty, signs,
-/// leading junk, and overflow (mirrors FaultInjector's spec parser).
-bool parseNth(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 19)
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return Out != 0; // Hits are 1-based; a 0th hit can never fire.
-}
-
-} // namespace
 
 const char *balign::crashSiteName(CrashSite Site) {
   switch (Site) {
@@ -118,12 +103,17 @@ bool CrashInjector::armFromSpec(const std::string &Spec, std::string *Error) {
   size_t Colon = Spec.find(':');
   if (Colon != std::string::npos) {
     SiteName = Spec.substr(0, Colon);
-    if (!parseNth(Spec.substr(Colon + 1), Nth)) {
+    // A strict decimal, like BALIGN_FAULT's parameters; hits are 1-based,
+    // so a 0th hit could never fire.
+    std::optional<uint64_t> Parsed =
+        parseFlagInt(std::string_view(Spec).substr(Colon + 1));
+    if (!Parsed || *Parsed == 0) {
       if (Error)
         *Error = "expected '<site>[:nth]' with a positive nth, got '" +
                  Spec + "'";
       return false;
     }
+    Nth = *Parsed;
   }
   std::optional<CrashSite> Site = crashSiteByName(SiteName);
   if (!Site) {

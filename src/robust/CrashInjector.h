@@ -25,9 +25,10 @@
 ///   BALIGN_CRASH=<site>[:nth]
 ///
 /// where `nth` is the 1-based hit index that dies (default 1, the first
-/// hit). The site names share the dotted spelling of BALIGN_FAULT sites
-/// and the same monotone per-site hit counters, so a given spec always
-/// kills the same deterministic hit.
+/// hit), a strict decimal like BALIGN_FAULT's parameters. The site names
+/// share the dotted spelling of BALIGN_FAULT sites. Each crash site keeps
+/// its own monotone hit counter, separate from the fault sites' counters,
+/// so a given spec always kills the same deterministic hit.
 ///
 /// Placement contract: a crash point sits *between* the bytes of a
 /// multi-part write wherever a torn artifact is physically possible

@@ -3,11 +3,13 @@
 #include "robust/FaultInjector.h"
 
 #include "support/Hash.h"
+#include "support/Parse.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 using namespace balign;
 
@@ -15,20 +17,6 @@ namespace {
 
 /// Suppression depth of the current thread (ScopedSuppress nests).
 thread_local unsigned SuppressDepth = 0;
-
-/// Strict decimal parse for spec parameters; rejects empty, signs,
-/// leading junk, and overflow.
-bool parseSpecInt(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 19)
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
 
 } // namespace
 
@@ -110,29 +98,32 @@ std::optional<FaultSpec> FaultSpec::parse(const std::string &Text,
                 "rate=N/D@S)");
   std::string Mode = Text.substr(0, Eq);
   std::string Arg = Text.substr(Eq + 1);
-  uint64_t K = 0;
+  // Spec parameters are strict decimals, exactly like numeric flags.
   if (Mode == "nth" || Mode == "every" || Mode == "count") {
-    if (!parseSpecInt(Arg, K) || K == 0)
+    std::optional<uint64_t> K = parseFlagInt(Arg);
+    if (!K || *K == 0)
       return fail("fault mode '" + Mode + "' wants a positive integer, got '" +
                   Arg + "'");
     if (Mode == "nth")
-      return nth(K);
+      return nth(*K);
     if (Mode == "every")
-      return every(K);
-    return count(K);
+      return every(*K);
+    return count(*K);
   }
   if (Mode == "rate") {
     size_t Slash = Arg.find('/');
     size_t At = Arg.find('@');
     if (Slash == std::string::npos || At == std::string::npos || At < Slash)
       return fail("fault mode 'rate' wants N/D@SEED, got '" + Arg + "'");
-    uint64_t Num = 0, Den = 0, Seed = 0;
-    if (!parseSpecInt(Arg.substr(0, Slash), Num) ||
-        !parseSpecInt(Arg.substr(Slash + 1, At - Slash - 1), Den) ||
-        !parseSpecInt(Arg.substr(At + 1), Seed) || Den == 0)
+    std::string_view Parts = Arg;
+    std::optional<uint64_t> Num = parseFlagInt(Parts.substr(0, Slash));
+    std::optional<uint64_t> Den =
+        parseFlagInt(Parts.substr(Slash + 1, At - Slash - 1));
+    std::optional<uint64_t> Seed = parseFlagInt(Parts.substr(At + 1));
+    if (!Num || !Den || !Seed || *Den == 0)
       return fail("fault mode 'rate' wants N/D@SEED with D > 0, got '" + Arg +
                   "'");
-    return rate(Num, Den, Seed);
+    return rate(*Num, *Den, *Seed);
   }
   return fail("unknown fault mode '" + Mode + "'");
 }

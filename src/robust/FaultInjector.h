@@ -36,8 +36,8 @@
 /// target a specific hit either run serial or use `always`. Verifier
 /// passes probe nothing: analysis code runs under ScopedSuppress, which
 /// makes shouldFail return false *without consuming a hit*, so arming a
-/// fault never skews verification and `--verify` runs count the same
-/// hits as plain ones.
+/// fault never skews verification: a `--verify` run counts only the
+/// hits of its pipeline runs, never those of the passes.
 ///
 //===--------------------------------------------------------------------===//
 

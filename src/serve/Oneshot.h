@@ -33,7 +33,7 @@ namespace balign {
 /// presence matters beyond the value they leave in the request.
 struct RequestFlags {
   AlignRequest Request;
-  bool OnErrorGiven = false;    ///< align_tool takes the pipeline path.
+  bool OnErrorGiven = false;    ///< align_tool adds its shield report.
   bool ObjectiveGiven = false;  ///< For warnIgnoredRequestFlags.
   bool ShortRangeGiven = false; ///< For warnIgnoredRequestFlags.
 };
@@ -78,11 +78,12 @@ void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 ProgramProfile synthesizeProfile(const Program &Prog, uint64_t Seed,
                                  uint64_t Budget);
 
-/// Renders the pipeline-mode report exactly as align_tool prints it:
-/// per-procedure "proc NAME layout: ..." lines (plus dot output under
-/// \p EmitDot), then a blank line and the penalty TextTable (with the
-/// hk-bound column under \p ComputeBounds). The returned string is the
-/// tool's entire stdout for a pipeline run over a named file.
+/// Renders the report exactly as align_tool prints it: per-procedure
+/// "proc NAME layout: ..." lines (plus dot output under \p EmitDot),
+/// then a blank line and the penalty TextTable (with the hk-bound column
+/// under \p ComputeBounds). The returned string is the tool's entire
+/// stdout for a run over a named file without --verify or
+/// --emit-profile.
 /// \p PrimaryName labels the primary-aligner column ("tsp" unless the
 /// run used PrimaryAligner::ExtTsp); the default keeps every existing
 /// caller — and the committed serve golden frames — byte-identical.

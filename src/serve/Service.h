@@ -15,9 +15,11 @@
 /// the shared base — Threads forced to 1 (each request already runs on
 /// one pool worker; the repo's thread-count invariance does the rest),
 /// hooks stripped, and the request applied through applyAlignRequest in
-/// serve/Oneshot.h, the mapping one-shot align_tool uses too — so the
-/// response body is byte-identical to one-shot align_tool stdout for the
-/// same inputs, at every server thread count, hit or miss.
+/// serve/Oneshot.h — then runs alignProgram and renderAlignmentReport.
+/// One-shot align_tool takes exactly that path for every run, so the
+/// response body is byte-identical to its stdout for the same inputs and
+/// request flags (no flags included), at every server thread count, hit
+/// or miss.
 ///
 //===--------------------------------------------------------------------===//
 

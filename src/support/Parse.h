@@ -8,7 +8,8 @@
 /// Strict parsing for command-line flag values. std::strtoull silently
 /// accepts trailing garbage ("12x" parses as 12), leading whitespace,
 /// signs, and saturates on overflow — all of which turn a typo into a
-/// quietly wrong run. Every numeric flag of the bundled tools goes
+/// quietly wrong run. Every numeric flag of the bundled tools, and every
+/// numeric parameter of a BALIGN_FAULT or BALIGN_CRASH spec, goes
 /// through parseFlagInt instead, which accepts nothing but a complete,
 /// in-range decimal literal.
 ///

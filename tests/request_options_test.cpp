@@ -287,6 +287,7 @@ TEST(RequestOptionsTest, ParserRejectsMalformedValues) {
       // Unknown names.
       {"--on-error", "retry"}, {"--on-error="}, {"--on-error=Abort"},
       {"--effort-policy", "max"}, {"--aligner", "greedy"},
+      {"--aligner", "cg"}, {"--aligner", "original"},
       {"--objective", "tsp"}, {"--encoding", "sideways"},
   };
   for (const Args &A : Bad) {

@@ -2,12 +2,14 @@
 //
 // Unit tests for the robustness primitives: FaultSpec parsing and firing
 // semantics, the FaultInjector registry (arming, scoping, suppression,
-// hit accounting), deterministic Deadlines over a ManualClock, and the
-// bounded-backoff retry helper. The pipeline-level behavior these enable
-// is covered in shield_pipeline_test and shield_cache_test.
+// hit accounting), BALIGN_CRASH spec parsing, deterministic Deadlines
+// over a ManualClock, and the bounded-backoff retry helper. The
+// pipeline-level behavior these enable is covered in
+// shield_pipeline_test and shield_cache_test.
 //
 //===--------------------------------------------------------------------===//
 
+#include "robust/CrashInjector.h"
 #include "robust/Deadline.h"
 #include "robust/FailureReport.h"
 #include "robust/FaultInjector.h"
@@ -81,6 +83,7 @@ TEST(FaultSpecTest, ParseAcceptsEveryDocumentedMode) {
       {"every=4", FaultSpec::Mode::Every, 4, 1, 0},
       {"count=2", FaultSpec::Mode::Count, 2, 1, 0},
       {"rate=1/8@42", FaultSpec::Mode::Rate, 1, 8, 42},
+      {"nth=18446744073709551615", FaultSpec::Mode::Nth, UINT64_MAX, 1, 0},
   };
   for (const Case &C : Cases) {
     std::optional<FaultSpec> Spec = FaultSpec::parse(C.Text);
@@ -95,11 +98,28 @@ TEST(FaultSpecTest, ParseAcceptsEveryDocumentedMode) {
 TEST(FaultSpecTest, ParseRejectsMalformedSpecs) {
   for (const char *Bad : {"", "sometimes", "nth=", "nth=0", "every=0",
                           "count=", "rate=1/0@3", "rate=5@3", "rate=1/2",
-                          "nth=abc"}) {
+                          "nth=abc", "nth=18446744073709551616"}) {
     std::string Error;
     EXPECT_FALSE(FaultSpec::parse(Bad, &Error).has_value()) << Bad;
     EXPECT_FALSE(Error.empty()) << Bad;
   }
+}
+
+//===--------------------------------------------------------------------===//
+// CrashInjector spec parsing (arming only: nothing here probes a site)
+//===--------------------------------------------------------------------===//
+
+TEST(CrashInjectorTest, ArmFromSpecAcceptsOnlyStrictSpecs) {
+  CrashInjector &CI = CrashInjector::instance();
+  for (const char *Bad : {"", "pool.task:", "pool.task:0", "pool.task:3x",
+                          "nosuch.site", "pool.task:18446744073709551616"}) {
+    std::string Error;
+    EXPECT_FALSE(CI.armFromSpec(Bad, &Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
+  std::string Error;
+  EXPECT_TRUE(CI.armFromSpec("pool.task:3", &Error)) << Error;
+  CI.reset();
 }
 
 //===--------------------------------------------------------------------===//
