@@ -7,7 +7,7 @@
 //
 //   paper stage              ours
 //   Intermediate Repr.    -> workload CFG generation
-//   Instrumented Program  -> trace generation (the "profiling run")
+//   Instrumented Program  -> the profile walk (the "profiling run")
 //   Greedy Program        -> greedy alignment
 //   TSP Matrix            -> DTSP cost-matrix construction
 //   TSP Solver            -> iterated 3-Opt over all procedures
@@ -244,7 +244,7 @@ int main() {
   TextTable T;
   T.addColumn("bench");
   T.addColumn("cfg-gen", TextTable::AlignKind::Right);
-  T.addColumn("trace-gen", TextTable::AlignKind::Right);
+  T.addColumn("profile-walk", TextTable::AlignKind::Right);
   T.addColumn("greedy", TextTable::AlignKind::Right);
   T.addColumn("tsp-matrix", TextTable::AlignKind::Right);
   T.addColumn("tsp-solver", TextTable::AlignKind::Right);
@@ -268,19 +268,15 @@ int main() {
     size_t Worst =
         W.DataSets[0].BranchBudget >= W.DataSets[1].BranchBudget ? 0 : 1;
 
-    // Re-time trace generation alone for the worst data set.
-    Stopwatch TraceTimer;
+    // Re-time the profile walk alone for the worst data set.
+    Stopwatch WalkTimer;
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
-      Rng TraceRng(P + 1);
-      TraceGenOptions TraceOptions;
-      TraceOptions.BranchBudget =
-          W.DataSets[Worst].Profile.Procs[P].executedBranches(W.Prog.proc(P));
-      if (TraceOptions.BranchBudget == 0)
-        continue;
-      generateTrace(W.Prog.proc(P), W.DataSets[Worst].Behaviors[P],
-                    TraceRng, TraceOptions);
+      Rng WalkRng(P + 1);
+      walkProfile(W.Prog.proc(P), W.DataSets[Worst].Behaviors[P], WalkRng,
+                  W.DataSets[Worst].Profile.Procs[P].executedBranches(
+                      W.Prog.proc(P)));
     }
-    double TraceSeconds = TraceTimer.seconds();
+    double WalkSeconds = WalkTimer.seconds();
 
     AlignmentOptions Options;
     Options.ComputeBounds = false; // Bounds excluded, as in the paper.
@@ -299,7 +295,7 @@ int main() {
         Paper = &Row;
 
     T.addRow({Spec.Benchmark, formatFixed(BuildSeconds, 3),
-              formatFixed(TraceSeconds, 3),
+              formatFixed(WalkSeconds, 3),
               formatFixed(Result.GreedySeconds, 3),
               formatFixed(Result.MatrixSeconds, 3),
               formatFixed(Result.SolverSeconds, 3),

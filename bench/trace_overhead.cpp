@@ -55,12 +55,9 @@ ProgramProfile makeProfile(const Program &Prog, uint64_t Seed) {
   ProgramProfile Train;
   for (size_t P = 0; P != Prog.numProcedures(); ++P) {
     Rng TraceRng(Seed + P);
-    TraceGenOptions Options;
-    Options.BranchBudget = 1000;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, Options)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, /*BranchBudget=*/1000));
   }
   return Train;
 }

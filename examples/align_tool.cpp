@@ -68,6 +68,7 @@
 #include "cache/Store.h"
 #include "ir/TextFormat.h"
 #include "profile/ProfileIO.h"
+#include "profile/Trace.h"
 #include "robust/Journal.h"
 #include "serve/Oneshot.h"
 #include "serve/Server.h"
@@ -427,8 +428,13 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
   }
   // The seeded synthetic run is shared with balign-serve (the server
   // must reproduce it bit-for-bit), so it lives in serve/Oneshot.h.
-  return synthesizeProfile(Prog, Options.Flags.Request.Seed,
-                           Options.Flags.Request.Budget);
+  try {
+    return synthesizeProfile(Prog, Options.Flags.Request.Seed,
+                             Options.Flags.Request.Budget);
+  } catch (const ProfileWalkError &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return std::nullopt;
+  }
 }
 
 /// Runs --verify over one program; returns false when errors were found.
@@ -475,10 +481,14 @@ std::string jsonEscaped(const std::string &S) {
   return Out;
 }
 
+/// Writes \p Contents to \p Path, or reports "error: cannot write" and
+/// returns false. A full device may fail only at close(), so check after.
 bool writeTextFile(const std::string &Path, const std::string &Contents) {
   std::ofstream Out(Path, std::ios::binary);
-  if (Out)
+  if (Out) {
     Out << Contents;
+    Out.close();
+  }
   if (!Out)
     std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
   return static_cast<bool>(Out);
@@ -610,7 +620,8 @@ int runBatch(const ToolOptions &Options,
       ++Failed;
       std::fprintf(stderr, "error: batch entry '%s': bad profile '%s'; "
                    "continuing\n",
-                   ProgramFile.c_str(), ProfileFile.c_str());
+                   ProgramFile.c_str(),
+                   ProfileFile.empty() ? "<synthetic>" : ProfileFile.c_str());
       continue;
     }
     if (Options.lintActive()) {
@@ -706,13 +717,9 @@ int runAlignment(const ToolOptions &Options,
   if (!Counts)
     return 1;
   if (!Options.EmitProfileFile.empty()) {
-    std::ofstream ProfOut(Options.EmitProfileFile);
-    if (!ProfOut) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   Options.EmitProfileFile.c_str());
+    if (!writeTextFile(Options.EmitProfileFile,
+                       printProgramProfile(*Prog, *Counts)))
       return 1;
-    }
-    ProfOut << printProgramProfile(*Prog, *Counts);
     std::printf("wrote profile to %s\n", Options.EmitProfileFile.c_str());
   }
 

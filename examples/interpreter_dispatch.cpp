@@ -89,11 +89,9 @@ int main() {
   BranchBehavior Behavior = VM.behaviorFor(Mix, 1.0 / 5000.0);
 
   Rng TraceRng(2024);
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 200000;
-  ExecutionTrace Trace =
-      generateTrace(VM.Proc, Behavior, TraceRng, TraceOptions);
-  ProcedureProfile Profile = collectProfile(VM.Proc, Trace);
+  ExecutionTrace Trace;
+  ProcedureProfile Profile = walkProfile(VM.Proc, Behavior, TraceRng,
+                                         /*BranchBudget=*/200000, &Trace);
   std::printf("interpreted %s dispatches\n",
               formatCount(Profile.blockCount(VM.Dispatch)).c_str());
 

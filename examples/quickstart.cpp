@@ -46,11 +46,9 @@ int main() {
   Behavior.Probs[Header] = {0.97, 0.03};
   Behavior.Probs[Body] = {0.02, 0.98};
   Rng TraceRng(42);
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 100000;
-  ExecutionTrace Trace = generateTrace(Proc, Behavior, TraceRng,
-                                       TraceOptions);
-  ProcedureProfile Profile = collectProfile(Proc, Trace);
+  ExecutionTrace Trace;
+  ProcedureProfile Profile =
+      walkProfile(Proc, Behavior, TraceRng, /*BranchBudget=*/100000, &Trace);
   std::printf("profiled %llu branch executions over %llu invocations\n",
               static_cast<unsigned long long>(Profile.executedBranches(Proc)),
               static_cast<unsigned long long>(Trace.Invocations));

@@ -6,8 +6,9 @@
 // terminator kinds, and two liveness findings are added — blocks with no
 // path to any return (cfg.no-exit-path) and procedures with no return
 // block at all (cfg.no-return-block). Both are warnings: an infinite
-// dispatch loop is legal code, but it breaks the trace generator's
-// invocation model, so the author should know.
+// dispatch loop is legal code, but it breaks the profile walk's
+// invocation model (such a walk ends in ProfileWalkError), so the author
+// should know.
 //
 //===--------------------------------------------------------------------===//
 

@@ -10,7 +10,7 @@ size_t PipelineVerifier::verifyInputs(const Program &Prog,
                                       const ProgramProfile &Train) {
   ScopedSpan Span("verify.inputs", SpanCat::Verify);
   size_t Errors = checkCfg(Prog, Diags);
-  Errors += checkProfileFlow(Prog, Train, Diags, Options);
+  Errors += checkProfileFlow(Prog, Train, Diags);
   return Errors;
 }
 

@@ -8,16 +8,16 @@
 //
 //   inflow(B)  = BlockCounts[B]                    for B != entry
 //   inflow(E)  = BlockCounts[E] - Invocations      for the entry E
-//   outflow(B) = BlockCounts[B] - truncations(B)   for non-return B
+//   outflow(B) = BlockCounts[B]                    for non-return B
 //
-// where truncations(B) counts walks abandoned while sitting in B (the
-// MaxBlocksPerInvocation safety cap); a well-formed trace has none, and
-// the aggregate deficit is bounded by Options.TruncationSlack before the
-// pass warns. Outflow exceeding the block count, or inflow disagreeing
-// with the block count at a non-entry block, can never happen in a real
-// profile and is an error. Shape mismatches (rows for edges the CFG does
-// not have) and overflow-suspicious magnitudes are screened first since
-// the arithmetic below assumes a well-shaped profile.
+// A walk never stops short of a return (walkProfile throws rather than
+// abandon one), so any outflow deficit is a truncated or hand-edited
+// profile and the pass warns. Outflow exceeding the block count, or
+// inflow disagreeing with the block count at a non-entry block, can
+// never happen in a real profile and is an error. Shape mismatches (rows
+// for edges the CFG does not have) and overflow-suspicious magnitudes
+// are screened first since the arithmetic below assumes a well-shaped
+// profile.
 //
 //===--------------------------------------------------------------------===//
 
@@ -29,8 +29,7 @@ static const char PassName[] = "profile-flow";
 
 size_t balign::checkProfileFlow(const Procedure &Proc,
                                 const ProcedureProfile &Profile,
-                                DiagnosticEngine &Diags,
-                                const VerifyOptions &Options) {
+                                DiagnosticEngine &Diags) {
   size_t Before = Diags.errorCount();
   const std::string &Name = Proc.getName();
 
@@ -68,13 +67,13 @@ size_t balign::checkProfileFlow(const Procedure &Proc,
   // Overflow screen: penalties compute count * cycles (<= 7) sums in
   // int64, so any single count near 2^56 deserves a warning.
   for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
-    if (Profile.BlockCounts[Id] > Options.OverflowLimit)
+    if (Profile.BlockCounts[Id] > ProfileOverflowLimit)
       Diags.report(Severity::Warning, CheckId::ProfileCountOverflow,
                    PassName, DiagLocation::block(Name, Id),
                    "block count " + std::to_string(Profile.BlockCounts[Id]) +
                        " is overflow-suspicious");
     for (size_t S = 0; S != Profile.EdgeCounts[Id].size(); ++S)
-      if (Profile.EdgeCounts[Id][S] > Options.OverflowLimit)
+      if (Profile.EdgeCounts[Id][S] > ProfileOverflowLimit)
         Diags.report(Severity::Warning, CheckId::ProfileCountOverflow,
                      PassName,
                      DiagLocation::edge(Name, Id, Proc.successors(Id)[S]),
@@ -126,21 +125,19 @@ size_t balign::checkProfileFlow(const Procedure &Proc,
       OutflowDeficit += Count - OutSum;
   }
 
-  if (OutflowDeficit > Options.TruncationSlack)
+  if (OutflowDeficit != 0)
     Diags.report(Severity::Warning, CheckId::ProfileFlowTruncated, PassName,
                  DiagLocation::procedure(Name),
                  "aggregate outflow deficit " +
-                     std::to_string(OutflowDeficit) + " exceeds slack " +
-                     std::to_string(Options.TruncationSlack) +
-                     " (truncated walks?)");
+                     std::to_string(OutflowDeficit) +
+                     " exceeds slack 0 (truncated walks?)");
 
   return Diags.errorCount() - Before;
 }
 
 size_t balign::checkProfileFlow(const Program &Prog,
                                 const ProgramProfile &Profile,
-                                DiagnosticEngine &Diags,
-                                const VerifyOptions &Options) {
+                                DiagnosticEngine &Diags) {
   if (Profile.Procs.size() != Prog.numProcedures()) {
     Diags.report(Severity::Error, CheckId::ProfileShapeMismatch, PassName,
                  DiagLocation::program(),
@@ -151,7 +148,6 @@ size_t balign::checkProfileFlow(const Program &Prog,
   }
   size_t Errors = 0;
   for (size_t I = 0; I != Prog.numProcedures(); ++I)
-    Errors +=
-        checkProfileFlow(Prog.proc(I), Profile.Procs[I], Diags, Options);
+    Errors += checkProfileFlow(Prog.proc(I), Profile.Procs[I], Diags);
   return Errors;
 }

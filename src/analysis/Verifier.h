@@ -76,15 +76,6 @@ enum class VerifyLevel : uint8_t {
 /// Knobs shared by the passes.
 struct VerifyOptions {
   VerifyLevel Level = VerifyLevel::Full;
-
-  /// Allowed aggregate outflow deficit per procedure before profile-flow
-  /// warns about truncated traces (each abandoned walk loses one edge).
-  uint64_t TruncationSlack = 0;
-
-  /// Counts above this are reported as overflow-suspicious: penalties
-  /// multiply counts by up to 7 cycles and sum them in int64, so profile
-  /// counts must stay far below the 2^63 ceiling.
-  uint64_t OverflowLimit = uint64_t(1) << 56;
 };
 
 //===--------------------------------------------------------------------===//
@@ -104,17 +95,16 @@ size_t checkCfg(const Program &Prog, DiagnosticEngine &Diags);
 
 /// Flow-conservation check of \p Profile against \p Proc: shape match,
 /// per-block Kirchhoff balance (inflow == block count for non-entry
-/// blocks; entry absorbs invocation slack; truncated walks may lose
-/// outflow up to Options.TruncationSlack), and overflow screening.
+/// blocks; entry absorbs invocation slack; any outflow deficit warns as
+/// a truncated walk), and overflow screening against
+/// ProfileOverflowLimit.
 size_t checkProfileFlow(const Procedure &Proc,
                         const ProcedureProfile &Profile,
-                        DiagnosticEngine &Diags,
-                        const VerifyOptions &Options = {});
+                        DiagnosticEngine &Diags);
 
 /// Whole-program profile check, including the program/profile arity.
 size_t checkProfileFlow(const Program &Prog, const ProgramProfile &Profile,
-                        DiagnosticEngine &Diags,
-                        const VerifyOptions &Options = {});
+                        DiagnosticEngine &Diags);
 
 //===--------------------------------------------------------------------===//
 // 3. layout-check

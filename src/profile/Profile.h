@@ -27,6 +27,12 @@
 
 namespace balign {
 
+/// Counts above this are overflow-suspicious: penalties multiply counts
+/// by up to 7 cycles and sum them in int64, so profile counts must stay
+/// far below the 2^63 ceiling. balign-verify's profile-flow pass warns
+/// above it and balign-lint's lint.counter-overflow check errs.
+inline constexpr uint64_t ProfileOverflowLimit = uint64_t(1) << 56;
+
 /// Per-procedure edge and block execution counts.
 struct ProcedureProfile {
   /// EdgeCounts[B][I]: executions of the I-th successor edge of block B.

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <string>
 
 using namespace balign;
 
@@ -93,43 +94,63 @@ static std::vector<size_t> computeExitSuccessors(const Procedure &Proc) {
   return ExitSucc;
 }
 
-ExecutionTrace balign::generateTrace(const Procedure &Proc,
+/// The ProfileWalkError text for a walk of \p Proc that reached the cap
+/// in block \p Id (named as the text format prints it).
+static std::string walkCapMessage(const Procedure &Proc, BlockId Id) {
+  const std::string &Name = Proc.block(Id).Name;
+  return "synthetic walk of procedure '" + Proc.getName() +
+         "' did not return within " +
+         std::to_string(MaxBlocksPerInvocation) +
+         " blocks (stopped in block '" +
+         (Name.empty() ? "b" + std::to_string(Id) : Name) +
+         "'); pass --profile";
+}
+
+ProcedureProfile balign::walkProfile(const Procedure &Proc,
                                      const BranchBehavior &Behavior,
-                                     Rng &Rng,
-                                     const TraceGenOptions &Options) {
+                                     Rng &Rng, uint64_t BranchBudget,
+                                     ExecutionTrace *Trace) {
   assert(Behavior.isValid(Proc) && "behavior does not match procedure");
-  ExecutionTrace Trace;
+  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
   std::vector<size_t> ExitSucc = computeExitSuccessors(Proc);
   uint64_t BranchesExecuted = 0;
-  while (BranchesExecuted < Options.BranchBudget) {
-    ++Trace.Invocations;
+  while (BranchesExecuted < BranchBudget) {
+    uint64_t BranchesBefore = BranchesExecuted;
+    if (Trace)
+      ++Trace->Invocations;
     BlockId Current = Proc.entry();
     uint64_t Steps = 0;
     while (true) {
-      Trace.Blocks.push_back(Current);
+      ++Profile.BlockCounts[Current];
+      if (Trace)
+        Trace->Blocks.push_back(Current);
       const BasicBlock &Block = Proc.block(Current);
       if (Block.Kind == TerminatorKind::Conditional ||
           Block.Kind == TerminatorKind::Multiway)
         ++BranchesExecuted;
       if (Block.Kind == TerminatorKind::Return)
         break;
-      if (++Steps > Options.MaxBlocksPerInvocation)
-        break;
+      if (++Steps > MaxBlocksPerInvocation)
+        throw ProfileWalkError(walkCapMessage(Proc, Current));
       size_t Choice;
-      if (BranchesExecuted >= Options.BranchBudget &&
-          ExitSucc[Current] != NoExit) {
+      if (BranchesExecuted >= BranchBudget && ExitSucc[Current] != NoExit) {
         // Budget spent: wind the invocation down along a shortest path
-        // to a return so the overshoot stays small and the trace still
+        // to a return so the overshoot stays small and the walk still
         // ends at invocation granularity (keeping profiles
         // flow-consistent).
         Choice = ExitSucc[Current];
       } else {
         Choice = sampleSuccessor(Behavior.Probs[Current], Rng);
       }
+      ++Profile.EdgeCounts[Current][Choice];
       Current = Proc.successors(Current)[Choice];
     }
+    // A branch-free invocation made only forced choices; every later
+    // one would repeat it and the budget could never be met.
+    if (BranchesExecuted == BranchesBefore)
+      break;
   }
-  return Trace;
+  return Profile;
 }
 
 ProcedureProfile balign::collectProfile(const Procedure &Proc,
@@ -141,13 +162,13 @@ ProcedureProfile balign::collectProfile(const Procedure &Proc,
     if (Proc.block(Current).Kind == TerminatorKind::Return)
       continue; // Next trace element (if any) starts a new invocation.
     if (I + 1 == Trace.Blocks.size())
-      continue; // Abandoned walk tail.
+      continue; // A hand-built trace may end mid-invocation.
     BlockId Next = Trace.Blocks[I + 1];
     const std::vector<BlockId> &Succs = Proc.successors(Current);
-    // A non-return block is always followed in-trace by one of its CFG
-    // successors, except when a capped walk was abandoned and the next
-    // element is a fresh invocation's entry; then no successor matches
-    // and we record nothing.
+    // In a walk's trace a non-return block is always followed by one of
+    // its CFG successors. A hand-built trace may break an invocation off
+    // before its return; the pair then counts only if the next block
+    // happens to be a successor.
     for (size_t S = 0; S != Succs.size(); ++S) {
       if (Succs[S] == Next) {
         ++Profile.EdgeCounts[Current][S];

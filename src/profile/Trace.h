@@ -5,13 +5,14 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution traces and the Markov-chain trace generator that substitutes
-/// for running instrumented SPEC92 binaries (see DESIGN.md, Section 2).
+/// The seeded Markov-chain walk that substitutes for running instrumented
+/// SPEC92 binaries (see DESIGN.md, Section 2), and the execution traces
+/// it can record along the way.
 ///
 /// A "data set" in the paper is a concrete program input; fixing the input
 /// fixes the execution trace (paper Section 2). Here a data set is a
 /// BranchBehavior — per-branch successor probabilities plus a branch
-/// budget — and fixing (behavior, seed) fixes the trace the same way.
+/// budget — and fixing (behavior, seed) fixes the walk the same way.
 /// Distinct data sets for the same benchmark share the CFG but have
 /// different biases, which is what makes the Figure 3 cross-validation
 /// meaningful.
@@ -26,6 +27,7 @@
 #include "support/Random.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace balign {
@@ -55,27 +57,38 @@ struct BranchBehavior {
   bool isValid(const Procedure &Proc) const;
 };
 
-/// Options for trace generation.
-struct TraceGenOptions {
-  /// Stop once at least this many conditional/multiway branch
-  /// instructions have executed (compared at invocation granularity, so
-  /// the result may slightly overshoot).
-  uint64_t BranchBudget = 10000;
+/// Blocks one invocation of walkProfile may visit without returning; only
+/// a loop with no exit (or one its behavior never takes) gets this far.
+inline constexpr uint64_t MaxBlocksPerInvocation = uint64_t(1) << 20;
 
-  /// Hard cap on blocks per invocation; guards against behaviors whose
-  /// loops almost never exit. An invocation hitting the cap is abandoned
-  /// mid-walk (its blocks so far stay in the trace).
-  uint64_t MaxBlocksPerInvocation = 1u << 20;
+/// Thrown by walkProfile when an invocation reaches
+/// MaxBlocksPerInvocation: such a procedure has no synthetic profile, and
+/// the caller must supply a measured one.
+class ProfileWalkError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
 };
 
-/// Generates a trace of \p Proc by repeated random walks from the entry,
-/// choosing successors according to \p Behavior.
-ExecutionTrace generateTrace(const Procedure &Proc,
+/// Walks \p Proc from its entry to a return, over and over, choosing
+/// successors by \p Behavior and counting each block and edge as it
+/// steps. It stops once \p BranchBudget conditional/multiway branches
+/// have executed (checked per invocation; the last one winds down along a
+/// shortest path to a return), or after an invocation that executed no
+/// branch: each of its choices was forced, so every later one would
+/// repeat it. A zero budget walks nothing; the profile is flow-consistent.
+/// With \p Trace, the visited blocks are also appended to it (and its
+/// Invocations advanced) for callers that replay them, such as the
+/// simulator; the walk and its \p Rng draws are the same either way.
+/// Throws ProfileWalkError when an invocation reaches
+/// MaxBlocksPerInvocation.
+ProcedureProfile walkProfile(const Procedure &Proc,
                              const BranchBehavior &Behavior, Rng &Rng,
-                             const TraceGenOptions &Options);
+                             uint64_t BranchBudget,
+                             ExecutionTrace *Trace = nullptr);
 
 /// Derives edge/block counts from a trace. Every adjacent pair in the
-/// trace within one invocation contributes one edge count.
+/// trace within one invocation contributes one edge count. For a walk's
+/// recorded trace this equals the profile the walk returned.
 ProcedureProfile collectProfile(const Procedure &Proc,
                                 const ExecutionTrace &Trace);
 

@@ -234,11 +234,8 @@ ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,
     const Procedure &Proc = Prog.proc(P);
     Rng BehaviorRng(Seed * 7919 + P);
     BranchBehavior Behavior = skewedBehavior(Proc, BehaviorRng);
-    Rng TraceRng(Seed * 1000003 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = Budget;
-    Counts.Procs.push_back(collectProfile(
-        Proc, generateTrace(Proc, Behavior, TraceRng, TraceOptions)));
+    Rng WalkRng(Seed * 1000003 + P);
+    Counts.Procs.push_back(walkProfile(Proc, Behavior, WalkRng, Budget));
   }
   return Counts;
 }

@@ -72,9 +72,11 @@ void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 
 /// Simulates the seeded synthetic run align_tool performs when no
 /// --profile file is given: per procedure P, a skewed branch behavior
-/// seeded Seed*7919+P drives a trace seeded Seed*1000003+P with \p
-/// Budget branches. The seed arithmetic is contract — changing it
-/// changes every committed expectation downstream.
+/// seeded Seed*7919+P drives a walkProfile walk seeded Seed*1000003+P
+/// with \p Budget branches. The seed arithmetic is contract — changing
+/// it changes every committed expectation downstream. Throws
+/// ProfileWalkError (profile/Trace.h) when a procedure's walk cannot
+/// return, as in a loop with no exit.
 ProgramProfile synthesizeProfile(const Program &Prog, uint64_t Seed,
                                  uint64_t Budget);
 

@@ -91,7 +91,9 @@ enum class FrameError : uint8_t {
   TooLarge = 4,     ///< Length prefix exceeds MaxFramePayload.
   BadRequest = 5,   ///< Well-framed but semantically malformed body.
   ParseError = 6,   ///< CFG text did not parse.
-  ProfileError = 7, ///< Profile text did not parse / mismatched.
+  ProfileError = 7, ///< Profile text did not parse / mismatched, or
+                    ///< no synthetic profile exists (a walk that
+                    ///< cannot return; see ProfileWalkError).
   Aborted = 8,      ///< Alignment failed under OnErrorPolicy::Abort.
   Deadline = 9,     ///< The per-request deadline expired.
   Rejected = 10,    ///< Admission control: queue budget exhausted.

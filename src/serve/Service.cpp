@@ -4,6 +4,7 @@
 
 #include "ir/TextFormat.h"
 #include "profile/ProfileIO.h"
+#include "profile/Trace.h"
 #include "serve/Oneshot.h"
 
 using namespace balign;
@@ -28,7 +29,11 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
     if (!Counts)
       return makeErrorFrame(FrameError::ProfileError, Error);
   } else {
-    Counts = synthesizeProfile(*Prog, Req.Seed, Req.Budget);
+    try {
+      Counts = synthesizeProfile(*Prog, Req.Seed, Req.Budget);
+    } catch (const ProfileWalkError &E) {
+      return makeErrorFrame(FrameError::ProfileError, E.what());
+    }
   }
 
   // The per-request view of the shared base: one pool worker runs the

@@ -114,8 +114,8 @@ size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
 /// Profile checks: counter sanity, dead-but-hot blocks, flow
 /// conservation with suggested repairs. Returns check evaluations.
 size_t lintProfile(const Procedure &Proc, const ProcedureProfile &Profile,
-                   const Reachability &Reach, const LintOptions &Opts,
-                   DiagnosticEngine &Diags, ProfileClass &Class) {
+                   const Reachability &Reach, DiagnosticEngine &Diags,
+                   ProfileClass &Class) {
   const std::string &Name = Proc.getName();
   size_t N = Proc.numBlocks();
 
@@ -137,7 +137,7 @@ size_t lintProfile(const Procedure &Proc, const ProcedureProfile &Profile,
       Diags.report(Severity::Error, CheckId::LintCounterSaturated, PassName,
                    std::move(Loc),
                    std::string(What) + " count is saturated (2^64-1)");
-    else if (Count > Opts.OverflowLimit)
+    else if (Count > ProfileOverflowLimit)
       Diags.report(Severity::Error, CheckId::LintCounterOverflow, PassName,
                    std::move(Loc),
                    std::string(What) + " count " + std::to_string(Count) +
@@ -314,7 +314,7 @@ size_t balign::lintProcedure(const Procedure &Proc,
   size_t Checks = lintStructure(Proc, Reach, Loops, Opts, Diags);
   ProfileClass Class = ProfileClass::Consistent;
   if (Profile)
-    Checks += lintProfile(Proc, *Profile, Reach, Opts, Diags, Class);
+    Checks += lintProfile(Proc, *Profile, Reach, Diags, Class);
   if (ProcClass)
     *ProcClass = Class;
   return Checks;

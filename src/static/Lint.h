@@ -45,13 +45,9 @@
 namespace balign {
 
 /// Tuning for the lint checks. Defaults are calibrated so every corpus
-/// the workload generator emits (and every profile the trace generator
-/// collects from one) lints clean.
+/// the workload generator emits (and every profile the walk counts on
+/// one) lints clean.
 struct LintOptions {
-  /// Counts above this are overflow-suspicious (lint.counter-overflow);
-  /// matches balign-verify's penalty-arithmetic headroom screen.
-  uint64_t OverflowLimit = 1ull << 56;
-
   /// Loop nests at least this deep draw lint.deep-nest.
   unsigned DeepNestDepth = 8;
 };

@@ -215,15 +215,10 @@ WorkloadInstance balign::buildWorkload(const WorkloadSpec &Spec) {
       Ds.Behaviors.push_back(makeBehavior(Instance.Generated[P], Common[P],
                                           DsSpec.Divergence, BehaviorRng));
       Rng TraceRng(mixSeed(DsSpec.Seed, /*Salt=*/7, P));
-      TraceGenOptions TraceOptions;
-      TraceOptions.BranchBudget = Budgets[P];
-      ExecutionTrace Trace =
-          Budgets[P] == 0
-              ? ExecutionTrace()
-              : generateTrace(Instance.Prog.proc(P), Ds.Behaviors.back(),
-                              TraceRng, TraceOptions);
-      Ds.Profile.Procs.push_back(
-          collectProfile(Instance.Prog.proc(P), Trace));
+      ExecutionTrace Trace;
+      Ds.Profile.Procs.push_back(walkProfile(Instance.Prog.proc(P),
+                                             Ds.Behaviors.back(), TraceRng,
+                                             Budgets[P], &Trace));
       Ds.Traces.push_back(std::move(Trace));
     }
     Instance.DataSets.push_back(std::move(Ds));
@@ -236,7 +231,7 @@ WorkloadInstance balign::buildWorkload(const WorkloadSpec &Spec) {
   DiagnosticEngine Diags;
   checkCfg(Instance.Prog, Diags);
   for (const WorkloadDataSet &Ds : Instance.DataSets)
-    checkProfileFlow(Instance.Prog, Ds.Profile, Diags, VerifyOptions());
+    checkProfileFlow(Instance.Prog, Ds.Profile, Diags);
   std::string What = "workload generator self-check (" + Spec.Benchmark + ")";
   reportFatalIfErrors(Diags, What.c_str());
   return Instance;

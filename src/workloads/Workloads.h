@@ -82,7 +82,8 @@ struct WorkloadDataSet {
   std::string Name;
   std::vector<BranchBehavior> Behaviors; ///< Per procedure.
   std::vector<ExecutionTrace> Traces;    ///< Per procedure.
-  ProgramProfile Profile;                ///< Collected from Traces.
+  ProgramProfile Profile;                ///< Counted by the walks that
+                                         ///< recorded Traces.
   uint64_t BranchBudget = 0;
 };
 

@@ -32,11 +32,7 @@ struct RandomCase {
         generateProcedure("rand", Params, StructureRng);
     Proc = std::move(Gen.Proc);
     Rng TraceRng(Seed * 5 + 2);
-    TraceGenOptions Options;
-    Options.BranchBudget = 500;
-    ExecutionTrace Trace = generateTrace(
-        Proc, BranchBehavior::uniform(Proc), TraceRng, Options);
-    Profile = collectProfile(Proc, Trace);
+    Profile = walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, 500);
   }
 };
 

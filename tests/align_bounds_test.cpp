@@ -29,11 +29,7 @@ struct RandomCase {
     GeneratedProcedure Gen = generateProcedure("b", Params, StructureRng);
     Proc = std::move(Gen.Proc);
     Rng TraceRng(Seed * 7 + 13);
-    TraceGenOptions Options;
-    Options.BranchBudget = 400;
-    Profile = collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            Options));
+    Profile = walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, 400);
   }
 };
 

@@ -132,11 +132,8 @@ TEST(MaterializeTest, FixupCountMatchesPenaltyModelOverRandomLayouts) {
     GeneratedProcedure Gen = generateProcedure("m", Params, StructureRng);
     const Procedure &Proc = Gen.Proc;
     Rng TraceRng(Seed + 100);
-    TraceGenOptions Options;
-    Options.BranchBudget = 200;
-    ProcedureProfile Profile = collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            Options));
+    ProcedureProfile Profile = walkProfile(Proc, BranchBehavior::uniform(Proc),
+                                           TraceRng, 200);
     Layout L = Layout::original(Proc);
     Rng Shuffler(Seed + 200);
     for (size_t I = L.Order.size() - 1; I > 1; --I)

@@ -33,11 +33,8 @@ struct OutcomeFixture {
     GeneratedProcedure Gen = generateProcedure("o", Params, StructureRng);
     Proc = std::move(Gen.Proc);
     Rng TraceRng(Seed * 5 + 9);
-    TraceGenOptions Options;
-    Options.BranchBudget = Budget;
-    Trace = generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                          Options);
-    Profile = collectProfile(Proc, Trace);
+    Profile = walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng,
+                          Budget, &Trace);
     Mat = materializeLayout(Proc, Layout::original(Proc), Profile, Alpha);
   }
 };

@@ -183,11 +183,8 @@ TEST_P(ReductionEquivalence, WalkCostEqualsEvaluatedPenalty) {
   const Procedure &Proc = Gen.Proc;
 
   Rng TraceRng(Seed * 77 + 2);
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 300;
-  ExecutionTrace Trace = generateTrace(
-      Proc, BranchBehavior::uniform(Proc), TraceRng, TraceOptions);
-  ProcedureProfile Profile = collectProfile(Proc, Trace);
+  ProcedureProfile Profile =
+      walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, 300);
 
   AlignmentTsp Atsp = buildAlignmentTsp(Proc, Profile, Alpha);
   Rng LayoutRng(Seed * 13 + 3);

@@ -35,11 +35,7 @@ Procedure diamond() {
 ProcedureProfile profileFor(const Procedure &Proc, uint64_t Budget,
                             uint64_t Seed) {
   Rng TraceRng(Seed);
-  TraceGenOptions Options;
-  Options.BranchBudget = Budget;
-  return collectProfile(
-      Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                          Options));
+  return walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, Budget);
 }
 
 Procedure generated(uint64_t Seed, unsigned Sites = 6) {
@@ -144,7 +140,7 @@ TEST(ProfileCheckTest, CollectedProfileConserves) {
   Procedure Proc = diamond();
   ProcedureProfile Profile = profileFor(Proc, 500, 7);
   DiagnosticEngine Diags;
-  EXPECT_EQ(checkProfileFlow(Proc, Profile, Diags, VerifyOptions()), 0u);
+  EXPECT_EQ(checkProfileFlow(Proc, Profile, Diags), 0u);
   EXPECT_FALSE(Diags.hasErrors());
   EXPECT_FALSE(Diags.has(CheckId::ProfileFlowTruncated));
 }
@@ -154,7 +150,7 @@ TEST(ProfileCheckTest, CatchesNonConservedFlow) {
   ProcedureProfile Profile = profileFor(Proc, 500, 7);
   Profile.EdgeCounts[0][0] += 5; // Edge flow no longer matches counts.
   DiagnosticEngine Diags;
-  EXPECT_GT(checkProfileFlow(Proc, Profile, Diags, VerifyOptions()), 0u);
+  EXPECT_GT(checkProfileFlow(Proc, Profile, Diags), 0u);
   EXPECT_TRUE(Diags.has(CheckId::ProfileFlowImbalance));
 }
 
@@ -163,7 +159,7 @@ TEST(ProfileCheckTest, CatchesEdgeAbsentFromCfg) {
   ProcedureProfile Profile = profileFor(Proc, 500, 7);
   Profile.EdgeCounts[1].push_back(3); // Count for an edge the CFG lacks.
   DiagnosticEngine Diags;
-  checkProfileFlow(Proc, Profile, Diags, VerifyOptions());
+  checkProfileFlow(Proc, Profile, Diags);
   EXPECT_TRUE(Diags.has(CheckId::ProfileUnknownEdge));
 }
 
@@ -172,7 +168,7 @@ TEST(ProfileCheckTest, WarnsOnOverflowSuspiciousCounts) {
   ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
   Profile.BlockCounts[0] = ~static_cast<uint64_t>(0) / 2;
   DiagnosticEngine Diags;
-  checkProfileFlow(Proc, Profile, Diags, VerifyOptions());
+  checkProfileFlow(Proc, Profile, Diags);
   EXPECT_TRUE(Diags.has(CheckId::ProfileCountOverflow));
   EXPECT_GE(Diags.warningCount(), 1u);
 }
@@ -182,7 +178,7 @@ TEST(ProfileCheckTest, ProgramOverloadChecksArity) {
   Prog.addProcedure(diamond());
   ProgramProfile Train; // Empty: wrong arity.
   DiagnosticEngine Diags;
-  EXPECT_GT(checkProfileFlow(Prog, Train, Diags, VerifyOptions()), 0u);
+  EXPECT_GT(checkProfileFlow(Prog, Train, Diags), 0u);
   EXPECT_TRUE(Diags.has(CheckId::ProfileShapeMismatch));
 }
 

@@ -24,11 +24,7 @@ Procedure genProc(uint64_t Seed, unsigned BranchSites = 6) {
 ProcedureProfile genProfile(const Procedure &Proc, uint64_t Seed,
                             uint64_t Budget = 500) {
   Rng TraceRng(Seed);
-  TraceGenOptions Options;
-  Options.BranchBudget = Budget;
-  return collectProfile(
-      Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                          Options));
+  return walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, Budget);
 }
 
 Fingerprint fp(const Procedure &Proc, const ProcedureProfile &Profile,

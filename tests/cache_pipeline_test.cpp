@@ -45,11 +45,9 @@ Workload makeWorkload(uint64_t Seed = 7) {
   for (size_t P = 0; P != NumProcs; ++P) {
     const Procedure &Proc = W.Prog.proc(P);
     Rng TraceRng(Seed * 131 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = P == UnprofiledIndex ? 0 : 350;
-    W.Train.Procs.push_back(collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            TraceOptions)));
+    uint64_t Budget = P == UnprofiledIndex ? 0 : 350;
+    W.Train.Procs.push_back(
+        walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, Budget));
   }
   return W;
 }

@@ -45,11 +45,8 @@ Workload makeWorkload(size_t NumProcs, uint64_t Seed = 42) {
   for (size_t P = 0; P != NumProcs; ++P) {
     const Procedure &Proc = W.Prog.proc(P);
     Rng TraceRng(Seed * 31 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 400;
-    W.Train.Procs.push_back(collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            TraceOptions)));
+    W.Train.Procs.push_back(walkProfile(Proc, BranchBehavior::uniform(Proc),
+                                        TraceRng, 400));
   }
   W.Truth = alignProgram(W.Prog, W.Train, W.Options);
   return W;

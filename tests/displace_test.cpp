@@ -43,11 +43,7 @@ Sample makeSample(uint64_t Seed, unsigned Sites = 14) {
   Sample S;
   S.Proc = generateProcedure("s" + std::to_string(Seed), Params, R).Proc;
   Rng TraceRng(Seed * 977 + 3);
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 400;
-  S.Train = collectProfile(
-      S.Proc, generateTrace(S.Proc, BranchBehavior::uniform(S.Proc), TraceRng,
-                            TraceOptions));
+  S.Train = walkProfile(S.Proc, BranchBehavior::uniform(S.Proc), TraceRng, 400);
   return S;
 }
 

@@ -50,11 +50,8 @@ Workload makeWorkload(uint64_t Seed = 11, size_t NumProcs = 6) {
   for (size_t P = 0; P != NumProcs; ++P) {
     const Procedure &Proc = W.Prog.proc(P);
     Rng TraceRng(Seed * 131 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 400;
-    W.Train.Procs.push_back(collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            TraceOptions)));
+    W.Train.Procs.push_back(walkProfile(Proc, BranchBehavior::uniform(Proc),
+                                        TraceRng, 400));
   }
   return W;
 }

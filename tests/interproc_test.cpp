@@ -47,11 +47,10 @@ struct PlacementFixture {
     for (size_t P = 0; P != NumProcs; ++P) {
       const Procedure &Proc = Prog.proc(P);
       Rng TraceRng(Seed * 57 + P);
-      TraceGenOptions Options;
-      Options.BranchBudget = Budget;
-      Traces.push_back(generateTrace(Proc, BranchBehavior::uniform(Proc),
-                                     TraceRng, Options));
-      ProcedureProfile Profile = collectProfile(Proc, Traces.back());
+      Traces.emplace_back();
+      ProcedureProfile Profile =
+          walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, Budget,
+                      &Traces.back());
       Mats.push_back(materializeLayout(Proc, Layout::original(Proc),
                                        Profile, Model));
     }

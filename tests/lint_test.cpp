@@ -46,12 +46,9 @@ Corpus buildCorpus(uint64_t Seed, unsigned NumProcs,
     C.Prog.addProcedure(
         generateProcedure("p" + std::to_string(P), Params, R).Proc);
     Rng TraceRng = Root.fork();
-    TraceGenOptions Opts;
-    Opts.BranchBudget = 3000;
     const Procedure &Proc = C.Prog.proc(P);
-    C.Train.Procs.push_back(collectProfile(
-        Proc,
-        generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng, Opts)));
+    C.Train.Procs.push_back(walkProfile(Proc, BranchBehavior::uniform(Proc),
+                                        TraceRng, 3000));
   }
   return C;
 }
@@ -107,11 +104,8 @@ TEST(LintTest, EverySeededDefectIsDetected) {
                                          Params, R)
                            .Proc;
       Rng TraceRng = Root.fork();
-      TraceGenOptions Opts;
-      Opts.BranchBudget = 2000;
-      ProcedureProfile Profile = collectProfile(
-          Proc,
-          generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng, Opts));
+      ProcedureProfile Profile =
+          walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, 2000);
 
       CheckId Expected = seedDefect(Kind, Proc, Profile, R);
       DiagnosticEngine Diags;
@@ -137,10 +131,8 @@ TEST(LintTest, StaleProfileRepairIsSuggested) {
   GenParams Params;
   Params.TargetBranchSites = 6;
   Procedure Proc = generateProcedure("stale", Params, R).Proc;
-  TraceGenOptions Opts;
-  Opts.BranchBudget = 2000;
-  ProcedureProfile Profile = collectProfile(
-      Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), R, Opts));
+  ProcedureProfile Profile =
+      walkProfile(Proc, BranchBehavior::uniform(Proc), R, 2000);
   seedDefect(DefectKind::StaleProfile, Proc, Profile, R);
   DiagnosticEngine Diags;
   lintProcedure(Proc, &Profile, LintOptions(), Diags);

@@ -45,12 +45,8 @@ std::vector<SmallCase> smallCases(size_t Want, size_t MaxBlocks = 8) {
     if (Proc.numBlocks() < 3 || Proc.numBlocks() > MaxBlocks)
       continue;
     Rng TraceRng(Seed * 977);
-    TraceGenOptions Options;
-    Options.BranchBudget = 400;
     SmallCase C;
-    C.Profile = collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            Options));
+    C.Profile = walkProfile(Proc, BranchBehavior::uniform(Proc), TraceRng, 400);
     C.Proc = std::move(Proc);
     Cases.push_back(std::move(C));
   }

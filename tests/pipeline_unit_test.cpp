@@ -35,12 +35,9 @@ TEST(PipelineUnitTest, UnprofiledProceduresKeepOriginalLayout) {
   // Proc 0 profiled, proc 1 completely cold.
   {
     Rng TraceRng(9);
-    TraceGenOptions Options;
-    Options.BranchBudget = 300;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(0), generateTrace(Prog.proc(0),
-                                    BranchBehavior::uniform(Prog.proc(0)),
-                                    TraceRng, Options)));
+    Train.Procs.push_back(walkProfile(Prog.proc(0),
+                                      BranchBehavior::uniform(Prog.proc(0)),
+                                      TraceRng, 300));
   }
   Train.Procs.push_back(ProcedureProfile::zeroed(Prog.proc(1)));
 
@@ -73,12 +70,9 @@ TEST(PipelineUnitTest, SeedChangesSolverStreamNotDeterminism) {
   ProgramProfile Train;
   for (int P = 0; P != 2; ++P) {
     Rng TraceRng(21 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 400;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, TraceOptions)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 400));
   }
   AlignmentOptions Options;
   Options.ComputeBounds = false;
@@ -96,12 +90,9 @@ TEST(PipelineUnitTest, EvaluateProgramPenaltySums) {
   ProgramProfile Train;
   for (int P = 0; P != 2; ++P) {
     Rng TraceRng(31 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 200;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, TraceOptions)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 200));
   }
   std::vector<Layout> Layouts = {Layout::original(Prog.proc(0)),
                                  Layout::original(Prog.proc(1))};
@@ -123,12 +114,9 @@ TEST(PipelineUnitTest, StageTimesPositiveOnProfiledProgram) {
   ProgramProfile Train;
   for (int P = 0; P != 2; ++P) {
     Rng TraceRng(41 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 500;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, TraceOptions)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 500));
   }
   for (unsigned Threads : {1u, 4u}) {
     AlignmentOptions Options;
@@ -149,12 +137,9 @@ TEST(PipelineUnitTest, OversubscribedAndDefaultThreadCountsIdentical) {
   ProgramProfile Train;
   for (int P = 0; P != 2; ++P) {
     Rng TraceRng(51 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 300;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, TraceOptions)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 300));
   }
   AlignmentOptions Options;
   Options.ComputeBounds = false;

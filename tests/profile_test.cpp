@@ -53,9 +53,8 @@ TEST(BehaviorTest, InvalidShapesRejected) {
 TEST(TraceTest, WalksFollowCfgEdges) {
   Procedure P = makeLoop();
   Rng R(3);
-  TraceGenOptions Options;
-  Options.BranchBudget = 500;
-  ExecutionTrace Trace = generateTrace(P, loopBehavior(P, 0.8), R, Options);
+  ExecutionTrace Trace;
+  walkProfile(P, loopBehavior(P, 0.8), R, 500, &Trace);
   ASSERT_FALSE(Trace.empty());
   EXPECT_EQ(Trace.Blocks.front(), P.entry());
   for (size_t I = 0; I + 1 < Trace.Blocks.size(); ++I) {
@@ -75,10 +74,7 @@ TEST(TraceTest, WalksFollowCfgEdges) {
 TEST(TraceTest, RespectsBranchBudget) {
   Procedure P = makeLoop();
   Rng R(5);
-  TraceGenOptions Options;
-  Options.BranchBudget = 1000;
-  ExecutionTrace Trace = generateTrace(P, loopBehavior(P, 0.5), R, Options);
-  ProcedureProfile Profile = collectProfile(P, Trace);
+  ProcedureProfile Profile = walkProfile(P, loopBehavior(P, 0.5), R, 1000);
   uint64_t Branches = Profile.executedBranches(P);
   EXPECT_GE(Branches, 1000u);
   EXPECT_LT(Branches, 1200u); // Overshoot bounded by one invocation.
@@ -86,11 +82,12 @@ TEST(TraceTest, RespectsBranchBudget) {
 
 TEST(TraceTest, DeterministicGivenSeed) {
   Procedure P = makeLoop();
-  TraceGenOptions Options;
-  Options.BranchBudget = 100;
   Rng A(9), B(9);
-  ExecutionTrace TA = generateTrace(P, loopBehavior(P, 0.7), A, Options);
-  ExecutionTrace TB = generateTrace(P, loopBehavior(P, 0.7), B, Options);
+  ExecutionTrace TA, TB;
+  ProcedureProfile PA = walkProfile(P, loopBehavior(P, 0.7), A, 100, &TA);
+  ProcedureProfile PB = walkProfile(P, loopBehavior(P, 0.7), B, 100, &TB);
+  EXPECT_EQ(PA.EdgeCounts, PB.EdgeCounts);
+  EXPECT_EQ(PA.BlockCounts, PB.BlockCounts);
   EXPECT_EQ(TA.Blocks, TB.Blocks);
   EXPECT_EQ(TA.Invocations, TB.Invocations);
 }
@@ -98,10 +95,9 @@ TEST(TraceTest, DeterministicGivenSeed) {
 TEST(ProfileTest, FlowConsistencyFromTrace) {
   Procedure P = makeLoop();
   Rng R(11);
-  TraceGenOptions Options;
-  Options.BranchBudget = 2000;
-  ExecutionTrace Trace = generateTrace(P, loopBehavior(P, 0.9), R, Options);
-  ProcedureProfile Profile = collectProfile(P, Trace);
+  ExecutionTrace Trace;
+  ProcedureProfile Profile =
+      walkProfile(P, loopBehavior(P, 0.9), R, 2000, &Trace);
   EXPECT_TRUE(Profile.isFlowConsistent(P));
   // Loop body executions match the header->body edge count.
   EXPECT_EQ(Profile.blockCount(2), Profile.edgeCount(1, 0));
@@ -146,11 +142,8 @@ TEST(ProfileTest, ProgramAggregation) {
   ProgramProfile Profile;
   for (int I = 0; I != 2; ++I) {
     Rng R(20 + I);
-    TraceGenOptions Options;
-    Options.BranchBudget = 100;
-    ExecutionTrace Trace = generateTrace(
-        Prog.proc(I), loopBehavior(Prog.proc(I), 0.5), R, Options);
-    Profile.Procs.push_back(collectProfile(Prog.proc(I), Trace));
+    Profile.Procs.push_back(
+        walkProfile(Prog.proc(I), loopBehavior(Prog.proc(I), 0.5), R, 100));
   }
   EXPECT_EQ(Profile.executedBranches(Prog),
             Profile.Procs[0].executedBranches(Prog.proc(0)) +

@@ -130,13 +130,10 @@ TEST(ProfileIOTest, RoundTripsGeneratedWorkloadProfiles) {
   Prog.addProcedure(Gen.Proc);
 
   Rng TraceRng(43);
-  TraceGenOptions Options;
-  Options.BranchBudget = 500;
   ProgramProfile Profile;
-  Profile.Procs.push_back(collectProfile(
-      Prog.proc(0), generateTrace(Prog.proc(0),
-                                  BranchBehavior::uniform(Prog.proc(0)),
-                                  TraceRng, Options)));
+  Profile.Procs.push_back(walkProfile(Prog.proc(0),
+                                      BranchBehavior::uniform(Prog.proc(0)),
+                                      TraceRng, 500));
 
   std::string Error;
   std::optional<ProgramProfile> Parsed = parseProgramProfile(

@@ -160,11 +160,8 @@ Workload makeWorkload(size_t NumProcs) {
   for (size_t P = 0; P != NumProcs; ++P) {
     const Procedure &Proc = W.Prog.proc(P);
     Rng TraceRng(42 * 31 + P);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 300;
-    W.Train.Procs.push_back(collectProfile(
-        Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), TraceRng,
-                            TraceOptions)));
+    W.Train.Procs.push_back(walkProfile(Proc, BranchBehavior::uniform(Proc),
+                                        TraceRng, 300));
   }
   W.Truth = alignProgram(W.Prog, W.Train, W.Options);
   return W;

@@ -69,12 +69,10 @@ TEST_P(RoundTripFuzz, ProfileTextFormat) {
   ProgramProfile Profile;
   Rng TraceRng(GetParam() * 13 + 5);
   for (size_t P = 0; P != Prog.numProcedures(); ++P) {
-    TraceGenOptions Options;
-    Options.BranchBudget = 50 + TraceRng.nextIndex(300);
-    Profile.Procs.push_back(collectProfile(
-        Prog.proc(P),
-        generateTrace(Prog.proc(P), BranchBehavior::uniform(Prog.proc(P)),
-                      TraceRng, Options)));
+    uint64_t Budget = 50 + TraceRng.nextIndex(300);
+    Profile.Procs.push_back(walkProfile(Prog.proc(P),
+                                        BranchBehavior::uniform(Prog.proc(P)),
+                                        TraceRng, Budget));
   }
   std::string Text = printProgramProfile(Prog, Profile);
   std::string Error;

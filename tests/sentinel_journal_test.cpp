@@ -265,12 +265,8 @@ TEST(SentinelJournalTest, CacheStoreIsRefusedAndLeftByteIdentical) {
   Rng R(7);
   Prog.addProcedure(generateProcedure("p0", GenParams(), R).Proc);
   ProgramProfile Train;
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 200;
-  Train.Procs.push_back(collectProfile(
-      Prog.proc(0), generateTrace(Prog.proc(0),
-                                  BranchBehavior::uniform(Prog.proc(0)), R,
-                                  TraceOptions)));
+  Train.Procs.push_back(walkProfile(
+      Prog.proc(0), BranchBehavior::uniform(Prog.proc(0)), R, 200));
   AlignmentOptions Options;
   Options.Cache = CacheMode::Disk;
   Options.CachePath = Dir;

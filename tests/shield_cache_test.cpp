@@ -64,12 +64,9 @@ Workload makeWorkload(uint64_t Seed = 42) {
   Params.TargetBranchSites = 4;
   W.Prog.addProcedure(generateProcedure("p0", Params, R).Proc);
   Rng TraceRng(Seed * 31);
-  TraceGenOptions TraceOptions;
-  TraceOptions.BranchBudget = 400;
-  W.Train.Procs.push_back(collectProfile(
-      W.Prog.proc(0), generateTrace(W.Prog.proc(0),
-                                    BranchBehavior::uniform(W.Prog.proc(0)),
-                                    TraceRng, TraceOptions)));
+  W.Train.Procs.push_back(walkProfile(W.Prog.proc(0),
+                                      BranchBehavior::uniform(W.Prog.proc(0)),
+                                      TraceRng, 400));
   W.Truth = alignProgram(W.Prog, W.Train, W.Options);
   return W;
 }

@@ -42,12 +42,9 @@ ProgramProfile profileAll(const Program &Prog, uint64_t Seed) {
   ProgramProfile Train;
   for (size_t P = 0; P != Prog.numProcedures(); ++P) {
     Rng TraceRng(Seed + P);
-    TraceGenOptions Options;
-    Options.BranchBudget = 300;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, Options)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 300));
   }
   return Train;
 }
@@ -344,12 +341,9 @@ TEST(ShieldPipelineTest, UnprofiledProceduresBypassTheShield) {
   ProgramProfile Train;
   {
     Rng TraceRng(29);
-    TraceGenOptions TraceOptions;
-    TraceOptions.BranchBudget = 300;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(0), generateTrace(Prog.proc(0),
-                                    BranchBehavior::uniform(Prog.proc(0)),
-                                    TraceRng, TraceOptions)));
+    Train.Procs.push_back(walkProfile(Prog.proc(0),
+                                      BranchBehavior::uniform(Prog.proc(0)),
+                                      TraceRng, 300));
   }
   Train.Procs.push_back(ProcedureProfile::zeroed(Prog.proc(1)));
 

@@ -78,12 +78,10 @@ struct SimCase {
     GeneratedProcedure Gen = generateProcedure("p0", Params, StructureRng);
     Prog.addProcedure(Gen.Proc);
     Rng TraceRng(Seed * 11 + 2);
-    TraceGenOptions Options;
-    Options.BranchBudget = Budget;
-    Traces.push_back(generateTrace(Prog.proc(0),
-                                   BranchBehavior::uniform(Prog.proc(0)),
-                                   TraceRng, Options));
-    Profile.Procs.push_back(collectProfile(Prog.proc(0), Traces[0]));
+    Traces.emplace_back();
+    Profile.Procs.push_back(walkProfile(Prog.proc(0),
+                                        BranchBehavior::uniform(Prog.proc(0)),
+                                        TraceRng, Budget, &Traces[0]));
   }
 };
 
@@ -133,13 +131,10 @@ TEST(SimulatorTest, CrossTraceReplayDiffersFromTraining) {
   SimCase Train(5);
   // A second trace over the same program with a different seed.
   Rng TraceRng(999);
-  TraceGenOptions Options;
-  Options.BranchBudget = 800;
-  ExecutionTrace TestTrace = generateTrace(
+  ExecutionTrace TestTrace;
+  ProcedureProfile TestProfile = walkProfile(
       Train.Prog.proc(0), BranchBehavior::uniform(Train.Prog.proc(0)),
-      TraceRng, Options);
-  ProcedureProfile TestProfile =
-      collectProfile(Train.Prog.proc(0), TestTrace);
+      TraceRng, 800, &TestTrace);
 
   TspAligner T;
   Layout L = T.align(Train.Prog.proc(0), Train.Profile.Procs[0], Train.Alpha);

@@ -268,10 +268,7 @@ TEST(LoopOracleTest, StructuredGeneratorCfgsAreReducible) {
 /// Generates a flow-consistent trace profile for \p Proc.
 ProcedureProfile traceProfile(const Procedure &Proc, uint64_t Seed) {
   Rng R(Seed);
-  TraceGenOptions Opts;
-  Opts.BranchBudget = 4000;
-  return collectProfile(
-      Proc, generateTrace(Proc, BranchBehavior::uniform(Proc), R, Opts));
+  return walkProfile(Proc, BranchBehavior::uniform(Proc), R, 4000);
 }
 
 TEST(FlowSolverTest, ConsistentProfileReconstructsToItself) {

@@ -43,12 +43,9 @@ ProgramProfile profileAll(const Program &Prog, uint64_t Seed) {
   ProgramProfile Train;
   for (size_t P = 0; P != Prog.numProcedures(); ++P) {
     Rng TraceRng(Seed + P);
-    TraceGenOptions Options;
-    Options.BranchBudget = 300;
-    Train.Procs.push_back(collectProfile(
-        Prog.proc(P), generateTrace(Prog.proc(P),
-                                    BranchBehavior::uniform(Prog.proc(P)),
-                                    TraceRng, Options)));
+    Train.Procs.push_back(walkProfile(Prog.proc(P),
+                                      BranchBehavior::uniform(Prog.proc(P)),
+                                      TraceRng, 300));
   }
   return Train;
 }
