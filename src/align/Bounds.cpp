@@ -16,6 +16,11 @@ PenaltyBounds balign::computePenaltyBounds(const Procedure &Proc,
                                            const HeldKarpOptions &Options) {
   AlignmentTsp Atsp = buildAlignmentTsp(Proc, Train, Model);
   PenaltyBounds Bounds;
+  // Counts near the profile overflow screen can push the solvers' big-M
+  // constants past int64_t. Neither bound is defined there, so report the
+  // trivial ones: no layout's penalty is below 0.
+  if (!bigMConstants(Atsp.Tsp).Fits)
+    return Bounds;
 
   // The entry-pinned instance gives every feasible layout (= tour) a cost
   // equal to its penalty: the dummy->entry edge costs 0. Lower bounds on

@@ -41,7 +41,9 @@ struct PenaltyBounds {
 
 /// Computes both bounds for \p Proc. \p UpperBound must be the penalty of
 /// some feasible layout (e.g. the TSP aligner's result); it scales the
-/// Held-Karp subgradient steps and caps the returned bound.
+/// Held-Karp subgradient steps and caps the returned bound. An instance
+/// whose big-M constants overflow (bigMConstants) gets the trivial
+/// bounds, all 0, and neither solver runs.
 PenaltyBounds computePenaltyBounds(const Procedure &Proc,
                                    const ProcedureProfile &Train,
                                    const MachineModel &Model,

@@ -360,15 +360,6 @@ ProcedureTask alignOneProcedure(const Procedure &Proc,
           "DTSP instance of " + std::to_string(Cities) +
           " cities exceeds the cap of " +
           std::to_string(Options.MaxTspCities));
-    // The size of the symmetric transform's 2N x 2N matrix of 8-byte
-    // costs. Only the Held-Karp bound builds it (under ComputeBounds),
-    // but the cap bounds the instance and trips with bounds off too.
-    size_t MatrixBytes = 4 * Cities * Cities * sizeof(int64_t);
-    if (Options.MaxTspMatrixBytes && MatrixBytes > Options.MaxTspMatrixBytes)
-      throw ResourceCapError(
-          "symmetric transform of " + std::to_string(MatrixBytes) +
-          " bytes exceeds the cap of " +
-          std::to_string(Options.MaxTspMatrixBytes));
     Deadline ProcBudget(Options.ProcBudgetMs, Options.Clock,
                         Options.RunDeadline);
     const Deadline *Budget =

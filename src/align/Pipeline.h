@@ -268,16 +268,11 @@ struct AlignmentOptions {
   /// once it expires every remaining procedure degrades per OnError.
   const Deadline *RunDeadline = nullptr;
 
-  /// Resource caps on the DTSP reduction (0 = unlimited), checked before
+  /// Resource cap on the DTSP reduction (0 = unlimited), checked before
   /// any stage runs: a procedure whose instance of C cities (blocks +
-  /// dummy) exceeds MaxTspCities, or whose 2C x 2C symmetric transform
-  /// (4 * C * C 8-byte costs) would exceed MaxTspMatrixBytes, is a
-  /// FailureKind::ResourceCap failure handled per OnError. The byte cap
-  /// measures instance size: the 3-Opt solve never builds that matrix,
-  /// only the Held-Karp bound (under ComputeBounds) and the verifier's
-  /// matrix audit do, yet the cap trips with or without them.
+  /// dummy, a C x C matrix of 8-byte costs) exceeds MaxTspCities is a
+  /// FailureKind::ResourceCap failure handled per OnError.
   size_t MaxTspCities = 0;
-  size_t MaxTspMatrixBytes = 0;
 
   /// Clock for per-procedure budgets; empty = steadyClockMs. Tests
   /// inject a ManualClock to drive deadline trips deterministically.

@@ -77,7 +77,8 @@ enum class CheckId : uint16_t {
   LayoutAddressDisorder,  ///< layout.address-disorder
   LayoutItemIndexBroken,  ///< layout.item-index-broken
 
-  // matrix-audit: DTSP cost matrix and STSP transform invariants.
+  // matrix-audit: DTSP cost matrix and STSP transform invariants (the
+  // transform's lock bonus and probe-tour round trip).
   MatrixNegativeCost,     ///< matrix.negative-cost
   MatrixBigMLeak,         ///< matrix.bigm-leak
   MatrixDummyRowBroken,   ///< matrix.dummy-row-broken

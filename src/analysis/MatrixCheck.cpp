@@ -12,9 +12,10 @@
 //
 // Exactness audits (VerifyLevel::Full): every cell must equal a fresh
 // blockLayoutPenalty evaluation, and the DTSP->STSP transform must be
-// exact — locked pair edges at -LockBonus, real arcs carrying the
-// directed costs, forbidden cells at +LockBonus, and a probe tour whose
-// symmetric cost maps back to its directed cost to the cycle.
+// exact — a lock bonus above the instance's total absolute cost, and a
+// probe tour whose symmetric cost maps back to its directed cost to the
+// cycle. The transform is a view that computes each symmetric cell from
+// the directed matrix by one rule (unit-tested), so no cell is swept.
 //
 //===--------------------------------------------------------------------===//
 
@@ -35,54 +36,20 @@ static size_t auditTransform(const Procedure &Proc, const AlignmentTsp &Atsp,
   const std::string &Name = Proc.getName();
   const DirectedTsp &Dtsp = Atsp.Tsp;
   size_t N = Dtsp.numCities();
+  // An instance whose big-M constants overflow gets the trivial bounds,
+  // so no solver reads its transform and there is nothing to audit.
+  std::optional<int64_t> Total = Dtsp.totalAbsCost();
+  if (!Total || !bigMConstants(Dtsp).Fits)
+    return 0;
   // The audit re-runs the transform, which carries a balign-shield fault
   // site; verification must neither trip it nor consume a hit.
   FaultInjector::ScopedSuppress SuppressFaults;
   SymmetricTransform T = transformToSymmetric(Dtsp);
 
-  if (T.DirectedN != N || T.Sym.numCities() != 2 * N) {
-    Diags.report(Severity::Error, CheckId::MatrixTransformInexact, PassName,
-                 DiagLocation::procedure(Name),
-                 "symmetric transform has the wrong city count");
-    return Diags.errorCount() - Before;
-  }
-  if (T.LockBonus <= Dtsp.totalAbsCost())
+  if (T.LockBonus <= *Total)
     Diags.report(Severity::Error, CheckId::MatrixTransformInexact, PassName,
                  DiagLocation::procedure(Name),
                  "lock bonus does not dominate the total absolute cost");
-
-  // Cell-by-cell shape: city i splits into in-city i and out-city i + N.
-  size_t CellFindings = 0;
-  for (City I = 0; I != N && CellFindings < 8; ++I) {
-    for (City J = 0; J != N; ++J) {
-      int64_t InIn = T.Sym.dist(I, J);
-      int64_t OutIn = T.Sym.dist(I + N, J);
-      int64_t Expected;
-      bool Bad = false;
-      if (I == J) {
-        // Locked pair edge; in-in diagonal is unused (0 by construction
-        // of the dense matrix) and not checked.
-        Bad = OutIn != -T.LockBonus;
-        Expected = -T.LockBonus;
-      } else {
-        // Real directed arc i -> j lives on (i_out, j_in); in-in cells
-        // are forbidden.
-        Bad = OutIn != Dtsp.cost(I, J) || InIn != T.LockBonus;
-        Expected = Dtsp.cost(I, J);
-      }
-      if (T.Sym.dist(I + N, J + N) != T.LockBonus && I != J)
-        Bad = true; // out-out cells are forbidden too.
-      if (Bad) {
-        Diags.report(Severity::Error, CheckId::MatrixTransformInexact,
-                     PassName, DiagLocation::edge(Name, I, J),
-                     "transformed cell disagrees with the 2-city scheme "
-                     "(expected arc cost " +
-                         std::to_string(Expected) + ")");
-        if (++CellFindings == 8)
-          break; // One corruption usually smears; don't flood.
-      }
-    }
-  }
 
   // Probe tour round trip: the canonical directed tour must survive
   // expansion and collapse, and its symmetric cost must map back to its
@@ -92,7 +59,7 @@ static size_t auditTransform(const Procedure &Proc, const AlignmentTsp &Atsp,
     Probe[I] = I;
   std::vector<City> SymTour = T.toSymmetricTour(Probe);
   if (T.toDirectedTour(SymTour) != Probe ||
-      T.toDirectedCost(T.Sym.tourCost(SymTour)) != Dtsp.tourCost(Probe))
+      T.toDirectedCost(T.tourCost(SymTour)) != Dtsp.tourCost(Probe))
     Diags.report(Severity::Error, CheckId::MatrixTransformInexact, PassName,
                  DiagLocation::procedure(Name),
                  "probe tour does not round-trip through the transform");

@@ -28,7 +28,8 @@
 ///  4. matrix-audit  (matrix.*)  DTSP cost-matrix invariants: big-M
 ///                               containment, dummy-city row shape, cell
 ///                               exactness against the penalty model,
-///                               DTSP<->STSP transform exactness.
+///                               DTSP<->STSP transform exactness (lock
+///                               bonus, probe-tour round trip).
 ///  5. tour-bounds   (tour.* / bounds.*) tour validity, reported-cost and
 ///                               reduction exactness (tour cost ==
 ///                               layout penalty), HK/AP bound ordering
@@ -128,7 +129,8 @@ size_t checkLayout(const Procedure &Proc, const Layout &L,
 /// non-negative real costs below the pin, EntryPin actually exceeding
 /// the worst-case layout total, and — at VerifyLevel::Full — exactness
 /// of every cell against blockLayoutPenalty and of the DTSP->STSP
-/// transform on locked pairs, real arcs, and a probe tour.
+/// transform: a lock bonus above the total absolute cost, and a probe
+/// tour whose cost round-trips (its cells follow one unit-tested rule).
 size_t checkCostMatrix(const Procedure &Proc, const ProcedureProfile &Train,
                        const MachineModel &Model, const AlignmentTsp &Atsp,
                        DiagnosticEngine &Diags,

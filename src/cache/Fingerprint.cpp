@@ -115,7 +115,10 @@ void balign::hashHeldKarpOptions(Hasher &H, const HeldKarpOptions &HK) {
   H.u32(HK.Iterations);
   H.f64(HK.InitialAlpha);
   H.f64(HK.RelativeGapStop);
-  H.f64(HK.AbsoluteGapStop);
+  // Once an absolute gap-stop option that no caller set (the ascent now
+  // derives it from RelativeGapStop): every existing key absorbed this
+  // 0.0, so absorbing it keeps them valid.
+  H.f64(0.0);
 }
 
 Fingerprint

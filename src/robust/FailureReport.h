@@ -47,7 +47,7 @@ const char *ladderRungName(LadderRung Rung);
 enum class FailureKind : uint8_t {
   Fault,       ///< An injected FaultInjector fault fired.
   Deadline,    ///< A per-procedure or whole-run deadline expired.
-  ResourceCap, ///< A city-count/memory cap on the reduction tripped.
+  ResourceCap, ///< The city-count cap on the reduction tripped.
   Exception,   ///< Any other exception escaped a stage.
 };
 

@@ -20,7 +20,9 @@ AssignmentResult balign::assignmentBound(const DirectedTsp &Dtsp) {
   // Large-but-safe forbidden cost: any assignment using a diagonal entry
   // costs at least Forbidden - totalAbs > totalAbs >= any diagonal-free
   // assignment, even with negative entries present.
-  const int64_t Forbidden = 2 * Dtsp.totalAbsCost() + 1;
+  BigMConstants BigM = bigMConstants(Dtsp);
+  assert(BigM.Fits && "the self-loop cost overflows int64_t");
+  const int64_t Forbidden = BigM.SelfLoopCost;
   auto CostOf = [&](size_t From, size_t To) {
     return From == To ? Forbidden : Dtsp.cost(static_cast<City>(From),
                                               static_cast<City>(To));

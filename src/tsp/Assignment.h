@@ -31,7 +31,7 @@ struct AssignmentResult {
 };
 
 /// Solves the assignment relaxation of \p Dtsp (self-loops forbidden).
-/// Requires at least 2 cities.
+/// Requires at least 2 cities and bigMConstants(Dtsp).Fits.
 AssignmentResult assignmentBound(const DirectedTsp &Dtsp);
 
 } // namespace balign

@@ -8,9 +8,9 @@
 /// The Held-Karp lower bound on symmetric TSP tour length (Held & Karp
 /// 1970/1971, the paper's references [6, 7]), computed by Lagrangian
 /// ascent over 1-trees with a subgradient step schedule. The paper uses
-/// this bound — via the same DTSP-to-STSP transformation used for
-/// solving — to prove that its tours, and hence its branch alignments,
-/// are within 0.3% of optimal on average.
+/// this bound — via its DTSP-to-STSP transformation (Transform.h) — to
+/// prove that its tours, and hence its branch alignments, are within
+/// 0.3% of optimal on average.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -34,27 +34,17 @@ struct HeldKarpOptions {
   double InitialAlpha = 2.0;
 
   /// Stop once the bound is within this fraction of the incumbent tour
-  /// (the bound cannot exceed it anyway). heldKarpBoundDirected converts
-  /// this to an absolute tolerance on the *directed* cost scale before
-  /// invoking the symmetric ascent (whose own upper bound is shifted by
-  /// the huge pair-lock offset and useless for relative comparisons).
+  /// (the bound cannot exceed it anyway), measured on the *directed* cost
+  /// scale: the symmetric scale is shifted by the huge pair-lock offset
+  /// and useless for relative comparisons.
   double RelativeGapStop = 1e-4;
-
-  /// Absolute early-stop tolerance in cost units; 0 disables. Set
-  /// automatically by heldKarpBoundDirected from RelativeGapStop.
-  double AbsoluteGapStop = 0.0;
 };
 
-/// Computes the Held-Karp lower bound for the symmetric instance
-/// \p Sym. \p UpperBound must be the cost of some feasible tour (used
-/// only to scale subgradient steps). The returned value never exceeds
-/// the optimal tour cost.
-double heldKarpBoundSymmetric(const SymmetricTsp &Sym, int64_t UpperBound,
-                              const HeldKarpOptions &Options = {});
-
-/// Held-Karp bound for a directed instance: transforms to the pair-locked
-/// symmetric instance, bounds it, and maps the result back to directed
-/// scale. \p UpperBound is the cost of some feasible *directed* tour.
+/// Held-Karp bound for a directed instance, by ascent on its pair-locked
+/// symmetric view (Transform.h), mapped back to directed scale.
+/// \p UpperBound is the cost of some feasible *directed* tour (used only
+/// to scale subgradient steps and stop early). The returned value never
+/// exceeds the optimal tour cost. Requires bigMConstants(Dtsp).Fits.
 double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
                              const HeldKarpOptions &Options = {});
 

@@ -5,13 +5,13 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Instance types for the traveling salesman solvers. The alignment layer
+/// Instance type for the traveling salesman solvers. The alignment layer
 /// produces *directed* instances (edge cost = penalty cycles if city B
-/// succeeds city A in the layout); the solvers follow the paper and work
-/// on a *symmetric* transformation (see Transform.h). Costs are int64
-/// penalty-cycle counts; "forbidden" structure in the symmetric
-/// transformation is encoded with large finite values so every tour has a
-/// well-defined cost.
+/// succeeds city A in the layout). The solvers work on the directed
+/// matrix; the paper's symmetric transformation (Transform.h) is a view
+/// of it that Held-Karp reads. Costs are int64 penalty-cycle counts;
+/// "forbidden" structure is encoded with large finite values (the big-M
+/// constants below) so every tour has a well-defined cost.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace balign {
@@ -62,45 +63,35 @@ public:
   /// Cost of the open walk visiting \p Walk in order (no closing edge).
   int64_t walkCost(const std::vector<City> &Walk) const;
 
-  /// Sum of |cost| over all off-diagonal entries; used to size the
-  /// big-M constants of the symmetric transformation.
-  int64_t totalAbsCost() const;
+  /// Sum of |cost| over all off-diagonal entries, or nullopt if it does
+  /// not fit in int64_t; the big-M constants below are sized from it.
+  std::optional<int64_t> totalAbsCost() const;
 
 private:
   size_t N = 0;
   std::vector<int64_t> Costs;
 };
 
-/// A symmetric TSP instance over N cities, stored as a full matrix for
-/// O(1) lookups during local search.
-class SymmetricTsp {
-public:
-  SymmetricTsp() = default;
+/// The big-M constants both lower bounds derive from the total absolute
+/// cost T of a directed instance over N cities.
+struct BigMConstants {
+  /// False unless T and (N + 1) * LockBonus fit in int64_t; the latter
+  /// bounds SelfLoopCost, the pair-lock offset N * LockBonus and every
+  /// sum Held-Karp forms from them. Neither lower bound is defined on an
+  /// instance that does not fit, and the constants below are then 0.
+  bool Fits = false;
 
-  explicit SymmetricTsp(size_t NumCities)
-      : N(NumCities), Dists(NumCities * NumCities, 0) {}
+  /// T + 1: the pair-lock bonus and forbidden-edge cost of the symmetric
+  /// transformation (Transform.h), which Held-Karp bounds.
+  int64_t LockBonus = 0;
 
-  size_t numCities() const { return N; }
-
-  int64_t dist(City A, City B) const {
-    assert(A < N && B < N && "city out of range");
-    return Dists[A * N + B];
-  }
-
-  /// Sets both (A,B) and (B,A).
-  void setDist(City A, City B, int64_t Dist) {
-    assert(A < N && B < N && "city out of range");
-    Dists[A * N + B] = Dist;
-    Dists[B * N + A] = Dist;
-  }
-
-  /// Cost of the cyclic tour visiting \p Tour in order.
-  int64_t tourCost(const std::vector<City> &Tour) const;
-
-private:
-  size_t N = 0;
-  std::vector<int64_t> Dists;
+  /// 2T + 1: the assignment bound's cost for a self-loop, which no
+  /// cycle cover may use.
+  int64_t SelfLoopCost = 0;
 };
+
+/// Computes \p Dtsp's big-M constants with overflow-checked arithmetic.
+BigMConstants bigMConstants(const DirectedTsp &Dtsp);
 
 /// Returns true if \p Tour is a permutation of 0..N-1.
 bool isValidTour(const std::vector<City> &Tour, size_t N);

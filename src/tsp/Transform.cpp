@@ -11,28 +11,26 @@ using namespace balign;
 
 SymmetricTransform balign::transformToSymmetric(const DirectedTsp &Dtsp) {
   ScopedSpan Span("tsp.transform", SpanCat::Solver);
-  // balign-shield fault site: stands in for any failure while building
-  // the O(N^2) symmetric instance (e.g. allocation failure on a
-  // pathological procedure).
+  // balign-shield fault site: stands in for any failure while preparing
+  // the symmetric instance (e.g. allocation failure on a pathological
+  // procedure).
   FaultInjector::instance().throwIfFault(FaultSite::TspTransform);
-  size_t N = Dtsp.numCities();
-  assert(N >= 2 && "transformation needs at least two cities");
+  assert(Dtsp.numCities() >= 2 && "transformation needs at least two cities");
+  BigMConstants BigM = bigMConstants(Dtsp);
+  assert(BigM.Fits && "the lock bonus overflows int64_t");
   SymmetricTransform Result;
-  Result.DirectedN = N;
-  Result.LockBonus = Dtsp.totalAbsCost() + 1;
-  Result.Sym = SymmetricTsp(2 * N);
-
-  int64_t Forbidden = Result.LockBonus;
-  for (City A = 0; A != 2 * N; ++A)
-    for (City B = A + 1; B != 2 * N; ++B)
-      Result.Sym.setDist(A, B, Forbidden);
-  for (City I = 0; I != N; ++I)
-    Result.Sym.setDist(I, I + N, -Result.LockBonus);
-  for (City I = 0; I != N; ++I)
-    for (City J = 0; J != N; ++J)
-      if (I != J)
-        Result.Sym.setDist(I + N, J, Dtsp.cost(I, J));
+  Result.Dtsp = &Dtsp;
+  Result.DirectedN = Dtsp.numCities();
+  Result.LockBonus = BigM.LockBonus;
   return Result;
+}
+
+int64_t SymmetricTransform::tourCost(const std::vector<City> &Tour) const {
+  assert(Tour.size() == numCities() && "tour must visit every city");
+  int64_t Sum = 0;
+  for (size_t I = 0; I != Tour.size(); ++I)
+    Sum += dist(Tour[I], Tour[(I + 1) % Tour.size()]);
+  return Sum;
 }
 
 std::vector<City> SymmetricTransform::toSymmetricTour(

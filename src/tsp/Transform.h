@@ -14,11 +14,13 @@
 /// *out* city (index i + N). Distances:
 ///   d(i_in,  i_out) = -LockBonus    (the locked pair edge)
 ///   d(i_out, j_in ) = c(i, j)       for i != j (a real directed arc)
-///   everything else = +Forbidden    (never profitable)
+///   everything else = +LockBonus    (forbidden: never profitable)
 ///
 /// Any finite-cost symmetric tour alternates in/out and therefore encodes
 /// a directed tour; its symmetric cost equals the directed cost minus
-/// N * LockBonus, which the conversion helpers account for.
+/// N * LockBonus, which the conversion helpers account for. The
+/// transformation is a view: it answers d(A, B) by the rule above from
+/// the directed matrix and stores no 2N x 2N matrix.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -29,9 +31,10 @@
 
 namespace balign {
 
-/// A directed instance together with its symmetric transformation.
+/// The pair-locked symmetric view of a directed instance.
 struct SymmetricTransform {
-  SymmetricTsp Sym;
+  /// The directed instance; not owned, and must outlive the view.
+  const DirectedTsp *Dtsp = nullptr;
 
   /// Number of cities in the original directed instance.
   size_t DirectedN = 0;
@@ -40,6 +43,26 @@ struct SymmetricTransform {
   /// cost. Chosen larger than the total absolute cost of the directed
   /// instance so no finite improvement ever breaks a pair.
   int64_t LockBonus = 0;
+
+  /// Cities of the symmetric instance: in-cities 0..N-1, then out-cities.
+  size_t numCities() const { return 2 * DirectedN; }
+
+  /// The symmetric distance d(A, B) by the pair-locked rule; the unused
+  /// diagonal d(A, A) is 0.
+  int64_t dist(City A, City B) const {
+    assert(A < numCities() && B < numCities() && "city out of range");
+    bool AOut = A >= DirectedN, BOut = B >= DirectedN;
+    if (A == B)
+      return 0;
+    if (AOut == BOut)
+      return LockBonus; // In-in and out-out edges are forbidden.
+    City From = static_cast<City>(AOut ? A - DirectedN : B - DirectedN);
+    City To = AOut ? B : A;
+    return From == To ? -LockBonus : Dtsp->cost(From, To);
+  }
+
+  /// Cost of the cyclic symmetric tour visiting \p Tour in order.
+  int64_t tourCost(const std::vector<City> &Tour) const;
 
   /// Expands a directed tour into the corresponding symmetric tour
   /// (i -> i_in, i_out).
@@ -53,15 +76,10 @@ struct SymmetricTransform {
   int64_t toDirectedCost(int64_t SymCost) const {
     return SymCost + static_cast<int64_t>(DirectedN) * LockBonus;
   }
-
-  /// True if the symmetric edge (A, B) is a locked pair edge.
-  bool isPairEdge(City A, City B) const {
-    size_t N = DirectedN;
-    return A % N == B % N && A != B;
-  }
 };
 
-/// Builds the symmetric transformation of \p Dtsp.
+/// Builds the symmetric view of \p Dtsp: one pass for the lock bonus.
+/// Requires at least two cities and bigMConstants(Dtsp).Fits.
 SymmetricTransform transformToSymmetric(const DirectedTsp &Dtsp);
 
 } // namespace balign

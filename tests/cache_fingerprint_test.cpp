@@ -146,6 +146,22 @@ TEST(CacheFingerprintTest, HeldKarpOptionsKeyedOnlyWithBounds) {
   EXPECT_NE(fp(Proc, Profile, WithBounds), fp(Proc, Profile, WithBoundsHk));
 }
 
+/// Keys recorded before the Held-Karp options lost their absolute
+/// gap-stop field: hashHeldKarpOptions still absorbs the 0.0 that field
+/// held, so every stored v5 key stays valid, with bounds and without.
+TEST(CacheFingerprintTest, KeysMatchRecordedV5Keys) {
+  Procedure Proc = genProc(11);
+  ProcedureProfile Profile = genProfile(Proc, 12);
+  AlignmentOptions WithBounds;
+  WithBounds.ComputeBounds = true;
+  AlignmentOptions NoBounds;
+  NoBounds.ComputeBounds = false;
+  EXPECT_EQ(fp(Proc, Profile, WithBounds).str(),
+            "42f8fc08941154bc:0c3b1435cd4816bf");
+  EXPECT_EQ(fp(Proc, Profile, NoBounds).str(),
+            "0e7263f873999102:7b21a21a656bcc07");
+}
+
 TEST(CacheFingerprintTest, ThreadsAndHooksAreDeliberatelyNotKeyed) {
   Procedure Proc = genProc(13);
   ProcedureProfile Profile = genProfile(Proc, 14);

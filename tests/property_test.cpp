@@ -128,7 +128,7 @@ TEST(TransformPropertyTest, NegativeCostsSurviveRoundTrip) {
         D.setCost(I, J, V += 17);
   SymmetricTransform T = transformToSymmetric(D);
   std::vector<City> Tour = {0, 3, 1, 4, 2};
-  EXPECT_EQ(T.toDirectedCost(T.Sym.tourCost(T.toSymmetricTour(Tour))),
+  EXPECT_EQ(T.toDirectedCost(T.tourCost(T.toSymmetricTour(Tour))),
             D.tourCost(Tour));
   EXPECT_GT(T.LockBonus, 0);
 }

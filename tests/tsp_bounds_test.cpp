@@ -1,16 +1,20 @@
 //===- tests/tsp_bounds_test.cpp - Held-Karp and AP bound tests --------------===//
 
+#include "align/Reduction.h"
 #include "support/Random.h"
 #include "tsp/Assignment.h"
 #include "tsp/Exact.h"
 #include "tsp/HeldKarp.h"
 #include "tsp/Instance.h"
 #include "tsp/IteratedOpt.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
+#include <map>
 
 using namespace balign;
 
@@ -38,6 +42,36 @@ DirectedTsp randomSymmetricInstance(size_t N, uint64_t Seed,
       Dtsp.setCost(J, I, C);
     }
   return Dtsp;
+}
+
+/// A random instance whose city 0 may only be left into city 1 cheaply,
+/// like the alignment reduction's dummy row.
+DirectedTsp entryPinnedInstance(size_t N, uint64_t Seed, int64_t MaxCost) {
+  DirectedTsp D = randomInstance(N, Seed, MaxCost);
+  int64_t Pin = MaxCost * static_cast<int64_t>(N) + 1;
+  D.setCost(0, 1, 0);
+  for (City J = 2; J != N; ++J)
+    D.setCost(0, J, Pin);
+  return D;
+}
+
+/// bench/solver_micro's alignment-like instance: every city has a couple
+/// of cheap arcs (hot CFG edges) over an expensive background.
+DirectedTsp alignmentLikeInstance(size_t N, uint64_t Seed) {
+  Rng R(Seed);
+  DirectedTsp D(N);
+  for (City I = 0; I != N; ++I)
+    for (City J = 0; J != N; ++J)
+      if (I != J)
+        D.setCost(I, J, 200 + static_cast<int64_t>(R.nextBelow(800)));
+  for (City I = 0; I != N; ++I) {
+    for (int Hot = 0; Hot != 2; ++Hot) {
+      City J = static_cast<City>(R.nextIndex(N));
+      if (J != I)
+        D.setCost(I, J, static_cast<int64_t>(R.nextBelow(40)));
+    }
+  }
+  return D;
 }
 
 } // namespace
@@ -91,21 +125,136 @@ TEST(HeldKarpTest, DegenerateSizes) {
   EXPECT_DOUBLE_EQ(heldKarpBoundDirected(One, 0), 0.0);
 }
 
-TEST(HeldKarpTest, SymmetricBoundOnKnownInstance) {
-  // A 4-cycle with cheap ring edges (1) and expensive chords (10):
-  // optimal tour = 4; the HK bound must land at most 4 and at least the
-  // trivial spanning structure.
-  SymmetricTsp Sym(4);
-  for (City I = 0; I != 4; ++I)
-    for (City J = I + 1; J != 4; ++J)
-      Sym.setDist(I, J, 10);
-  Sym.setDist(0, 1, 1);
-  Sym.setDist(1, 2, 1);
-  Sym.setDist(2, 3, 1);
-  Sym.setDist(3, 0, 1);
-  double Bound = heldKarpBoundSymmetric(Sym, 4);
-  EXPECT_LE(Bound, 4.0 + 1e-9);
-  EXPECT_GE(Bound, 3.9); // HK is exact here (the LP optimum is the tour).
+/// Held-Karp bound bits (std::bit_cast<uint64_t>) for fixed instances and
+/// upper bounds, recorded from the ascent over the materialized 2N x 2N
+/// symmetric matrix that the pair-locked view replaced. The view's Prim
+/// must pick the same 1-trees, so these pins must never move. Upper
+/// bounds came from iterated 3-Opt (odd seeds up to 17) or the canonical
+/// tour (even ones), and for the last three from three times the
+/// canonical tour. Loose bounds on tiny instances let the potentials grow
+/// comparable to the lock bonus, so a forbidden edge can enter the tree:
+/// relaxing only finite edges there moved the N = 4 pin and the last
+/// three.
+TEST(HeldKarpPinTest, RandomInstancesMatchRecordedMatrixAscent) {
+  struct Pin {
+    size_t N;
+    uint64_t Seed;
+    int64_t MaxCost;
+    bool EntryPinned;
+    int64_t UpperBound;
+    uint64_t Bits;
+  };
+  const Pin Pins[] = {
+      {3, 1, 100, false, 123, 0x405ec00000000000ULL},
+      {4, 2, 3, false, 6, 0x4007fffff81b06f0ULL},
+      {5, 3, 1000000, false, 1271735, 0x413367b700000000ULL},
+      {6, 4, 100, true, 266, 0x405a800000000000ULL},
+      {7, 5, 3, true, 5, 0x4013ff7d0f85a000ULL},
+      {8, 6, 1000000, true, 4764727, 0x413707a600000000ULL},
+      {9, 7, 100, false, 153, 0x40631fffffffff00ULL},
+      {10, 8, 3, false, 17, 0x3fffffff964f0000ULL},
+      {12, 9, 1000000, false, 1338561, 0x41346cc100000000ULL},
+      {13, 10, 100, true, 698, 0x4065c00000000000ULL},
+      {16, 11, 3, true, 3, 0x4007ff71c6aa0000ULL},
+      {17, 12, 1000000, true, 9830972, 0x413614516a2a6000ULL},
+      {20, 13, 100, false, 151, 0x4062c7fffeaa1000ULL},
+      {11, 14, 3, false, 19, 0x3ffffffe6191d400ULL},
+      {25, 15, 1000000, true, 1843164, 0x413bf8157fcb8000ULL},
+      {29, 16, 100, true, 1391, 0x4067069793bf4000ULL},
+      {32, 17, 1000000, false, 1300765, 0x413305686b2e2000ULL},
+      {15, 18, 100, true, 647, 0x4062000000000000ULL},
+      {5, 15838, 1000000, false, 5501244, 0x4130d919ffffffe0ULL},
+      {7, 506816, 100, false, 1239, 0x4068800000000000ULL},
+      {3, 1900560, 3, true, 15, 0x4014000000000008ULL},
+  };
+  for (const Pin &P : Pins) {
+    DirectedTsp D = P.EntryPinned ? entryPinnedInstance(P.N, P.Seed, P.MaxCost)
+                                  : randomInstance(P.N, P.Seed, P.MaxCost);
+    double Bound = heldKarpBoundDirected(D, P.UpperBound);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Bound), P.Bits)
+        << "N=" << P.N << " seed " << P.Seed << ": " << Bound;
+  }
+}
+
+/// bench/solver_micro's BM_HeldKarpBound instances, with its upper-bound
+/// recipe (one greedy start, a quarter of the kicks).
+TEST(HeldKarpPinTest, MicrobenchInstancesMatchRecordedMatrixAscent) {
+  const struct {
+    size_t N;
+    int64_t UpperBound;
+    uint64_t Bits;
+  } Pins[] = {
+      {16, 1134, 0x408f6ffff0bda000ULL},
+      {64, 4699, 0x40adc0f357f60000ULL},
+  };
+  for (const auto &P : Pins) {
+    DirectedTsp D = alignmentLikeInstance(P.N, 42);
+    IteratedOptOptions Options;
+    Options.GreedyStarts = 1;
+    Options.NearestNeighborStarts = 0;
+    Options.CanonicalStart = false;
+    Options.IterationsFactor = 0.25;
+    int64_t Ub = solveDirectedTsp(D, Options).Cost;
+    ASSERT_EQ(Ub, P.UpperBound) << "N=" << P.N;
+    double Bound = heldKarpBoundDirected(D, Ub);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Bound), P.Bits)
+        << "N=" << P.N << ": " << Bound;
+  }
+}
+
+/// Suite procedures (benchmark, data set, procedure index) across all six
+/// benchmarks. All have at most 29 blocks except eqn's smallest, which
+/// has 35. Upper bounds alternate between the default iterated 3-Opt
+/// tour and the compiler-order tour.
+TEST(HeldKarpPinTest, SuiteProceduresMatchRecordedMatrixAscent) {
+  struct Pin {
+    const char *Benchmark;
+    size_t DataSet;
+    size_t Proc;
+    int64_t UpperBound;
+    uint64_t Bits;
+  };
+  const Pin Pins[] = {
+      {"com", 0, 1, 1034, 0x40902796ea048000ULL},
+      {"com", 1, 2, 17999, 0x40d1577ffd0f8800ULL},
+      {"com", 0, 3, 3234, 0x40a4f1eb7fab6000ULL},
+      {"com", 1, 3, 31392, 0x40dea73a41a8c000ULL},
+      {"dod", 0, 7, 829, 0x406cdf92e1c50000ULL},
+      {"dod", 1, 10, 28, 0x403bff597c77c000ULL},
+      {"dod", 0, 21, 287, 0x40719fff4901d000ULL},
+      {"dod", 1, 21, 122, 0x404f3fa8f7518000ULL},
+      {"eqn", 0, 2, 1300, 0x40944f80c3f1c000ULL},
+      {"eqn", 1, 2, 12777, 0x40c18ff69d11e000ULL},
+      {"esp", 0, 1, 154, 0x40626fffffaa5c00ULL},
+      {"esp", 1, 64, 1404, 0x40954c0000000000ULL},
+      {"esp", 0, 97, 8032, 0x40bc8b3cb32d4000ULL},
+      {"esp", 1, 33, 12195, 0x40c7d0e565670000ULL},
+      {"esp", 0, 28, 3109, 0x40a7bcfb52097000ULL},
+      {"esp", 1, 143, 2858, 0x40a37bf77d29f800ULL},
+      {"su2", 0, 15, 66596, 0x40f041e2f4bdb000ULL},
+      {"su2", 1, 5, 237, 0x406d3ffff2dd0000ULL},
+      {"su2", 0, 12, 3734, 0x40a933de438b2000ULL},
+      {"su2", 1, 16, 118, 0x405d7f4520fa4000ULL},
+      {"xli", 0, 6, 10, 0x401bffe0fe37d000ULL},
+      {"xli", 1, 6, 2560, 0x40a3ffbf0dfb2800ULL},
+      {"xli", 1, 10, 1724, 0x4091a2f943311000ULL},
+      {"xli", 1, 5, 326, 0x40745f8a435f1000ULL},
+  };
+  const MachineModel Model = MachineModel::alpha21164();
+  std::map<std::string, WorkloadInstance> Built;
+  for (const Pin &P : Pins) {
+    auto It = Built.find(P.Benchmark);
+    if (It == Built.end())
+      It = Built.emplace(P.Benchmark, buildWorkloadByName(P.Benchmark)).first;
+    const WorkloadInstance &W = It->second;
+    AlignmentTsp Atsp =
+        buildAlignmentTsp(W.Prog.proc(P.Proc),
+                          W.DataSets[P.DataSet].Profile.Procs[P.Proc], Model);
+    double Bound = heldKarpBoundDirected(Atsp.Tsp, P.UpperBound);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Bound), P.Bits)
+        << W.dataSetLabel(P.DataSet) << " procedure " << P.Proc << ": "
+        << Bound;
+  }
 }
 
 /// Property sweep: the AP bound is a valid relaxation.

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 using namespace balign;
 
 namespace {
@@ -34,7 +37,40 @@ TEST(InstanceTest, TourAndWalkCosts) {
   EXPECT_EQ(D.tourCost({0, 1, 2}), 5 + 7 + 11);
   EXPECT_EQ(D.tourCost({0, 2, 1}), 1 + 2 + 3);
   EXPECT_EQ(D.walkCost({0, 1, 2}), 5 + 7);
-  EXPECT_EQ(D.totalAbsCost(), 5 + 7 + 11 + 1 + 2 + 3);
+  EXPECT_EQ(D.totalAbsCost().value(), 5 + 7 + 11 + 1 + 2 + 3);
+}
+
+TEST(InstanceTest, BigMConstantsAreOverflowChecked) {
+  DirectedTsp D(3);
+  D.setCost(0, 1, 5);
+  D.setCost(1, 2, -7);
+  D.setCost(2, 0, 11);
+  BigMConstants K = bigMConstants(D);
+  ASSERT_TRUE(K.Fits);
+  EXPECT_EQ(K.LockBonus, 5 + 7 + 11 + 1);
+  EXPECT_EQ(K.SelfLoopCost, 2 * (5 + 7 + 11) + 1);
+
+  // The largest total that fits: (N + 1) * LockBonus == 4 * LockBonus.
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  int64_t Fits = Max / 4 - 1;
+  D = DirectedTsp(3);
+  D.setCost(0, 1, Fits);
+  K = bigMConstants(D);
+  ASSERT_TRUE(K.Fits);
+  EXPECT_EQ(K.LockBonus, Fits + 1);
+  EXPECT_EQ(K.SelfLoopCost, 2 * Fits + 1);
+  D.setCost(0, 1, Fits + 1);
+  EXPECT_FALSE(bigMConstants(D).Fits) << "4 * LockBonus overflows";
+
+  // A total that itself overflows, and the one cost with no |cost|.
+  D.setCost(0, 1, Max);
+  EXPECT_EQ(D.totalAbsCost().value(), Max);
+  D.setCost(1, 0, 1);
+  EXPECT_FALSE(D.totalAbsCost().has_value());
+  EXPECT_FALSE(bigMConstants(D).Fits);
+  D = DirectedTsp(2);
+  D.setCost(0, 1, std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(D.totalAbsCost().has_value());
 }
 
 TEST(InstanceTest, ValidTourChecks) {
@@ -54,7 +90,7 @@ TEST(TransformTest, SymmetricCostEqualsDirectedMinusLocks) {
     R.shuffle(Tour);
     std::vector<City> Sym = T.toSymmetricTour(Tour);
     EXPECT_TRUE(isValidTour(Sym, 14));
-    EXPECT_EQ(T.toDirectedCost(T.Sym.tourCost(Sym)), D.tourCost(Tour));
+    EXPECT_EQ(T.toDirectedCost(T.tourCost(Sym)), D.tourCost(Tour));
   }
 }
 
@@ -88,12 +124,29 @@ TEST(TransformTest, ReversedSymmetricTourStillCollapses) {
 TEST(TransformTest, LockBonusDominatesRealCosts) {
   DirectedTsp D = randomInstance(6, 44);
   SymmetricTransform T = transformToSymmetric(D);
-  EXPECT_GT(T.LockBonus, D.totalAbsCost());
-  // Pair edges are the lock bonus; real arcs appear as out->in edges.
-  EXPECT_EQ(T.Sym.dist(2, 2 + 6), -T.LockBonus);
-  EXPECT_EQ(T.Sym.dist(2 + 6, 3), D.cost(2, 3));
-  // In->in edges are forbidden.
-  EXPECT_EQ(T.Sym.dist(1, 2), T.LockBonus);
+  ASSERT_EQ(T.numCities(), 12u);
+  EXPECT_GT(T.LockBonus, D.totalAbsCost().value());
+  // Every cell by the pair-locked rule, in both argument orders.
+  for (City I = 0; I != 6; ++I) {
+    for (City J = 0; J != 6; ++J) {
+      City IOut = I + 6, JOut = J + 6;
+      // The diagonal is unused and 0.
+      if (I == J) {
+        EXPECT_EQ(T.dist(I, I), 0);
+        EXPECT_EQ(T.dist(IOut, IOut), 0);
+        // Pair edges carry the lock bonus.
+        EXPECT_EQ(T.dist(I, IOut), -T.LockBonus);
+        EXPECT_EQ(T.dist(IOut, I), -T.LockBonus);
+        continue;
+      }
+      // A real arc i -> j is the edge i_out - j_in.
+      EXPECT_EQ(T.dist(IOut, J), D.cost(I, J)) << I << "->" << J;
+      EXPECT_EQ(T.dist(J, IOut), D.cost(I, J)) << I << "->" << J;
+      // In-in and out-out edges are forbidden.
+      EXPECT_EQ(T.dist(I, J), T.LockBonus);
+      EXPECT_EQ(T.dist(IOut, JOut), T.LockBonus);
+    }
+  }
 }
 
 TEST(ConstructTest, NearestNeighborProducesValidTours) {

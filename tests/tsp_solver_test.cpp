@@ -87,7 +87,7 @@ TEST(LocalSearchTest, NeverWorsensAndStaysValid) {
     std::vector<City> Back = T.toDirectedTour(Sym);
     EXPECT_EQ(Back, Dir);
     EXPECT_EQ(D.tourCost(Back), After);
-    EXPECT_EQ(T.toDirectedCost(T.Sym.tourCost(Sym)), After);
+    EXPECT_EQ(T.toDirectedCost(T.tourCost(Sym)), After);
   }
 }
 
@@ -98,7 +98,7 @@ TEST(LocalSearchTest, ReachesTwoOptLocalOptimum) {
   std::vector<City> Dir = canonicalTour(12);
   localSearchDirected(D, Candidates, Dir);
   std::vector<City> Sym = T.toSymmetricTour(Dir);
-  int64_t Cost = T.Sym.tourCost(Sym);
+  int64_t Cost = T.tourCost(Sym);
 
   // No single 2-opt move may improve the result further.
   size_t N = Sym.size();
@@ -108,7 +108,7 @@ TEST(LocalSearchTest, ReachesTwoOptLocalOptimum) {
         continue;
       std::vector<City> Alt = Sym;
       std::reverse(Alt.begin() + I + 1, Alt.begin() + J + 1);
-      EXPECT_GE(T.Sym.tourCost(Alt), Cost)
+      EXPECT_GE(T.tourCost(Alt), Cost)
           << "improving 2-opt move left at (" << I << "," << J << ")";
     }
   }
@@ -195,13 +195,13 @@ TEST(PairLockedMoveTest, OnlyForwardPairInsertionsCanImprove) {
       R.shuffle(Dir);
       std::vector<City> Sym = T.toSymmetricTour(Dir);
       const size_t M = Sym.size();
-      int64_t Cost = T.Sym.tourCost(Sym);
+      int64_t Cost = T.tourCost(Sym);
 
       for (size_t I = 0; I + 2 < M; ++I)
         for (size_t J = I + 2; J < M; ++J) {
           std::vector<City> Alt = Sym;
           std::reverse(Alt.begin() + I + 1, Alt.begin() + J + 1);
-          EXPECT_GE(T.Sym.tourCost(Alt), Cost)
+          EXPECT_GE(T.tourCost(Alt), Cost)
               << "N=" << N << ": improving 2-opt move (" << I << "," << J
               << ")";
         }
@@ -220,7 +220,7 @@ TEST(PairLockedMoveTest, OnlyForwardPairInsertionsCanImprove) {
               std::vector<City> Alt(Rest.begin(), Rest.begin() + After + 1);
               Alt.insert(Alt.end(), Moved.begin(), Moved.end());
               Alt.insert(Alt.end(), Rest.begin() + After + 1, Rest.end());
-              int64_t Delta = T.Sym.tourCost(Alt) - Cost;
+              int64_t Delta = T.tourCost(Alt) - Cost;
               if (Delta >= 0)
                 continue;
               ++Improving;
