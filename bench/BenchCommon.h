@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Utilities shared by the per-table/figure harnesses: building the suite,
-/// running whole-program alignment per data set, and simulating execution
-/// times. Every harness prints its table to stdout and exits 0 so the
+/// running whole-program alignment per data set (optionally under a
+/// trace session, for per-stage times), and simulating execution times.
+/// Every harness prints its table to stdout and exits 0 so the
 /// whole directory can be run with `for b in build/bench/*; do $b; done`.
 ///
 //===--------------------------------------------------------------------===//
@@ -18,9 +19,11 @@
 #include "align/Pipeline.h"
 #include "objective/Penalty.h"
 #include "sim/Simulator.h"
+#include "trace/Scope.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,33 @@ alignSuite(const std::vector<WorkloadInstance> &Suite,
     }
   }
   return Cells;
+}
+
+/// Summed wall time and count of the drained spans of one name.
+struct SpanTotal {
+  double Seconds = 0.0;
+  size_t Count = 0;
+};
+
+/// alignProgram under a fresh TraceSession; \p Spans receives every span
+/// name's total. Per-stage compile time is read off the `stage.*` spans,
+/// the same probes `align_tool --trace` exports; under parallelism a
+/// total sums the spans of every worker.
+inline ProgramAlignment alignTraced(const Program &Prog,
+                                    const ProgramProfile &Train,
+                                    const AlignmentOptions &Options,
+                                    std::map<std::string, SpanTotal> &Spans) {
+  TraceSession Session;
+  Session.install();
+  ProgramAlignment Result = alignProgram(Prog, Train, Options);
+  Session.uninstall();
+  Spans.clear();
+  for (const TraceSpan &S : Session.drainSpans()) {
+    SpanTotal &Total = Spans[S.Name];
+    Total.Seconds += static_cast<double>(S.EndNs - S.StartNs) * 1e-9;
+    ++Total.Count;
+  }
+  return Result;
 }
 
 /// Simulates \p Layouts against one data set's traces; arrangements and

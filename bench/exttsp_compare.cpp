@@ -3,18 +3,20 @@
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 // Runs every registered aligner (original, greedy, cg, tsp, exttsp) over
-// the full six-benchmark suite, self-trained per data set, and emits
-// BENCH_exttsp.json: per cell, each aligner's paper control penalty,
-// Ext-TSP locality score, degenerate fall-through score (Ext-TSP with
-// windows of 1 — pure weighted adjacency), simulated I-cache misses, and
-// alignment wall time; plus a summary with the per-procedure
-// exttsp-vs-greedy win rate and the exttsp/tsp penalty ratio (the two
-// acceptance metrics). The JSON schema is shared with
-// examples/exttsp_study.cpp --json; CI diffs the key structure of the
-// two and asserts exttsp_score >= fallthrough_score for every row (true
-// by construction: windowed credits only add to adjacency credit).
+// the six-benchmark suite (or the named benchmarks), self-trained per
+// data set, and emits BENCH_exttsp.json: per cell, each aligner's paper
+// control penalty, Ext-TSP locality score, degenerate fall-through score
+// (Ext-TSP with windows of 1 — pure weighted adjacency), simulated
+// I-cache misses, and alignment wall time; plus a summary with the
+// per-procedure exttsp-vs-greedy win rate and the exttsp/tsp penalty
+// ratio (the two acceptance metrics). CI runs it on `com xli`, checks the
+// JSON's schema and every cell but align_ms against the committed
+// BENCH_exttsp.json, and asserts exttsp_score >= fallthrough_score for
+// every row (true by construction: windowed credits only add to
+// adjacency credit).
 //
-// Usage: exttsp_compare [output.json]   (default: BENCH_exttsp.json)
+// Usage: exttsp_compare [output.json [benchmark ...]]
+//   defaults: BENCH_exttsp.json over the whole suite
 //
 //===--------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -194,18 +197,35 @@ void writeJson(std::FILE *Out, const std::vector<DataSetResult> &Cells,
 
 int main(int Argc, char **Argv) {
   const char *OutPath = Argc > 1 ? Argv[1] : "BENCH_exttsp.json";
-  std::printf("=== Ext-TSP objective comparison (all aligners, full suite) "
-              "===\n\n");
-  std::vector<WorkloadInstance> Suite = buildSuite();
-  MachineModel Model = MachineModel::alpha21164();
+  std::vector<std::string> Benchmarks(Argv + std::min(Argc, 2), Argv + Argc);
+  if (Benchmarks.empty())
+    for (const WorkloadSpec &Spec : benchmarkSuite())
+      Benchmarks.push_back(Spec.Benchmark);
+  for (const std::string &B : Benchmarks) {
+    bool Known = false;
+    for (const WorkloadSpec &Spec : benchmarkSuite())
+      Known |= Spec.Benchmark == B;
+    if (!Known) {
+      std::fprintf(stderr,
+                   "unknown benchmark '%s' (try com dod eqn esp su2 xli)\n",
+                   B.c_str());
+      return 1;
+    }
+  }
 
+  std::printf("=== Ext-TSP objective comparison (all aligners, %s) ===\n\n",
+              Argc > 2 ? "named benchmarks" : "full suite");
+  MachineModel Model = MachineModel::alpha21164();
   std::vector<DataSetResult> Cells;
-  for (const WorkloadInstance &W : Suite)
+  for (const std::string &B : Benchmarks) {
+    std::fprintf(stderr, "[setup] building workload %s ...\n", B.c_str());
+    WorkloadInstance W = buildWorkloadByName(B);
     for (size_t Ds = 0; Ds != W.DataSets.size(); ++Ds) {
       std::fprintf(stderr, "[setup] evaluating %s ...\n",
                    W.dataSetLabel(Ds).c_str());
       Cells.push_back(evaluateDataSet(W, Ds, Model));
     }
+  }
 
   TextTable T;
   T.addColumn("data set");

@@ -8,10 +8,15 @@
 //   paper stage              ours
 //   Intermediate Repr.    -> workload CFG generation
 //   Instrumented Program  -> the profile walk (the "profiling run")
-//   Greedy Program        -> greedy alignment
-//   TSP Matrix            -> DTSP cost-matrix construction
+//   Greedy Program        -> greedy alignment            (stage.greedy)
+//   TSP Matrix            -> DTSP cost-matrix construction (stage.matrix)
 //   TSP Solver            -> iterated 3-Opt over all procedures
+//                                                         (stage.solve)
 //   TSP Program           -> layout materialization
+//
+// The three alignment stages are read off the pipeline's trace spans
+// (summed over procedures); the other stages run outside alignProgram
+// and are timed here with a wall-clock stopwatch.
 //
 // Absolute seconds are incomparable (1997 SUIF on an AlphaStation vs
 // this machine); the *shape* to check is that the TSP solver dominates
@@ -59,7 +64,9 @@ namespace {
 /// scaling lever that decides whether TSP alignment can run on every
 /// build. Emits BENCH_parallel.json so the speedup is a tracked
 /// trajectory point. Determinism is asserted here too: every thread
-/// count must reproduce the serial penalties exactly.
+/// count must reproduce the serial penalties exactly. The solve column
+/// sums the stage.solve spans of every worker, so it is work, not wall
+/// time, and grows when workers contend for cores or memory.
 void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
   AlignmentOptions Options;
   Options.ComputeBounds = false;
@@ -73,7 +80,7 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
   TextTable T;
   T.addColumn("threads", TextTable::AlignKind::Right);
   T.addColumn("wall-s", TextTable::AlignKind::Right);
-  T.addColumn("solver-cpu-s", TextTable::AlignKind::Right);
+  T.addColumn("solve-s", TextTable::AlignKind::Right);
   T.addColumn("speedup", TextTable::AlignKind::Right);
   T.addColumn("identical", TextTable::AlignKind::Right);
 
@@ -83,20 +90,22 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
     Counts.push_back(Hw);
 
   double SerialWall = 0.0;
-  double SerialSolverCpu = 0.0;
+  double SerialSolve = 0.0;
   uint64_t SerialPenalty = 0;
   double BestSpeedup = 1.0;
   unsigned BestThreads = 1;
 
   for (unsigned Threads : Counts) {
     Options.Threads = Threads;
+    std::map<std::string, SpanTotal> Spans;
     Stopwatch Wall;
-    ProgramAlignment Result = alignProgram(W.Prog, Profile, Options);
+    ProgramAlignment Result = alignTraced(W.Prog, Profile, Options, Spans);
     double WallSeconds = Wall.seconds();
+    double SolveSeconds = Spans["stage.solve"].Seconds;
     bool Identical = true;
     if (Threads == 1) {
       SerialWall = WallSeconds;
-      SerialSolverCpu = Result.SolverSeconds;
+      SerialSolve = SolveSeconds;
       SerialPenalty = Result.totalTspPenalty();
     } else {
       Identical = Result.totalTspPenalty() == SerialPenalty;
@@ -107,7 +116,7 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
       BestThreads = Threads;
     }
     T.addRow({std::to_string(Threads), formatFixed(WallSeconds, 3),
-              formatFixed(Result.SolverSeconds, 3), formatFixed(Speedup, 2),
+              formatFixed(SolveSeconds, 3), formatFixed(Speedup, 2),
               Identical ? "yes" : "NO"});
     if (!Identical)
       std::fprintf(stderr,
@@ -122,7 +131,7 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
        << "  \"procedures\": " << W.Prog.numProcedures() << ",\n"
        << "  \"hardware_threads\": " << Hw << ",\n"
        << "  \"serial_wall_seconds\": " << SerialWall << ",\n"
-       << "  \"serial_solver_cpu_seconds\": " << SerialSolverCpu << ",\n"
+       << "  \"serial_solve_seconds\": " << SerialSolve << ",\n"
        << "  \"best_speedup\": " << BestSpeedup << ",\n"
        << "  \"best_speedup_threads\": " << BestThreads << "\n"
        << "}\n";
@@ -135,7 +144,7 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
 /// change between compiles, so the warm path is the compile time a
 /// developer actually sees. Emits BENCH_cache.json. Correctness is
 /// asserted inline: the warm runs must hit on every profiled procedure,
-/// perform zero solver work, and reproduce the cold penalties exactly.
+/// record no stage.solve span, and reproduce the cold penalties exactly.
 void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
   const ProgramProfile &Profile = W.DataSets[DataSet].Profile;
   std::string Dir =
@@ -155,7 +164,7 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
   T.addColumn("run");
   T.addColumn("threads", TextTable::AlignKind::Right);
   T.addColumn("wall-s", TextTable::AlignKind::Right);
-  T.addColumn("solver-cpu-s", TextTable::AlignKind::Right);
+  T.addColumn("solve-s", TextTable::AlignKind::Right);
   T.addColumn("hits", TextTable::AlignKind::Right);
   T.addColumn("misses", TextTable::AlignKind::Right);
   T.addColumn("identical", TextTable::AlignKind::Right);
@@ -176,9 +185,11 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
     // A fresh session per run: warm runs reload the store from disk the
     // way a new compiler process would.
     CacheSession Session(Options);
+    std::map<std::string, SpanTotal> Spans;
     Stopwatch Wall;
-    ProgramAlignment Result = alignProgram(W.Prog, Profile, Options);
+    ProgramAlignment Result = alignTraced(W.Prog, Profile, Options, Spans);
     double WallSeconds = Wall.seconds();
+    const SpanTotal &Solve = Spans["stage.solve"];
     std::string Error;
     if (!Session.flush(&Error))
       std::fprintf(stderr, "error: cache flush failed: %s\n", Error.c_str());
@@ -195,22 +206,21 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
         WarmHits = Stats.Hits;
       }
       Identical = Result.totalTspPenalty() == ColdPenalty &&
-                  Result.SolverSeconds == 0.0 && Stats.Misses == 0;
+                  Solve.Count == 0 && Stats.Misses == 0;
       AllIdentical &= Identical;
       if (!Identical)
         std::fprintf(stderr,
                      "error: warm %u-thread run diverged (penalty %llu vs "
-                     "%llu, solver %.3fs, misses %llu)\n",
+                     "%llu, %zu stage.solve spans, misses %llu)\n",
                      R.Threads,
                      static_cast<unsigned long long>(
                          Result.totalTspPenalty()),
                      static_cast<unsigned long long>(ColdPenalty),
-                     Result.SolverSeconds,
+                     Solve.Count,
                      static_cast<unsigned long long>(Stats.Misses));
     }
     T.addRow({R.Label, std::to_string(R.Threads),
-              formatFixed(WallSeconds, 3),
-              formatFixed(Result.SolverSeconds, 3),
+              formatFixed(WallSeconds, 3), formatFixed(Solve.Seconds, 3),
               std::to_string(Stats.Hits), std::to_string(Stats.Misses),
               Identical ? "yes" : "NO"});
   }
@@ -256,7 +266,7 @@ int main() {
   // study after the table.
   WorkloadInstance Largest;
   size_t LargestWorstDs = 0;
-  double LargestSolverSeconds = -1.0;
+  double LargestSolveSeconds = -1.0;
 
   for (const WorkloadSpec &Spec : benchmarkSuite()) {
     // Time the CFG + data-set construction.
@@ -280,8 +290,10 @@ int main() {
 
     AlignmentOptions Options;
     Options.ComputeBounds = false; // Bounds excluded, as in the paper.
+    std::map<std::string, SpanTotal> Spans;
     ProgramAlignment Result =
-        alignProgram(W.Prog, W.DataSets[Worst].Profile, Options);
+        alignTraced(W.Prog, W.DataSets[Worst].Profile, Options, Spans);
+    double SolveSeconds = Spans["stage.solve"].Seconds;
 
     Stopwatch MaterializeTimer;
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P)
@@ -296,15 +308,15 @@ int main() {
 
     T.addRow({Spec.Benchmark, formatFixed(BuildSeconds, 3),
               formatFixed(WalkSeconds, 3),
-              formatFixed(Result.GreedySeconds, 3),
-              formatFixed(Result.MatrixSeconds, 3),
-              formatFixed(Result.SolverSeconds, 3),
+              formatFixed(Spans["stage.greedy"].Seconds, 3),
+              formatFixed(Spans["stage.matrix"].Seconds, 3),
+              formatFixed(SolveSeconds, 3),
               formatFixed(MaterializeSeconds, 3),
               Paper ? formatFixed(Paper->Solver, 1) : "-",
               Paper ? formatFixed(Paper->Greedy, 1) : "-"});
 
-    if (Result.SolverSeconds > LargestSolverSeconds) {
-      LargestSolverSeconds = Result.SolverSeconds;
+    if (SolveSeconds > LargestSolveSeconds) {
+      LargestSolveSeconds = SolveSeconds;
       Largest = std::move(W);
       LargestWorstDs = Worst;
     }

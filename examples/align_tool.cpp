@@ -470,17 +470,6 @@ LintResult runLintChecks(const Program &Prog, const ProgramProfile &Counts,
   return Result;
 }
 
-/// Minimal JSON string escaping for file names in the batch lint array.
-std::string jsonEscaped(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
 /// Writes \p Contents to \p Path, or reports "error: cannot write" and
 /// returns false. A full device may fail only at close(), so check after.
 bool writeTextFile(const std::string &Path, const std::string &Contents) {

@@ -8,7 +8,6 @@
 #include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 #include "trace/Scope.h"
 
 #include <optional>
@@ -104,17 +103,11 @@ std::vector<Layout> ProgramAlignment::tspLayouts() const {
 namespace {
 
 /// Everything one procedure's alignment produces, including the stage
-/// artifacts the hooks observe and the per-stage CPU time the worker
-/// spent on it. Kept per-procedure (not accumulated into shared state)
-/// so parallel workers never write to the same location and the drain
-/// loop can replay hooks and sum timers in program order.
+/// artifacts the hooks observe. Kept per-procedure (not accumulated into
+/// shared state) so parallel workers never write to the same location
+/// and the drain loop can replay hooks in program order.
 struct ProcedureTask {
   ProcedureAlignment PA;
-
-  double GreedySeconds = 0.0;
-  double MatrixSeconds = 0.0;
-  double SolverSeconds = 0.0;
-  double BoundsSeconds = 0.0;
 
   /// Hook payloads; only retained (and only meaningful) for profiled
   /// procedures when some hook is installed.
@@ -154,13 +147,11 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   ProcedureAlignment &PA = Task.PA;
   ProcedureResultCache *Cache = Options.CacheImpl;
   if (Cache && !KeepArtifacts && Cache->lookup(Proc, Profile, Options, I, PA))
-    return; // Validated hit; all stage timers stay at zero.
+    return; // Validated hit; no stage runs, so no stage span is recorded.
 
-  CpuStopwatch GreedyTimer;
   {
     ScopedSpan GreedySpan("stage.greedy", SpanCat::Stage);
     PA.GreedyLayout = GreedyAligner().align(Proc, Profile, Options.Model);
-    Task.GreedySeconds = GreedyTimer.seconds();
     PA.GreedyPenalty = evaluateLayout(Proc, PA.GreedyLayout, Options.Model,
                                       Profile, Profile);
   }
@@ -183,40 +174,33 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
 
   // The Ext-TSP primary path: chain merging needs no DTSP instance, so
   // the matrix/solve stages (and their hooks) are skipped entirely; the
-  // merger's time is charged to the solver stage, preserving Table 2's
-  // "work per stage" meaning. Bounds are still meaningful — Held-Karp
-  // lower-bounds *every* layout's penalty, including this one.
+  // merger runs under its own stage.chain span. Bounds are still
+  // meaningful — Held-Karp lower-bounds *every* layout's penalty,
+  // including this one.
   if (Options.Primary == PrimaryAligner::ExtTsp) {
-    CpuStopwatch ChainTimer;
     {
       ScopedSpan ChainSpan("stage.chain", SpanCat::Stage);
       PA.TspLayout =
           ExtTspAligner(Options.Objective).align(Proc, Profile, Options.Model);
     }
-    Task.SolverSeconds = ChainTimer.seconds();
     PA.TspPenalty = evaluateLayout(Proc, PA.TspLayout, Options.Model, Profile,
                                    Profile);
     if (Options.ComputeBounds) {
-      CpuStopwatch BoundsTimer;
       ScopedSpan BoundsSpan("stage.bounds", SpanCat::Stage);
       PA.Bounds = computePenaltyBounds(Proc, Profile, Options.Model,
                                        PA.TspPenalty, Options.HeldKarp);
-      Task.BoundsSeconds = BoundsTimer.seconds();
     }
     if (Cache)
       Cache->store(Proc, Profile, Options, I, PA);
     return;
   }
 
-  CpuStopwatch MatrixTimer;
   AlignmentTsp Atsp;
   {
     ScopedSpan MatrixSpan("stage.matrix", SpanCat::Stage);
     Atsp = buildAlignmentTsp(Proc, Profile, Options.Model);
   }
-  Task.MatrixSeconds = MatrixTimer.seconds();
 
-  CpuStopwatch SolverTimer;
   // Give each procedure a solver stream derived from the root seed so
   // results do not depend on procedure processing order — this is what
   // makes parallel and serial runs bit-identical.
@@ -228,7 +212,6 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
     ScopedSpan SolveSpan("stage.solve", SpanCat::Stage);
     Solution = solveDirectedTsp(Atsp.Tsp, SolverOptions);
   }
-  Task.SolverSeconds = SolverTimer.seconds();
 
   PA.TspLayout = layoutFromTour(Proc, Atsp, Solution.Tour);
   PA.TspPenalty = evaluateLayout(Proc, PA.TspLayout, Options.Model, Profile,
@@ -238,24 +221,19 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
 
   // balign-displace: the matrix above priced every branch short-form;
   // one refinement round re-solves with the observed long branches
-  // surcharged and keeps the better layout. Charged to the solver stage
-  // (it is a second, smaller solve) so Table 2 totals stay meaningful.
+  // surcharged and keeps the better layout, under its own stage span.
   if (Options.Model.Encoding != BranchEncoding::Fixed) {
-    CpuStopwatch DisplaceTimer;
     ScopedSpan DisplaceSpan("stage.displace", SpanCat::Stage);
     if (refineLayoutForEncoding(Proc, Profile, Options.Model, Atsp,
                                 SolverOptions, PA.TspLayout, PA.TspPenalty))
       scopeCounterAdd("displace.refit-wins");
     scopeCounterAdd("displace.refits");
-    Task.SolverSeconds += DisplaceTimer.seconds();
   }
 
   if (Options.ComputeBounds) {
-    CpuStopwatch BoundsTimer;
     ScopedSpan BoundsSpan("stage.bounds", SpanCat::Stage);
     PA.Bounds = computePenaltyBounds(Proc, Profile, Options.Model,
                                      PA.TspPenalty, Options.HeldKarp);
-    Task.BoundsSeconds = BoundsTimer.seconds();
   }
 
   // Only full-path results are cached: a degraded result is not what
@@ -448,10 +426,9 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
     parallelFor(Pool, 0, NumProcs, RunOne);
   }
 
-  // Drain in program order on the calling thread: aggregate the CPU-time
-  // stage counters (fixed summation order, so the totals do not depend
-  // on scheduling) and replay the stage hooks exactly as the serial
-  // pipeline of one procedure would fire them.
+  // Drain in program order on the calling thread: collect failures and
+  // replay the stage hooks exactly as the serial pipeline of one
+  // procedure would fire them.
   ProgramAlignment Result;
   Result.Procs.reserve(NumProcs);
   ScopedSpan DrainSpan("pipeline.drain", SpanCat::Pipeline);
@@ -473,10 +450,6 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
                           : "shield.rung.greedy");
       Result.Failures.Failures.push_back(std::move(*Task.Failure));
     }
-    Result.GreedySeconds += Task.GreedySeconds;
-    Result.MatrixSeconds += Task.MatrixSeconds;
-    Result.SolverSeconds += Task.SolverSeconds;
-    Result.BoundsSeconds += Task.BoundsSeconds;
     if (Task.RanSolver && KeepArtifacts) {
       if (Hooks.AfterMatrix)
         Hooks.AfterMatrix(I, Prog.proc(I), Train.Procs[I], Task.Atsp);

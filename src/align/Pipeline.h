@@ -10,9 +10,10 @@
 /// the training profile, and (optionally) computes the Held-Karp and
 /// Assignment lower bounds. Procedures are independent, so the driver
 /// can farm them out to a work-stealing thread pool
-/// (AlignmentOptions::Threads) with bit-identical results. Per-stage
-/// CPU-seconds are recorded so the Table 2 harness can report the
-/// compile-time cost of each phase the way the paper does.
+/// (AlignmentOptions::Threads) with bit-identical results. Each stage
+/// runs under a `stage.*` trace span (trace/Scope.h); the Table 2
+/// harness sums those spans to report the compile-time cost of each
+/// phase the way the paper does.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -200,7 +201,7 @@ struct AlignmentOptions {
   /// The algorithm behind the primary layout. ExtTsp skips the DTSP
   /// matrix/solve stages entirely (the AfterMatrix/AfterSolve hooks
   /// never fire — there are no artifacts to observe) and runs the
-  /// chain merger under the solve-stage timer instead. Result-affecting,
+  /// chain merger under a stage.chain span instead. Result-affecting,
   /// so the cache fingerprint keys on it.
   PrimaryAligner Primary = PrimaryAligner::Tsp;
 
@@ -302,20 +303,9 @@ struct ProcedureAlignment {
   LadderRung Rung = LadderRung::Tsp;
 };
 
-/// Whole-program outcome plus per-stage timing.
+/// Whole-program outcome.
 struct ProgramAlignment {
   std::vector<ProcedureAlignment> Procs;
-
-  /// Per-stage timing, in CPU-seconds: the sum over procedures of the
-  /// wall-clock time that procedure's stage took on whichever worker ran
-  /// it, accumulated in program order. Under Threads == 1 this equals
-  /// stage wall-clock time; under parallelism it keeps Table 2's "work
-  /// per stage" meaning while wall-clock time shrinks with the worker
-  /// count.
-  double GreedySeconds = 0.0;
-  double MatrixSeconds = 0.0;
-  double SolverSeconds = 0.0;
-  double BoundsSeconds = 0.0;
 
   /// Every per-procedure failure balign-shield isolated, in program
   /// order. Empty under OnErrorPolicy::Abort (the first failure throws

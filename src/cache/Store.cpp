@@ -7,7 +7,6 @@
 #include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "support/Bytes.h"
-#include "support/Timer.h"
 #include "trace/Scope.h"
 
 #include <cstring>
@@ -112,7 +111,7 @@ std::string CacheStats::summary() const {
                 "hits=%llu misses=%llu stores=%llu evictions=%llu "
                 "invalidations=%llu entries=%llu payload-bytes=%llu "
                 "written-bytes=%llu retries=%llu load-failures=%llu "
-                "flush-failures=%llu lookup-s=%.3f store-s=%.3f",
+                "flush-failures=%llu",
                 static_cast<unsigned long long>(Hits),
                 static_cast<unsigned long long>(Misses),
                 static_cast<unsigned long long>(Stores),
@@ -123,8 +122,7 @@ std::string CacheStats::summary() const {
                 static_cast<unsigned long long>(BytesWritten),
                 static_cast<unsigned long long>(Retries),
                 static_cast<unsigned long long>(LoadFailures),
-                static_cast<unsigned long long>(FlushFailures),
-                LookupSeconds, StoreSeconds);
+                static_cast<unsigned long long>(FlushFailures));
   return Buffer;
 }
 
@@ -268,7 +266,6 @@ bool AlignmentCache::lookup(const Procedure &Proc,
                             const AlignmentOptions &Options, size_t ProcIndex,
                             ProcedureAlignment &Out) {
   ScopedSpan LookupSpan("cache.lookup", SpanCat::Cache);
-  CpuStopwatch Timer;
   Fingerprint Key = fingerprintProcedureInputs(Proc, Train, Options,
                                                ProcIndex);
   // Copy the payload out under the lock; the expensive decode and
@@ -279,7 +276,6 @@ bool AlignmentCache::lookup(const Procedure &Proc,
     auto It = Entries.find(Key);
     if (It == Entries.end()) {
       ++Stats.Misses;
-      Stats.LookupSeconds += Timer.seconds();
       scopeCounterAdd("cache.misses");
       return false;
     }
@@ -303,14 +299,12 @@ bool AlignmentCache::lookup(const Procedure &Proc,
     }
     ++Stats.Invalidations;
     ++Stats.Misses;
-    Stats.LookupSeconds += Timer.seconds();
     scopeCounterAdd("cache.invalidations");
     scopeCounterAdd("cache.misses");
     return false;
   }
   Out = std::move(PA);
   ++Stats.Hits;
-  Stats.LookupSeconds += Timer.seconds();
   scopeCounterAdd("cache.hits");
   return true;
 }
@@ -320,7 +314,6 @@ void AlignmentCache::store(const Procedure &Proc,
                            const AlignmentOptions &Options, size_t ProcIndex,
                            const ProcedureAlignment &Result) {
   ScopedSpan StoreSpan("cache.store", SpanCat::Cache);
-  CpuStopwatch Timer;
   Fingerprint Key = fingerprintProcedureInputs(Proc, Train, Options,
                                                ProcIndex);
   std::string Payload = encodeAlignment(Result);
@@ -332,7 +325,6 @@ void AlignmentCache::store(const Procedure &Proc,
     std::lock_guard<std::mutex> Lock(Mutex);
     insertLocked(Key, std::move(Payload));
     ++Stats.Stores;
-    Stats.StoreSeconds += Timer.seconds();
     if (Config.FlushEveryStores != 0 && !Dir.empty() && !DiskDisabled &&
         ++StoresSinceFlush >= Config.FlushEveryStores) {
       StoresSinceFlush = 0;
@@ -346,7 +338,6 @@ void AlignmentCache::store(const Procedure &Proc,
 
 bool AlignmentCache::flush(std::string *Error) {
   ScopedSpan FlushSpan("cache.flush", SpanCat::Cache);
-  CpuStopwatch Timer;
   if (Dir.empty())
     return true;
   // The fsync'd replace runs outside Mutex so lookups and stores never
@@ -395,7 +386,6 @@ bool AlignmentCache::flush(std::string *Error) {
     Stats.Retries += Outcome.Attempts - 1;
     scopeGaugeAdd("cache.retries", Outcome.Attempts - 1);
   }
-  Stats.StoreSeconds += Timer.seconds();
   if (!Outcome.Succeeded) {
     // Persistent write failure: downgrade to a memory-only cache so the
     // rest of the run neither blocks on a broken disk nor loses

@@ -51,8 +51,9 @@
 
 namespace balign {
 
-/// Counters and timings the cache exposes; align_tool --cache-stats
-/// prints the summary() line to stderr.
+/// Counters the cache exposes; align_tool --cache-stats prints the
+/// summary() line to stderr. The time spent in lookups, stores and
+/// flushes is recorded by the cache.* trace spans, not here.
 struct CacheStats {
   uint64_t Hits = 0;          ///< Lookups served from the cache.
   uint64_t Misses = 0;        ///< Lookups that fell through to compute.
@@ -65,8 +66,6 @@ struct CacheStats {
   uint64_t Retries = 0;       ///< Disk attempts repeated after a failure.
   uint64_t LoadFailures = 0;  ///< Store reads that failed even with retry.
   uint64_t FlushFailures = 0; ///< Store writes that failed even with retry.
-  double LookupSeconds = 0.0; ///< CPU time spent in lookup().
-  double StoreSeconds = 0.0;  ///< CPU time spent in store() + flush().
 
   /// "hits=12 misses=3 ..." one-line rendering (stable key=value form,
   /// greppable by CI).

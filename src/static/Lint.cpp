@@ -268,38 +268,40 @@ size_t lintModel(const MachineModel &Model, DiagnosticEngine &Diags) {
   return 1;
 }
 
-void appendJsonEscaped(std::ostringstream &Out, const std::string &S) {
+} // namespace
+
+std::string balign::jsonEscaped(const std::string &S) {
+  std::string Out;
   for (char C : S) {
     switch (C) {
     case '"':
-      Out << "\\\"";
+      Out += "\\\"";
       break;
     case '\\':
-      Out << "\\\\";
+      Out += "\\\\";
       break;
     case '\n':
-      Out << "\\n";
+      Out += "\\n";
       break;
     case '\t':
-      Out << "\\t";
+      Out += "\\t";
       break;
     case '\r':
-      Out << "\\r";
+      Out += "\\r";
       break;
     default:
       if (static_cast<unsigned char>(C) < 0x20) {
         char Buffer[8];
         std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
                       static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out << Buffer;
+        Out += Buffer;
       } else {
-        Out << C;
+        Out += C;
       }
     }
   }
+  return Out;
 }
-
-} // namespace
 
 size_t balign::lintProcedure(const Procedure &Proc,
                              const ProcedureProfile *Profile,
@@ -361,9 +363,8 @@ std::string balign::lintReportJson(const LintResult &Result) {
   for (size_t I = 0; I != Result.ProcClasses.size(); ++I) {
     if (I)
       Out << ",";
-    Out << "{\"proc\":\"";
-    appendJsonEscaped(Out, Result.ProcNames[I]);
-    Out << "\",\"class\":\"" << profileClassName(Result.ProcClasses[I])
+    Out << "{\"proc\":\"" << jsonEscaped(Result.ProcNames[I])
+        << "\",\"class\":\"" << profileClassName(Result.ProcClasses[I])
         << "\"}";
   }
   Out << "],\"findings\":[";
@@ -373,16 +374,13 @@ std::string balign::lintReportJson(const LintResult &Result) {
     if (I)
       Out << ",";
     Out << "{\"severity\":\"" << severityName(D.Sev) << "\",\"check\":\""
-        << checkIdName(D.Check) << "\",\"proc\":\"";
-    appendJsonEscaped(Out, D.Loc.Proc);
-    Out << "\"";
+        << checkIdName(D.Check) << "\",\"proc\":\""
+        << jsonEscaped(D.Loc.Proc) << "\"";
     if (D.Loc.Block != InvalidBlock)
       Out << ",\"block\":" << D.Loc.Block;
     if (D.Loc.EdgeTo != InvalidBlock)
       Out << ",\"edge_to\":" << D.Loc.EdgeTo;
-    Out << ",\"message\":\"";
-    appendJsonEscaped(Out, D.Message);
-    Out << "\"}";
+    Out << ",\"message\":\"" << jsonEscaped(D.Message) << "\"}";
   }
   Out << "]}";
   return Out.str();

@@ -5,12 +5,11 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Stopwatches used only for reporting (the Table 2 compile-time harness
-/// and the pipeline's per-stage accounting); all algorithmic results in
-/// the reproduction are deterministic and never read the clock.
-/// Stopwatch reads the wall clock; CpuStopwatch reads the calling
-/// thread's CPU clock, which keeps per-stage sums meaningful when the
-/// parallel pipeline oversubscribes the machine.
+/// A wall-clock stopwatch for the harnesses that time work outside the
+/// pipeline (workload construction, the profile walk, materialization,
+/// whole runs). The library times its own stages and cache calls only
+/// through trace spans (trace/Scope.h); all algorithmic results in the
+/// reproduction are deterministic and never read the clock.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -18,7 +17,6 @@
 #define BALIGN_SUPPORT_TIMER_H
 
 #include <chrono>
-#include <ctime>
 
 namespace balign {
 
@@ -41,39 +39,6 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;
-};
-
-/// Per-thread CPU-time stopwatch: measures the time the calling thread
-/// actually spent executing, excluding time it sat descheduled. The
-/// pipeline's stage timers use this so "CPU-seconds per stage" does not
-/// inflate when workers time-share cores (e.g. Threads > hardware
-/// threads). Start and read on the same thread.
-class CpuStopwatch {
-public:
-  CpuStopwatch() : Start(now()) {}
-
-  /// Restarts the stopwatch.
-  void reset() { Start = now(); }
-
-  /// CPU-seconds this thread consumed since construction or reset().
-  double seconds() const { return now() - Start; }
-
-private:
-  static double now() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec Ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
-    return static_cast<double>(Ts.tv_sec) +
-           static_cast<double>(Ts.tv_nsec) * 1e-9;
-#else
-    // No per-thread CPU clock on this platform; fall back to wall time.
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-#endif
-  }
-
-  double Start;
 };
 
 } // namespace balign

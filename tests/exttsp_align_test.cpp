@@ -21,6 +21,8 @@
 #include "profile/Trace.h"
 #include "workloads/Generator.h"
 
+#include "StageSpans.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,18 +184,20 @@ TEST(ExtTspAlignTest, WarmCacheReplaysExtTspWithZeroChainWork) {
   CacheSession Session(Options);
   ASSERT_NE(Session.cache(), nullptr);
 
-  ProgramAlignment Cold = alignProgram(W.Prog, W.Train, Options);
+  TracedAlignment Cold = alignTraced(W.Prog, W.Train, Options);
   CacheStats ColdStats = Session.stats();
   EXPECT_EQ(ColdStats.Hits, 0u);
-  EXPECT_GT(ColdStats.Stores, 0u);
+  EXPECT_EQ(ColdStats.Stores, W.Prog.numProcedures()); // All profiled.
+  EXPECT_EQ(Cold.count("stage.chain"), W.Prog.numProcedures());
+  EXPECT_EQ(Cold.count("stage.solve"), 0u);
 
-  ProgramAlignment Warm = alignProgram(W.Prog, W.Train, Options);
+  TracedAlignment Warm = alignTraced(W.Prog, W.Train, Options);
   CacheStats WarmStats = Session.stats();
   EXPECT_EQ(WarmStats.Hits, ColdStats.Stores);
-  // The chain merger runs under the solve-stage timer; a warm run must
-  // never invoke it.
-  EXPECT_EQ(Warm.SolverSeconds, 0.0);
-  expectProgramEq(Cold, Warm);
+  // The chain merger runs under the stage.chain span; a warm run must
+  // never invoke it, nor any other stage.
+  EXPECT_EQ(Warm.stageSpans(), 0u);
+  expectProgramEq(Cold.Result, Warm.Result);
 }
 
 //===--------------------------------------------------------------------===//
@@ -278,17 +282,19 @@ TEST(ExtTspAlignTest, DiskCacheColdWarmBitIdenticalAndVersionGuarded) {
   ProgramAlignment Cold;
   {
     CacheSession Session(Options);
-    Cold = alignProgram(W.Prog, W.Train, Options);
+    TracedAlignment Run = alignTraced(W.Prog, W.Train, Options);
+    EXPECT_EQ(Run.count("stage.chain"), W.Prog.numProcedures());
+    Cold = std::move(Run.Result);
     ASSERT_TRUE(Session.flush());
   }
   // A fresh session over the same directory replays from disk.
   {
     AlignmentOptions Reopened = Options;
     CacheSession Session(Reopened);
-    ProgramAlignment Warm = alignProgram(W.Prog, W.Train, Reopened);
-    EXPECT_GT(Session.stats().Hits, 0u);
-    EXPECT_EQ(Warm.SolverSeconds, 0.0);
-    expectProgramEq(Cold, Warm);
+    TracedAlignment Warm = alignTraced(W.Prog, W.Train, Reopened);
+    EXPECT_EQ(Session.stats().Hits, W.Prog.numProcedures());
+    EXPECT_EQ(Warm.stageSpans(), 0u);
+    expectProgramEq(Cold, Warm.Result);
   }
   // Corrupt the store's version field: the whole store is discarded
   // (stale-format entries must never replay) and results recompute

@@ -6,6 +6,8 @@
 #include "sim/Simulator.h"
 #include "workloads/Workloads.h"
 
+#include "StageSpans.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;
@@ -42,8 +44,7 @@ ProgramAlignment verifiedAlign(const Program &Prog,
 }
 
 /// Field-by-field bit-identity of two whole-program alignments: layouts,
-/// penalties, bounds, and solver statistics. Stage timers are excluded —
-/// they measure the clock, not the result.
+/// penalties, bounds, and solver statistics.
 void expectAlignmentsIdentical(const ProgramAlignment &A,
                                const ProgramAlignment &B,
                                const std::string &What) {
@@ -142,16 +143,32 @@ TEST(PipelineTest, CrossValidationDilutesButPreservesBenefit) {
       << "the bulk of the benefit should remain";
 }
 
-TEST(PipelineTest, StageTimesAccumulated) {
+/// Under full verification every profiled procedure still records each
+/// stage span exactly once: the verify hooks' replays in the drain add
+/// verify.* spans, never a second stage span.
+TEST(PipelineTest, VerifiedRunRecordsEachStageSpanOnce) {
   WorkloadInstance W = smallWorkload("com", 1000);
+  const ProgramProfile &Train = W.DataSets[0].Profile;
   AlignmentOptions Options;
-  ProgramAlignment Result =
-      verifiedAlign(W.Prog, W.DataSets[0].Profile, Options);
-  EXPECT_GE(Result.SolverSeconds, 0.0);
-  EXPECT_GE(Result.GreedySeconds, 0.0);
-  EXPECT_GE(Result.MatrixSeconds, 0.0);
-  EXPECT_GE(Result.BoundsSeconds, 0.0);
-  EXPECT_GT(Result.SolverSeconds + Result.MatrixSeconds, 0.0);
+  TraceSession Session;
+  Session.install();
+  verifiedAlign(W.Prog, Train, Options);
+  Session.uninstall();
+  TracedAlignment Run;
+  Run.Spans = Session.drainSpans();
+
+  const std::vector<std::string> Full = {"stage.greedy", "stage.matrix",
+                                         "stage.solve", "stage.bounds"};
+  size_t Profiled = 0;
+  for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
+    bool Hot = Train.Procs[P].executedBranches(W.Prog.proc(P)) != 0;
+    Profiled += Hot;
+    EXPECT_EQ(Run.stages(P), Hot ? Full : std::vector<std::string>())
+        << W.Prog.proc(P).getName();
+  }
+  EXPECT_GT(Profiled, 0u);
+  EXPECT_EQ(Run.count("stage.solve"), Profiled);
+  EXPECT_EQ(Run.count("verify.determinism"), Profiled);
 }
 
 TEST(IntegrationTest, SimulatedTimesFollowPenaltyOrdering) {

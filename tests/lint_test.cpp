@@ -187,6 +187,19 @@ TEST(LintTest, ReportsAreByteIdenticalAcrossRuns) {
   EXPECT_NE(FirstJson.find("\"repairable\""), std::string::npos);
 }
 
+/// The one JSON string escaper (lint reports and align_tool's batch lint
+/// array): every byte below 0x20 must come out escaped, or the document
+/// is not JSON.
+TEST(LintTest, JsonEscapedEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(jsonEscaped("plain name.cfg"), "plain name.cfg");
+  EXPECT_EQ(jsonEscaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscaped("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+  EXPECT_EQ(jsonEscaped(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(jsonEscaped(std::string("\x1f")), "\\u001f");
+  EXPECT_EQ(jsonEscaped("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // Not controls.
+}
+
 //===--------------------------------------------------------------------===//
 // Isolation: lint never perturbs alignment or cache identity
 //===--------------------------------------------------------------------===//

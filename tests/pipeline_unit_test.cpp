@@ -9,6 +9,8 @@
 #include "tsp/IteratedOpt.h"
 #include "workloads/Generator.h"
 
+#include "StageSpans.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;
@@ -106,27 +108,72 @@ TEST(PipelineUnitTest, EvaluateProgramPenaltySums) {
   EXPECT_EQ(Sum, Manual);
 }
 
-/// Stage timers must report summed per-procedure CPU time: on a program
-/// where every stage (greedy, matrix, solver, bounds) actually ran, all
-/// four accumulators are strictly positive — serial and parallel alike.
-TEST(PipelineUnitTest, StageTimesPositiveOnProfiledProgram) {
-  Program Prog = twoProcs(29);
+/// The stage spans are the pipeline's only stage timers: each profiled
+/// procedure's track records exactly the stages its path ran, once each
+/// and in order, at any thread count — and an unprofiled procedure
+/// records none.
+TEST(PipelineUnitTest, StageSpansFollowEachProceduresPath) {
+  Program Prog("three");
+  for (int P = 0; P != 3; ++P) {
+    Rng R(29 + P);
+    GenParams Params;
+    Params.TargetBranchSites = 5;
+    Prog.addProcedure(generateProcedure("p" + std::to_string(P), Params,
+                                        R).Proc);
+  }
+  // Proc 0 hot, proc 1 profiled but cold, proc 2 never executed.
   ProgramProfile Train;
-  for (int P = 0; P != 2; ++P) {
+  for (uint64_t Budget : {500u, 8u}) {
+    size_t P = Train.Procs.size();
     Rng TraceRng(41 + P);
     Train.Procs.push_back(walkProfile(Prog.proc(P),
                                       BranchBehavior::uniform(Prog.proc(P)),
-                                      TraceRng, 500));
+                                      TraceRng, Budget));
   }
+  Train.Procs.push_back(ProcedureProfile::zeroed(Prog.proc(2)));
+  ASSERT_GE(Train.Procs[0].executedBranches(Prog.proc(0)),
+            ColdProcBranchThreshold);
+  ASSERT_GT(Train.Procs[1].executedBranches(Prog.proc(1)), 0u);
+  ASSERT_LT(Train.Procs[1].executedBranches(Prog.proc(1)),
+            ColdProcBranchThreshold);
+
+  using Stages = std::vector<std::string>;
+  const Stages Tsp = {"stage.greedy", "stage.matrix", "stage.solve",
+                      "stage.bounds"};
   for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
     AlignmentOptions Options;
     Options.ComputeBounds = true;
     Options.Threads = Threads;
-    ProgramAlignment Result = alignProgram(Prog, Train, Options);
-    EXPECT_GT(Result.GreedySeconds, 0.0) << "threads=" << Threads;
-    EXPECT_GT(Result.MatrixSeconds, 0.0) << "threads=" << Threads;
-    EXPECT_GT(Result.SolverSeconds, 0.0) << "threads=" << Threads;
-    EXPECT_GT(Result.BoundsSeconds, 0.0) << "threads=" << Threads;
+
+    TracedAlignment Run = alignTraced(Prog, Train, Options);
+    EXPECT_EQ(Run.stages(0), Tsp);
+    EXPECT_EQ(Run.stages(1), Tsp);
+    EXPECT_EQ(Run.stages(2), Stages());
+
+    AlignmentOptions Ext = Options;
+    Ext.Primary = PrimaryAligner::ExtTsp;
+    Run = alignTraced(Prog, Train, Ext);
+    const Stages Chain = {"stage.greedy", "stage.chain", "stage.bounds"};
+    EXPECT_EQ(Run.stages(0), Chain);
+    EXPECT_EQ(Run.stages(1), Chain);
+    EXPECT_EQ(Run.stages(2), Stages());
+
+    AlignmentOptions ShortLong = Options;
+    ShortLong.Model.Encoding = BranchEncoding::ShortLong;
+    Run = alignTraced(Prog, Train, ShortLong);
+    const Stages Displace = {"stage.greedy", "stage.matrix", "stage.solve",
+                             "stage.displace", "stage.bounds"};
+    EXPECT_EQ(Run.stages(0), Displace);
+    EXPECT_EQ(Run.stages(1), Displace);
+    EXPECT_EQ(Run.stages(2), Stages());
+
+    AlignmentOptions ColdGreedy = Options;
+    ColdGreedy.Effort = EffortPolicy::ScaledColdGreedy;
+    Run = alignTraced(Prog, Train, ColdGreedy);
+    EXPECT_EQ(Run.stages(0), Tsp);
+    EXPECT_EQ(Run.stages(1), Stages{"stage.greedy"});
+    EXPECT_EQ(Run.stages(2), Stages());
   }
 }
 
