@@ -118,6 +118,7 @@ struct ToolOptions {
   /// The result-affecting flags, shared with balign_client and mapped
   /// onto AlignmentOptions exactly as a served request is.
   RequestFlags Flags;
+  std::string FirstRequestFlag; ///< As typed; empty when none was given.
   std::string ProfileFile;     ///< Read counts instead of simulating.
   std::string EmitProfileFile; ///< Dump the counts used.
   std::string CacheDir;        ///< Non-empty enables the disk cache.
@@ -179,8 +180,11 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
     FlagParse Shared = parseRequestFlag(Argc, Argv, I, Options.Flags);
     if (Shared == FlagParse::Error)
       return false;
-    if (Shared == FlagParse::Consumed)
+    if (Shared == FlagParse::Consumed) {
+      if (Options.FirstRequestFlag.empty())
+        Options.FirstRequestFlag = Arg;
       continue;
+    }
     if (Arg == "--threads") {
       uint64_t N = 0;
       if (!needInt("--threads", N, UINT32_MAX))
@@ -354,7 +358,9 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "one shared cache\n"
                   "                session; --threads sizes the request "
                   "pool and --deadline\n"
-                  "                sets the default per-request deadline\n"
+                  "                sets the default per-request deadline; "
+                  "request flags are\n"
+                  "                refused (each request carries its own)\n"
                   "  --serve-queue N  answer align requests beyond N "
                   "in flight with a\n"
                   "                structured rejection instead of "
@@ -745,6 +751,15 @@ int main(int Argc, char **Argv) {
 
   int Exit = 0;
   {
+    // Each served request decides its own request options, so a
+    // server's would be silently dropped.
+    if (!Options.ServePath.empty() && !Options.FirstRequestFlag.empty()) {
+      std::fprintf(stderr,
+                   "error: %s is a request flag; a server takes request "
+                   "flags from each request (give it to balign_client)\n",
+                   Options.FirstRequestFlag.c_str());
+      return 1;
+    }
     warnIgnoredRequestFlags(Options.Flags);
     if (!Options.CheckpointFile.empty() && Options.BatchFile.empty())
       std::fprintf(stderr,
@@ -789,8 +804,8 @@ int main(int Argc, char **Argv) {
         // balign-serve: a long-lived server over the shared cache
         // session. --threads sizes the request pool, --serve-queue
         // bounds in-flight aligns, --deadline becomes the default
-        // per-request deadline. Requests carry their own seed/budget/
-        // effort/bounds/on-error, so most CLI knobs do not apply here.
+        // per-request deadline. Requests carry every request option
+        // (request flags were refused above).
         if (!Options.File.empty())
           std::fprintf(stderr, "warning: positional input '%s' is "
                        "ignored in --serve mode\n", Options.File.c_str());

@@ -151,32 +151,7 @@ static uint64_t outcomePenalty(const Procedure &Proc,
 AlignmentTsp balign::buildOutcomeTsp(const Procedure &Proc,
                                      const OutcomeCounts &Outcomes,
                                      const MachineModel &Model) {
-  size_t N = Proc.numBlocks();
-  AlignmentTsp Atsp;
-  Atsp.DummyCity = static_cast<City>(N);
-  Atsp.Tsp = DirectedTsp(N + 1);
-
-  for (BlockId B = 0; B != N; ++B) {
-    for (BlockId X = 0; X != N; ++X)
-      if (B != X)
-        Atsp.Tsp.setCost(B, X, static_cast<int64_t>(outcomePenalty(
-                                   Proc, Outcomes, Model, B, X)));
-    Atsp.Tsp.setCost(B, Atsp.DummyCity,
-                     static_cast<int64_t>(outcomePenalty(
-                         Proc, Outcomes, Model, B, InvalidBlock)));
-  }
-
-  int64_t WorstTotal = 0;
-  for (BlockId B = 0; B != N; ++B) {
-    int64_t Worst = 0;
-    for (City X = 0; X != N + 1; ++X)
-      if (X != B)
-        Worst = std::max(Worst, Atsp.Tsp.cost(B, X));
-    WorstTotal += Worst;
-  }
-  Atsp.EntryPin = WorstTotal + 1;
-  for (BlockId B = 0; B != N; ++B)
-    Atsp.Tsp.setCost(Atsp.DummyCity, B,
-                     B == Proc.entry() ? 0 : Atsp.EntryPin);
-  return Atsp;
+  return buildPinnedTsp(Proc, [&](BlockId B, BlockId X) {
+    return outcomePenalty(Proc, Outcomes, Model, B, X);
+  });
 }

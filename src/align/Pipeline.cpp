@@ -102,19 +102,16 @@ std::vector<Layout> ProgramAlignment::tspLayouts() const {
 
 namespace {
 
-/// Everything one procedure's alignment produces, including the stage
-/// artifacts the hooks observe. Kept per-procedure (not accumulated into
+/// Everything one procedure's alignment produces, including the solve
+/// artifacts the hook observes. Kept per-procedure (not accumulated into
 /// shared state) so parallel workers never write to the same location
-/// and the drain loop can replay hooks in program order.
+/// and the drain loop can call the hook in program order.
 struct ProcedureTask {
   ProcedureAlignment PA;
 
-  /// Hook payloads; only retained (and only meaningful) for profiled
-  /// procedures when some hook is installed.
-  bool RanSolver = false;
-  AlignmentTsp Atsp;
-  DtspSolution Solution;
-  IteratedOptOptions SolverOptions;
+  /// Set only when AfterProcedure is installed and the tsp path solved
+  /// the procedure.
+  std::optional<SolveArtifacts> Artifacts;
 
   /// Failure this procedure's isolation caught, if any (balign-shield);
   /// the drain loop appends these to the report in program order, or
@@ -122,24 +119,16 @@ struct ProcedureTask {
   std::optional<ProcedureFailure> Failure;
 };
 
-/// Resource-cap trips on the DTSP reduction; caught at the procedure
-/// boundary and mapped to FailureKind::ResourceCap.
-class ResourceCapError : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Runs every stage for procedure \p I. Pure function of its arguments:
-/// reads only shared-immutable inputs, writes only the returned task
-/// (and talks to the internally synchronized cache, when one is
-/// attached), so any number of calls may run concurrently.
-/// \p KeepArtifacts retains the matrix/solution for the hook drain — and
-/// disables cache *lookups*, because a hit has no stage artifacts for
-/// the AfterMatrix/AfterSolve hooks to observe; computed results are
-/// still offered to the cache.
 /// The full alignment path (greedy + DTSP solve + bounds) for a profiled
-/// procedure. Throws on injected faults, deadline expiry, or any stage
-/// failure; the shielded wrapper below catches at the procedure boundary.
+/// procedure. Pure function of its arguments: reads only
+/// shared-immutable inputs, writes only \p Task (and talks to the
+/// internally synchronized cache, when one is attached), so any number
+/// of calls may run concurrently. \p KeepArtifacts retains the solve
+/// artifacts for the hook drain — and disables cache *lookups*, because
+/// a hit has no artifacts for the hook to observe; computed results are
+/// still offered to the cache. Throws on injected faults, deadline
+/// expiry, or any stage failure; the shielded wrapper below catches at
+/// the procedure boundary.
 void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
                    const AlignmentOptions &Options, size_t I,
                    bool KeepArtifacts, const Deadline *Budget,
@@ -173,7 +162,7 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   }
 
   // The Ext-TSP primary path: chain merging needs no DTSP instance, so
-  // the matrix/solve stages (and their hooks) are skipped entirely; the
+  // the matrix/solve stages (and their artifacts) are skipped; the
   // merger runs under its own stage.chain span. Bounds are still
   // meaningful — Held-Karp lower-bounds *every* layout's penalty,
   // including this one.
@@ -242,15 +231,13 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   if (Cache)
     Cache->store(Proc, Profile, Options, I, PA);
 
-  Task.RanSolver = true;
   if (KeepArtifacts) {
-    Task.Atsp = std::move(Atsp);
-    Task.Solution = std::move(Solution);
-    Task.SolverOptions = SolverOptions;
     // The budget points at the worker's stack frame; the drain loop
-    // replays hooks long after it is gone, and a replayed solve must
+    // calls the hook long after it is gone, and a replayed solve must
     // not re-observe (or dangle on) the original run's deadline.
-    Task.SolverOptions.Budget = nullptr;
+    SolverOptions.Budget = nullptr;
+    Task.Artifacts = SolveArtifacts{std::move(Atsp), std::move(Solution),
+                                    SolverOptions};
   }
 }
 
@@ -266,7 +253,6 @@ void fallbackProcedure(const Procedure &Proc, const ProcedureProfile &Profile,
   PA.Bounds = PenaltyBounds();
   PA.SolverRuns = 0;
   PA.RunsFindingBest = 0;
-  Task.RanSolver = false;
 
   bool TryGreedy = Options.OnError != OnErrorPolicy::Skip;
   Failure.Skipped = Options.OnError == OnErrorPolicy::Skip;
@@ -399,9 +385,7 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
               std::to_string(Proc.numBlocks()) + " blocks"});
   }
 
-  const PipelineStageHooks &Hooks = Options.Hooks;
-  bool KeepArtifacts = static_cast<bool>(Hooks.AfterMatrix) ||
-                       static_cast<bool>(Hooks.AfterSolve);
+  bool KeepArtifacts = static_cast<bool>(Options.AfterProcedure);
   std::vector<ProcedureTask> Tasks(NumProcs);
 
   ScopedSpan AlignSpan("pipeline.align", SpanCat::Pipeline);
@@ -427,15 +411,14 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
   }
 
   // Drain in program order on the calling thread: collect failures and
-  // replay the stage hooks exactly as the serial pipeline of one
-  // procedure would fire them.
+  // call the hook exactly as the serial pipeline would.
   ProgramAlignment Result;
   Result.Procs.reserve(NumProcs);
   ScopedSpan DrainSpan("pipeline.drain", SpanCat::Pipeline);
   for (size_t I = 0; I != NumProcs; ++I) {
     ProcedureTask &Task = Tasks[I];
-    // Verify-hook spans replayed below belong to this procedure's track,
-    // right after the spans its worker recorded.
+    // The hook's spans belong to this procedure's track, right after the
+    // spans its worker recorded.
     TrackScope Track(static_cast<int64_t>(I));
     // Shield policy first: under Abort the first failure in program
     // order throws — deterministic at any thread count, because workers
@@ -450,17 +433,11 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
                           : "shield.rung.greedy");
       Result.Failures.Failures.push_back(std::move(*Task.Failure));
     }
-    if (Task.RanSolver && KeepArtifacts) {
-      if (Hooks.AfterMatrix)
-        Hooks.AfterMatrix(I, Prog.proc(I), Train.Procs[I], Task.Atsp);
-      if (Hooks.AfterSolve)
-        Hooks.AfterSolve(I, Prog.proc(I), Train.Procs[I], Task.Atsp,
-                         Task.Solution, Task.SolverOptions);
-    }
     Result.Procs.push_back(std::move(Task.PA));
-    if (Hooks.AfterProcedure)
-      Hooks.AfterProcedure(I, Prog.proc(I), Train.Procs[I],
-                           Result.Procs.back());
+    if (Options.AfterProcedure)
+      Options.AfterProcedure(I, Prog.proc(I), Train.Procs[I],
+                             Result.Procs.back(),
+                             Task.Artifacts ? &*Task.Artifacts : nullptr);
   }
   return Result;
 }

@@ -40,45 +40,33 @@ namespace balign {
 
 struct ProcedureAlignment;
 
-/// Observation points the pipeline exposes for verification
-/// instrumentation (the -verify-each idea): each callback, when set,
-/// fires after the named stage with the stage's inputs and freshly
-/// produced artifact. The pipeline itself never inspects the callbacks'
-/// behavior, so instrumentation cannot change results —
+/// What the tsp path's solve of one procedure produced, exactly as the
+/// pipeline used it: the DTSP instance, the solver's answer, and the
+/// solver options with the derived per-procedure seed (and no budget,
+/// so a replay observes no deadline).
+struct SolveArtifacts {
+  AlignmentTsp Atsp;
+  DtspSolution Solution;
+  IteratedOptOptions SolverOptions;
+};
+
+/// The pipeline's one observation point for verification
+/// instrumentation (the -verify-each idea): called once per procedure
+/// with its finished alignment record and, when the tsp path solved the
+/// procedure, its SolveArtifacts (null for unprofiled, greedy-only,
+/// Ext-TSP and degraded procedures). The pipeline never inspects what
+/// the hook does, so instrumentation cannot change results —
 /// analysis/PipelineVerifier.h installs the balign-verify passes here
 /// without the align library depending on them.
 ///
-/// Serialization contract: callbacks always run on the thread that
-/// called alignProgram, never concurrently, in program order, and the
-/// three callbacks of one procedure fire consecutively
-/// (AfterMatrix, AfterSolve, AfterProcedure). Under
-/// AlignmentOptions::Threads > 1 the per-procedure stage artifacts are
-/// buffered in a drain queue and replayed in that order once the
-/// parallel region completes, so hooks written for the serial pipeline
-/// (including stateful ones like PipelineVerifier's per-procedure
-/// cache) work unchanged at any thread count.
-struct PipelineStageHooks {
-  /// After the DTSP instance of a profiled procedure is built.
-  std::function<void(size_t ProcIndex, const Procedure &Proc,
-                     const ProcedureProfile &Train,
-                     const AlignmentTsp &Atsp)>
-      AfterMatrix;
-
-  /// After the solver returns; \p SolverOptions carries the derived
-  /// per-procedure seed actually used.
-  std::function<void(size_t ProcIndex, const Procedure &Proc,
-                     const ProcedureProfile &Train,
-                     const AlignmentTsp &Atsp, const DtspSolution &Solution,
-                     const IteratedOptOptions &SolverOptions)>
-      AfterSolve;
-
-  /// After a procedure's alignment record is complete (also fires for
-  /// unprofiled procedures that took the keep-original skip path).
-  std::function<void(size_t ProcIndex, const Procedure &Proc,
-                     const ProcedureProfile &Train,
-                     const ProcedureAlignment &Result)>
-      AfterProcedure;
-};
+/// Serialization contract: the hook always runs on the thread that
+/// called alignProgram, never concurrently, in program order. Under
+/// AlignmentOptions::Threads > 1 each procedure's artifacts wait in its
+/// result slot until the parallel region completes, so a hook written
+/// for the serial pipeline works unchanged at any thread count.
+using ProcedureHook = std::function<void(
+    size_t ProcIndex, const Procedure &Proc, const ProcedureProfile &Train,
+    const ProcedureAlignment &Result, const SolveArtifacts *Artifacts)>;
 
 struct AlignmentOptions;
 
@@ -199,10 +187,10 @@ struct AlignmentOptions {
   bool ComputeBounds = true;
 
   /// The algorithm behind the primary layout. ExtTsp skips the DTSP
-  /// matrix/solve stages entirely (the AfterMatrix/AfterSolve hooks
-  /// never fire — there are no artifacts to observe) and runs the
-  /// chain merger under a stage.chain span instead. Result-affecting,
-  /// so the cache fingerprint keys on it.
+  /// matrix/solve stages entirely (AfterProcedure gets no artifacts —
+  /// there are none to observe) and runs the chain merger under a
+  /// stage.chain span instead. Result-affecting, so the cache
+  /// fingerprint keys on it.
   PrimaryAligner Primary = PrimaryAligner::Tsp;
 
   /// The objective the ExtTsp chain merger maximizes (ignored under
@@ -233,10 +221,10 @@ struct AlignmentOptions {
   std::string CachePath;
 
   /// The cache implementation; installed by cache::CacheSession. Not
-  /// owned. Lookups are skipped while AfterMatrix/AfterSolve hooks are
-  /// present (verification wants to observe real solves), but freshly
-  /// computed results are still stored, so `--verify --cache` warms a
-  /// fully verified cache.
+  /// owned. Lookups are skipped while AfterProcedure is set
+  /// (verification wants to observe real solves), but freshly computed
+  /// results are still stored, so `--verify --cache` warms a fully
+  /// verified cache.
   ProcedureResultCache *CacheImpl = nullptr;
 
   /// Worker threads for the per-procedure stages (greedy, matrix build,
@@ -244,12 +232,12 @@ struct AlignmentOptions {
   /// uses one worker per hardware thread, any other value that many
   /// workers. Results are bit-identical for every setting — each
   /// procedure's solver stream is derived from the root seed, not from
-  /// scheduling — and hooks always fire on the calling thread, in
-  /// program order (see PipelineStageHooks).
+  /// scheduling — and AfterProcedure always runs on the calling thread,
+  /// in program order (see ProcedureHook).
   unsigned Threads = 1;
 
   /// Verification instrumentation; empty (and free) by default.
-  PipelineStageHooks Hooks;
+  ProcedureHook AfterProcedure;
 
   //===--- balign-shield failure isolation --------------------------------===//
 

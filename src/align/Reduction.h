@@ -22,7 +22,9 @@
 ///    than any real layout's total penalty. Optimal (and in practice all
 ///    heuristic) tours therefore leave the dummy straight into the
 ///    entry; layoutFromTour asserts but also repairs the rare heuristic
-///    violation.
+///    violation. The pin is summed with overflow checks, and an instance
+///    whose pin does not fit three times in int64 is refused (see
+///    buildPinnedTsp).
 ///
 //===--------------------------------------------------------------------===//
 
@@ -35,7 +37,19 @@
 #include "profile/Profile.h"
 #include "tsp/Instance.h"
 
+#include <functional>
+#include <stdexcept>
+
 namespace balign {
+
+/// An instance too large for the solver to handle: a DTSP whose entry
+/// pin would overflow (buildPinnedTsp), or one over alignProgram's city
+/// cap (AlignmentOptions::MaxTspCities). alignProgram maps it to
+/// FailureKind::ResourceCap.
+class ResourceCapError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
+};
 
 /// A branch-alignment DTSP instance: city i (< numBlocks) is block i; the
 /// last city is the dummy end-of-layout marker.
@@ -47,10 +61,24 @@ struct AlignmentTsp {
   size_t numBlocks() const { return DummyCity; }
 };
 
+/// The reduction's shape, shared by every cost model: the cell (B, X)
+/// costs \p Penalty(B, X), the cell (B, dummy) costs
+/// \p Penalty(B, InvalidBlock), and the dummy row pins the entry first.
+/// EntryPin is one more than the sum of every block's dearest cell,
+/// summed in checked uint64 arithmetic before any cell is stored as
+/// int64. Every tour costs less than 2 x EntryPin and the 3-Opt move
+/// deltas stay above -3 x EntryPin, so an instance whose 3 x EntryPin
+/// does not fit int64 throws ResourceCapError instead of letting the
+/// solver run on wrapped costs.
+AlignmentTsp
+buildPinnedTsp(const Procedure &Proc,
+               const std::function<uint64_t(BlockId B, BlockId X)> &Penalty);
+
 /// Builds the DTSP instance for \p Proc under \p Train and \p Model.
 /// Edge costs call blockLayoutPenalty with Predict = Charge = Train, so a
 /// tour's cost equals evaluateLayout of the corresponding layout on the
-/// training profile (tested invariant).
+/// training profile (tested invariant). Throws ResourceCapError as
+/// buildPinnedTsp does.
 AlignmentTsp buildAlignmentTsp(const Procedure &Proc,
                                const ProcedureProfile &Train,
                                const MachineModel &Model);

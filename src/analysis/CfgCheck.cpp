@@ -8,11 +8,14 @@
 // block at all (cfg.no-return-block). Both are warnings: an infinite
 // dispatch loop is legal code, but it breaks the profile walk's
 // invocation model (such a walk ends in ProfileWalkError), so the author
-// should know.
+// should know. Both directions of reachability come from lint's
+// computeReachability (static/Reachability.h).
 //
 //===--------------------------------------------------------------------===//
 
 #include "analysis/Verifier.h"
+
+#include "static/Reachability.h"
 
 #include <set>
 
@@ -40,17 +43,13 @@ size_t balign::checkCfg(const Procedure &Proc, DiagnosticEngine &Diags) {
       Diags.report(Severity::Error, CheckId::CfgEmptyBlock, PassName, Here,
                    "block has no instructions");
 
-    bool InRange = true;
-    for (BlockId Succ : Succs) {
-      if (Succ >= Proc.numBlocks()) {
+    for (BlockId Succ : Succs)
+      if (Succ >= Proc.numBlocks())
         Diags.report(Severity::Error, CheckId::CfgSuccOutOfRange, PassName,
                      DiagLocation::edge(Name, Id, Succ),
                      "successor " + std::to_string(Succ) +
                          " out of range (procedure has " +
                          std::to_string(Proc.numBlocks()) + " blocks)");
-        InRange = false;
-      }
-    }
 
     // Duplicate successors are illegal for every terminator kind: a
     // conditional needs two distinct directions, a multiway's targets
@@ -87,8 +86,6 @@ size_t balign::checkCfg(const Procedure &Proc, DiagnosticEngine &Diags) {
                          std::to_string(Succs.size()));
       break;
     }
-    if (!InRange)
-      continue;
   }
 
   if (NumReturns == 0)
@@ -97,53 +94,20 @@ size_t balign::checkCfg(const Procedure &Proc, DiagnosticEngine &Diags) {
                  "procedure has no return block; every invocation would "
                  "run forever");
 
-  // Forward reachability from the entry (dead-block detection). Guard
-  // every successor dereference: earlier findings may have left
-  // out-of-range edges in place.
-  std::vector<bool> FromEntry(Proc.numBlocks(), false);
-  std::vector<BlockId> Work = {Proc.entry()};
-  FromEntry[Proc.entry()] = true;
-  while (!Work.empty()) {
-    BlockId Id = Work.back();
-    Work.pop_back();
-    for (BlockId Succ : Proc.successors(Id)) {
-      if (Succ >= Proc.numBlocks() || FromEntry[Succ])
-        continue;
-      FromEntry[Succ] = true;
-      Work.push_back(Succ);
-    }
-  }
+  // Dead blocks, then (when a return exists at all) live blocks that
+  // cannot reach one.
+  Reachability Reach = computeReachability(Proc);
   for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-    if (!FromEntry[Id])
+    if (!Reach.FromEntry[Id])
       Diags.report(Severity::Error, CheckId::CfgUnreachable, PassName,
                    DiagLocation::block(Name, Id),
                    "block unreachable from the entry (dead block)");
-
-  // Backward reachability from returns (exit-path detection).
-  if (NumReturns != 0) {
-    std::vector<std::vector<BlockId>> Preds = Proc.computePredecessors();
-    std::vector<bool> ToExit(Proc.numBlocks(), false);
+  if (NumReturns != 0)
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-      if (Proc.block(Id).Kind == TerminatorKind::Return) {
-        ToExit[Id] = true;
-        Work.push_back(Id);
-      }
-    while (!Work.empty()) {
-      BlockId Id = Work.back();
-      Work.pop_back();
-      for (BlockId Pred : Preds[Id]) {
-        if (ToExit[Pred])
-          continue;
-        ToExit[Pred] = true;
-        Work.push_back(Pred);
-      }
-    }
-    for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-      if (FromEntry[Id] && !ToExit[Id])
+      if (Reach.FromEntry[Id] && !Reach.ToExit[Id])
         Diags.report(Severity::Warning, CheckId::CfgNoExitPath, PassName,
                      DiagLocation::block(Name, Id),
                      "no path from this block to any return");
-  }
 
   return Diags.errorCount() - Before;
 }

@@ -16,49 +16,28 @@ size_t PipelineVerifier::verifyInputs(const Program &Prog,
 
 void PipelineVerifier::install(AlignmentOptions &AlignOptions) {
   Model = AlignOptions.Model;
-  AlignOptions.Hooks.AfterMatrix =
-      [this](size_t I, const Procedure &Proc, const ProcedureProfile &Train,
-             const AlignmentTsp &Atsp) { afterMatrix(I, Proc, Train, Atsp); };
-  AlignOptions.Hooks.AfterSolve =
-      [this](size_t I, const Procedure &Proc, const ProcedureProfile &Train,
-             const AlignmentTsp &Atsp, const DtspSolution &Solution,
-             const IteratedOptOptions &SolverOptions) {
-        afterSolve(I, Proc, Train, Atsp, Solution, SolverOptions);
-      };
-  AlignOptions.Hooks.AfterProcedure =
-      [this](size_t I, const Procedure &Proc, const ProcedureProfile &Train,
-             const ProcedureAlignment &Result) {
-        afterProcedure(I, Proc, Train, Result);
+  AlignOptions.AfterProcedure =
+      [this](size_t, const Procedure &Proc, const ProcedureProfile &Train,
+             const ProcedureAlignment &Result,
+             const SolveArtifacts *Artifacts) {
+        afterProcedure(Proc, Train, Result, Artifacts);
       };
 }
 
-void PipelineVerifier::afterMatrix(size_t ProcIndex, const Procedure &Proc,
-                                   const ProcedureProfile &Train,
-                                   const AlignmentTsp &Atsp) {
-  ScopedSpan Span("verify.matrix-audit", SpanCat::Verify);
-  checkCostMatrix(Proc, Train, Model, Atsp, Diags, Options);
-  Cache.Valid = true;
-  Cache.ProcIndex = ProcIndex;
-  Cache.Atsp = Atsp;
-  Cache.Solution = DtspSolution();
-}
-
-void PipelineVerifier::afterSolve(size_t ProcIndex, const Procedure &Proc,
-                                  const ProcedureProfile &Train,
-                                  const AlignmentTsp &Atsp,
-                                  const DtspSolution &Solution,
-                                  const IteratedOptOptions &SolverOptions) {
-  ScopedSpan Span("verify.tour-bounds", SpanCat::Verify);
-  checkTour(Proc, Train, Model, Atsp, Solution.Tour, Solution.Cost, Diags);
-  if (Cache.Valid && Cache.ProcIndex == ProcIndex) {
-    Cache.Solution = Solution;
-    Cache.SolverOptions = SolverOptions;
-  }
-}
-
-void PipelineVerifier::afterProcedure(size_t ProcIndex, const Procedure &Proc,
+void PipelineVerifier::afterProcedure(const Procedure &Proc,
                                       const ProcedureProfile &Train,
-                                      const ProcedureAlignment &Result) {
+                                      const ProcedureAlignment &Result,
+                                      const SolveArtifacts *Artifacts) {
+  if (Artifacts) {
+    {
+      ScopedSpan Span("verify.matrix-audit", SpanCat::Verify);
+      checkCostMatrix(Proc, Train, Model, Artifacts->Atsp, Diags, Options);
+    }
+    ScopedSpan Span("verify.tour-bounds", SpanCat::Verify);
+    checkTour(Proc, Train, Model, Artifacts->Atsp, Artifacts->Solution.Tour,
+              Artifacts->Solution.Cost, Diags);
+  }
+
   ScopedSpan Span("verify.layout-check", SpanCat::Verify);
   checkLayout(Proc, Result.OriginalLayout, Train, Model, Diags);
   checkLayout(Proc, Result.GreedyLayout, Train, Model, Diags);
@@ -71,15 +50,12 @@ void PipelineVerifier::afterProcedure(size_t ProcIndex, const Procedure &Proc,
   }
   checkBounds(Proc, Result.Bounds, Result.TspPenalty, Diags);
 
-  bool Profiled = Cache.Valid && Cache.ProcIndex == ProcIndex &&
-                  !Cache.Solution.Tour.empty();
-  if (Profiled && Options.Level == VerifyLevel::Full) {
+  if (Artifacts && Options.Level == VerifyLevel::Full) {
     ScopedSpan ReplaySpan("verify.determinism", SpanCat::Verify);
-    checkDeterminism(Proc, Train, Model, Cache.Atsp, Cache.SolverOptions,
-                     Cache.Solution.Tour, Cache.Solution.Cost,
-                     Result.TspLayout, Diags);
+    checkDeterminism(Proc, Train, Model, Artifacts->Atsp,
+                     Artifacts->SolverOptions, Artifacts->Solution.Tour,
+                     Artifacts->Solution.Cost, Result.TspLayout, Diags);
   }
-  Cache.Valid = false;
 }
 
 size_t PipelineVerifier::verifyAlignment(const Program &Prog,

@@ -5,21 +5,20 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Ties the balign-verify passes to the alignment pipeline's stage hooks
-/// (the LLVM -verify-each idea): a PipelineVerifier installs callbacks
-/// into AlignmentOptions::Hooks so every cost matrix, tour, and layout
-/// the pipeline produces is checked the moment it exists, and collects
-/// all findings in one DiagnosticEngine.
+/// Ties the balign-verify passes to the alignment pipeline's procedure
+/// hook (the LLVM -verify-each idea): a PipelineVerifier installs
+/// AlignmentOptions::AfterProcedure so every cost matrix, tour, and
+/// layout the pipeline produces is checked as each procedure completes,
+/// and collects all findings in one DiagnosticEngine.
 ///
 /// The verifier must outlive the alignProgram call it instruments (the
-/// installed callbacks capture `this`).
+/// installed callback captures `this`).
 ///
 /// The verifier is deliberately single-threaded: the pipeline's hook
-/// contract (Pipeline.h) guarantees callbacks fire serialized on the
-/// calling thread, in program order, with one procedure's three events
-/// consecutive — even when AlignmentOptions::Threads parallelizes the
-/// stage computations — so the per-procedure StageCache below needs no
-/// locking at any thread count.
+/// contract (Pipeline.h) guarantees the callback runs serialized on the
+/// calling thread, in program order — even when
+/// AlignmentOptions::Threads parallelizes the stage computations — so
+/// it needs no locking at any thread count.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -41,14 +40,14 @@ public:
   /// procedure profile's flow conservation. Returns errors added.
   size_t verifyInputs(const Program &Prog, const ProgramProfile &Train);
 
-  /// Installs verify-each callbacks into \p AlignOptions. Overwrites any
-  /// hooks already present.
+  /// Installs the verify-each callback as \p AlignOptions'
+  /// AfterProcedure. Overwrites any hook already present.
   void install(AlignmentOptions &AlignOptions);
 
   /// Verifies a finished whole-program alignment: layout legality of
   /// every produced layout and the bound ordering. For alignments
-  /// produced without the hooks installed; the determinism replay needs
-  /// the in-flight stage artifacts and only runs through verify-each.
+  /// produced without the hook installed; the determinism replay needs
+  /// the in-flight solve artifacts and only runs through verify-each.
   size_t verifyAlignment(const Program &Prog, const ProgramProfile &Train,
                          const MachineModel &Model,
                          const ProgramAlignment &Alignment);
@@ -57,31 +56,13 @@ public:
   const VerifyOptions &options() const { return Options; }
 
 private:
-  void afterMatrix(size_t ProcIndex, const Procedure &Proc,
-                   const ProcedureProfile &Train, const AlignmentTsp &Atsp);
-  void afterSolve(size_t ProcIndex, const Procedure &Proc,
-                  const ProcedureProfile &Train, const AlignmentTsp &Atsp,
-                  const DtspSolution &Solution,
-                  const IteratedOptOptions &SolverOptions);
-  void afterProcedure(size_t ProcIndex, const Procedure &Proc,
-                      const ProcedureProfile &Train,
-                      const ProcedureAlignment &Result);
+  void afterProcedure(const Procedure &Proc, const ProcedureProfile &Train,
+                      const ProcedureAlignment &Result,
+                      const SolveArtifacts *Artifacts);
 
   DiagnosticEngine &Diags;
   VerifyOptions Options;
   MachineModel Model = MachineModel::alpha21164();
-
-  /// Stage artifacts cached between hooks of the same procedure, so the
-  /// AfterProcedure handler can replay the whole chain. Empty for
-  /// unprofiled procedures, which skip the matrix and solve stages.
-  struct StageCache {
-    bool Valid = false;
-    size_t ProcIndex = 0;
-    AlignmentTsp Atsp;
-    DtspSolution Solution;
-    IteratedOptOptions SolverOptions;
-  };
-  StageCache Cache;
 };
 
 /// One-call verified alignment: checks the inputs, runs alignProgram

@@ -16,12 +16,16 @@
 // inflow disagreeing with the block count at a non-entry block, can
 // never happen in a real profile and is an error. Shape mismatches (rows
 // for edges the CFG does not have) and overflow-suspicious magnitudes
-// are screened first since the arithmetic below assumes a well-shaped
-// profile.
+// are screened first since the flow sums assume a well-shaped profile.
+// The sums themselves are lint's (flowViolations, static/FlowSolver.h),
+// taken in wide integers, so counts near 2^64 cannot wrap into a fake
+// balance; a sum past 2^64 - 1 is reported as 2^64 - 1.
 //
 //===--------------------------------------------------------------------===//
 
 #include "analysis/Verifier.h"
+
+#include "static/FlowSolver.h"
 
 using namespace balign;
 
@@ -82,47 +86,28 @@ size_t balign::checkProfileFlow(const Procedure &Proc,
                          " is overflow-suspicious");
   }
 
-  // Inflow per block. Counts are far below 2^56 (screened above, and the
-  // screen only warns), so the uint64 sums cannot wrap meaningfully.
-  std::vector<uint64_t> Inflow(Proc.numBlocks(), 0);
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-    for (size_t S = 0; S != Profile.EdgeCounts[Id].size(); ++S)
-      Inflow[Proc.successors(Id)[S]] += Profile.EdgeCounts[Id][S];
-
+  // Kirchhoff inflow is exact for non-entry blocks; the entry absorbs
+  // one external arrival per invocation, so its inflow is flagged only
+  // above the count. Outflow (returns exit the procedure) must meet
+  // the count; a shortfall is an abandoned walk tail, summed below.
   uint64_t OutflowDeficit = 0;
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
-    uint64_t Count = Profile.BlockCounts[Id];
-
-    // Kirchhoff inflow: exact for non-entry blocks; the entry absorbs
-    // one external arrival per invocation, so its inflow may fall short
-    // but never exceed the count.
-    if (Id == Proc.entry()) {
-      if (Inflow[Id] > Count)
-        Diags.report(Severity::Error, CheckId::ProfileFlowImbalance,
-                     PassName, DiagLocation::block(Name, Id),
-                     "entry inflow " + std::to_string(Inflow[Id]) +
-                         " exceeds block count " + std::to_string(Count));
-    } else if (Inflow[Id] != Count) {
+  for (const FlowViolation &V : flowViolations(Proc, Profile)) {
+    DiagLocation Here = DiagLocation::block(Name, V.Block);
+    std::string Have = std::to_string(V.Have);
+    std::string Want = std::to_string(V.Want);
+    if (V.Inflow && V.Block == Proc.entry())
       Diags.report(Severity::Error, CheckId::ProfileFlowImbalance, PassName,
-                   DiagLocation::block(Name, Id),
-                   "inflow " + std::to_string(Inflow[Id]) +
-                       " != block count " + std::to_string(Count));
-    }
-
-    // Kirchhoff outflow: returns exit the procedure; every other block
-    // must leave through an edge, except for abandoned walk tails.
-    if (Proc.block(Id).Kind == TerminatorKind::Return)
-      continue;
-    uint64_t OutSum = 0;
-    for (uint64_t EdgeCount : Profile.EdgeCounts[Id])
-      OutSum += EdgeCount;
-    if (OutSum > Count)
+                   Here, "entry inflow " + Have + " exceeds block count " +
+                             Want);
+    else if (V.Inflow)
       Diags.report(Severity::Error, CheckId::ProfileFlowImbalance, PassName,
-                   DiagLocation::block(Name, Id),
-                   "outflow " + std::to_string(OutSum) +
-                       " exceeds block count " + std::to_string(Count));
-    else
-      OutflowDeficit += Count - OutSum;
+                   Here, "inflow " + Have + " != block count " + Want);
+    else if (V.Have > V.Want)
+      Diags.report(Severity::Error, CheckId::ProfileFlowImbalance, PassName,
+                   Here, "outflow " + Have + " exceeds block count " + Want);
+    else if (__builtin_add_overflow(OutflowDeficit, V.Want - V.Have,
+                                    &OutflowDeficit))
+      OutflowDeficit = ~uint64_t(0);
   }
 
   if (OutflowDeficit != 0)

@@ -41,7 +41,7 @@
 ///
 /// Passes never mutate their inputs and never abort; policy (abort, exit
 /// code, test assertion) belongs to callers. PipelineVerifier.h wires
-/// them into align::Pipeline as verify-each hooks.
+/// them into align::Pipeline as its verify-each procedure hook.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -200,7 +200,7 @@ struct TraceSpan;
 /// (trace.bad-nesting) — and the per-track sequence numbers must be
 /// contiguous from zero (trace.seq-gap), which is what makes the drain
 /// order reproducible across thread counts. Nesting is checked per
-/// *thread*, not per track: the main thread's verify hooks run on a
+/// *thread*, not per track: the main thread's verify hook runs on a
 /// procedure's track at the main thread's depth. Returns the number of
 /// errors reported.
 size_t checkTraceSpans(const std::vector<TraceSpan> &Spans,

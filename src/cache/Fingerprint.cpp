@@ -106,18 +106,19 @@ void balign::hashSolverOptions(Hasher &H, const IteratedOptOptions &Solver) {
   H.u8(Solver.CanonicalStart ? 1 : 0);
   H.f64(Solver.IterationsFactor);
   H.u32(Solver.MinIterationsPerRun);
-  H.u32(Solver.MaxIterationsPerRun);
+  H.u32(MaxIterationsPerRun); // Once an option; keys absorbed it.
   H.u32(Solver.NeighborListSize);
   H.u64(Solver.Seed);
 }
 
 void balign::hashHeldKarpOptions(Hasher &H, const HeldKarpOptions &HK) {
   H.u32(HK.Iterations);
-  H.f64(HK.InitialAlpha);
-  H.f64(HK.RelativeGapStop);
-  // Once an absolute gap-stop option that no caller set (the ascent now
-  // derives it from RelativeGapStop): every existing key absorbed this
-  // 0.0, so absorbing it keeps them valid.
+  // The alpha and gap-stop constants were options that no caller set,
+  // and so was an absolute gap stop (the ascent now derives it from the
+  // relative one): every existing key absorbed these values, so
+  // absorbing them keeps those keys valid.
+  H.f64(HeldKarpInitialAlpha);
+  H.f64(HeldKarpRelativeGapStop);
   H.f64(0.0);
 }
 

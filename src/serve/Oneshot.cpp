@@ -207,24 +207,25 @@ void balign::applyAlignRequest(const AlignRequest &Req,
   Options.Effort = Req.Effort;
   Options.ComputeBounds = Req.ComputeBounds;
   Options.OnError = Req.OnError;
-  if (Req.HasObjective) {
-    // The Ext-TSP knobs live on the machine model, where the cache
-    // fingerprint absorbs them under the exttsp primary.
-    Options.Primary = Req.Primary;
-    Options.Objective = Req.Objective;
-    Options.Model.ExtTspForwardWindow = Req.ExtTspForwardWindow;
-    Options.Model.ExtTspBackwardWindow = Req.ExtTspBackwardWindow;
-    Options.Model.ExtTspForwardWeight = Req.ExtTspForwardWeight;
-    Options.Model.ExtTspBackwardWeight = Req.ExtTspBackwardWeight;
-  }
-  if (Req.HasEncoding) {
-    // Likewise the branch encoding (balign-displace); the fingerprint
-    // absorbs it only under a variable encoding.
-    Options.Model.Encoding = Req.Encoding;
-    Options.Model.ShortBranchRange = Req.ShortBranchRange;
-    Options.Model.LongBranchExtraInstrs = Req.LongBranchExtraInstrs;
-    Options.Model.LongBranchPenalty = Req.LongBranchPenalty;
-  }
+  // An absent block means that block's defaults, as on the wire, so the
+  // request decides every field below whatever the base held.
+  const AlignRequest Defaults;
+  // The Ext-TSP knobs live on the machine model, where the cache
+  // fingerprint absorbs them under the exttsp primary.
+  const AlignRequest &Objective = Req.HasObjective ? Req : Defaults;
+  Options.Primary = Objective.Primary;
+  Options.Objective = Objective.Objective;
+  Options.Model.ExtTspForwardWindow = Objective.ExtTspForwardWindow;
+  Options.Model.ExtTspBackwardWindow = Objective.ExtTspBackwardWindow;
+  Options.Model.ExtTspForwardWeight = Objective.ExtTspForwardWeight;
+  Options.Model.ExtTspBackwardWeight = Objective.ExtTspBackwardWeight;
+  // Likewise the branch encoding (balign-displace); the fingerprint
+  // absorbs it only under a variable encoding.
+  const AlignRequest &Encoding = Req.HasEncoding ? Req : Defaults;
+  Options.Model.Encoding = Encoding.Encoding;
+  Options.Model.ShortBranchRange = Encoding.ShortBranchRange;
+  Options.Model.LongBranchExtraInstrs = Encoding.LongBranchExtraInstrs;
+  Options.Model.LongBranchPenalty = Encoding.LongBranchPenalty;
 }
 
 ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,

@@ -62,12 +62,16 @@ void warnIgnoredRequestFlags(const RequestFlags &Flags);
 const char *requestFlagsHelp();
 
 /// The one AlignRequest -> AlignmentOptions mapping, shared by align_tool
-/// and AlignService: the solver seed, effort policy, bounds and on-error
-/// policy always; the primary aligner, objective and the model's Ext-TSP
-/// parameters under HasObjective; the model's branch-encoding parameters
-/// under HasEncoding. Every other field of \p Options is left alone.
-/// Budget and the texts are inputs of synthesizeProfile and the parsers,
-/// DeadlineMs is the server's business.
+/// and AlignService. It sets every request option: the solver seed,
+/// effort policy, bounds and on-error policy; the primary aligner,
+/// objective and the model's Ext-TSP parameters from the objective block;
+/// the model's branch-encoding parameters from the encoding block. An
+/// absent block (HasObjective or HasEncoding false) sets that block's
+/// defaults, never what \p Options held, so a server's base cannot leak
+/// into a request. Every other field of \p Options (threads, cache,
+/// budgets, the model's penalty fields) is left alone. Budget and the
+/// texts are inputs of synthesizeProfile and the parsers, DeadlineMs is
+/// the server's business.
 void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 
 /// Simulates the seeded synthetic run align_tool performs when no

@@ -37,13 +37,13 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
   }
 
   // The per-request view of the shared base: one pool worker runs the
-  // whole request (Threads = 1), verification hooks never apply, and
-  // the request's own knobs replace the CLI's through the same mapping
-  // align_tool uses. CacheImpl rides along from the base — that is the
-  // shared warm cache.
+  // whole request (Threads = 1), the verification hook never applies,
+  // and the request decides every request option through the same
+  // mapping align_tool uses. CacheImpl rides along from the base — that
+  // is the shared warm cache.
   AlignmentOptions Options = Base;
   Options.Threads = 1;
-  Options.Hooks = {};
+  Options.AfterProcedure = nullptr;
   applyAlignRequest(Req, Options);
   if (Config.Clock)
     Options.Clock = Config.Clock;

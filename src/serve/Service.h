@@ -14,8 +14,9 @@
 /// Determinism: handleAlign builds a per-request AlignmentOptions from
 /// the shared base — Threads forced to 1 (each request already runs on
 /// one pool worker; the repo's thread-count invariance does the rest),
-/// hooks stripped, and the request applied through applyAlignRequest in
-/// serve/Oneshot.h — then runs alignProgram and renderAlignmentReport.
+/// the procedure hook stripped, and every request option set from the
+/// request through applyAlignRequest in serve/Oneshot.h, whatever the
+/// base held — then runs alignProgram and renderAlignmentReport.
 /// One-shot align_tool takes exactly that path for every run, so the
 /// response body is byte-identical to its stdout for the same inputs and
 /// request flags (no flags included), at every server thread count, hit

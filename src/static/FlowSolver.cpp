@@ -24,6 +24,12 @@ namespace {
 // is noticed; accumulate wider so wrap-around cannot fake a balance.
 using WideSum = unsigned __int128;
 
+/// \p Sum, or 2^64 - 1 when it does not fit 64 bits.
+uint64_t clamped(WideSum Sum) {
+  return static_cast<uint64_t>(Sum > (~WideSum(0) >> 64) ? ~uint64_t(0)
+                                                         : Sum);
+}
+
 /// One conservation equation: the counts of Edges must sum to Target
 /// (or stay <= Target for the entry-inflow inequality).
 struct Equation {
@@ -40,6 +46,34 @@ std::string edgeName(const Procedure &Proc, BlockId From, size_t Succ) {
 }
 
 } // namespace
+
+std::vector<FlowViolation>
+balign::flowViolations(const Procedure &Proc,
+                       const ProcedureProfile &Profile) {
+  // Outflow deficits are violations too: lint has no truncation-slack
+  // escape hatch, and balign-verify's profile-flow pass, which reads
+  // these, turns deficits into its truncation warning itself.
+  size_t N = Proc.numBlocks();
+  std::vector<FlowViolation> Violations;
+  std::vector<WideSum> Inflow(N, 0);
+  for (BlockId B = 0; B != N; ++B)
+    for (size_t S = 0; S != Proc.successors(B).size(); ++S)
+      Inflow[Proc.successors(B)[S]] += Profile.EdgeCounts[B][S];
+  for (BlockId B = 0; B != N; ++B) {
+    uint64_t Count = Profile.BlockCounts[B];
+    bool EntryOk = B == Proc.entry() && Inflow[B] <= Count;
+    if (!EntryOk && Inflow[B] != Count)
+      Violations.push_back({B, /*Inflow=*/true, clamped(Inflow[B]), Count});
+    if (Proc.block(B).Kind == TerminatorKind::Return)
+      continue;
+    WideSum Out = 0;
+    for (uint64_t EC : Profile.EdgeCounts[B])
+      Out += EC;
+    if (Out != Count)
+      Violations.push_back({B, /*Inflow=*/false, clamped(Out), Count});
+  }
+  return Violations;
+}
 
 FlowAnalysis balign::analyzeFlow(const Procedure &Proc,
                                  const ProcedureProfile &Profile,
@@ -84,37 +118,7 @@ FlowAnalysis balign::analyzeFlow(const Procedure &Proc,
       Value[E] = Unknown ? 0 : Given;
     }
 
-  // Violations of the profile exactly as given (mirrors the strict form
-  // of balign-verify's profile-flow pass; outflow deficits are reported
-  // too, since lint has no truncation-slack escape hatch).
-  {
-    std::vector<WideSum> Inflow(N, 0);
-    for (BlockId B = 0; B != N; ++B)
-      for (size_t S = 0; S != Proc.successors(B).size(); ++S)
-        Inflow[Proc.successors(B)[S]] += Profile.EdgeCounts[B][S];
-    for (BlockId B = 0; B != N; ++B) {
-      uint64_t Count = Profile.BlockCounts[B];
-      bool EntryOk = B == Proc.entry() && Inflow[B] <= Count;
-      if (!EntryOk && Inflow[B] != Count)
-        Result.Violations.push_back(
-            {B, /*Inflow=*/true,
-             static_cast<uint64_t>(Inflow[B] > (~WideSum(0) >> 64)
-                                       ? ~uint64_t(0)
-                                       : Inflow[B]),
-             Count});
-      if (Proc.block(B).Kind == TerminatorKind::Return)
-        continue;
-      WideSum Out = 0;
-      for (uint64_t EC : Profile.EdgeCounts[B])
-        Out += EC;
-      if (Out != Count)
-        Result.Violations.push_back(
-            {B, /*Inflow=*/false,
-             static_cast<uint64_t>(Out > (~WideSum(0) >> 64) ? ~uint64_t(0)
-                                                             : Out),
-             Count});
-    }
-  }
+  Result.Violations = flowViolations(Proc, Profile);
 
   // Build the equation system: one OUT equation per non-Return block, one
   // IN equation per block (the entry's is an upper bound only).
@@ -237,8 +241,7 @@ FlowAnalysis balign::analyzeFlow(const Procedure &Proc,
       bool Ok = Eq.UpperBoundOnly ? Sum <= Eq.Target : Sum == Eq.Target;
       if (!Ok) {
         contradict((Eq.Inflow ? "inflow " : "outflow ") +
-                   std::to_string(static_cast<uint64_t>(
-                       Sum > (~WideSum(0) >> 64) ? ~uint64_t(0) : Sum)) +
+                   std::to_string(clamped(Sum)) +
                    (Eq.UpperBoundOnly ? " exceeds count " : " != count ") +
                    std::to_string(Eq.Target) + " at block " +
                    std::to_string(Eq.Block) +

@@ -11,7 +11,8 @@
 /// contradictory.
 ///
 /// The conservation law is the one the trace model fixes (and that
-/// balign-verify's profile-flow pass checks post-hoc): an invocation
+/// balign-verify's profile-flow pass checks post-hoc, by reading
+/// flowViolations): an invocation
 /// enters at the entry and leaves through a Return, so for every block B
 ///
 ///   sum of in-edge counts  == BlockCounts[B]   (B != entry; the entry
@@ -92,6 +93,17 @@ struct FlowAnalysis {
   /// Human-readable account of the first contradiction, empty otherwise.
   std::string Contradiction;
 };
+
+/// The conservation violations of \p Profile exactly as given, in
+/// ascending block order (FlowAnalysis::Violations): in-edge sums that
+/// miss the block count (at the entry, only sums above it), and
+/// out-edge sums of non-Return blocks that miss it. Sums are taken in
+/// 128 bits, so counts near 2^64 cannot wrap into a fake balance, and a
+/// sum past 2^64 - 1 is reported as 2^64 - 1. balign-verify's
+/// profile-flow pass reads these without the rest of analyzeFlow. The
+/// profile must be shaped like the procedure.
+std::vector<FlowViolation> flowViolations(const Procedure &Proc,
+                                          const ProcedureProfile &Profile);
 
 /// Per-edge known/unknown mask, shaped like ProcedureProfile::EdgeCounts.
 using EdgeMask = std::vector<std::vector<bool>>;

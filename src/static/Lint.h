@@ -44,14 +44,6 @@
 
 namespace balign {
 
-/// Tuning for the lint checks. Defaults are calibrated so every corpus
-/// the workload generator emits (and every profile the walk counts on
-/// one) lints clean.
-struct LintOptions {
-  /// Loop nests at least this deep draw lint.deep-nest.
-  unsigned DeepNestDepth = 8;
-};
-
 /// Everything one lint run produced.
 struct LintResult {
   /// The findings, in deterministic program/procedure/check order.
@@ -83,7 +75,7 @@ struct LintResult {
 /// \p ProcClass, when non-null, receives the flow verdict (Consistent
 /// when no profile was supplied).
 size_t lintProcedure(const Procedure &Proc, const ProcedureProfile *Profile,
-                     const LintOptions &Opts, DiagnosticEngine &Diags,
+                     DiagnosticEngine &Diags,
                      ProfileClass *ProcClass = nullptr);
 
 /// Lints a whole program: every procedure, plus the machine-model screen
@@ -92,8 +84,7 @@ size_t lintProcedure(const Procedure &Proc, const ProcedureProfile *Profile,
 /// independent of thread count (lint itself is single-threaded and runs
 /// before the parallel pipeline).
 LintResult lintProgram(const Program &Prog, const ProgramProfile *Profile,
-                       const MachineModel *Model,
-                       const LintOptions &Opts = LintOptions());
+                       const MachineModel *Model);
 
 /// Renders \p Result as one JSON object (schema documented in DESIGN.md
 /// §13): {"version", "summary", "classes", "findings"}. Stable field

@@ -12,7 +12,9 @@ Reachability balign::computeReachability(const Procedure &Proc) {
   if (N == 0)
     return R;
 
-  // Forward: worklist BFS from the entry.
+  // Forward: worklist BFS from the entry. Out-of-range successors are
+  // skipped: balign-verify's cfg-verify reads this on CFGs it has not
+  // yet proven well-formed (and reports those edges itself).
   std::vector<BlockId> Worklist;
   R.FromEntry[Proc.entry()] = true;
   Worklist.push_back(Proc.entry());
@@ -20,7 +22,7 @@ Reachability balign::computeReachability(const Procedure &Proc) {
     BlockId B = Worklist.back();
     Worklist.pop_back();
     for (BlockId To : Proc.successors(B))
-      if (!R.FromEntry[To]) {
+      if (To < N && !R.FromEntry[To]) {
         R.FromEntry[To] = true;
         Worklist.push_back(To);
       }

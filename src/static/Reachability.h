@@ -10,7 +10,8 @@
 /// blocks into the live core (both), dead code (neither / not forward),
 /// and trapped regions (forward-reachable but unable to exit — the
 /// infinite-loop smell lint reports). Pure and allocation-light; used by
-/// the lint checks and by tests as the brute-force-comparable baseline.
+/// the lint checks, by balign-verify's cfg-verify pass, and by tests as
+/// the brute-force-comparable baseline.
 ///
 //===--------------------------------------------------------------------===//
 

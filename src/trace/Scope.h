@@ -21,7 +21,7 @@
 ///    (cache hits/misses/salvages, shield retries/faults/rungs, pool
 ///    steals/queue depth, solver iterations/kicks).
 ///
-/// Determinism contract (the same discipline as verify hooks and
+/// Determinism contract (the same discipline as the verify hook and
 /// FailureReports): spans are *drained in program order* — sorted by
 /// (track, per-track begin sequence) — so the drained span list, with
 /// timestamps and thread ids masked out, is identical at every thread

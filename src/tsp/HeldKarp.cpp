@@ -125,7 +125,7 @@ double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
   int64_t Offset = static_cast<int64_t>(N) * Transform.LockBonus;
   int64_t SymUpper = UpperBound - Offset;
   double GapStop =
-      Options.RelativeGapStop *
+      HeldKarpRelativeGapStop *
       std::max(1.0, std::fabs(static_cast<double>(UpperBound)));
   size_t Cities = Transform.numCities();
   // The dearest finite distance: a real arc, as pair edges cost
@@ -142,7 +142,7 @@ double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
         std::clamp<unsigned>(static_cast<unsigned>(200 * Cities), 2000, 30000);
 
   std::vector<double> Pi(Cities, 0.0);
-  double Alpha = Options.InitialAlpha;
+  double Alpha = HeldKarpInitialAlpha;
   double BestBound = -std::numeric_limits<double>::infinity();
   unsigned SinceImprove = 0;
   // Plateaus on the pair-locked transformed instances routinely last

@@ -28,17 +28,17 @@ struct HeldKarpOptions {
   /// usually converge to the tour value well before the cap thanks to
   /// the relative-gap early stop.
   unsigned Iterations = 0;
-
-  /// Initial step-size multiplier (the classical alpha, halved on
-  /// stagnation).
-  double InitialAlpha = 2.0;
-
-  /// Stop once the bound is within this fraction of the incumbent tour
-  /// (the bound cannot exceed it anyway), measured on the *directed* cost
-  /// scale: the symmetric scale is shifted by the huge pair-lock offset
-  /// and useless for relative comparisons.
-  double RelativeGapStop = 1e-4;
 };
+
+/// Initial step-size multiplier of the ascent (the classical alpha,
+/// halved on stagnation).
+constexpr double HeldKarpInitialAlpha = 2.0;
+
+/// The ascent stops once the bound is within this fraction of the
+/// incumbent tour (the bound cannot exceed it anyway), measured on the
+/// *directed* cost scale: the symmetric scale is shifted by the huge
+/// pair-lock offset and useless for relative comparisons.
+constexpr double HeldKarpRelativeGapStop = 1e-4;
 
 /// Held-Karp bound for a directed instance, by ascent on its pair-locked
 /// symmetric view (Transform.h), mapped back to directed scale.

@@ -87,7 +87,7 @@ struct Solver {
     std::vector<City> Best = std::move(Start);
     int64_t BestCost = localSearchDirected(Dtsp, Candidates, Best);
     size_t Iterations = std::min<size_t>(
-        Options.MaxIterationsPerRun,
+        MaxIterationsPerRun,
         std::max<size_t>(Options.MinIterationsPerRun,
                          static_cast<size_t>(
                              Options.IterationsFactor *

@@ -37,7 +37,6 @@ struct IteratedOptOptions {
   bool CanonicalStart = true;        ///< One run from the compiler order.
   double IterationsFactor = 2.0;     ///< Kicks per run = Factor * N.
   unsigned MinIterationsPerRun = 30; ///< Floor so tiny instances explore.
-  unsigned MaxIterationsPerRun = 1u << 16; ///< Safety cap on kicks.
   unsigned NeighborListSize = 12;    ///< Candidate-list width.
   uint64_t Seed = 0x7357u;           ///< Root seed (runs fork from it).
 
@@ -49,6 +48,9 @@ struct IteratedOptOptions {
   /// budget-tripped results are never cached.
   const Deadline *Budget = nullptr;
 };
+
+/// Safety cap on the kicks of one run.
+constexpr unsigned MaxIterationsPerRun = 1u << 16;
 
 /// Result of solving one directed instance.
 struct DtspSolution {

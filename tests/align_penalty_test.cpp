@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace balign;
 
 namespace {
@@ -35,6 +37,27 @@ struct CondFixture {
 };
 
 const MachineModel Alpha = MachineModel::alpha21164();
+
+/// A jump into a return, executed \p Count times. Its only priced cell
+/// is entry -> dummy (the jump stays, 2 cycles a run), so EntryPin is
+/// 2 * Count + 1.
+struct JumpFixture {
+  Procedure Proc;
+  ProcedureProfile Profile;
+
+  explicit JumpFixture(uint64_t Count)
+      : Proc([] {
+          CFGBuilder B("jump");
+          BlockId J = B.jump(3);
+          BlockId R = B.ret(1);
+          B.edge(J, R);
+          return B.take();
+        }()) {
+    Profile = ProcedureProfile::zeroed(Proc);
+    Profile.BlockCounts = {Count, Count};
+    Profile.EdgeCounts[0] = {Count};
+  }
+};
 
 } // namespace
 
@@ -145,6 +168,41 @@ TEST(ReductionTest, DummyRowPinsEntry) {
   EXPECT_EQ(Atsp.Tsp.cost(Atsp.DummyCity, 1), Atsp.EntryPin);
   EXPECT_EQ(Atsp.Tsp.cost(Atsp.DummyCity, 2), Atsp.EntryPin);
   EXPECT_GT(Atsp.EntryPin, 0);
+}
+
+TEST(ReductionTest, EntryPinMustFitThreeTimesInInt64) {
+  // 2^60 runs: the pin is 2^61 + 1, and three of it fit int64.
+  JumpFixture Fits(uint64_t(1) << 60);
+  AlignmentTsp Atsp = buildAlignmentTsp(Fits.Proc, Fits.Profile, Alpha);
+  EXPECT_EQ(Atsp.EntryPin, (int64_t(1) << 61) + 1);
+  EXPECT_EQ(Atsp.Tsp.cost(0, Atsp.DummyCity), int64_t(1) << 61);
+  // 2^61 runs: a pin of 2^62 + 1 fits int64 once but not three times.
+  JumpFixture Over(uint64_t(1) << 61);
+  EXPECT_THROW(buildAlignmentTsp(Over.Proc, Over.Profile, Alpha),
+               ResourceCapError);
+}
+
+TEST(ReductionTest, EntryPinBoundaryIsAThirdOfInt64) {
+  constexpr uint64_t MaxPin = std::numeric_limits<int64_t>::max() / 3;
+  JumpFixture F(1);
+  auto pinFor = [&](uint64_t DummyCost, uint64_t OtherCost) {
+    return buildPinnedTsp(F.Proc, [&](BlockId B, BlockId X) {
+             if (B != 0)
+               return uint64_t(0);
+             return X == InvalidBlock ? DummyCost : OtherCost;
+           })
+        .EntryPin;
+  };
+  EXPECT_EQ(pinFor(MaxPin - 1, 0), static_cast<int64_t>(MaxPin));
+  EXPECT_THROW(pinFor(MaxPin, 0), ResourceCapError);
+  // A cell past int64, and a row maximum that would wrap the uint64 sum
+  // back below the limit, are caught before any cell is cast.
+  EXPECT_THROW(pinFor(0, ~uint64_t(0)), ResourceCapError);
+  EXPECT_THROW(buildPinnedTsp(F.Proc,
+                              [](BlockId B, BlockId) {
+                                return B == 0 ? uint64_t(1) : ~uint64_t(0);
+                              }),
+               ResourceCapError);
 }
 
 TEST(ReductionTest, MatrixEntriesMatchPenaltyModel) {

@@ -163,6 +163,31 @@ TEST(ProfileCheckTest, CatchesEdgeAbsentFromCfg) {
   EXPECT_TRUE(Diags.has(CheckId::ProfileUnknownEdge));
 }
 
+TEST(ProfileCheckTest, CountsNearTwoToThe64DoNotWrapIntoABalance) {
+  // The entry runs once yet sends 2^63 down each arm, and both arms flow
+  // into a join that never runs. Summed in uint64 the entry's outflow and
+  // the join's inflow both wrap to 0 and look balanced; the wide sums
+  // report both, clamped to 2^64 - 1, and leave no outflow deficit.
+  Procedure Proc = diamond();
+  const uint64_t Half = uint64_t(1) << 63;
+  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
+  Profile.BlockCounts = {1, Half, Half, 0};
+  Profile.EdgeCounts = {{Half, Half}, {Half}, {Half}, {}};
+  DiagnosticEngine Diags;
+  EXPECT_EQ(checkProfileFlow(Proc, Profile, Diags), 2u);
+  std::vector<std::string> Imbalances;
+  for (const Diagnostic &D : Diags.diagnostics())
+    if (D.Check == CheckId::ProfileFlowImbalance)
+      Imbalances.push_back(D.Loc.str() + ": " + D.Message);
+  EXPECT_EQ(Imbalances,
+            (std::vector<std::string>{
+                "proc 'diamond' block 0: outflow 18446744073709551615 "
+                "exceeds block count 1",
+                "proc 'diamond' block 3: inflow 18446744073709551615 "
+                "!= block count 0"}));
+  EXPECT_FALSE(Diags.has(CheckId::ProfileFlowTruncated));
+}
+
 TEST(ProfileCheckTest, WarnsOnOverflowSuspiciousCounts) {
   Procedure Proc = diamond();
   ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);

@@ -170,9 +170,10 @@ TEST(CacheFingerprintTest, ThreadsAndHooksAreDeliberatelyNotKeyed) {
 
   AlignmentOptions Threaded = Base;
   Threaded.Threads = 8;
-  Threaded.Hooks.AfterProcedure = [](size_t, const Procedure &,
-                                     const ProcedureProfile &,
-                                     const ProcedureAlignment &) {};
+  Threaded.AfterProcedure = [](size_t, const Procedure &,
+                               const ProcedureProfile &,
+                               const ProcedureAlignment &,
+                               const SolveArtifacts *) {};
   Threaded.Cache = CacheMode::Memory;
   Threaded.CachePath = "/nonexistent";
   EXPECT_EQ(F, fp(Proc, Profile, Threaded));

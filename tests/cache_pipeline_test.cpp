@@ -188,52 +188,66 @@ TEST(CachePipelineTest, VerificationHooksBypassLookupsButWarmTheCache) {
   Options.Cache = CacheMode::Memory;
   CacheSession Session(Options);
 
-  size_t SolveHookCalls = 0;
-  Options.Hooks.AfterSolve =
-      [&](size_t, const Procedure &, const ProcedureProfile &,
-          const AlignmentTsp &, const DtspSolution &,
-          const IteratedOptOptions &) { ++SolveHookCalls; };
+  size_t SolvesSeen = 0;
+  Options.AfterProcedure = [&](size_t, const Procedure &,
+                               const ProcedureProfile &,
+                               const ProcedureAlignment &,
+                               const SolveArtifacts *Artifacts) {
+    SolvesSeen += Artifacts != nullptr;
+  };
 
   TracedAlignment First = alignTraced(W.Prog, W.Train, Options);
-  EXPECT_EQ(SolveHookCalls, ProfiledCount);
+  EXPECT_EQ(SolvesSeen, ProfiledCount);
   EXPECT_EQ(First.count("stage.solve"), ProfiledCount);
   ProgramAlignment Second = alignProgram(W.Prog, W.Train, Options);
-  EXPECT_EQ(SolveHookCalls, 2 * ProfiledCount); // Hooks saw real solves twice.
+  EXPECT_EQ(SolvesSeen, 2 * ProfiledCount); // The hook saw real solves twice.
   CacheStats Hooked = Session.stats();
   EXPECT_EQ(Hooked.Hits, 0u); // Lookups were bypassed...
   EXPECT_EQ(Hooked.Stores, 2 * ProfiledCount); // ...but stores refreshed.
   expectProgramEq(First.Result, Second);
 
-  // Dropping the artifact hooks re-enables lookups against the store the
-  // verified runs populated.
-  Options.Hooks = PipelineStageHooks();
+  // Dropping the hook re-enables lookups against the store the verified
+  // runs populated.
+  Options.AfterProcedure = nullptr;
   TracedAlignment Warm = alignTraced(W.Prog, W.Train, Options);
   EXPECT_EQ(Session.stats().Hits, ProfiledCount);
   EXPECT_EQ(Warm.stageSpans(), 0u);
   expectProgramEq(First.Result, Warm.Result);
 }
 
-TEST(CachePipelineTest, AfterProcedureHookStillFiresOnHits) {
+TEST(CachePipelineTest, AfterProcedureHookFiresForEveryProcedureOnAWarmCache) {
   Workload W = makeWorkload();
   AlignmentOptions Options;
   Options.Cache = CacheMode::Memory;
   CacheSession Session(Options);
 
   // The cold run warms the cache.
-  EXPECT_EQ(alignTraced(W.Prog, W.Train, Options).count("stage.solve"),
-            ProfiledCount);
+  TracedAlignment Cold = alignTraced(W.Prog, W.Train, Options);
+  EXPECT_EQ(Cold.count("stage.solve"), ProfiledCount);
 
+  // A warm cache is not consulted while the hook is set: every profiled
+  // procedure solves again, so the hook sees its real artifacts.
   std::vector<size_t> SeenIndices;
-  Options.Hooks.AfterProcedure =
-      [&](size_t ProcIndex, const Procedure &, const ProcedureProfile &,
-          const ProcedureAlignment &) { SeenIndices.push_back(ProcIndex); };
-  TracedAlignment Warm = alignTraced(W.Prog, W.Train, Options);
-  EXPECT_EQ(Session.stats().Hits, ProfiledCount); // AfterProcedure alone
-                                                  // does not bypass.
-  EXPECT_EQ(Warm.stageSpans(), 0u);
+  std::vector<bool> SeenArtifacts;
+  Options.AfterProcedure = [&](size_t ProcIndex, const Procedure &,
+                               const ProcedureProfile &,
+                               const ProcedureAlignment &Result,
+                               const SolveArtifacts *Artifacts) {
+    SeenIndices.push_back(ProcIndex);
+    SeenArtifacts.push_back(Artifacts != nullptr);
+    if (Artifacts) {
+      EXPECT_EQ(Artifacts->Solution.NumRuns, Result.SolverRuns);
+    }
+  };
+  TracedAlignment Hooked = alignTraced(W.Prog, W.Train, Options);
+  EXPECT_EQ(Session.stats().Hits, 0u);
+  EXPECT_EQ(Hooked.count("stage.solve"), ProfiledCount);
+  expectProgramEq(Cold.Result, Hooked.Result);
   ASSERT_EQ(SeenIndices.size(), NumProcs); // Fires for every procedure,
-  for (size_t P = 0; P != NumProcs; ++P)   // hit or not, in program order.
-    EXPECT_EQ(SeenIndices[P], P);
+  for (size_t P = 0; P != NumProcs; ++P) { // in program order, with
+    EXPECT_EQ(SeenIndices[P], P);          // artifacts for the solved ones.
+    EXPECT_EQ(SeenArtifacts[P], P != UnprofiledIndex);
+  }
 }
 
 TEST(CachePipelineTest, CorruptStoreFallsBackToIdenticalRecompute) {
@@ -299,7 +313,7 @@ TEST(CachePipelineTest, VerifiedPipelineAgreesWithWarmCache) {
   Options.Cache = CacheMode::Memory;
   CacheSession Session(Options);
 
-  // alignProgramVerified installs artifact hooks, so it always observes
+  // alignProgramVerified installs the procedure hook, so it always observes
   // (and fully checks) real solves while still warming the cache.
   DiagnosticEngine Diags;
   ProgramAlignment Verified =

@@ -4,7 +4,7 @@
 // permutations with the entry first, the merge heuristic never scores
 // below the greedy chain builder on its own objective, the pipeline's
 // PrimaryAligner::ExtTsp path is bit-deterministic across thread counts
-// (with the verification hooks watching), warm caches replay it
+// (with the verification hook watching), warm caches replay it
 // bit-identically with zero chain-merge work, and the cache fingerprint
 // keys every objective parameter (and nothing solver-related, since the
 // chain merger never consults the annealer).
@@ -124,7 +124,7 @@ TEST(ExtTspAlignTest, NeverScoresBelowGreedyOnExtTspObjective) {
 }
 
 //===--------------------------------------------------------------------===//
-// Determinism matrix: threads x verify hooks
+// Determinism matrix: threads x verify hook
 //===--------------------------------------------------------------------===//
 
 TEST(ExtTspAlignTest, PipelineBitIdenticalAcrossThreadCountsUnderVerify) {

@@ -29,7 +29,7 @@ WorkloadInstance smallWorkload(const std::string &Name,
   return WorkloadInstance();
 }
 
-/// alignProgram with balign-verify's verify-each hooks enabled:
+/// alignProgram with balign-verify's verify-each hook installed:
 /// integration tests always run under full verification, so any
 /// pipeline regression that violates a reduction invariant fails here
 /// even if the aggregate numbers still look plausible.
@@ -144,7 +144,7 @@ TEST(PipelineTest, CrossValidationDilutesButPreservesBenefit) {
 }
 
 /// Under full verification every profiled procedure still records each
-/// stage span exactly once: the verify hooks' replays in the drain add
+/// stage span exactly once: the verify hook's replays in the drain add
 /// verify.* spans, never a second stage span.
 TEST(PipelineTest, VerifiedRunRecordsEachStageSpanOnce) {
   WorkloadInstance W = smallWorkload("com", 1000);
@@ -224,9 +224,9 @@ TEST(PipelineTest, ThreadCountNeverChangesResults) {
   }
 }
 
-/// Verify hooks (the stateful PipelineVerifier, with its per-procedure
-/// stage cache) must see a coherent, serialized event stream at any
-/// thread count — and instrumentation must not change results.
+/// The verify hook (PipelineVerifier) must see a coherent, serialized
+/// stream of procedures at any thread count — and instrumentation must
+/// not change results.
 TEST(PipelineTest, ThreadedRunIdenticalUnderVerifyHooks) {
   WorkloadInstance W = smallWorkload("com", /*BudgetCap=*/2000);
   AlignmentOptions Options;

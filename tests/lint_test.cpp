@@ -110,7 +110,7 @@ TEST(LintTest, EverySeededDefectIsDetected) {
       CheckId Expected = seedDefect(Kind, Proc, Profile, R);
       DiagnosticEngine Diags;
       ProfileClass PC = ProfileClass::Consistent;
-      lintProcedure(Proc, &Profile, LintOptions(), Diags, &PC);
+      lintProcedure(Proc, &Profile, Diags, &PC);
       EXPECT_TRUE(Diags.has(Expected))
           << defectKindName(Kind) << " trial " << Trial << " missed "
           << checkIdName(Expected) << "\n"
@@ -135,7 +135,7 @@ TEST(LintTest, StaleProfileRepairIsSuggested) {
       walkProfile(Proc, BranchBehavior::uniform(Proc), R, 2000);
   seedDefect(DefectKind::StaleProfile, Proc, Profile, R);
   DiagnosticEngine Diags;
-  lintProcedure(Proc, &Profile, LintOptions(), Diags);
+  lintProcedure(Proc, &Profile, Diags);
   EXPECT_TRUE(Diags.has(CheckId::LintFlowImbalance)) << Diags.renderAll();
   EXPECT_TRUE(Diags.has(CheckId::LintFlowRepair)) << Diags.renderAll();
 }
@@ -155,7 +155,7 @@ TEST(LintTest, DeepNestIsReported) {
   }
   ASSERT_TRUE(Proc.verify());
   DiagnosticEngine Diags;
-  lintProcedure(Proc, nullptr, LintOptions(), Diags);
+  lintProcedure(Proc, nullptr, Diags);
   EXPECT_TRUE(Diags.has(CheckId::LintDeepNest)) << Diags.renderAll();
 }
 

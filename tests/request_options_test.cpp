@@ -346,20 +346,37 @@ TEST(RequestOptionsTest, MappingMatchesHandBuiltOptions) {
   }
 }
 
-TEST(RequestOptionsTest, MappingWithoutExtensionsKeepsTheBase) {
-  // The server applies requests onto its own base; a request without the
-  // objective or encoding block must not touch those model fields.
+/// A server base with every request option off its default, and the
+/// three fields that are not request options set too.
+AlignmentOptions nonDefaultBase() {
   AlignmentOptions Base;
   Base.Threads = 3;
   Base.CachePath = "warm";
   Base.ProcBudgetMs = 40;
+  Base.Solver.Seed = 9;
+  Base.ComputeBounds = true;
+  Base.OnError = OnErrorPolicy::Skip;
+  Base.Effort = EffortPolicy::Scaled;
   Base.Primary = PrimaryAligner::ExtTsp;
+  Base.Objective = ObjectiveKind::Fallthrough;
   Base.Model.ExtTspForwardWindow = 77;
+  Base.Model.ExtTspBackwardWeight = 0.5;
   Base.Model.Encoding = BranchEncoding::ShortLong;
   Base.Model.ShortBranchRange = 12;
-  AlignmentOptions Want = Base;
+  return Base;
+}
+
+TEST(RequestOptionsTest, MappingWithoutExtensionsResetsThemToDefaults) {
+  // The server applies requests onto its own base; a request without the
+  // objective or encoding block gets those blocks' defaults, so nothing
+  // of the base's request options survives. Threads, the cache path and
+  // the procedure budget are not request options and keep their values.
+  AlignmentOptions Base = nonDefaultBase();
+  AlignmentOptions Want = defaultCliOptions();
   Want.Solver.Seed = 5;
-  Want.ComputeBounds = false;
+  Want.Threads = Base.Threads;
+  Want.CachePath = Base.CachePath;
+  Want.ProcBudgetMs = Base.ProcBudgetMs;
   AlignmentOptions Got = Base;
   applyAlignRequest(parsed({"--seed", "5"}).Request, Got);
   EXPECT_EQ(fieldsOf(Want), fieldsOf(Got));
@@ -438,6 +455,19 @@ TEST(RequestOptionsTest, ServedReportEqualsOneShot) {
     ASSERT_EQ(FrameType::AlignOk, Response.Type) << Response.Body;
     EXPECT_EQ(OneShot.Report, Response.Body);
   }
+}
+
+TEST(RequestOptionsTest, ServiceOverANonDefaultBaseAnswersLikeOneShot) {
+  // A server started with request options of its own must answer a
+  // flag-free request with exactly the flag-free one-shot bytes.
+  Program Prog = program();
+  AlignmentOptions Base = nonDefaultBase();
+  AlignService Service(Base);
+  AlignRequest Req;
+  Req.CfgText = ProgramText;
+  Frame Response = Service.handleAlign(encodeAlignRequest(Req));
+  ASSERT_EQ(FrameType::AlignOk, Response.Type) << Response.Body;
+  EXPECT_EQ(runFlags(Prog, {}).Report, Response.Body);
 }
 
 TEST(HashPinTest, PersistedHashesKeepTheirValues) {

@@ -13,6 +13,7 @@
 
 #include "cache/Store.h"
 #include "ir/TextFormat.h"
+#include "profile/ProfileIO.h"
 #include "robust/FaultInjector.h"
 #include "serve/Client.h"
 #include "serve/Oneshot.h"
@@ -23,6 +24,8 @@
 
 #include <atomic>
 #include <csignal>
+#include <fstream>
+#include <sstream>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -113,6 +116,14 @@ void expectAlignError(ServeClient &Client, const AlignRequest &Req,
   ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
 }
 
+std::string readData(const std::string &Name) {
+  std::ifstream In(std::string(BALIGN_DATA_DIR) + "/" + Name);
+  EXPECT_TRUE(In.good()) << Name;
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
 } // namespace
 
 TEST(ServeShieldTest, FaultedAlignIsIsolatedToItsRequest) {
@@ -141,6 +152,51 @@ TEST(ServeShieldTest, FaultedAlignIsIsolatedToItsRequest) {
   EXPECT_EQ(Expected, Report);
   EXPECT_EQ(1u, Server.metrics().counter("serve.responses.error"));
   EXPECT_EQ(1u, Server.metrics().counter("serve.responses.ok"));
+}
+
+TEST(ServeShieldTest, OverflowProbeIsAnAbortedFrame) {
+  // examples/data/defect_overflow: a profile whose DTSP entry pin does
+  // not fit int64 (an unchecked pin leaves the worker spinning in 3-Opt
+  // forever). The resource-cap failure is an Aborted frame at once, and
+  // under --on-error=fallback the greedy report comes back,
+  // byte-identical to one-shot.
+  AlignRequest Req;
+  Req.CfgText = readData("defect_overflow.cfg");
+  Req.ProfileText = readData("defect_overflow.prof");
+  Req.HasProfile = true;
+
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  AlignServer Server(Base, Config);
+  Connection Conn(Server);
+  FrameError Code = FrameError::None;
+  std::string Message;
+  expectAlignError(Conn.Client, Req, Code, Message);
+  EXPECT_EQ(FrameError::Aborted, Code);
+  EXPECT_NE(Message.find("resource-cap"), std::string::npos) << Message;
+
+  std::string Error;
+  std::optional<Program> Prog = parseProgram(Req.CfgText, &Error);
+  ASSERT_TRUE(Prog.has_value()) << Error;
+  std::optional<ProgramProfile> Counts =
+      parseProgramProfile(*Prog, Req.ProfileText, &Error);
+  ASSERT_TRUE(Counts.has_value()) << Error;
+  AlignmentOptions Options;
+  Options.OnError = OnErrorPolicy::Fallback;
+  ProgramAlignment Result = alignProgram(*Prog, *Counts, Options);
+  ASSERT_EQ(1u, Result.Failures.size());
+  EXPECT_EQ(LadderRung::Greedy, Result.Procs[0].Rung);
+  EXPECT_EQ(Result.Procs[0].GreedyLayout.Order,
+            Result.Procs[0].TspLayout.Order);
+
+  Req.OnError = OnErrorPolicy::Fallback;
+  std::string Report;
+  ASSERT_TRUE(Conn.Client.align(Req, Report, &Error)) << Error;
+  EXPECT_EQ(renderAlignmentReport(*Prog, *Counts, Result,
+                                  /*ComputeBounds=*/false,
+                                  /*EmitDot=*/false),
+            Report);
 }
 
 TEST(ServeShieldTest, ServeFrameFaultSiteErrorsOneDispatch) {

@@ -246,6 +246,50 @@ TEST(ShieldPipelineTest, ResourceCapsTripAsResourceCapFailures) {
     EXPECT_EQ(A.Procs[P].TspLayout.Order, B.Procs[P].TspLayout.Order);
 }
 
+TEST(ShieldPipelineTest, OverflowingEntryPinFailsAsResourceCap) {
+  // A flow-consistent diamond run 2^61 times: its DTSP entry pin is about
+  // 1.27e19, past int64. The procedure must fail at once as resource-cap
+  // instead of solving on wrapped costs (which never terminated).
+  FaultInjector::instance().reset();
+  CFGBuilder B("hot");
+  BlockId Entry = B.cond(4, "entry");
+  BlockId L = B.jump(3, "a");
+  BlockId R = B.jump(3, "b");
+  BlockId Exit = B.ret(1, "c");
+  B.branches(Entry, L, R).edge(L, Exit).edge(R, Exit);
+  Program Prog("overflow");
+  Prog.addProcedure(B.take());
+  const uint64_t Half = uint64_t(1) << 60;
+  ProgramProfile Train;
+  Train.Procs.push_back(ProcedureProfile::zeroed(Prog.proc(0)));
+  Train.Procs[0].BlockCounts = {2 * Half, Half, Half, 2 * Half};
+  Train.Procs[0].EdgeCounts = {{Half, Half}, {Half}, {Half}, {}};
+
+  AlignmentOptions Options;
+  try {
+    alignProgram(Prog, Train, Options);
+    ADD_FAILURE() << "an overflowing pin must abort the run";
+  } catch (const AlignmentAborted &E) {
+    EXPECT_EQ(E.failure().Kind, FailureKind::ResourceCap);
+    EXPECT_NE(E.failure().What.find("entry pin"), std::string::npos);
+  }
+
+  // The shield degrades it like any other resource cap, under either
+  // primary aligner (Ext-TSP's bounds build the DTSP too).
+  Options.OnError = OnErrorPolicy::Fallback;
+  for (PrimaryAligner Primary : {PrimaryAligner::Tsp, PrimaryAligner::ExtTsp}) {
+    Options.Primary = Primary;
+    ProgramAlignment A = alignProgram(Prog, Train, Options);
+    ASSERT_EQ(A.Failures.size(), 1u);
+    EXPECT_EQ(A.Failures.Failures[0].Kind, FailureKind::ResourceCap);
+    EXPECT_EQ(A.Procs[0].Rung, LadderRung::Greedy);
+    EXPECT_EQ(A.Procs[0].TspLayout.Order,
+              GreedyAligner().align(Prog.proc(0), Train.Procs[0],
+                                    Options.Model)
+                  .Order);
+  }
+}
+
 TEST(ShieldPipelineTest, DegradationIsBitIdenticalAcrossThreadCounts) {
   FaultInjector::instance().reset();
   Program Prog = twoProcs(17);
