@@ -45,6 +45,8 @@ constexpr double HeldKarpRelativeGapStop = 1e-4;
 /// \p UpperBound is the cost of some feasible *directed* tour (used only
 /// to scale subgradient steps and stop early). The returned value never
 /// exceeds the optimal tour cost. Requires bigMConstants(Dtsp).Fits.
+/// Adds the 1-trees the ascent built to the `heldkarp.one-trees` counter
+/// and those built with forbidden edges to `heldkarp.fallback-trees`.
 double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
                              const HeldKarpOptions &Options = {});
 
