@@ -5,9 +5,8 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Utilities shared by the per-table/figure harnesses: building the suite,
-/// running whole-program alignment per data set (optionally under a
-/// trace session, for per-stage times), and simulating execution times.
+/// Utilities shared by the harnesses: whole-program alignment under a
+/// trace session (for per-stage times) and simulated execution times.
 /// Every harness prints its table to stdout and exits 0 so the
 /// whole directory can be run with `for b in build/bench/*; do $b; done`.
 ///
@@ -29,53 +28,6 @@
 
 namespace balign {
 namespace bench {
-
-/// One benchmark x data-set cell of the evaluation: the workload, which
-/// data set is under test, and the alignment trained on it.
-struct AlignedCell {
-  const WorkloadInstance *Workload = nullptr;
-  size_t DataSetIndex = 0;
-  ProgramAlignment Alignment;
-
-  std::string label() const {
-    return Workload->dataSetLabel(DataSetIndex);
-  }
-  const WorkloadDataSet &dataSet() const {
-    return Workload->DataSets[DataSetIndex];
-  }
-};
-
-/// Builds all six workloads once. Expensive (tens of millions of traced
-/// blocks); harnesses share the result across their data sets.
-inline std::vector<WorkloadInstance> buildSuite() {
-  std::vector<WorkloadInstance> Suite;
-  for (const WorkloadSpec &Spec : benchmarkSuite()) {
-    std::fprintf(stderr, "[setup] building workload %s ...\n",
-                 Spec.Benchmark.c_str());
-    Suite.push_back(buildWorkload(Spec));
-  }
-  return Suite;
-}
-
-/// Aligns every data set of every workload with the given options.
-inline std::vector<AlignedCell>
-alignSuite(const std::vector<WorkloadInstance> &Suite,
-           const AlignmentOptions &Options) {
-  std::vector<AlignedCell> Cells;
-  for (const WorkloadInstance &W : Suite) {
-    for (size_t Ds = 0; Ds != W.DataSets.size(); ++Ds) {
-      std::fprintf(stderr, "[setup] aligning %s ...\n",
-                   W.dataSetLabel(Ds).c_str());
-      AlignedCell Cell;
-      Cell.Workload = &W;
-      Cell.DataSetIndex = Ds;
-      Cell.Alignment =
-          alignProgram(W.Prog, W.DataSets[Ds].Profile, Options);
-      Cells.push_back(std::move(Cell));
-    }
-  }
-  return Cells;
-}
 
 /// Summed wall time and count of the drained spans of one name.
 struct SpanTotal {

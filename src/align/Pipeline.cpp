@@ -318,12 +318,6 @@ ProcedureTask alignOneProcedure(const Procedure &Proc,
     CrashInjector::instance().crashPoint(CrashSite::PoolTask);
     if (Options.RunDeadline)
       Options.RunDeadline->check("whole-run alignment");
-    size_t Cities = Proc.numBlocks() + 1; // Blocks + the dummy city.
-    if (Options.MaxTspCities && Cities > Options.MaxTspCities)
-      throw ResourceCapError(
-          "DTSP instance of " + std::to_string(Cities) +
-          " cities exceeds the cap of " +
-          std::to_string(Options.MaxTspCities));
     Deadline ProcBudget(Options.ProcBudgetMs, Options.Clock,
                         Options.RunDeadline);
     const Deadline *Budget =

@@ -242,8 +242,9 @@ struct AlignmentOptions {
   //===--- balign-shield failure isolation --------------------------------===//
 
   /// What to do when a procedure's alignment fails (see OnErrorPolicy).
-  /// With no armed faults, no budgets, and no caps nothing ever fails,
-  /// and every policy produces bit-identical results to the others.
+  /// With no armed faults, no budgets, and no profile hot enough to
+  /// overflow the DTSP entry pin nothing ever fails, and every policy
+  /// produces bit-identical results to the others.
   OnErrorPolicy OnError = OnErrorPolicy::Abort;
 
   /// Per-procedure wall-clock budget in milliseconds (0 = unlimited),
@@ -256,12 +257,6 @@ struct AlignmentOptions {
   /// of every per-procedure budget and checked at procedure entry, so
   /// once it expires every remaining procedure degrades per OnError.
   const Deadline *RunDeadline = nullptr;
-
-  /// Resource cap on the DTSP reduction (0 = unlimited), checked before
-  /// any stage runs: a procedure whose instance of C cities (blocks +
-  /// dummy, a C x C matrix of 8-byte costs) exceeds MaxTspCities is a
-  /// FailureKind::ResourceCap failure handled per OnError.
-  size_t MaxTspCities = 0;
 
   /// Clock for per-procedure budgets; empty = steadyClockMs. Tests
   /// inject a ManualClock to drive deadline trips deterministically.

@@ -43,8 +43,7 @@
 namespace balign {
 
 /// An instance too large for the solver to handle: a DTSP whose entry
-/// pin would overflow (buildPinnedTsp), or one over alignProgram's city
-/// cap (AlignmentOptions::MaxTspCities). alignProgram maps it to
+/// pin would overflow (buildPinnedTsp). alignProgram maps it to
 /// FailureKind::ResourceCap.
 class ResourceCapError : public std::runtime_error {
 public:

@@ -47,9 +47,9 @@ const char *ladderRungName(LadderRung Rung);
 enum class FailureKind : uint8_t {
   Fault,       ///< An injected FaultInjector fault fired.
   Deadline,    ///< A per-procedure or whole-run deadline expired.
-  ResourceCap, ///< The reduction is too large: the city-count cap
-               ///< tripped, or the profile is so hot that the DTSP
-               ///< entry pin does not fit three times in int64.
+  ResourceCap, ///< The reduction is too large: the profile is so hot
+               ///< that the DTSP entry pin does not fit three times
+               ///< in int64.
   Exception,   ///< Any other exception escaped a stage.
 };
 

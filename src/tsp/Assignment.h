@@ -11,7 +11,7 @@
 /// cycle is one such cover, so AP <= DTSP optimum. The paper's appendix
 /// shows this classical bound is weak on branch-alignment instances
 /// (median gap 30% on the esp.tl procedures where it is not tight),
-/// motivating the Held-Karp bound instead; bench/appendix_bounds
+/// motivating the Held-Karp bound instead; bench/paper_evaluation
 /// reproduces that comparison.
 ///
 //===--------------------------------------------------------------------===//

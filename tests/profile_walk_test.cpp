@@ -53,8 +53,9 @@ Program readProgram(const std::string &Name) {
   return Prog ? *Prog : Program();
 }
 
-/// Program \p I of the twelve-program serve corpus
-/// (bench/serve_throughput.cpp).
+/// Program \p I of the twelve-program serve corpus: the hot set of
+/// perfbench's serve-mixed workload (`corpusProgram` in
+/// perfbench/Serve.cpp generates the same programs).
 Program serveCorpusProgram(uint64_t I) {
   Program Prog("serve" + std::to_string(I));
   Rng R(9000 + I * 31);

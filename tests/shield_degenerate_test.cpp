@@ -161,11 +161,16 @@ TEST(ShieldDegenerateTest, SelfLoopSurvivesResourceCapsAndDeadlines) {
   Train.Procs.push_back(selfLoopProfile(Prog.proc(0)));
   const std::vector<BlockId> Trivial{0, 1};
 
-  // A 1-city cap trips even this instance (2 blocks + dummy = 3 cities).
+  // Spun 3 x 2^60 times, the head's dearest DTSP cell alone is past a
+  // third of the int64 range: the entry pin overflows and even this
+  // instance trips the resource cap.
+  ProgramProfile Hot = Train;
+  const uint64_t Spins = uint64_t(3) << 60;
+  Hot.Procs[0].BlockCounts[0] = Spins + 1;
+  Hot.Procs[0].EdgeCounts[0][0] = Spins;
   AlignmentOptions Capped;
   Capped.OnError = OnErrorPolicy::Fallback;
-  Capped.MaxTspCities = 1;
-  ProgramAlignment A = alignProgram(Prog, Train, Capped);
+  ProgramAlignment A = alignProgram(Prog, Hot, Capped);
   ASSERT_EQ(A.Failures.size(), 1u);
   EXPECT_EQ(A.Failures.Failures[0].Kind, FailureKind::ResourceCap);
   EXPECT_EQ(A.Procs[0].TspLayout.Order, Trivial);

@@ -219,33 +219,6 @@ TEST(ShieldPipelineTest, ExpiredRunDeadlineDegradesEveryProcedure) {
   EXPECT_THROW(alignProgram(Prog, Train, Options), AlignmentAborted);
 }
 
-TEST(ShieldPipelineTest, ResourceCapsTripAsResourceCapFailures) {
-  FaultInjector::instance().reset();
-  Program Prog = twoProcs(15);
-  ProgramProfile Train = profileAll(Prog, 21);
-  ASSERT_GT(Prog.proc(0).numBlocks(), 2u);
-
-  AlignmentOptions Options;
-  Options.OnError = OnErrorPolicy::Fallback;
-  Options.MaxTspCities = 2; // Blocks + dummy always exceeds this here.
-  ProgramAlignment Capped = alignProgram(Prog, Train, Options);
-  ASSERT_EQ(Capped.Failures.size(), 2u);
-  for (const ProcedureFailure &F : Capped.Failures.Failures) {
-    EXPECT_EQ(F.Kind, FailureKind::ResourceCap);
-    EXPECT_NE(F.What.find("cities"), std::string::npos);
-  }
-
-  // A generous cap changes nothing.
-  AlignmentOptions Loose;
-  Loose.MaxTspCities = 1 << 20;
-  AlignmentOptions Plain;
-  ProgramAlignment A = alignProgram(Prog, Train, Loose);
-  ProgramAlignment B = alignProgram(Prog, Train, Plain);
-  EXPECT_TRUE(A.Failures.empty());
-  for (size_t P = 0; P != 2; ++P)
-    EXPECT_EQ(A.Procs[P].TspLayout.Order, B.Procs[P].TspLayout.Order);
-}
-
 TEST(ShieldPipelineTest, OverflowingEntryPinFailsAsResourceCap) {
   // A flow-consistent diamond run 2^61 times: its DTSP entry pin is about
   // 1.27e19, past int64. The procedure must fail at once as resource-cap
