@@ -160,6 +160,35 @@ TEST(CacheFingerprintTest, KeysMatchRecordedV5Keys) {
             "42f8fc08941154bc:0c3b1435cd4816bf");
   EXPECT_EQ(fp(Proc, Profile, NoBounds).str(),
             "0e7263f873999102:7b21a21a656bcc07");
+
+  // The Ext-TSP and encoding blocks' bytes, each off its defaults, under
+  // either primary: the keys the stores hold for those requests.
+  AlignmentOptions ExtTsp = NoBounds;
+  ExtTsp.Primary = PrimaryAligner::ExtTsp;
+  ExtTsp.Objective = ObjectiveKind::Fallthrough;
+  ExtTsp.Model.ExtTspForwardWindow = ExtTsp.Model.ExtTspBackwardWindow = 256;
+  ExtTsp.Model.ExtTspForwardWeight = 0.25;
+  ExtTsp.Model.ExtTspBackwardWeight = 0.5;
+  auto shortLong = [](AlignmentOptions O) {
+    O.Model.Encoding = BranchEncoding::ShortLong;
+    O.Model.ShortBranchRange = 64;
+    O.Model.LongBranchExtraInstrs = 2;
+    O.Model.LongBranchPenalty = 3;
+    return O;
+  };
+  EXPECT_EQ(fp(Proc, Profile, ExtTsp).str(),
+            "6f0691dcc800525a:ebcd7a3c4d27e2ee");
+  EXPECT_EQ(fp(Proc, Profile, shortLong(NoBounds)).str(),
+            "4ee3e629813e2c47:18332152a908bc8b");
+  EXPECT_EQ(fp(Proc, Profile, shortLong(ExtTsp)).str(),
+            "47168677fbde3a12:daca1d5782222418");
+  // The tsp primary with --encoding short-long at its default reach: the
+  // Ext-TSP fields left set are inert there.
+  AlignmentOptions TspShortLong = ExtTsp;
+  TspShortLong.Primary = PrimaryAligner::Tsp;
+  TspShortLong.Model.Encoding = BranchEncoding::ShortLong;
+  EXPECT_EQ(fp(Proc, Profile, TspShortLong).str(),
+            "c7723b066d39c160:0dfc25396f87a071");
 }
 
 TEST(CacheFingerprintTest, ThreadsAndHooksAreDeliberatelyNotKeyed) {
