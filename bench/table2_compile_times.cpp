@@ -33,7 +33,6 @@
 #include "support/Timer.h"
 
 #include <filesystem>
-#include <fstream>
 
 using namespace balign;
 using namespace balign::bench;
@@ -62,8 +61,7 @@ namespace {
 
 /// Serial-vs-parallel alignProgram on the largest benchmark: the
 /// scaling lever that decides whether TSP alignment can run on every
-/// build. Emits BENCH_parallel.json so the speedup is a tracked
-/// trajectory point. Determinism is asserted here too: every thread
+/// build. Determinism is asserted here too: every thread
 /// count must reproduce the serial penalties exactly. The solve column
 /// sums the stage.solve spans of every worker, so it is work, not wall
 /// time, and grows when workers contend for cores or memory.
@@ -90,10 +88,7 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
     Counts.push_back(Hw);
 
   double SerialWall = 0.0;
-  double SerialSolve = 0.0;
   uint64_t SerialPenalty = 0;
-  double BestSpeedup = 1.0;
-  unsigned BestThreads = 1;
 
   for (unsigned Threads : Counts) {
     Options.Threads = Threads;
@@ -105,16 +100,11 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
     bool Identical = true;
     if (Threads == 1) {
       SerialWall = WallSeconds;
-      SerialSolve = SolveSeconds;
       SerialPenalty = Result.totalTspPenalty();
     } else {
       Identical = Result.totalTspPenalty() == SerialPenalty;
     }
     double Speedup = WallSeconds > 0.0 ? SerialWall / WallSeconds : 1.0;
-    if (Threads > 1 && Speedup > BestSpeedup) {
-      BestSpeedup = Speedup;
-      BestThreads = Threads;
-    }
     T.addRow({std::to_string(Threads), formatFixed(WallSeconds, 3),
               formatFixed(SolveSeconds, 3), formatFixed(Speedup, 2),
               Identical ? "yes" : "NO"});
@@ -124,25 +114,14 @@ void runParallelScaling(const WorkloadInstance &W, size_t DataSet) {
                    Threads);
   }
   std::printf("%s", T.render().c_str());
-
-  std::ofstream Json("BENCH_parallel.json");
-  Json << "{\n"
-       << "  \"benchmark\": \"" << W.Spec.Benchmark << "\",\n"
-       << "  \"procedures\": " << W.Prog.numProcedures() << ",\n"
-       << "  \"hardware_threads\": " << Hw << ",\n"
-       << "  \"serial_wall_seconds\": " << SerialWall << ",\n"
-       << "  \"serial_solve_seconds\": " << SerialSolve << ",\n"
-       << "  \"best_speedup\": " << BestSpeedup << ",\n"
-       << "  \"best_speedup_threads\": " << BestThreads << "\n"
-       << "}\n";
-  std::printf("(wrote BENCH_parallel.json; speedup is bounded by the "
-              "machine's %u hardware threads)\n", Hw);
+  std::printf("(speedup is bounded by the machine's %u hardware threads)\n",
+              Hw);
 }
 
 /// Cold-vs-warm alignProgram through the balign-cache disk store on the
 /// same workload: in a realistic build loop most procedures do not
 /// change between compiles, so the warm path is the compile time a
-/// developer actually sees. Emits BENCH_cache.json. Correctness is
+/// developer actually sees. Correctness is
 /// asserted inline: the warm runs must hit on every profiled procedure,
 /// record no stage.solve span, and reproduce the cold penalties exactly.
 void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
@@ -172,8 +151,6 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
   double ColdWall = 0.0;
   double WarmWall = 0.0;
   uint64_t ColdPenalty = 0;
-  uint64_t WarmHits = 0;
-  bool AllIdentical = true;
 
   struct Run {
     const char *Label;
@@ -201,13 +178,10 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
       ColdWall = WallSeconds;
       ColdPenalty = Result.totalTspPenalty();
     } else {
-      if (R.Threads == 1) {
+      if (R.Threads == 1)
         WarmWall = WallSeconds;
-        WarmHits = Stats.Hits;
-      }
       Identical = Result.totalTspPenalty() == ColdPenalty &&
                   Solve.Count == 0 && Stats.Misses == 0;
-      AllIdentical &= Identical;
       if (!Identical)
         std::fprintf(stderr,
                      "error: warm %u-thread run diverged (penalty %llu vs "
@@ -227,19 +201,9 @@ void runCacheColdWarm(const WorkloadInstance &W, size_t DataSet) {
   std::printf("%s", T.render().c_str());
 
   double Speedup = WarmWall > 0.0 ? ColdWall / WarmWall : 0.0;
-  std::ofstream Json("BENCH_cache.json");
-  Json << "{\n"
-       << "  \"benchmark\": \"" << W.Spec.Benchmark << "\",\n"
-       << "  \"procedures\": " << W.Prog.numProcedures() << ",\n"
-       << "  \"cold_wall_seconds\": " << ColdWall << ",\n"
-       << "  \"warm_wall_seconds\": " << WarmWall << ",\n"
-       << "  \"warm_speedup\": " << Speedup << ",\n"
-       << "  \"warm_hits\": " << WarmHits << ",\n"
-       << "  \"identical\": " << (AllIdentical ? "true" : "false") << "\n"
-       << "}\n";
-  std::printf("(wrote BENCH_cache.json; warm runs replay validated cached "
-              "results —\n %.1fx faster end to end with zero solver "
-              "invocations)\n", Speedup);
+  std::printf("(warm runs replay validated cached results —\n %.1fx faster "
+              "end to end with zero solver invocations)\n",
+              Speedup);
   std::filesystem::remove_all(Dir);
 }
 

@@ -13,8 +13,7 @@
 //  2. Tracing must observe, never perturb: a traced and an untraced run
 //     of the same alignment produce identical penalties.
 //
-// Prints a small table, emits BENCH_trace.json for the trajectory, and
-// exits nonzero if either assertion fails.
+// Prints a small table and exits nonzero if either assertion fails.
 //
 //===--------------------------------------------------------------------===//
 
@@ -29,7 +28,6 @@
 #include "workloads/Generator.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -130,19 +128,6 @@ int main() {
   T.addRow({"tax within noise", WithinNoise ? "yes" : "NO"});
   T.addRow({"traced == untraced", SameResults ? "yes" : "NO"});
   std::printf("%s", T.render().c_str());
-
-  std::ofstream Json("BENCH_trace.json");
-  Json << "{\n"
-       << "  \"off_probe_ns\": " << OffProbeNs << ",\n"
-       << "  \"probes_per_alignment\": " << ProbeCount << ",\n"
-       << "  \"off_tax_seconds\": " << OffTaxSeconds << ",\n"
-       << "  \"wall_mean_seconds\": " << MeanWall << ",\n"
-       << "  \"wall_noise_seconds\": " << NoiseSeconds << ",\n"
-       << "  \"within_noise\": " << (WithinNoise ? "true" : "false") << ",\n"
-       << "  \"traced_matches_untraced\": "
-       << (SameResults ? "true" : "false") << "\n"
-       << "}\n";
-  std::printf("(wrote BENCH_trace.json)\n");
 
   if (!WithinNoise)
     std::fprintf(stderr, "error: tracing-off tax %.3fus exceeds the noise "

@@ -23,6 +23,11 @@ Layout OriginalAligner::align(const Procedure &Proc,
 
 namespace {
 
+/// Chains beyond the entry chain whose order CalderGrunwaldAligner
+/// searches exhaustively, and the longest chain ExtTspAligner splits to
+/// insert another chain inside it.
+constexpr size_t ExhaustiveChainLimit = 6, SplitChainLimit = 16;
+
 /// A prioritized CFG edge for the greedy aligners.
 struct GreedyEdge {
   uint64_t Priority; ///< Frequency (PH) or modeled benefit (CG).
@@ -188,7 +193,7 @@ Layout CalderGrunwaldAligner::align(const Procedure &Proc,
   // Exhaustively order the hottest few non-entry chains; evaluate each
   // candidate layout under the training profile.
   size_t Permutable =
-      std::min<size_t>(MaxExhaustiveChains,
+      std::min<size_t>(ExhaustiveChainLimit,
                        Chains.size() > 1 ? Chains.size() - 1 : 0);
   if (Permutable < 2)
     return concatenateChains(Proc, Chains);
@@ -333,7 +338,7 @@ Layout ExtTspAligner::align(const Procedure &Proc,
     const MergeChain &CX = Chains[X], &CY = Chains[Y];
     double Before = CX.Score + CY.Score;
     size_t FirstSplit = CX.Blocks.size(); // Concatenation only by default.
-    if (CX.Blocks.size() <= MaxSplitBlocks && CX.Weight >= CY.Weight)
+    if (CX.Blocks.size() <= SplitChainLimit && CX.Weight >= CY.Weight)
       FirstSplit = X == EntryChain ? 1 : 0;
     for (size_t K = FirstSplit; K <= CX.Blocks.size(); ++K) {
       Merged.clear();

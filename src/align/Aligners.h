@@ -94,26 +94,18 @@ public:
   Result alignWithStats(const Procedure &Proc, const ProcedureProfile &Train,
                         const MachineModel &Model) const;
 
-  const IteratedOptOptions &options() const { return Options; }
-
 private:
   IteratedOptOptions Options;
 };
 
-/// Cost-model greedy with bounded exhaustive chain-order search.
+/// Cost-model greedy with bounded exhaustive chain-order search: the
+/// hottest six chains beyond the entry chain take part in the exhaustive
+/// order search; the rest keep the greedy order.
 class CalderGrunwaldAligner : public Aligner {
 public:
-  /// \p MaxExhaustiveChains chains (beyond the entry chain) participate
-  /// in the exhaustive order search; the rest keep the greedy order.
-  explicit CalderGrunwaldAligner(unsigned MaxExhaustiveChains = 6)
-      : MaxExhaustiveChains(MaxExhaustiveChains) {}
-
   std::string name() const override { return "cg"; }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
-
-private:
-  unsigned MaxExhaustiveChains;
 };
 
 /// Newell/Pupyrev-style chain merging ("Improved Basic Block Reordering"):
@@ -121,7 +113,7 @@ private:
 /// executed CFG edge whose merge improves the objective score the most is
 /// merged, repeatedly, until no merge improves the score. Besides plain
 /// concatenation X+Y, a bounded split-point search inserts Y at every
-/// interior position of X when X is short (<= MaxSplitBlocks) and at
+/// interior position of X when X is short (at most 16 blocks) and at
 /// least as hot as Y — the adaptation of the paper's split merges that
 /// keeps each round linear in chain length. Leftover chains concatenate
 /// entry-first, then by falling execution weight. Fully deterministic:
@@ -129,9 +121,8 @@ private:
 /// first candidate.
 class ExtTspAligner : public Aligner {
 public:
-  explicit ExtTspAligner(ObjectiveKind Objective = ObjectiveKind::ExtTsp,
-                         unsigned MaxSplitBlocks = 16)
-      : Objective(Objective), MaxSplitBlocks(MaxSplitBlocks) {}
+  explicit ExtTspAligner(ObjectiveKind Objective = ObjectiveKind::ExtTsp)
+      : Objective(Objective) {}
 
   std::string name() const override { return "exttsp"; }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
@@ -141,7 +132,6 @@ public:
 
 private:
   ObjectiveKind Objective;
-  unsigned MaxSplitBlocks;
 };
 
 } // namespace balign

@@ -7,9 +7,11 @@
 #include "objective/Penalty.h"
 #include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
+#include "support/Bytes.h"
 #include "support/ThreadPool.h"
 #include "trace/Scope.h"
 
+#include <bit>
 #include <optional>
 
 using namespace balign;
@@ -25,6 +27,29 @@ const char *balign::primaryAlignerName(PrimaryAligner Primary) {
     return "exttsp";
   }
   return "unknown";
+}
+
+std::array<char, 26> balign::objectiveBlockBytes(const ObjectiveBlock &Block) {
+  std::array<char, 26> Out;
+  Out[0] = static_cast<char>(Block.Primary);
+  Out[1] = static_cast<char>(Block.Kind);
+  storeLittleEndian(&Out[2], Block.ExtTspForwardWindow);
+  storeLittleEndian(&Out[6], Block.ExtTspBackwardWindow);
+  storeLittleEndian(&Out[10],
+                    std::bit_cast<uint64_t>(Block.ExtTspForwardWeight));
+  storeLittleEndian(&Out[18],
+                    std::bit_cast<uint64_t>(Block.ExtTspBackwardWeight));
+  return Out;
+}
+
+std::array<char, 17>
+balign::encodingBlockBytes(const BranchEncodingParams &Block) {
+  std::array<char, 17> Out;
+  Out[0] = static_cast<char>(Block.Encoding);
+  storeLittleEndian(&Out[1], Block.ShortBranchRange);
+  storeLittleEndian(&Out[9], Block.LongBranchExtraInstrs);
+  storeLittleEndian(&Out[13], Block.LongBranchPenalty);
+  return Out;
 }
 
 // Arity mismatches between a program and its profiles are caller bugs
@@ -66,13 +91,6 @@ double ProgramAlignment::totalHeldKarpBound() const {
   double Sum = 0.0;
   for (const ProcedureAlignment &P : Procs)
     Sum += P.Bounds.HeldKarp;
-  return Sum;
-}
-
-int64_t ProgramAlignment::totalAssignmentBound() const {
-  int64_t Sum = 0;
-  for (const ProcedureAlignment &P : Procs)
-    Sum += P.Bounds.Assignment;
   return Sum;
 }
 

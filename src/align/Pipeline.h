@@ -32,6 +32,7 @@
 #include "tsp/HeldKarp.h"
 #include "tsp/IteratedOpt.h"
 
+#include <array>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -179,6 +180,25 @@ enum class PrimaryAligner : uint8_t {
 /// Stable flag spelling ("tsp" / "exttsp").
 const char *primaryAlignerName(PrimaryAligner Primary);
 
+/// The objective option block: the primary aligner and, for
+/// PrimaryAligner::ExtTsp, the objective it maximizes and the model's
+/// Ext-TSP parameters (the base, so they read as on MachineModel).
+struct ObjectiveBlock : ExtTspParams {
+  PrimaryAligner Primary = PrimaryAligner::Tsp;
+  ObjectiveKind Kind = ObjectiveKind::ExtTsp;
+  bool operator==(const ObjectiveBlock &) const = default;
+};
+
+/// The option blocks' bytes: the one serialization that the serve wire
+/// carries and the cache key absorbs. Fixed-width, little-endian:
+///
+///   objective: [u8 primary][u8 objective][u32 fwd window][u32 bwd window]
+///              [u64 fwd weight IEEE-754 bits][u64 bwd weight IEEE-754 bits]
+///   encoding:  [u8 encoding][u64 short range][u32 long extra instrs]
+///              [u32 long penalty]
+std::array<char, 26> objectiveBlockBytes(const ObjectiveBlock &Block);
+std::array<char, 17> encodingBlockBytes(const BranchEncodingParams &Block);
+
 /// Configuration for alignProgram.
 struct AlignmentOptions {
   MachineModel Model = MachineModel::alpha21164();
@@ -299,7 +319,6 @@ struct ProgramAlignment {
   uint64_t totalGreedyPenalty() const;
   uint64_t totalTspPenalty() const;
   double totalHeldKarpBound() const;
-  int64_t totalAssignmentBound() const;
 
   /// Extracts one layout list (program order) for the simulator.
   std::vector<Layout> originalLayouts() const;

@@ -24,6 +24,21 @@ void PipelineVerifier::install(AlignmentOptions &AlignOptions) {
       };
 }
 
+void PipelineVerifier::checkResult(const Procedure &Proc,
+                                   const ProcedureProfile &Train,
+                                   const ProcedureAlignment &Result) {
+  const Layout *Layouts[] = {&Result.OriginalLayout, &Result.GreedyLayout,
+                             &Result.TspLayout};
+  for (const Layout *L : Layouts)
+    checkLayout(Proc, *L, Train, Model, Diags);
+  {
+    ScopedSpan DisplaceSpan("verify.displace.reachable", SpanCat::Verify);
+    for (const Layout *L : Layouts)
+      checkDisplacement(Proc, *L, Train, Model, Diags);
+  }
+  checkBounds(Proc, Result.Bounds, Result.TspPenalty, Diags);
+}
+
 void PipelineVerifier::afterProcedure(const Procedure &Proc,
                                       const ProcedureProfile &Train,
                                       const ProcedureAlignment &Result,
@@ -39,16 +54,7 @@ void PipelineVerifier::afterProcedure(const Procedure &Proc,
   }
 
   ScopedSpan Span("verify.layout-check", SpanCat::Verify);
-  checkLayout(Proc, Result.OriginalLayout, Train, Model, Diags);
-  checkLayout(Proc, Result.GreedyLayout, Train, Model, Diags);
-  checkLayout(Proc, Result.TspLayout, Train, Model, Diags);
-  {
-    ScopedSpan DisplaceSpan("verify.displace.reachable", SpanCat::Verify);
-    checkDisplacement(Proc, Result.OriginalLayout, Train, Model, Diags);
-    checkDisplacement(Proc, Result.GreedyLayout, Train, Model, Diags);
-    checkDisplacement(Proc, Result.TspLayout, Train, Model, Diags);
-  }
-  checkBounds(Proc, Result.Bounds, Result.TspPenalty, Diags);
+  checkResult(Proc, Train, Result);
 
   if (Artifacts && Options.Level == VerifyLevel::Full) {
     ScopedSpan ReplaySpan("verify.determinism", SpanCat::Verify);
@@ -74,15 +80,8 @@ size_t PipelineVerifier::verifyAlignment(const Program &Prog,
     return Diags.errorCount() - Before;
   }
   Model = AlignModel;
-  for (size_t I = 0; I != Prog.numProcedures(); ++I) {
-    const ProcedureAlignment &PA = Alignment.Procs[I];
-    checkLayout(Prog.proc(I), PA.OriginalLayout, Train.Procs[I], Model, Diags);
-    checkLayout(Prog.proc(I), PA.GreedyLayout, Train.Procs[I], Model, Diags);
-    checkLayout(Prog.proc(I), PA.TspLayout, Train.Procs[I], Model, Diags);
-    checkDisplacement(Prog.proc(I), PA.TspLayout, Train.Procs[I], Model,
-                      Diags);
-    checkBounds(Prog.proc(I), PA.Bounds, PA.TspPenalty, Diags);
-  }
+  for (size_t I = 0; I != Prog.numProcedures(); ++I)
+    checkResult(Prog.proc(I), Train.Procs[I], Alignment.Procs[I]);
   return Diags.errorCount() - Before;
 }
 

@@ -44,18 +44,21 @@ public:
   /// AfterProcedure. Overwrites any hook already present.
   void install(AlignmentOptions &AlignOptions);
 
-  /// Verifies a finished whole-program alignment: layout legality of
-  /// every produced layout and the bound ordering. For alignments
-  /// produced without the hook installed; the determinism replay needs
-  /// the in-flight solve artifacts and only runs through verify-each.
+  /// Verifies a finished whole-program alignment with the checks
+  /// verify-each runs on every procedure's result (checkResult). For
+  /// alignments produced without the hook installed; the matrix audit,
+  /// tour check and determinism replay need the in-flight solve
+  /// artifacts and only run through verify-each.
   size_t verifyAlignment(const Program &Prog, const ProgramProfile &Train,
                          const MachineModel &Model,
                          const ProgramAlignment &Alignment);
 
-  DiagnosticEngine &diags() { return Diags; }
-  const VerifyOptions &options() const { return Options; }
-
 private:
+  /// The checks every finished procedure gets, hooked or not: layout
+  /// legality and branch reach of all three layouts, and bound order.
+  void checkResult(const Procedure &Proc, const ProcedureProfile &Train,
+                   const ProcedureAlignment &Result);
+
   void afterProcedure(const Procedure &Proc, const ProcedureProfile &Train,
                       const ProcedureAlignment &Result,
                       const SolveArtifacts *Artifacts);

@@ -132,27 +132,20 @@ balign::fingerprintProcedureInputs(const Procedure &Proc,
   hashProcedure(H, Proc);
   hashProfile(H, Train);
   hashMachineModel(H, Options.Model);
-  // Which algorithm produced the primary layout is result-affecting;
-  // under ExtTsp so are the objective kind and the model's Ext-TSP
-  // parameters (which hashMachineModel deliberately leaves out — they
-  // must not churn the keys of DTSP results they cannot affect).
-  H.u8(static_cast<uint8_t>(Options.Primary));
-  if (Options.Primary == PrimaryAligner::ExtTsp) {
-    H.u8(static_cast<uint8_t>(Options.Objective));
-    H.u32(Options.Model.ExtTspForwardWindow);
-    H.u32(Options.Model.ExtTspBackwardWindow);
-    H.f64(Options.Model.ExtTspForwardWeight);
-    H.f64(Options.Model.ExtTspBackwardWeight);
-  }
+  // The option blocks, as their wire bytes. The primary aligner always
+  // counts; the rest of its block only under ExtTsp, so it cannot churn
+  // the keys of DTSP results it cannot affect.
+  auto Objective = objectiveBlockBytes(
+      {/*ExtTspParams=*/Options.Model, Options.Primary, Options.Objective});
+  H.bytes(Objective.data(),
+          Options.Primary == PrimaryAligner::ExtTsp ? Objective.size() : 1);
   // The branch encoding reshapes addresses and triggers the refit
-  // round, so its parameters are result-affecting — but only under a
-  // variable encoding. Fixed absorbs nothing, keeping fixed-encoding
-  // keys independent of knobs that cannot affect them.
+  // round, so its block is result-affecting — but only under a variable
+  // encoding. Fixed absorbs nothing, keeping fixed-encoding keys
+  // independent of knobs that cannot affect them.
   if (Options.Model.Encoding != BranchEncoding::Fixed) {
-    H.u8(static_cast<uint8_t>(Options.Model.Encoding));
-    H.u64(Options.Model.ShortBranchRange);
-    H.u32(Options.Model.LongBranchExtraInstrs);
-    H.u32(Options.Model.LongBranchPenalty);
+    auto Encoding = encodingBlockBytes(Options.Model);
+    H.bytes(Encoding.data(), Encoding.size());
   }
   // The effort decision is result-affecting: it rewrites the solver
   // options and may route the procedure to the greedy-only fast path.

@@ -40,7 +40,6 @@ public:
   /// Invalidates everything.
   void reset();
 
-  size_t numEntries() const { return Tags.size(); }
   uint64_t hits() const { return Hits; }
   uint64_t lookups() const { return Lookups; }
 

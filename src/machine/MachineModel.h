@@ -73,9 +73,52 @@ const char *branchEncodingName(BranchEncoding Encoding);
 /// Parses a branchEncodingName spelling; returns false on unknown names.
 bool parseBranchEncoding(const std::string &Name, BranchEncoding &Out);
 
+/// Ext-TSP objective parameters (Newell/Pupyrev, "Improved Basic Block
+/// Reordering"). A branch whose target lands within the forward window
+/// of the branch site still scores — linearly decaying with distance —
+/// because the target line is likely already fetched. Distances are in
+/// bytes from the end of the source block to the start of the target
+/// block; a distance of zero is a fall through and scores the full
+/// (implicit) weight of 1.0 per execution. Defaults follow the BOLT
+/// CodeLayout constants (1024/640-byte windows, 0.1/0.1 weights).
+struct ExtTspParams {
+  uint32_t ExtTspForwardWindow = 1024;
+  uint32_t ExtTspBackwardWindow = 640;
+  double ExtTspForwardWeight = 0.1;
+  double ExtTspBackwardWeight = 0.1;
+  bool operator==(const ExtTspParams &) const = default;
+};
+
+/// Branch-encoding table. Under the default Fixed encoding everything
+/// but Encoding is inert and addresses are exactly InstrCount *
+/// BytesPerInstr — existing goldens and cache entries depend on that.
+/// Under ShortLong, objective/Displace.h runs the grow-until-fixpoint
+/// displacement algorithm over these parameters.
+struct BranchEncodingParams {
+  BranchEncoding Encoding = BranchEncoding::Fixed;
+
+  /// Maximum byte displacement (|target - branch end|) a short-form
+  /// branch can span. 32 KiB matches a 16-bit signed word-displacement
+  /// field at 4-byte granularity. A range of 0 forces every taken branch
+  /// long (the degenerate case the tests pin).
+  uint64_t ShortBranchRange = 32768;
+
+  /// Instructions a long-form branch adds over the short form (the
+  /// classic sequence is an inverted short branch over an absolute
+  /// jump: one extra instruction).
+  uint32_t LongBranchExtraInstrs = 1;
+
+  /// Extra penalty cycles a long-form branch pays per taken execution
+  /// (the extra issue slot of the jump in the inverted-branch sequence).
+  uint32_t LongBranchPenalty = 1;
+  bool operator==(const BranchEncodingParams &) const = default;
+};
+
 /// Penalty cycles for every block-ending control event, per terminator
-/// kind. All values are per dynamic execution of the event.
-struct MachineModel {
+/// kind. All values are per dynamic execution of the event. The Ext-TSP
+/// and branch-encoding blocks are bases, so their fields read as the
+/// model's own and a request can assign either block whole.
+struct MachineModel : ExtTspParams, BranchEncodingParams {
   std::string Name = "custom";
 
   /// Conditional branch, predicted direction, not taken (fall through to
@@ -101,41 +144,6 @@ struct MachineModel {
 
   /// Multiway branch to any other CFG successor: 3 cycles (pNT/pTN).
   uint32_t MultiwayMispredict = 3;
-
-  /// Ext-TSP objective parameters (Newell/Pupyrev, "Improved Basic Block
-  /// Reordering"). A branch whose target lands within the forward window
-  /// of the branch site still scores — linearly decaying with distance —
-  /// because the target line is likely already fetched. Distances are in
-  /// bytes from the end of the source block to the start of the target
-  /// block; a distance of zero is a fall through and scores the full
-  /// (implicit) weight of 1.0 per execution. Defaults follow the BOLT
-  /// CodeLayout constants (1024/640-byte windows, 0.1/0.1 weights).
-  uint32_t ExtTspForwardWindow = 1024;
-  uint32_t ExtTspBackwardWindow = 640;
-  double ExtTspForwardWeight = 0.1;
-  double ExtTspBackwardWeight = 0.1;
-
-  /// Branch-encoding table. Under the default Fixed encoding everything
-  /// below is inert and addresses are exactly InstrCount * BytesPerInstr
-  /// — existing goldens and cache entries depend on that. Under
-  /// ShortLong, objective/Displace.h runs the grow-until-fixpoint
-  /// displacement algorithm over these parameters.
-  BranchEncoding Encoding = BranchEncoding::Fixed;
-
-  /// Maximum byte displacement (|target - branch end|) a short-form
-  /// branch can span. 32 KiB matches a 16-bit signed word-displacement
-  /// field at 4-byte granularity. A range of 0 forces every taken branch
-  /// long (the degenerate case the tests pin).
-  uint64_t ShortBranchRange = 32768;
-
-  /// Instructions a long-form branch adds over the short form (the
-  /// classic sequence is an inverted short branch over an absolute
-  /// jump: one extra instruction).
-  uint32_t LongBranchExtraInstrs = 1;
-
-  /// Extra penalty cycles a long-form branch pays per taken execution
-  /// (the extra issue slot of the jump in the inverted-branch sequence).
-  uint32_t LongBranchPenalty = 1;
 
   /// The Alpha 21164 model of Table 3 (misfetch 1, cond mispredict 5).
   static MachineModel alpha21164();

@@ -51,8 +51,6 @@ public:
   /// Resets all counters to weakly-not-taken.
   void reset();
 
-  size_t numEntries() const { return Counters.size(); }
-
 private:
   size_t indexOf(uint64_t Addr) const;
 

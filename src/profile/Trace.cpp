@@ -109,12 +109,16 @@ static std::string walkCapMessage(const Procedure &Proc, BlockId Id) {
 ProcedureProfile balign::walkProfile(const Procedure &Proc,
                                      const BranchBehavior &Behavior,
                                      Rng &Rng, uint64_t BranchBudget,
-                                     ExecutionTrace *Trace) {
+                                     ExecutionTrace *Trace,
+                                     const Deadline *Limit) {
   assert(Behavior.isValid(Proc) && "behavior does not match procedure");
   ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
   std::vector<size_t> ExitSucc = computeExitSuccessors(Proc);
   uint64_t BranchesExecuted = 0;
   while (BranchesExecuted < BranchBudget) {
+    if (Limit && Limit->expired())
+      throw DeadlineExceeded("synthetic walk of procedure '" +
+                             Proc.getName() + "' exceeded its deadline");
     uint64_t BranchesBefore = BranchesExecuted;
     if (Trace)
       ++Trace->Invocations;

@@ -24,6 +24,7 @@
 
 #include "ir/CFG.h"
 #include "profile/Profile.h"
+#include "robust/Deadline.h"
 #include "support/Random.h"
 
 #include <cstdint>
@@ -80,11 +81,13 @@ public:
 /// Invocations advanced) for callers that replay them, such as the
 /// simulator; the walk and its \p Rng draws are the same either way.
 /// Throws ProfileWalkError when an invocation reaches
-/// MaxBlocksPerInvocation.
+/// MaxBlocksPerInvocation. With \p Limit, the walk polls it before each
+/// invocation and throws DeadlineExceeded once it has expired.
 ProcedureProfile walkProfile(const Procedure &Proc,
                              const BranchBehavior &Behavior, Rng &Rng,
                              uint64_t BranchBudget,
-                             ExecutionTrace *Trace = nullptr);
+                             ExecutionTrace *Trace = nullptr,
+                             const Deadline *Limit = nullptr);
 
 /// Derives edge/block counts from a trace. Every adjacent pair in the
 /// trace within one invocation contributes one edge count. For a walk's

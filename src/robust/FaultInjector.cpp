@@ -164,8 +164,6 @@ void FaultInjector::arm(FaultSite Site, FaultSpec Spec) {
     ArmedCount.fetch_add(IsArmed ? 1 : -1, std::memory_order_relaxed);
 }
 
-void FaultInjector::disarm(FaultSite Site) { arm(Site, FaultSpec::never()); }
-
 void FaultInjector::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Specs.fill(FaultSpec::never());

@@ -133,9 +133,6 @@ public:
   /// Arms \p Site with \p Spec (resetting its hit counter).
   void arm(FaultSite Site, FaultSpec Spec);
 
-  /// Disarms \p Site (its hit counter keeps counting).
-  void disarm(FaultSite Site);
-
   /// Disarms every site and zeroes all hit counters.
   void reset();
 

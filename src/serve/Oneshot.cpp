@@ -88,6 +88,10 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
   const char *Flag = Argv[I];
   std::string_view Arg = Flag;
   auto value = [&] { return flagValue(Flag, Argc, Argv, I); };
+  // Block flags parse into a copy that replaces the request's block only
+  // once the value has parsed, so a rejected flag changes nothing.
+  ObjectiveBlock Objective = Req.Objective.value_or(ObjectiveBlock());
+  BranchEncodingParams Encoding = Req.Encoding.value_or(BranchEncodingParams());
   if (Arg == "--seed") {
     if (!flagUInt(Flag, Argc, Argv, I, Req.Seed))
       return FlagParse::Error;
@@ -109,40 +113,42 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
                    "uniform, scaled, or scaled-cold-greedy"))
       return FlagParse::Error;
   } else if (Arg == "--aligner") {
-    if (!parseName(Flag, value(), parsePrimaryAligner, Req.Primary,
+    if (!parseName(Flag, value(), parsePrimaryAligner, Objective.Primary,
                    "tsp or exttsp"))
       return FlagParse::Error;
-    Req.HasObjective = true;
+    Req.Objective = Objective;
   } else if (Arg == "--objective") {
-    if (!parseName(Flag, value(), parseObjectiveKind, Req.Objective,
+    if (!parseName(Flag, value(), parseObjectiveKind, Objective.Kind,
                    "fallthrough or exttsp"))
       return FlagParse::Error;
-    Req.HasObjective = Flags.ObjectiveGiven = true;
+    Req.Objective = Objective;
+    Flags.ObjectiveGiven = true;
   } else if (Arg == "--exttsp-window") {
     // A zero window would make every jump worthless and a huge one makes
     // the linear decay meaningless; both are almost certainly typos.
     uint64_t Window = 0;
     if (!flagUIntInRange(Flag, Argc, Argv, I, Window, 1, MaxExtTspWindow))
       return FlagParse::Error;
-    Req.ExtTspForwardWindow = Req.ExtTspBackwardWindow =
+    Objective.ExtTspForwardWindow = Objective.ExtTspBackwardWindow =
         static_cast<uint32_t>(Window);
-    Req.HasObjective = true;
+    Req.Objective = Objective;
   } else if (Arg == "--exttsp-weights") {
-    if (!flagDoublePair(Flag, Argc, Argv, I, Req.ExtTspForwardWeight,
-                        Req.ExtTspBackwardWeight, MaxExtTspWeight))
+    if (!flagDoublePair(Flag, Argc, Argv, I, Objective.ExtTspForwardWeight,
+                        Objective.ExtTspBackwardWeight, MaxExtTspWeight))
       return FlagParse::Error;
-    Req.HasObjective = true;
+    Req.Objective = Objective;
   } else if (Arg == "--encoding") {
-    if (!parseName(Flag, value(), parseBranchEncoding, Req.Encoding,
+    if (!parseName(Flag, value(), parseBranchEncoding, Encoding.Encoding,
                    "fixed or short-long"))
       return FlagParse::Error;
-    Req.HasEncoding = true;
+    Req.Encoding = Encoding;
   } else if (Arg == "--short-range") {
     // 0 is legal and meaningful: it forces every branch long, the
     // degenerate case the displacement tests pin.
-    if (!flagUInt(Flag, Argc, Argv, I, Req.ShortBranchRange))
+    if (!flagUInt(Flag, Argc, Argv, I, Encoding.ShortBranchRange))
       return FlagParse::Error;
-    Req.HasEncoding = Flags.ShortRangeGiven = true;
+    Req.Encoding = Encoding;
+    Flags.ShortRangeGiven = true;
   } else {
     return FlagParse::NotMine;
   }
@@ -150,11 +156,13 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
 }
 
 void balign::warnIgnoredRequestFlags(const RequestFlags &Flags) {
-  if (Flags.ObjectiveGiven && Flags.Request.Primary != PrimaryAligner::ExtTsp)
+  ObjectiveBlock Objective = Flags.Request.Objective.value_or(ObjectiveBlock());
+  BranchEncodingParams Encoding =
+      Flags.Request.Encoding.value_or(BranchEncodingParams());
+  if (Flags.ObjectiveGiven && Objective.Primary != PrimaryAligner::ExtTsp)
     std::fprintf(stderr, "warning: --objective only affects --aligner "
                          "exttsp; ignored\n");
-  if (Flags.ShortRangeGiven &&
-      Flags.Request.Encoding != BranchEncoding::ShortLong)
+  if (Flags.ShortRangeGiven && Encoding.Encoding != BranchEncoding::ShortLong)
     std::fprintf(stderr, "warning: --short-range only affects --encoding "
                          "short-long; ignored\n");
 }
@@ -208,35 +216,28 @@ void balign::applyAlignRequest(const AlignRequest &Req,
   Options.ComputeBounds = Req.ComputeBounds;
   Options.OnError = Req.OnError;
   // An absent block means that block's defaults, as on the wire, so the
-  // request decides every field below whatever the base held.
-  const AlignRequest Defaults;
-  // The Ext-TSP knobs live on the machine model, where the cache
-  // fingerprint absorbs them under the exttsp primary.
-  const AlignRequest &Objective = Req.HasObjective ? Req : Defaults;
+  // request decides every field below whatever the base held. The blocks'
+  // parameters live on the machine model, where the cache key absorbs
+  // them.
+  ObjectiveBlock Objective = Req.Objective.value_or(ObjectiveBlock());
   Options.Primary = Objective.Primary;
-  Options.Objective = Objective.Objective;
-  Options.Model.ExtTspForwardWindow = Objective.ExtTspForwardWindow;
-  Options.Model.ExtTspBackwardWindow = Objective.ExtTspBackwardWindow;
-  Options.Model.ExtTspForwardWeight = Objective.ExtTspForwardWeight;
-  Options.Model.ExtTspBackwardWeight = Objective.ExtTspBackwardWeight;
-  // Likewise the branch encoding (balign-displace); the fingerprint
-  // absorbs it only under a variable encoding.
-  const AlignRequest &Encoding = Req.HasEncoding ? Req : Defaults;
-  Options.Model.Encoding = Encoding.Encoding;
-  Options.Model.ShortBranchRange = Encoding.ShortBranchRange;
-  Options.Model.LongBranchExtraInstrs = Encoding.LongBranchExtraInstrs;
-  Options.Model.LongBranchPenalty = Encoding.LongBranchPenalty;
+  Options.Objective = Objective.Kind;
+  static_cast<ExtTspParams &>(Options.Model) = Objective;
+  static_cast<BranchEncodingParams &>(Options.Model) =
+      Req.Encoding.value_or(BranchEncodingParams());
 }
 
 ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,
-                                         uint64_t Budget) {
+                                         uint64_t Budget,
+                                         const Deadline *Limit) {
   ProgramProfile Counts;
   for (size_t P = 0; P != Prog.numProcedures(); ++P) {
     const Procedure &Proc = Prog.proc(P);
     Rng BehaviorRng(Seed * 7919 + P);
     BranchBehavior Behavior = skewedBehavior(Proc, BehaviorRng);
     Rng WalkRng(Seed * 1000003 + P);
-    Counts.Procs.push_back(walkProfile(Proc, Behavior, WalkRng, Budget));
+    Counts.Procs.push_back(
+        walkProfile(Proc, Behavior, WalkRng, Budget, /*Trace=*/nullptr, Limit));
   }
   return Counts;
 }

@@ -48,8 +48,8 @@ enum class FlagParse : uint8_t {
 
 /// Parses Argv[I] when it is a request flag, consuming its value through
 /// support/Flags.h's strict helpers. Numeric ranges are Protocol.h's,
-/// so whatever parses also survives decodeAlignRequest. The objective
-/// flags set Request.HasObjective and the encoding flags HasEncoding.
+/// so whatever parses also survives decodeAlignRequest. A block's flags
+/// create the block; a rejected flag changes nothing.
 FlagParse parseRequestFlag(int Argc, char **Argv, int &I,
                            RequestFlags &Flags);
 
@@ -65,10 +65,10 @@ const char *requestFlagsHelp();
 /// and AlignService. It sets every request option: the solver seed,
 /// effort policy, bounds and on-error policy; the primary aligner,
 /// objective and the model's Ext-TSP parameters from the objective block;
-/// the model's branch-encoding parameters from the encoding block. An
-/// absent block (HasObjective or HasEncoding false) sets that block's
-/// defaults, never what \p Options held, so a server's base cannot leak
-/// into a request. Every other field of \p Options (threads, cache,
+/// the model's branch-encoding parameters from the encoding block, each
+/// block assigned whole. An absent block sets that block's defaults,
+/// never what \p Options held, so a server's base cannot leak into a
+/// request. Every other field of \p Options (threads, cache,
 /// budgets, the model's penalty fields) is left alone. Budget and the
 /// texts are inputs of synthesizeProfile and the parsers, DeadlineMs is
 /// the server's business.
@@ -80,9 +80,11 @@ void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 /// with \p Budget branches. The seed arithmetic is contract — changing
 /// it changes every committed expectation downstream. Throws
 /// ProfileWalkError (profile/Trace.h) when a procedure's walk cannot
-/// return, as in a loop with no exit.
+/// return, as in a loop with no exit, and DeadlineExceeded once \p Limit
+/// (polled per walk invocation) expires.
 ProgramProfile synthesizeProfile(const Program &Prog, uint64_t Seed,
-                                 uint64_t Budget);
+                                 uint64_t Budget,
+                                 const Deadline *Limit = nullptr);
 
 /// Renders the report exactly as align_tool prints it: per-procedure
 /// "proc NAME layout: ..." lines (plus dot output under \p EmitDot),

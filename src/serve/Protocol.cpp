@@ -80,10 +80,6 @@ const char *balign::frameTypeName(FrameType Type) {
   return "?";
 }
 
-bool balign::isRequestType(uint8_t Type) {
-  return Type <= static_cast<uint8_t>(FrameType::Shutdown);
-}
-
 const char *balign::frameErrorName(FrameError Code) {
   switch (Code) {
   case FrameError::None:
@@ -163,9 +159,8 @@ std::string balign::encodeAlignRequest(const AlignRequest &Request) {
   Out.push_back(static_cast<char>(Request.Effort));
   Out.push_back(static_cast<char>(Request.OnError));
   uint8_t Flags = (Request.ComputeBounds ? 1 : 0) |
-                  (Request.HasProfile ? 2 : 0) |
-                  (Request.HasObjective ? 4 : 0) |
-                  (Request.HasEncoding ? 8 : 0);
+                  (Request.HasProfile ? 2 : 0) | (Request.Objective ? 4 : 0) |
+                  (Request.Encoding ? 8 : 0);
   Out.push_back(static_cast<char>(Flags));
   Out.push_back(0); // Reserved; receivers require zero.
   putU32(Out, static_cast<uint32_t>(Request.CfgText.size()));
@@ -176,19 +171,13 @@ std::string balign::encodeAlignRequest(const AlignRequest &Request) {
   } else {
     putU32(Out, 0);
   }
-  if (Request.HasObjective) {
-    Out.push_back(static_cast<char>(Request.Primary));
-    Out.push_back(static_cast<char>(Request.Objective));
-    putU32(Out, Request.ExtTspForwardWindow);
-    putU32(Out, Request.ExtTspBackwardWindow);
-    putU64(Out, std::bit_cast<uint64_t>(Request.ExtTspForwardWeight));
-    putU64(Out, std::bit_cast<uint64_t>(Request.ExtTspBackwardWeight));
+  if (Request.Objective) {
+    auto Block = objectiveBlockBytes(*Request.Objective);
+    Out.append(Block.data(), Block.size());
   }
-  if (Request.HasEncoding) {
-    Out.push_back(static_cast<char>(Request.Encoding));
-    putU64(Out, Request.ShortBranchRange);
-    putU32(Out, Request.LongBranchExtraInstrs);
-    putU32(Out, Request.LongBranchPenalty);
+  if (Request.Encoding) {
+    auto Block = encodingBlockBytes(*Request.Encoding);
+    Out.append(Block.data(), Block.size());
   }
   return Out;
 }
@@ -213,8 +202,8 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
   Out.OnError = static_cast<OnErrorPolicy>(OnError);
   Out.ComputeBounds = (Flags & 1) != 0;
   Out.HasProfile = (Flags & 2) != 0;
-  Out.HasObjective = (Flags & 4) != 0;
-  Out.HasEncoding = (Flags & 8) != 0;
+  Out.Objective.reset();
+  Out.Encoding.reset();
   if (!In.u32(CfgLen) || !In.bytes(CfgLen, Out.CfgText))
     return fail(Error, "align request CFG text is truncated");
   if (!In.u32(ProfLen) || !In.bytes(ProfLen, Out.ProfileText))
@@ -222,47 +211,46 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
   if (!Out.HasProfile && ProfLen != 0)
     return fail(Error, "align request carries profile bytes without the "
                        "profile flag");
-  if (Out.HasObjective) {
-    uint8_t Primary = 0, Objective = 0;
+  if (Flags & 4) {
+    ObjectiveBlock &P = Out.Objective.emplace();
+    uint8_t Primary = 0, Kind = 0;
     uint64_t FwdBits = 0, BwdBits = 0;
-    if (!In.u8(Primary) || !In.u8(Objective) ||
-        !In.u32(Out.ExtTspForwardWindow) ||
-        !In.u32(Out.ExtTspBackwardWindow) || !In.u64(FwdBits) ||
+    if (!In.u8(Primary) || !In.u8(Kind) || !In.u32(P.ExtTspForwardWindow) ||
+        !In.u32(P.ExtTspBackwardWindow) || !In.u64(FwdBits) ||
         !In.u64(BwdBits))
       return fail(Error, "align request objective extension is truncated");
     if (Primary > static_cast<uint8_t>(PrimaryAligner::ExtTsp))
       return fail(Error, "align request names an unknown primary aligner");
-    if (Objective > static_cast<uint8_t>(ObjectiveKind::ExtTsp))
+    if (Kind > static_cast<uint8_t>(ObjectiveKind::ExtTsp))
       return fail(Error, "align request names an unknown objective");
-    if (Out.ExtTspForwardWindow < 1 ||
-        Out.ExtTspForwardWindow > MaxExtTspWindow ||
-        Out.ExtTspBackwardWindow < 1 ||
-        Out.ExtTspBackwardWindow > MaxExtTspWindow)
+    if (P.ExtTspForwardWindow < 1 || P.ExtTspForwardWindow > MaxExtTspWindow ||
+        P.ExtTspBackwardWindow < 1 || P.ExtTspBackwardWindow > MaxExtTspWindow)
       return fail(Error, "align request Ext-TSP window is out of range");
-    Out.Primary = static_cast<PrimaryAligner>(Primary);
-    Out.Objective = static_cast<ObjectiveKind>(Objective);
-    Out.ExtTspForwardWeight = std::bit_cast<double>(FwdBits);
-    Out.ExtTspBackwardWeight = std::bit_cast<double>(BwdBits);
+    P.Primary = static_cast<PrimaryAligner>(Primary);
+    P.Kind = static_cast<ObjectiveKind>(Kind);
+    P.ExtTspForwardWeight = std::bit_cast<double>(FwdBits);
+    P.ExtTspBackwardWeight = std::bit_cast<double>(BwdBits);
     // NaN fails both comparisons, so this one test rejects NaN and
     // every out-of-range (including infinite) weight at once.
-    if (!(Out.ExtTspForwardWeight >= 0.0 &&
-          Out.ExtTspForwardWeight <= MaxExtTspWeight) ||
-        !(Out.ExtTspBackwardWeight >= 0.0 &&
-          Out.ExtTspBackwardWeight <= MaxExtTspWeight))
+    if (!(P.ExtTspForwardWeight >= 0.0 &&
+          P.ExtTspForwardWeight <= MaxExtTspWeight) ||
+        !(P.ExtTspBackwardWeight >= 0.0 &&
+          P.ExtTspBackwardWeight <= MaxExtTspWeight))
       return fail(Error, "align request Ext-TSP weight is out of range");
   }
-  if (Out.HasEncoding) {
+  if (Flags & 8) {
+    BranchEncodingParams &E = Out.Encoding.emplace();
     uint8_t Encoding = 0;
-    if (!In.u8(Encoding) || !In.u64(Out.ShortBranchRange) ||
-        !In.u32(Out.LongBranchExtraInstrs) || !In.u32(Out.LongBranchPenalty))
+    if (!In.u8(Encoding) || !In.u64(E.ShortBranchRange) ||
+        !In.u32(E.LongBranchExtraInstrs) || !In.u32(E.LongBranchPenalty))
       return fail(Error, "align request encoding extension is truncated");
     if (Encoding > static_cast<uint8_t>(BranchEncoding::ShortLong))
       return fail(Error, "align request names an unknown branch encoding");
-    if (Out.LongBranchExtraInstrs > MaxLongBranchParam ||
-        Out.LongBranchPenalty > MaxLongBranchParam)
+    if (E.LongBranchExtraInstrs > MaxLongBranchParam ||
+        E.LongBranchPenalty > MaxLongBranchParam)
       return fail(Error, "align request long-branch parameter is out of "
                          "range");
-    Out.Encoding = static_cast<BranchEncoding>(Encoding);
+    E.Encoding = static_cast<BranchEncoding>(Encoding);
   }
   if (!In.atEnd())
     return fail(Error, "align request has trailing bytes");

@@ -41,6 +41,7 @@
 #include "static/EffortPolicy.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace balign {
@@ -76,9 +77,6 @@ enum class FrameType : uint8_t {
 /// Returns a stable printable name ("align", "error", ...); "?" for
 /// values outside the enum.
 const char *frameTypeName(FrameType Type);
-
-/// True for the request range [0, 16) values the server dispatches on.
-bool isRequestType(uint8_t Type);
 
 /// Structured error codes carried by FrameType::Error responses (wire
 /// contract, append-only).
@@ -126,25 +124,14 @@ inline constexpr uint32_t MaxLongBranchParam = 1u << 20;
 /// request and a CLI invocation over the same inputs produce
 /// byte-identical reports.
 ///
-/// Flag bit 2 carries the objective extension (--aligner exttsp and its
-/// knobs): when set, an extension block
-///
-///   [u8 primary][u8 objective][u32 fwd window][u32 bwd window]
-///   [u64 fwd weight IEEE-754 bits][u64 bwd weight IEEE-754 bits]
-///
-/// follows the profile text. With the bit clear the body's byte layout
-/// is exactly the pre-extension one, so the committed golden frames and
-/// old clients keep working against a version-1 server unchanged.
-///
-/// Flag bit 8 carries the branch-encoding extension (--encoding and its
-/// knobs, balign-displace): when set, an extension block
-///
-///   [u8 encoding][u64 short range][u32 long extra instrs]
-///   [u32 long penalty]
-///
-/// follows the objective block (or the profile text when bit 2 is
-/// clear). Same compatibility story: with the bit clear the layout is
-/// byte-identical to the pre-extension one.
+/// Flag 4 carries the objective block and flag 8 the branch-encoding
+/// block. A present block follows the profile text, the objective block
+/// first, as the bytes objectiveBlockBytes and encodingBlockBytes write
+/// (align/Pipeline.h), which are also the bytes the cache key absorbs.
+/// An absent block means its defaults, wherever the request is applied.
+/// With both flags clear the body's byte layout is exactly the
+/// pre-extension one, so the committed golden frames and old clients
+/// keep working against a version-1 server unchanged.
 struct AlignRequest {
   uint64_t Seed = 1;         ///< --seed: root solver/profile seed.
   uint64_t Budget = 50000;   ///< --budget: synthetic-profile branches.
@@ -153,27 +140,10 @@ struct AlignRequest {
   OnErrorPolicy OnError = OnErrorPolicy::Abort;
   bool ComputeBounds = false; ///< --bounds.
   bool HasProfile = false;    ///< ProfileText is meaningful.
-  bool HasObjective = false;  ///< The objective extension block is present.
-  bool HasEncoding = false;   ///< The encoding extension block is present.
   std::string CfgText;        ///< The textual CFG program.
   std::string ProfileText;    ///< Optional textual profile.
-
-  /// The extension block; meaningful only under HasObjective. Defaults
-  /// mirror AlignmentOptions/MachineModel so an all-defaults block is a
-  /// no-op relative to an absent one.
-  PrimaryAligner Primary = PrimaryAligner::Tsp;
-  ObjectiveKind Objective = ObjectiveKind::ExtTsp;
-  uint32_t ExtTspForwardWindow = 1024;
-  uint32_t ExtTspBackwardWindow = 640;
-  double ExtTspForwardWeight = 0.1;
-  double ExtTspBackwardWeight = 0.1;
-
-  /// The encoding block; meaningful only under HasEncoding, same
-  /// all-defaults-is-a-no-op convention.
-  BranchEncoding Encoding = BranchEncoding::Fixed;
-  uint64_t ShortBranchRange = 32768;
-  uint32_t LongBranchExtraInstrs = 1;
-  uint32_t LongBranchPenalty = 1;
+  std::optional<ObjectiveBlock> Objective; ///< --aligner and its knobs.
+  std::optional<BranchEncodingParams> Encoding; ///< --encoding, --short-range.
 };
 
 /// Serializes a frame to wire bytes (length prefix + header + body).

@@ -112,7 +112,7 @@ struct ServeConfig {
 
   /// balign-sentinel: slack past a request's deadline before the
   /// watchdog abandons it with FrameError::Stuck. The deadline itself is
-  /// enforced cooperatively inside the pipeline; the watchdog only fires
+  /// polled by the profile walk and inside the pipeline; the watchdog fires
   /// when a worker blew through it without returning. Requests with no
   /// deadline at all are never flagged.
   uint64_t StuckGraceMs = 1000;

@@ -18,6 +18,12 @@ Frame AlignService::handleAlign(const std::string &Body) const {
 }
 
 Frame AlignService::handleAlign(const AlignRequest &Req) const {
+  // The deadline covers profile synthesis too; without one, nothing polls.
+  uint64_t BudgetMs = Req.DeadlineMs ? Req.DeadlineMs
+                                     : Config.DefaultDeadlineMs;
+  Deadline RequestDeadline(BudgetMs, Config.Clock);
+  const Deadline *Limit = BudgetMs ? &RequestDeadline : nullptr;
+
   std::string Error;
   std::optional<Program> Prog = parseProgram(Req.CfgText, &Error);
   if (!Prog)
@@ -30,9 +36,11 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
       return makeErrorFrame(FrameError::ProfileError, Error);
   } else {
     try {
-      Counts = synthesizeProfile(*Prog, Req.Seed, Req.Budget);
+      Counts = synthesizeProfile(*Prog, Req.Seed, Req.Budget, Limit);
     } catch (const ProfileWalkError &E) {
       return makeErrorFrame(FrameError::ProfileError, E.what());
+    } catch (const DeadlineExceeded &E) {
+      return makeErrorFrame(FrameError::Deadline, E.what());
     }
   }
 
@@ -47,11 +55,7 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
   applyAlignRequest(Req, Options);
   if (Config.Clock)
     Options.Clock = Config.Clock;
-
-  uint64_t BudgetMs = Req.DeadlineMs ? Req.DeadlineMs
-                                     : Config.DefaultDeadlineMs;
-  Deadline RequestDeadline(BudgetMs, Config.Clock);
-  Options.RunDeadline = BudgetMs ? &RequestDeadline : nullptr;
+  Options.RunDeadline = Limit;
 
   try {
     ProgramAlignment Result = alignProgram(*Prog, *Counts, Options);

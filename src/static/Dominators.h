@@ -53,11 +53,6 @@ public:
   /// itself). False whenever \p B is unreachable.
   bool dominates(BlockId A, BlockId B) const;
 
-  /// True when \p A strictly dominates \p B.
-  bool strictlyDominates(BlockId A, BlockId B) const {
-    return A != B && dominates(A, B);
-  }
-
   /// Depth of \p B in the dominator tree (entry = 0); 0 for unreachable
   /// blocks, which are not in the tree.
   unsigned depth(BlockId B) const { return Depth[B]; }

@@ -38,9 +38,6 @@ public:
   /// Renders the table, including the header and a separator under it.
   std::string render() const;
 
-  size_t numColumns() const { return Columns.size(); }
-  size_t numRows() const { return Rows.size(); }
-
 private:
   struct Column {
     std::string Name;

@@ -499,39 +499,25 @@ constexpr size_t EncodingBlockBytes = 1 + 8 + 4 + 4;
 
 TEST(DisplaceServeTest, EncodingBlockRoundTrips) {
   AlignRequest Req = basicRequest();
-  Req.HasEncoding = true;
-  Req.Encoding = BranchEncoding::ShortLong;
-  Req.ShortBranchRange = 4096;
-  Req.LongBranchExtraInstrs = 2;
-  Req.LongBranchPenalty = 3;
+  Req.Encoding = BranchEncodingParams{BranchEncoding::ShortLong, 4096, 2, 3};
 
   AlignRequest Out;
   std::string Error;
   ASSERT_TRUE(decodeAlignRequest(encodeAlignRequest(Req), Out, &Error))
       << Error;
-  EXPECT_TRUE(Out.HasEncoding);
-  EXPECT_EQ(Out.Encoding, BranchEncoding::ShortLong);
-  EXPECT_EQ(Out.ShortBranchRange, 4096u);
-  EXPECT_EQ(Out.LongBranchExtraInstrs, 2u);
-  EXPECT_EQ(Out.LongBranchPenalty, 3u);
+  EXPECT_EQ(Req.Encoding, Out.Encoding);
   EXPECT_EQ(Out.CfgText, Req.CfgText);
 }
 
-// Legacy compatibility: with the flag clear the encoding fields are not
-// serialized, so pre-extension clients and the golden frame corpus see
-// byte-identical bodies.
+// Legacy compatibility: a request without the block decodes without it,
+// so pre-extension clients and the golden frame corpus keep their bytes.
 TEST(DisplaceServeTest, LegacyFramesAreByteIdentical) {
-  AlignRequest Legacy = basicRequest();
-  AlignRequest Tweaked = basicRequest();
-  Tweaked.Encoding = BranchEncoding::ShortLong;
-  Tweaked.ShortBranchRange = 1;
-  Tweaked.LongBranchExtraInstrs = 99;
-  EXPECT_EQ(encodeAlignRequest(Legacy), encodeAlignRequest(Tweaked));
-
+  std::string Body = encodeAlignRequest(basicRequest());
+  EXPECT_EQ(0, Body[FlagsOffset]);
   AlignRequest Out;
-  ASSERT_TRUE(decodeAlignRequest(encodeAlignRequest(Legacy), Out, nullptr));
-  EXPECT_FALSE(Out.HasEncoding);
-  EXPECT_EQ(Out.Encoding, BranchEncoding::Fixed);
+  Out.Encoding.emplace();
+  ASSERT_TRUE(decodeAlignRequest(Body, Out, nullptr));
+  EXPECT_FALSE(Out.Encoding);
 }
 
 TEST(DisplaceServeTest, RejectsUnknownFlagBits) {
@@ -545,7 +531,7 @@ TEST(DisplaceServeTest, RejectsUnknownFlagBits) {
 
 TEST(DisplaceServeTest, RejectsTruncatedEncodingBlock) {
   AlignRequest Req = basicRequest();
-  Req.HasEncoding = true;
+  Req.Encoding.emplace();
   std::string Body = encodeAlignRequest(Req);
   AlignRequest Out;
   std::string Error;
@@ -560,7 +546,7 @@ TEST(DisplaceServeTest, RejectsTruncatedEncodingBlock) {
 
 TEST(DisplaceServeTest, RejectsUnknownEncodingValue) {
   AlignRequest Req = basicRequest();
-  Req.HasEncoding = true;
+  Req.Encoding.emplace();
   std::string Body = encodeAlignRequest(Req);
   Body[Body.size() - EncodingBlockBytes] = 2; // Beyond ShortLong.
   AlignRequest Out;
@@ -572,9 +558,9 @@ TEST(DisplaceServeTest, RejectsUnknownEncodingValue) {
 TEST(DisplaceServeTest, RejectsOutOfRangeLongParameters) {
   for (bool TweakExtra : {true, false}) {
     AlignRequest Req = basicRequest();
-    Req.HasEncoding = true;
-    (TweakExtra ? Req.LongBranchExtraInstrs : Req.LongBranchPenalty) =
-        (1u << 20) + 1;
+    Req.Encoding.emplace();
+    (TweakExtra ? Req.Encoding->LongBranchExtraInstrs
+                : Req.Encoding->LongBranchPenalty) = (1u << 20) + 1;
     AlignRequest Out;
     std::string Error;
     EXPECT_FALSE(decodeAlignRequest(encodeAlignRequest(Req), Out, &Error));
@@ -584,7 +570,7 @@ TEST(DisplaceServeTest, RejectsOutOfRangeLongParameters) {
 
 TEST(DisplaceServeTest, RejectsTrailingBytesAfterEncodingBlock) {
   AlignRequest Req = basicRequest();
-  Req.HasEncoding = true;
+  Req.Encoding.emplace();
   std::string Body = encodeAlignRequest(Req) + '\0';
   AlignRequest Out;
   std::string Error;

@@ -81,26 +81,18 @@ RequestFlags parsed(const Args &A) {
 
 auto fieldsOf(const AlignRequest &R) {
   return std::tie(R.Seed, R.Budget, R.DeadlineMs, R.Effort, R.OnError,
-                  R.ComputeBounds, R.HasProfile, R.HasObjective,
-                  R.HasEncoding, R.CfgText, R.ProfileText, R.Primary,
-                  R.Objective, R.ExtTspForwardWindow, R.ExtTspBackwardWindow,
-                  R.ExtTspForwardWeight, R.ExtTspBackwardWeight, R.Encoding,
-                  R.ShortBranchRange, R.LongBranchExtraInstrs,
-                  R.LongBranchPenalty);
+                  R.ComputeBounds, R.HasProfile, R.CfgText, R.ProfileText,
+                  R.Objective, R.Encoding);
 }
 
 auto fieldsOf(const AlignmentOptions &O) {
   const MachineModel &M = O.Model;
-  return std::tuple_cat(
-      std::tie(M.CondFallThrough, M.CondTakenCorrect, M.CondMispredict,
-               M.UncondBranch, M.MultiwayPredicted, M.MultiwayMispredict,
-               M.ExtTspForwardWindow, M.ExtTspBackwardWindow,
-               M.ExtTspForwardWeight, M.ExtTspBackwardWeight, M.Encoding,
-               M.ShortBranchRange, M.LongBranchExtraInstrs,
-               M.LongBranchPenalty),
-      std::tie(O.Solver.Seed, O.ComputeBounds, O.Primary, O.Objective,
-               O.Effort, O.OnError, O.Threads, O.CachePath,
-               O.ProcBudgetMs));
+  return std::tie(M.CondFallThrough, M.CondTakenCorrect, M.CondMispredict,
+                  M.UncondBranch, M.MultiwayPredicted, M.MultiwayMispredict,
+                  static_cast<const ExtTspParams &>(M),
+                  static_cast<const BranchEncodingParams &>(M), O.Solver.Seed,
+                  O.ComputeBounds, O.Primary, O.Objective, O.Effort,
+                  O.OnError, O.Threads, O.CachePath, O.ProcBudgetMs);
 }
 
 /// One request flag: its argv, the change it makes to a default request,
@@ -133,32 +125,25 @@ const std::vector<FlagCase> &flagCases() {
        [](AlignmentOptions &O) { O.Effort = EffortPolicy::ScaledColdGreedy; }},
       {{"--aligner", "exttsp"},
        [](AlignRequest &R) {
-         R.Primary = PrimaryAligner::ExtTsp;
-         R.HasObjective = true;
+         R.Objective.emplace().Primary = PrimaryAligner::ExtTsp;
        },
        [](AlignmentOptions &O) { O.Primary = PrimaryAligner::ExtTsp; }},
       {{"--aligner", "tsp"},
-       [](AlignRequest &R) { R.HasObjective = true; },
+       [](AlignRequest &R) { R.Objective.emplace(); },
        [](AlignmentOptions &) {}},
       {{"--objective", "fallthrough"},
        [](AlignRequest &R) {
-         R.Objective = ObjectiveKind::Fallthrough;
-         R.HasObjective = true;
+         R.Objective.emplace().Kind = ObjectiveKind::Fallthrough;
        },
        [](AlignmentOptions &O) { O.Objective = ObjectiveKind::Fallthrough; }},
       {{"--exttsp-window", "256"},
-       [](AlignRequest &R) {
-         R.ExtTspForwardWindow = R.ExtTspBackwardWindow = 256;
-         R.HasObjective = true;
-       },
+       [](AlignRequest &R) { R.Objective = ObjectiveBlock{{256, 256}}; },
        [](AlignmentOptions &O) {
          O.Model.ExtTspForwardWindow = O.Model.ExtTspBackwardWindow = 256;
        }},
       {{"--exttsp-weights", "0.25,0.5"},
        [](AlignRequest &R) {
-         R.ExtTspForwardWeight = 0.25;
-         R.ExtTspBackwardWeight = 0.5;
-         R.HasObjective = true;
+         R.Objective = ObjectiveBlock{{1024, 640, 0.25, 0.5}};
        },
        [](AlignmentOptions &O) {
          O.Model.ExtTspForwardWeight = 0.25;
@@ -166,17 +151,13 @@ const std::vector<FlagCase> &flagCases() {
        }},
       {{"--encoding", "short-long"},
        [](AlignRequest &R) {
-         R.Encoding = BranchEncoding::ShortLong;
-         R.HasEncoding = true;
+         R.Encoding.emplace().Encoding = BranchEncoding::ShortLong;
        },
        [](AlignmentOptions &O) {
          O.Model.Encoding = BranchEncoding::ShortLong;
        }},
       {{"--short-range", "0"},
-       [](AlignRequest &R) {
-         R.ShortBranchRange = 0;
-         R.HasEncoding = true;
-       },
+       [](AlignRequest &R) { R.Encoding.emplace().ShortBranchRange = 0; },
        [](AlignmentOptions &O) { O.Model.ShortBranchRange = 0; }},
   };
   return Cases;
@@ -262,12 +243,13 @@ TEST(RequestOptionsTest, ParserRecordsPresenceBits) {
 }
 
 TEST(RequestOptionsTest, ParserAcceptsTheRangeBoundaries) {
-  EXPECT_EQ(1u, parsed({"--exttsp-window", "1"}).Request.ExtTspForwardWindow);
+  EXPECT_EQ(1u, parsed({"--exttsp-window", "1"})
+                    .Request.Objective->ExtTspForwardWindow);
   AlignRequest Widest = parsed({"--exttsp-window", "1048576"}).Request;
-  EXPECT_EQ(MaxExtTspWindow, Widest.ExtTspBackwardWindow);
-  RequestFlags Weights = parsed({"--exttsp-weights", "0,1024"});
-  EXPECT_EQ(0.0, Weights.Request.ExtTspForwardWeight);
-  EXPECT_EQ(MaxExtTspWeight, Weights.Request.ExtTspBackwardWeight);
+  EXPECT_EQ(MaxExtTspWindow, Widest.Objective->ExtTspBackwardWindow);
+  AlignRequest Weights = parsed({"--exttsp-weights", "0,1024"}).Request;
+  EXPECT_EQ(0.0, Weights.Objective->ExtTspForwardWeight);
+  EXPECT_EQ(MaxExtTspWeight, Weights.Objective->ExtTspBackwardWeight);
   AlignRequest MaxSeed = parsed({"--seed", "18446744073709551615"}).Request;
   EXPECT_EQ(UINT64_MAX, MaxSeed.Seed);
 }

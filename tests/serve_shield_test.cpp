@@ -264,6 +264,49 @@ TEST(ServeShieldTest, DeadlineExpiryIsAStructuredFrame) {
   EXPECT_EQ(expectedCleanReport(), Report);
 }
 
+TEST(ServeShieldTest, DeadlineCoversProfileSynthesis) {
+  // A clock that advances 1ms per reading. The request's deadline is
+  // read once when it is made and then once per walk invocation, so a
+  // walk with no end in sight expires on its 50th poll, on every run.
+  auto Now = std::make_shared<std::atomic<uint64_t>>(0);
+  AlignmentOptions Base;
+  AlignService Service(Base, {/*DefaultDeadlineMs=*/0,
+                              [Now] { return Now->fetch_add(1); }});
+  AlignRequest Req = demoRequest();
+  Req.Budget = UINT64_MAX;
+  Req.DeadlineMs = 50;
+  FrameError Code = FrameError::None;
+  std::string Message;
+  ASSERT_TRUE(decodeErrorFrame(Service.handleAlign(Req), Code, Message));
+  EXPECT_EQ(FrameError::Deadline, Code) << Message;
+  EXPECT_EQ("synthetic walk of procedure 'alpha' exceeded its deadline",
+            Message);
+  EXPECT_EQ(51u, Now->load());
+}
+
+TEST(ServeShieldTest, HugeBudgetAnswersDeadlineAndFreesTheWorker) {
+  // On the real clock, with one pool worker: the walk gives up at the
+  // request's deadline instead of running on past the watchdog, so the
+  // next request on that worker is answered normally.
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  AlignServer Server(Base, Config);
+  Connection Conn(Server);
+
+  AlignRequest Req = demoRequest();
+  Req.Budget = 1000000000000;
+  Req.DeadlineMs = 50;
+  FrameError Code = FrameError::None;
+  std::string Message;
+  expectAlignError(Conn.Client, Req, Code, Message);
+  EXPECT_EQ(FrameError::Deadline, Code) << Message;
+
+  std::string Report, Error;
+  ASSERT_TRUE(Conn.Client.align(demoRequest(), Report, &Error)) << Error;
+  EXPECT_EQ(expectedCleanReport(), Report);
+}
+
 TEST(ServeShieldTest, FallbackRungResultsAreNeverCached) {
   size_t ProfiledProcs = 0;
   std::string Expected = expectedCleanReport(&ProfiledProcs);
