@@ -19,11 +19,11 @@
 #include "workloads/Generator.h"
 #include "workloads/Workloads.h"
 
+#include "ServeCorpus.h"
+
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,36 +38,6 @@ void hashTrace(Hasher &H, const ExecutionTrace &Trace) {
     H.u32(B);
 }
 
-std::string readData(const std::string &Name) {
-  std::ifstream In(std::string(BALIGN_DATA_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open " << Name;
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
-}
-
-Program readProgram(const std::string &Name) {
-  std::string Error;
-  std::optional<Program> Prog = parseProgram(readData(Name), &Error);
-  EXPECT_TRUE(Prog.has_value()) << Error;
-  return Prog ? *Prog : Program();
-}
-
-/// Program \p I of the twelve-program serve corpus: the hot set of
-/// perfbench's serve-mixed workload (`corpusProgram` in
-/// perfbench/Serve.cpp generates the same programs).
-Program serveCorpusProgram(uint64_t I) {
-  Program Prog("serve" + std::to_string(I));
-  Rng R(9000 + I * 31);
-  GenParams Params;
-  Params.TargetBranchSites = 8 + static_cast<unsigned>(I % 5);
-  size_t NumProcs = 2 + I % 3;
-  for (size_t P = 0; P != NumProcs; ++P)
-    Prog.addProcedure(
-        generateProcedure("p" + std::to_string(P), Params, R).Proc);
-  return Prog;
-}
-
 /// A behavior with random rows, each successor weighted at least 0.02.
 BranchBehavior randomBehavior(const Procedure &Proc, Rng &R) {
   BranchBehavior Behavior = BranchBehavior::uniform(Proc);
@@ -78,6 +48,26 @@ BranchBehavior randomBehavior(const Procedure &Proc, Rng &R) {
     for (double &P : Row) {
       P = 0.02 + R.nextDouble();
       Sum += P;
+    }
+    for (double &P : Row)
+      P /= Sum;
+  }
+  return Behavior;
+}
+
+/// A behavior with random rows in which every successor but one drops to
+/// weight 0 with probability 1/8: edges a walk never takes, running sums
+/// that repeat, and loops it cannot leave.
+BranchBehavior sparseBehavior(const Procedure &Proc, Rng &R) {
+  BranchBehavior Behavior = BranchBehavior::uniform(Proc);
+  for (std::vector<double> &Row : Behavior.Probs) {
+    if (Row.size() < 2)
+      continue;
+    size_t Kept = R.nextIndex(Row.size());
+    double Sum = 0.0;
+    for (size_t S = 0; S != Row.size(); ++S) {
+      Row[S] = S != Kept && R.nextIndex(8) == 0 ? 0.0 : 0.02 + R.nextDouble();
+      Sum += Row[S];
     }
     for (double &P : Row)
       P /= Sum;
@@ -227,6 +217,87 @@ TEST(ProfileWalkPinTest, GeneratedWalksKeepProfilesTracesAndRngState) {
   EXPECT_EQ("c3fdd73c77858fe1:5ebe20500bbf7419", Profiles.digest().str());
   EXPECT_EQ("606d209dd8e2f525:d1d997aeb47cc6c5", Traces.digest().str());
   EXPECT_EQ("386471ad121e7991:5094f7aff13c8d6b", RngEnds.digest().str());
+}
+
+TEST(ProfileWalkPinTest, WideSweepKeepsProfilesTracesRngStateAndErrors) {
+  // 1,000 walks: multiway fractions up to 0.3, random and sparse
+  // behaviors, budgets 0, 1 and up to 20,000, a trace on every third
+  // walk, and on every seventh a deadline that expires at a fixed poll.
+  // A walk that throws pins its message, its partial trace and the state
+  // it left the generator in.
+  Hasher Profiles, Traces, RngEnds, Errors;
+  uint64_t Blocks = 0, WalkErrors = 0, DeadlineErrors = 0;
+  for (uint64_t I = 0; I != 1000; ++I) {
+    Rng Shape(80000 + I);
+    GenParams Params;
+    Params.TargetBranchSites = 1 + static_cast<unsigned>(Shape.nextIndex(60));
+    Params.MultiwayFraction = 0.3 * Shape.nextDouble();
+    Params.LoopFraction = 0.6 * Shape.nextDouble();
+    Params.EarlyReturnProb = 0.3 * Shape.nextDouble();
+    Procedure Proc =
+        generateProcedure("w" + std::to_string(I), Params, Shape).Proc;
+    Rng BehaviorRng(90000 + I);
+    BranchBehavior Behavior = I % 2 ? sparseBehavior(Proc, BehaviorRng)
+                                    : randomBehavior(Proc, BehaviorRng);
+    uint64_t Budget = I % 10 == 0   ? 0
+                      : I % 10 == 1 ? 1
+                                    : 2 + BehaviorRng.nextIndex(19999);
+    uint64_t Polls = 0;
+    Deadline Limit(1 + I % 11, [&Polls] { return Polls++; });
+    Rng R(100000 + I);
+    ExecutionTrace Trace;
+    try {
+      hashProfile(Profiles,
+                  walkProfile(Proc, Behavior, R, Budget,
+                              I % 3 == 0 ? &Trace : nullptr,
+                              I % 7 == 6 ? &Limit : nullptr));
+    } catch (const ProfileWalkError &E) {
+      ++WalkErrors;
+      Errors.str(E.what());
+    } catch (const DeadlineExceeded &E) {
+      ++DeadlineErrors;
+      Errors.str(E.what());
+    }
+    hashTrace(Traces, Trace);
+    RngEnds.u64(R.next());
+    Blocks += Trace.size();
+  }
+  // Walks that cannot return once they leave the entry's taken edge:
+  // every path from there cycles through a three-way, a two-way and a
+  // jump block, so the walk reaches MaxBlocksPerInvocation.
+  CFGBuilder B("trap");
+  BlockId Entry = B.cond(1);
+  BlockId Wide = B.multi(1);
+  BlockId Two = B.cond(1);
+  BlockId Jump = B.jump(1);
+  BlockId Out = B.ret(1);
+  B.branches(Entry, Wide, Out);
+  B.edge(Wide, Two).edge(Wide, Jump).edge(Wide, Wide);
+  B.branches(Two, Wide, Jump);
+  B.edge(Jump, Wide);
+  Procedure Trap = B.take();
+  for (uint64_t I = 0; I != 6; ++I) {
+    Rng BehaviorRng(110000 + I);
+    Rng R(120000 + I);
+    ExecutionTrace Trace;
+    try {
+      walkProfile(Trap, randomBehavior(Trap, BehaviorRng), R,
+                  I % 3 == 2 ? 20000 : 1 + I, I % 2 ? &Trace : nullptr);
+    } catch (const ProfileWalkError &E) {
+      ++WalkErrors;
+      Errors.str(E.what());
+    }
+    hashTrace(Traces, Trace);
+    RngEnds.u64(R.next());
+    Blocks += Trace.size();
+  }
+  EXPECT_EQ(7938036u, Blocks);
+  EXPECT_EQ(4u, WalkErrors);
+  EXPECT_EQ(109u, DeadlineErrors);
+  EXPECT_EQ("32ebe25d121dd024:90f7eafdea1ae663", Profiles.digest().str());
+  EXPECT_EQ("aaf9d4ec428991c9:21769bf099a80cf1", Traces.digest().str());
+  EXPECT_EQ("76fced7e93cfffe8:1e2fa574969f5458", RngEnds.digest().str());
+  EXPECT_EQ("e3eeb24415666815:29f2989e8e36ba39", Errors.digest().str());
 }
 
 //===--------------------------------------------------------------------===//
