@@ -412,10 +412,12 @@ std::optional<Program> loadProgram(const std::string &File,
   return Prog;
 }
 
-/// Reads \p ProfileFile if given, otherwise simulates a seeded run.
+/// Reads \p ProfileFile if given, otherwise simulates a seeded run that
+/// polls \p Limit (the --deadline, or null) once per walk invocation.
 std::optional<ProgramProfile> obtainProfile(const Program &Prog,
                                             const std::string &ProfileFile,
-                                            const ToolOptions &Options) {
+                                            const ToolOptions &Options,
+                                            const Deadline *Limit) {
   if (!ProfileFile.empty()) {
     std::ifstream ProfIn(ProfileFile);
     if (!ProfIn) {
@@ -436,7 +438,7 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
   // must reproduce it bit-for-bit), so it lives in serve/Oneshot.h.
   try {
     return synthesizeProfile(Prog, Options.Flags.Request.Seed,
-                             Options.Flags.Request.Budget);
+                             Options.Flags.Request.Budget, Limit);
   } catch (const ProfileWalkError &E) {
     std::fprintf(stderr, "error: %s\n", E.what());
     return std::nullopt;
@@ -610,7 +612,7 @@ int runBatch(const ToolOptions &Options,
       continue;
     }
     std::optional<ProgramProfile> Counts =
-        obtainProfile(*Prog, ProfileFile, Options);
+        obtainProfile(*Prog, ProfileFile, Options, AlignOptions.RunDeadline);
     if (!Counts) {
       ++Failed;
       std::fprintf(stderr, "error: batch entry '%s': bad profile '%s'; "
@@ -708,7 +710,8 @@ int runAlignment(const ToolOptions &Options,
   if (!Prog)
     return 1;
   std::optional<ProgramProfile> Counts =
-      obtainProfile(*Prog, Options.ProfileFile, Options);
+      obtainProfile(*Prog, Options.ProfileFile, Options,
+                    AlignOptions.RunDeadline);
   if (!Counts)
     return 1;
   if (!Options.EmitProfileFile.empty()) {

@@ -70,35 +70,38 @@ bool Procedure::verify(std::string *Error) const {
   for (BlockId Id = 0; Id != Blocks.size(); ++Id) {
     const BasicBlock &Block = Blocks[Id];
     const std::vector<BlockId> &Succs = Successors[Id];
-    std::string Where =
-        "procedure '" + Name + "' block " + std::to_string(Id);
+    // Every parse verifies, so the message is built only on failure.
+    auto Fail = [&](const char *What) {
+      return fail(Error, "procedure '" + Name + "' block " +
+                             std::to_string(Id) + ": " + What);
+    };
     for (BlockId Succ : Succs)
       if (Succ >= Blocks.size())
-        return fail(Error, Where + ": successor out of range");
+        return Fail("successor out of range");
     if (Block.InstrCount == 0)
-      return fail(Error, Where + ": empty block");
+      return Fail("empty block");
     switch (Block.Kind) {
     case TerminatorKind::Unconditional:
       if (Succs.size() != 1)
-        return fail(Error, Where + ": jump needs exactly 1 successor");
+        return Fail("jump needs exactly 1 successor");
       break;
     case TerminatorKind::Conditional:
       if (Succs.size() != 2)
-        return fail(Error, Where + ": cond needs exactly 2 successors");
+        return Fail("cond needs exactly 2 successors");
       if (Succs[0] == Succs[1])
-        return fail(Error, Where + ": cond successors must differ");
+        return Fail("cond successors must differ");
       break;
     case TerminatorKind::Multiway:
       if (Succs.size() < 2)
-        return fail(Error, Where + ": multi needs >= 2 successors");
+        return Fail("multi needs >= 2 successors");
       for (size_t I = 0; I != Succs.size(); ++I)
         for (size_t J = I + 1; J != Succs.size(); ++J)
           if (Succs[I] == Succs[J])
-            return fail(Error, Where + ": duplicate multiway successor");
+            return Fail("duplicate multiway successor");
       break;
     case TerminatorKind::Return:
       if (!Succs.empty())
-        return fail(Error, Where + ": ret must have no successors");
+        return Fail("ret must have no successors");
       break;
     }
   }

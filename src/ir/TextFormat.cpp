@@ -2,9 +2,12 @@
 
 #include "ir/TextFormat.h"
 
-#include <cassert>
-#include <map>
+#include "support/Parse.h"
+
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 using namespace balign;
@@ -42,54 +45,25 @@ std::string balign::printProgram(const Program &Prog) {
 
 namespace {
 
-/// Pull-based tokenizer state for one parse.
-struct Parser {
-  std::istringstream In;
-  std::string *Error;
-  unsigned LineNo = 0;
-
-  Parser(const std::string &Text, std::string *Error)
-      : In(Text), Error(Error) {}
-
-  bool fail(const std::string &Message) {
-    if (Error)
-      *Error = "line " + std::to_string(LineNo) + ": " + Message;
-    return false;
-  }
-
-  /// Reads the next non-empty, non-comment line into \p Tokens.
-  /// Returns false at end of input.
-  bool nextLine(std::vector<std::string> &Tokens) {
-    std::string Line;
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      size_t Hash = Line.find('#');
-      if (Hash != std::string::npos)
-        Line.resize(Hash);
-      std::istringstream LineIn(Line);
-      Tokens.clear();
-      std::string Token;
-      while (LineIn >> Token)
-        Tokens.push_back(Token);
-      if (!Tokens.empty())
-        return true;
-    }
-    return false;
-  }
-};
-
-/// A block line awaiting successor-name resolution.
+/// A block line awaiting successor-name resolution. Its successor names
+/// are SuccNames[FirstSucc, FirstSucc + NumSuccs) of its PendingProc.
 struct PendingBlock {
-  std::string Name;
+  std::string_view Name;
   uint32_t Size;
   TerminatorKind Kind;
-  std::vector<std::string> SuccNames;
+  uint32_t FirstSucc, NumSuccs;
   unsigned LineNo;
+};
+
+/// The block lines of the procedure being parsed.
+struct PendingProc {
+  std::vector<PendingBlock> Blocks;
+  std::vector<std::string_view> SuccNames;
 };
 
 } // namespace
 
-static std::optional<TerminatorKind> parseKind(const std::string &Word) {
+static std::optional<TerminatorKind> parseKind(std::string_view Word) {
   if (Word == "jump")
     return TerminatorKind::Unconditional;
   if (Word == "cond")
@@ -101,129 +75,129 @@ static std::optional<TerminatorKind> parseKind(const std::string &Word) {
   return std::nullopt;
 }
 
-/// Parses one "name: size N kind [-> succs...]" token list.
-static bool parseBlockLine(Parser &P, const std::vector<std::string> &Tokens,
-                           PendingBlock &Out) {
+/// Parses the current "name: size N kind [-> succs...]" line into \p Out.
+static bool parseBlockLine(LineTokenizer &P, PendingProc &Out) {
+  const std::vector<std::string_view> &Tokens = P.Tokens;
   if (Tokens.size() < 4)
     return P.fail("expected '<name>: size <n> <kind> [-> succs]'");
-  std::string Name = Tokens[0];
+  std::string_view Name = Tokens[0];
   if (Name.empty() || Name.back() != ':')
     return P.fail("block name must end in ':'");
-  Name.pop_back();
+  Name.remove_suffix(1);
   if (Name.empty())
     return P.fail("empty block name");
   if (Tokens[1] != "size")
     return P.fail("expected 'size'");
-  uint64_t Size = 0;
-  bool SizeOk = !Tokens[2].empty() && Tokens[2].size() <= 9;
-  for (char C : Tokens[2]) {
-    if (C < '0' || C > '9') {
-      SizeOk = false;
-      break;
-    }
-    Size = Size * 10 + static_cast<uint64_t>(C - '0');
-  }
-  if (!SizeOk || Size < 1)
+  std::optional<uint64_t> Size =
+      Tokens[2].size() <= 9 ? parseFlagInt(Tokens[2]) : std::nullopt;
+  if (!Size || *Size < 1)
     return P.fail("block size must be a positive integer");
   // Bound the size so address assignment (InstrCount * BytesPerInstr,
   // summed over items) can never wrap a uint64_t — a crafted file with
   // huge blocks must fail here, not corrupt addresses downstream.
-  if (Size > MaxBlockInstrCount)
-    return P.fail("block size " + Tokens[2] + " exceeds the limit of " +
+  if (*Size > MaxBlockInstrCount)
+    return P.fail("block size " + std::string(Tokens[2]) +
+                  " exceeds the limit of " +
                   std::to_string(MaxBlockInstrCount) + " instructions");
   std::optional<TerminatorKind> Kind = parseKind(Tokens[3]);
   if (!Kind)
-    return P.fail("unknown terminator kind '" + Tokens[3] + "'");
+    return P.fail("unknown terminator kind '" + std::string(Tokens[3]) + "'");
 
-  Out.Name = Name;
-  Out.Size = static_cast<uint32_t>(Size);
-  Out.Kind = *Kind;
-  Out.LineNo = P.LineNo;
-  Out.SuccNames.clear();
-  if (Tokens.size() == 4)
-    return true;
-  if (Tokens[4] != "->")
-    return P.fail("expected '->' before successor list");
-  for (size_t I = 5; I != Tokens.size(); ++I)
-    Out.SuccNames.push_back(Tokens[I]);
-  if (Out.SuccNames.empty())
-    return P.fail("'->' requires at least one successor");
+  PendingBlock Block = {Name,
+                        static_cast<uint32_t>(*Size),
+                        *Kind,
+                        static_cast<uint32_t>(Out.SuccNames.size()),
+                        0,
+                        P.LineNo};
+  if (Tokens.size() != 4) {
+    if (Tokens[4] != "->")
+      return P.fail("expected '->' before successor list");
+    if (Tokens.size() == 5)
+      return P.fail("'->' requires at least one successor");
+    Out.SuccNames.insert(Out.SuccNames.end(), Tokens.begin() + 5,
+                         Tokens.end());
+    Block.NumSuccs = static_cast<uint32_t>(Tokens.size() - 5);
+  }
+  Out.Blocks.push_back(Block);
   return true;
 }
 
-/// Resolves pending blocks into \p Prog; returns false on error.
-static bool finishProc(Parser &P, const std::string &ProcName,
-                       std::vector<PendingBlock> &Pending, Program &Prog) {
-  Procedure Proc(ProcName);
-  std::map<std::string, BlockId> Ids;
-  for (const PendingBlock &PB : Pending) {
-    if (Ids.contains(PB.Name)) {
+/// Resolves the pending blocks into a procedure of \p Prog; returns false
+/// on error.
+static bool finishProc(LineTokenizer &P, std::string_view ProcName,
+                       const PendingProc &Pending, Program &Prog) {
+  Procedure Proc{std::string(ProcName)};
+  std::unordered_map<std::string_view, BlockId> Ids;
+  Ids.reserve(Pending.Blocks.size());
+  for (const PendingBlock &PB : Pending.Blocks) {
+    if (!Ids.emplace(PB.Name, static_cast<BlockId>(Proc.numBlocks()))
+             .second) {
       P.LineNo = PB.LineNo;
-      return P.fail("duplicate block name '" + PB.Name + "'");
+      return P.fail("duplicate block name '" + std::string(PB.Name) + "'");
     }
     BasicBlock Block;
     Block.Name = PB.Name;
     Block.InstrCount = PB.Size;
     Block.Kind = PB.Kind;
-    Ids[PB.Name] = Proc.addBlock(std::move(Block));
+    Proc.addBlock(std::move(Block));
   }
-  for (const PendingBlock &PB : Pending) {
-    for (const std::string &Succ : PB.SuccNames) {
-      auto It = Ids.find(Succ);
+  for (BlockId Id = 0; Id != Pending.Blocks.size(); ++Id) {
+    const PendingBlock &PB = Pending.Blocks[Id];
+    for (uint32_t S = PB.FirstSucc; S != PB.FirstSucc + PB.NumSuccs; ++S) {
+      auto It = Ids.find(Pending.SuccNames[S]);
       if (It == Ids.end()) {
         P.LineNo = PB.LineNo;
-        return P.fail("unknown successor '" + Succ + "'");
+        return P.fail("unknown successor '" +
+                      std::string(Pending.SuccNames[S]) + "'");
       }
-      Proc.addEdge(Ids[PB.Name], It->second);
+      Proc.addEdge(Id, It->second);
     }
   }
   std::string VerifyError;
   if (!Proc.verify(&VerifyError))
     return P.fail(VerifyError);
   Prog.addProcedure(std::move(Proc));
-  Pending.clear();
   return true;
 }
 
 std::optional<Program> balign::parseProgram(const std::string &Text,
                                             std::string *Error) {
-  Parser P(Text, Error);
-  std::vector<std::string> Tokens;
-  if (!P.nextLine(Tokens) || Tokens.size() != 2 || Tokens[0] != "program") {
+  LineTokenizer P(Text, Error);
+  if (!P.nextLine() || P.Tokens.size() != 2 || P.Tokens[0] != "program") {
     P.fail("expected 'program <name>' header");
     return std::nullopt;
   }
-  Program Prog(Tokens[1]);
+  Program Prog{std::string(P.Tokens[1])};
 
-  while (P.nextLine(Tokens)) {
-    if (Tokens.size() != 3 || Tokens[0] != "proc" || Tokens[2] != "{") {
+  std::unordered_set<std::string_view> ProcNames;
+  PendingProc Pending;
+  while (P.nextLine()) {
+    if (P.Tokens.size() != 3 || P.Tokens[0] != "proc" || P.Tokens[2] != "{") {
       P.fail("expected 'proc <name> {'");
       return std::nullopt;
     }
-    std::string ProcName = Tokens[1];
-    for (size_t I = 0; I != Prog.numProcedures(); ++I)
-      if (Prog.proc(I).getName() == ProcName) {
-        P.fail("duplicate procedure '" + ProcName + "'");
-        return std::nullopt;
-      }
-    std::vector<PendingBlock> Pending;
+    std::string_view ProcName = P.Tokens[1];
+    if (!ProcNames.insert(ProcName).second) {
+      P.fail("duplicate procedure '" + std::string(ProcName) + "'");
+      return std::nullopt;
+    }
+    Pending.Blocks.clear();
+    Pending.SuccNames.clear();
     bool Closed = false;
-    while (P.nextLine(Tokens)) {
-      if (Tokens.size() == 1 && Tokens[0] == "}") {
+    while (P.nextLine()) {
+      if (P.Tokens.size() == 1 && P.Tokens[0] == "}") {
         Closed = true;
         break;
       }
-      PendingBlock PB;
-      if (!parseBlockLine(P, Tokens, PB))
+      if (!parseBlockLine(P, Pending))
         return std::nullopt;
-      Pending.push_back(std::move(PB));
     }
     if (!Closed) {
-      P.fail("unterminated proc '" + ProcName + "'");
+      P.fail("unterminated proc '" + std::string(ProcName) + "'");
       return std::nullopt;
     }
-    if (Pending.empty()) {
-      P.fail("proc '" + ProcName + "' has no blocks");
+    if (Pending.Blocks.empty()) {
+      P.fail("proc '" + std::string(ProcName) + "' has no blocks");
       return std::nullopt;
     }
     if (!finishProc(P, ProcName, Pending, Prog))

@@ -3,11 +3,13 @@
 #include "profile/ProfileIO.h"
 
 #include "robust/FaultInjector.h"
+#include "support/Parse.h"
 #include "trace/Scope.h"
 
 #include <cassert>
-#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 using namespace balign;
 
@@ -42,67 +44,21 @@ std::string balign::printProgramProfile(const Program &Prog,
   return Out.str();
 }
 
-namespace {
-
-/// Minimal line-splitting parser state shared with the CFG parser idiom.
-struct ProfileParser {
-  std::istringstream In;
-  std::string *Error;
-  unsigned LineNo = 0;
-
-  ProfileParser(const std::string &Text, std::string *Error)
-      : In(Text), Error(Error) {}
-
-  bool fail(const std::string &Message) {
-    if (Error)
-      *Error = "line " + std::to_string(LineNo) + ": " + Message;
-    return false;
-  }
-
-  bool nextLine(std::vector<std::string> &Tokens) {
-    std::string Line;
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      size_t Hash = Line.find('#');
-      if (Hash != std::string::npos)
-        Line.resize(Hash);
-      std::istringstream LineIn(Line);
-      Tokens.clear();
-      std::string Token;
-      while (LineIn >> Token)
-        Tokens.push_back(Token);
-      if (!Tokens.empty())
-        return true;
-    }
-    return false;
-  }
-};
-
-bool parseUInt(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 20)
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    // Reject anything past 2^64-1 (profiles with saturated hardware
-    // counters legitimately carry the UINT64_MAX sentinel itself, and
-    // the lint saturation check wants to see it).
-    if (Out > UINT64_MAX / 10 || Out * 10 > UINT64_MAX - Digit)
-      return false;
-    Out = Out * 10 + Digit;
-  }
-  return true;
+/// A count: at most 20 characters, so a zero-padded 21-digit count is
+/// rejected, and a value that fits uint64_t (profiles with saturated
+/// hardware counters legitimately carry the UINT64_MAX sentinel itself,
+/// and the lint saturation check wants to see it).
+static std::optional<uint64_t> parseCount(std::string_view Text) {
+  if (Text.size() > 20)
+    return std::nullopt;
+  return parseFlagInt(Text);
 }
-
-} // namespace
 
 std::optional<ProgramProfile>
 balign::parseProgramProfile(const Program &Prog, const std::string &Text,
                             std::string *Error) {
   ScopedSpan ParseSpan("profile.parse", SpanCat::Io);
-  ProfileParser P(Text, Error);
+  LineTokenizer P(Text, Error);
   // balign-shield fault site: a corrupt profile record manifests to
   // callers exactly like this injected failure — an error return through
   // the parser's normal channel, never an exception.
@@ -110,14 +66,14 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
     P.fail("injected fault at 'profile.parse'");
     return std::nullopt;
   }
-  std::vector<std::string> Tokens;
-  if (!P.nextLine(Tokens) || Tokens.size() != 2 || Tokens[0] != "profile") {
+  const std::vector<std::string_view> &Tokens = P.Tokens;
+  if (!P.nextLine() || Tokens.size() != 2 || Tokens[0] != "profile") {
     P.fail("expected 'profile <name>' header");
     return std::nullopt;
   }
 
-  // Name lookup tables.
-  std::map<std::string, size_t> ProcOf;
+  // Name lookup tables; a later procedure of a repeated name wins.
+  std::unordered_map<std::string_view, size_t> ProcOf;
   for (size_t I = 0; I != Prog.numProcedures(); ++I)
     ProcOf[Prog.proc(I).getName()] = I;
 
@@ -126,33 +82,40 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
     Profile.Procs.push_back(ProcedureProfile::zeroed(Prog.proc(I)));
 
   std::vector<bool> ProcSeen(Prog.numProcedures(), false);
-  while (P.nextLine(Tokens)) {
+  std::vector<std::string> BlockNames;
+  std::unordered_map<std::string_view, BlockId> BlockOf;
+  while (P.nextLine()) {
     if (Tokens.size() != 3 || Tokens[0] != "proc" || Tokens[2] != "{") {
       P.fail("expected 'proc <name> {'");
       return std::nullopt;
     }
     auto ProcIt = ProcOf.find(Tokens[1]);
     if (ProcIt == ProcOf.end()) {
-      P.fail("unknown procedure '" + Tokens[1] + "'");
+      P.fail("unknown procedure '" + std::string(Tokens[1]) + "'");
       return std::nullopt;
     }
     // A repeated section would silently overwrite the earlier counts —
     // the classic concatenated-profiles corruption.
     if (ProcSeen[ProcIt->second]) {
-      P.fail("duplicate profile section for procedure '" + Tokens[1] + "'");
+      P.fail("duplicate profile section for procedure '" +
+             std::string(Tokens[1]) + "'");
       return std::nullopt;
     }
     ProcSeen[ProcIt->second] = true;
     const Procedure &Proc = Prog.proc(ProcIt->second);
     ProcedureProfile &PP = Profile.Procs[ProcIt->second];
 
-    std::map<std::string, BlockId> BlockOf;
+    // A later block of a repeated name wins.
+    BlockNames.clear();
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-      BlockOf[blockName(Proc, Id)] = Id;
+      BlockNames.push_back(blockName(Proc, Id));
+    BlockOf.clear();
+    for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
+      BlockOf[BlockNames[Id]] = Id;
 
     bool Closed = false;
     std::vector<bool> BlockSeen(Proc.numBlocks(), false);
-    while (P.nextLine(Tokens)) {
+    while (P.nextLine()) {
       if (Tokens.size() == 1 && Tokens[0] == "}") {
         Closed = true;
         break;
@@ -162,24 +125,24 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
         P.fail("expected '<block>: <count> [-> succ:count ...]'");
         return std::nullopt;
       }
-      std::string Name = Tokens[0].substr(0, Tokens[0].size() - 1);
+      std::string_view Name = Tokens[0].substr(0, Tokens[0].size() - 1);
       auto BlockIt = BlockOf.find(Name);
       if (BlockIt == BlockOf.end()) {
-        P.fail("unknown block '" + Name + "'");
+        P.fail("unknown block '" + std::string(Name) + "'");
         return std::nullopt;
       }
       BlockId Id = BlockIt->second;
       if (BlockSeen[Id]) {
-        P.fail("duplicate stats line for block '" + Name + "'");
+        P.fail("duplicate stats line for block '" + std::string(Name) + "'");
         return std::nullopt;
       }
       BlockSeen[Id] = true;
-      uint64_t Count = 0;
-      if (!parseUInt(Tokens[1], Count)) {
-        P.fail("bad block count '" + Tokens[1] + "'");
+      std::optional<uint64_t> Count = parseCount(Tokens[1]);
+      if (!Count) {
+        P.fail("bad block count '" + std::string(Tokens[1]) + "'");
         return std::nullopt;
       }
-      PP.BlockCounts[Id] = Count;
+      PP.BlockCounts[Id] = *Count;
 
       const std::vector<BlockId> &Succs = Proc.successors(Id);
       std::vector<bool> EdgeSeen(Succs.size(), false);
@@ -190,39 +153,42 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
         return std::nullopt;
       }
       for (size_t T = 3; T != Tokens.size(); ++T) {
-        size_t Colon = Tokens[T].rfind(':');
-        if (Colon == std::string::npos || Colon == 0 ||
-            Colon + 1 == Tokens[T].size()) {
-          P.fail("expected '<succ>:<count>', got '" + Tokens[T] + "'");
+        std::string_view Edge = Tokens[T];
+        size_t Colon = Edge.rfind(':');
+        if (Colon == std::string_view::npos || Colon == 0 ||
+            Colon + 1 == Edge.size()) {
+          P.fail("expected '<succ>:<count>', got '" + std::string(Edge) +
+                 "'");
           return std::nullopt;
         }
-        std::string SuccName = Tokens[T].substr(0, Colon);
-        uint64_t EdgeCount = 0;
-        if (!parseUInt(Tokens[T].substr(Colon + 1), EdgeCount)) {
-          P.fail("bad edge count in '" + Tokens[T] + "'");
+        std::string_view SuccName = Edge.substr(0, Colon);
+        std::optional<uint64_t> EdgeCount = parseCount(Edge.substr(Colon + 1));
+        if (!EdgeCount) {
+          P.fail("bad edge count in '" + std::string(Edge) + "'");
           return std::nullopt;
         }
         auto SuccIt = BlockOf.find(SuccName);
         if (SuccIt == BlockOf.end()) {
-          P.fail("unknown successor '" + SuccName + "'");
+          P.fail("unknown successor '" + std::string(SuccName) + "'");
           return std::nullopt;
         }
         bool Matched = false;
         for (size_t S = 0; S != Succs.size(); ++S) {
           if (Succs[S] == SuccIt->second) {
             if (EdgeSeen[S]) {
-              P.fail("duplicate edge count for " + Name + " -> " + SuccName);
+              P.fail("duplicate edge count for " + std::string(Name) +
+                     " -> " + std::string(SuccName));
               return std::nullopt;
             }
             EdgeSeen[S] = true;
-            PP.EdgeCounts[Id][S] = EdgeCount;
+            PP.EdgeCounts[Id][S] = *EdgeCount;
             Matched = true;
             break;
           }
         }
         if (!Matched) {
-          P.fail("edge " + Name + " -> " + SuccName +
-                 " does not exist in the CFG");
+          P.fail("edge " + std::string(Name) + " -> " +
+                 std::string(SuccName) + " does not exist in the CFG");
           return std::nullopt;
         }
       }

@@ -4,6 +4,45 @@
 
 using namespace balign;
 
+/// The C locale's whitespace: the bytes istream's >> skips.
+static bool isSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
+}
+
+bool LineTokenizer::nextLine() {
+  while (!Rest.empty()) {
+    size_t End = Rest.find('\n');
+    std::string_view Line = Rest.substr(0, End);
+    Rest.remove_prefix(End == std::string_view::npos ? Rest.size() : End + 1);
+    ++LineNo;
+    Line = Line.substr(0, Line.find('#'));
+    Tokens.clear();
+    size_t I = 0;
+    while (true) {
+      while (I != Line.size() && isSpace(Line[I]))
+        ++I;
+      if (I == Line.size())
+        break;
+      size_t Begin = I;
+      while (I != Line.size() && !isSpace(Line[I]))
+        ++I;
+      Tokens.push_back(Line.substr(Begin, I - Begin));
+    }
+    if (!Tokens.empty())
+      return true;
+  }
+  return false;
+}
+
+bool LineTokenizer::fail(std::string_view Message) {
+  if (Error) {
+    *Error = "line " + std::to_string(LineNo) + ": ";
+    Error->append(Message);
+  }
+  return false;
+}
+
 std::optional<uint64_t> balign::parseFlagInt(std::string_view Text) {
   if (Text.empty())
     return std::nullopt;

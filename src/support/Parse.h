@@ -5,13 +5,15 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Strict parsing for command-line flag values. std::strtoull silently
-/// accepts trailing garbage ("12x" parses as 12), leading whitespace,
-/// signs, and saturates on overflow — all of which turn a typo into a
-/// quietly wrong run. Every numeric flag of the bundled tools, and every
-/// numeric parameter of a BALIGN_FAULT or BALIGN_CRASH spec, goes
-/// through parseFlagInt instead, which accepts nothing but a complete,
-/// in-range decimal literal.
+/// Strict parsing for command-line flag values and the text formats.
+/// std::strtoull silently accepts trailing garbage ("12x" parses as 12),
+/// leading whitespace, signs, and saturates on overflow — all of which
+/// turn a typo into a quietly wrong run. Every numeric flag of the
+/// bundled tools, every numeric parameter of a BALIGN_FAULT or
+/// BALIGN_CRASH spec, and every number of the CFG and profile text
+/// formats goes through parseFlagInt instead, which accepts nothing but a
+/// complete, in-range decimal literal. LineTokenizer is the one lexer of
+/// those two text formats.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -20,7 +22,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace balign {
 
@@ -40,6 +44,39 @@ std::optional<uint64_t> parseFlagInt(std::string_view Text, uint64_t Max);
 /// no signs, whitespace, exponents, leading/trailing dots, or suffixes —
 /// NaN and infinity are unspellable by construction.
 std::optional<double> parseFlagDouble(std::string_view Text);
+
+/// The lexer of the CFG and profile text formats. Lines end at '\n' only,
+/// and a final line without one counts only if it is not empty (as
+/// std::getline counts lines). '#' starts a comment that runs to the end
+/// of its line. The rest of a line splits into tokens at the C locale's
+/// whitespace (space, \t, \n, \v, \f, \r), the set istream's >> skips;
+/// every other byte, NUL and bytes >= 0x80 included, is a token byte.
+/// Tokens are views into the text, which must outlive them.
+class LineTokenizer {
+public:
+  /// Lexes \p Text; fail() reports to \p Error when it is non-null.
+  LineTokenizer(std::string_view Text, std::string *Error)
+      : Rest(Text), Error(Error) {}
+
+  /// Moves to the next line that holds a token and fills Tokens with its
+  /// tokens; returns false at the end of the text.
+  bool nextLine();
+
+  /// Stores "line N: <Message>" (N = LineNo) in the error sink, if any;
+  /// returns false.
+  bool fail(std::string_view Message);
+
+  /// The tokens of the current line.
+  std::vector<std::string_view> Tokens;
+
+  /// Lines consumed so far, blank and comment lines included. A parser
+  /// may point it at an earlier line before fail().
+  unsigned LineNo = 0;
+
+private:
+  std::string_view Rest;
+  std::string *Error;
+};
 
 } // namespace balign
 

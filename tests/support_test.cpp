@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 
 using namespace balign;
 
@@ -225,6 +226,77 @@ TEST(ParseFlagIntTest, BoundedOverloadBoundaries) {
   EXPECT_FALSE(parseFlagInt("+8", 64));
   EXPECT_FALSE(parseFlagInt("\t8", 64));
   EXPECT_FALSE(parseFlagInt("0x8", 64));
+}
+
+namespace {
+
+/// One lexed text: (line number, tokens) for every line with a token,
+/// then the line count at the end of the text.
+using LexedText = std::vector<std::pair<unsigned, std::vector<std::string>>>;
+
+/// The lexer the text formats used before LineTokenizer: std::getline per
+/// line, the line cut at its first '#', then istream >> per token.
+LexedText lexWithStreams(const std::string &Text) {
+  LexedText Out;
+  std::istringstream In(Text);
+  std::string Line;
+  unsigned LineNo = 0;
+  while (std::getline(In, Line)) {
+    ++LineNo;
+    Line.resize(std::min(Line.size(), Line.find('#')));
+    std::istringstream LineIn(Line);
+    std::vector<std::string> Tokens;
+    std::string Token;
+    while (LineIn >> Token)
+      Tokens.push_back(Token);
+    if (!Tokens.empty())
+      Out.emplace_back(LineNo, std::move(Tokens));
+  }
+  Out.emplace_back(LineNo, std::vector<std::string>());
+  return Out;
+}
+
+LexedText lexWithTokenizer(const std::string &Text) {
+  LexedText Out;
+  LineTokenizer P(Text, nullptr);
+  while (P.nextLine())
+    Out.emplace_back(P.LineNo, std::vector<std::string>(P.Tokens.begin(),
+                                                        P.Tokens.end()));
+  Out.emplace_back(P.LineNo, std::vector<std::string>());
+  return Out;
+}
+
+} // namespace
+
+TEST(LineTokenizerTest, LexesLikeGetlineAndStreamExtraction) {
+  // Random texts over every C-locale space, the comment mark, NUL, bytes
+  // >= 0x80 (0x85 and 0xa0 are spaces in some other locales) and word
+  // bytes, with and without a final '\n'.
+  const char Alphabet[] = {' ',  '\t', '\n',   '\v',   '\f',   '\r',
+                           '#',  '\0', '\x80', '\x85', '\xa0', '\xff',
+                           'a',  'b',  ':',    '7'};
+  Rng R(2024);
+  for (int I = 0; I != 20000; ++I) {
+    std::string Text(R.nextIndex(48), ' ');
+    for (char &C : Text)
+      C = Alphabet[R.nextIndex(std::size(Alphabet))];
+    ASSERT_EQ(lexWithStreams(Text), lexWithTokenizer(Text)) << I;
+  }
+  for (const char *Text : {"", "\n", "a", "a\n", "a\n\n", " \n#x", "#\n a"})
+    EXPECT_EQ(lexWithStreams(Text), lexWithTokenizer(Text)) << Text;
+}
+
+TEST(LineTokenizerTest, FailNamesTheCurrentLine) {
+  std::string Error;
+  LineTokenizer P("x\n\n  y z # c\n", &Error);
+  ASSERT_TRUE(P.nextLine());
+  ASSERT_TRUE(P.nextLine());
+  EXPECT_EQ(3u, P.LineNo);
+  EXPECT_EQ((std::vector<std::string_view>{"y", "z"}), P.Tokens);
+  EXPECT_FALSE(P.fail("bad 'y'"));
+  EXPECT_EQ("line 3: bad 'y'", Error);
+  EXPECT_FALSE(P.nextLine());
+  EXPECT_EQ(3u, P.LineNo);
 }
 
 namespace {
