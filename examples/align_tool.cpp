@@ -74,6 +74,7 @@
 #include "serve/Server.h"
 #include "static/Lint.h"
 #include "support/Flags.h"
+#include "support/Format.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
@@ -408,7 +409,8 @@ std::optional<Program> loadProgram(const std::string &File,
   std::string Error;
   std::optional<Program> Prog = parseProgram(Text, &Error);
   if (!Prog)
-    std::fprintf(stderr, "error: parse failed: %s\n", Error.c_str());
+    std::fprintf(stderr, "error: parse failed: %s\n",
+                 escapeControlBytes(Error).c_str());
   return Prog;
 }
 
@@ -431,7 +433,7 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
         parseProgramProfile(Prog, ProfBuffer.str(), &Error);
     if (!Parsed)
       std::fprintf(stderr, "error: profile parse failed: %s\n",
-                   Error.c_str());
+                   escapeControlBytes(Error).c_str());
     return Parsed;
   }
   // The seeded synthetic run is shared with balign-serve (the server

@@ -34,6 +34,7 @@
 #include "serve/Client.h"
 #include "serve/Oneshot.h"
 #include "support/Flags.h"
+#include "support/Format.h"
 
 #include <cstdio>
 #include <fstream>
@@ -230,7 +231,7 @@ int main(int Argc, char **Argv) {
     if (!Client.alignWithRetry(Options.Socket, Request, Report, Policy,
                                &Error)) {
       std::fprintf(stderr, "error: align '%s' failed: %s\n", File.c_str(),
-                   Error.c_str());
+                   escapeControlBytes(Error).c_str());
       return 2;
     }
     std::fwrite(Report.data(), 1, Report.size(), stdout);

@@ -30,12 +30,13 @@ bool BranchBehavior::isValid(const Procedure &Proc) const {
     if (NumSuccs == 0)
       continue;
     double Sum = 0.0;
+    // Written so that NaN fails both tests.
     for (double P : Probs[Id]) {
-      if (P < 0.0 || P > 1.0)
+      if (!(P >= 0.0 && P <= 1.0))
         return false;
       Sum += P;
     }
-    if (std::fabs(Sum - 1.0) > 1e-9)
+    if (!(std::fabs(Sum - 1.0) <= 1e-9))
       return false;
   }
   return true;

@@ -28,3 +28,19 @@ std::string balign::formatPercent(double Ratio, unsigned Decimals) {
 std::string balign::formatNormalized(double Value) {
   return formatFixed(Value, 3);
 }
+
+std::string balign::escapeControlBytes(std::string_view Text) {
+  std::string Out;
+  Out.reserve(Text.size());
+  for (char C : Text) {
+    unsigned char Byte = static_cast<unsigned char>(C);
+    if (Byte >= 0x20 && Byte != 0x7f) {
+      Out += C;
+      continue;
+    }
+    char Buffer[5];
+    std::snprintf(Buffer, sizeof(Buffer), "\\x%02x", Byte);
+    Out += Buffer;
+  }
+  return Out;
+}

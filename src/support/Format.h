@@ -7,7 +7,8 @@
 /// \file
 /// Formatting helpers for the benchmark tables: counts with M/K suffixes
 /// (matching the paper's "11.8M executed branches" style), fixed-point
-/// decimals, percentages, and normalized ratios.
+/// decimals, percentages, and normalized ratios; and the escaping the
+/// command-line tools print messages with.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace balign {
 
@@ -31,6 +33,12 @@ std::string formatPercent(double Ratio, unsigned Decimals = 2);
 
 /// Formats a normalized value relative to 1.0, e.g. "0.67".
 std::string formatNormalized(double Value);
+
+/// Returns \p Text with every control byte (below 0x20, and 0x7f)
+/// written as \xNN. The parsers echo offending input bytes into their
+/// messages; escaped, a message prints whole on one line, even past an
+/// embedded NUL.
+std::string escapeControlBytes(std::string_view Text);
 
 } // namespace balign
 

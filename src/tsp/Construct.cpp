@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <tuple>
 
 using namespace balign;
 
@@ -53,7 +54,8 @@ std::vector<City> balign::nearestNeighborTour(const DirectedTsp &Dtsp,
 
 namespace {
 
-/// An arc candidate for greedy-edge construction.
+/// An arc candidate for greedy-edge construction, ordered by cost, then
+/// by a random jitter, then by its ends, so the order is total.
 struct Arc {
   int64_t Cost;
   uint64_t Jitter; // Randomized tie-break.
@@ -61,9 +63,8 @@ struct Arc {
   City To;
 
   bool operator<(const Arc &Other) const {
-    if (Cost != Other.Cost)
-      return Cost < Other.Cost;
-    return Jitter < Other.Jitter;
+    return std::tie(Cost, Jitter, From, To) <
+           std::tie(Other.Cost, Other.Jitter, Other.From, Other.To);
   }
 };
 
@@ -75,13 +76,14 @@ std::vector<City> balign::greedyEdgeTour(const DirectedTsp &Dtsp, Rng &Rng) {
   if (N == 1)
     return {0};
 
+  // Every jitter is drawn, in (From, To) order, whatever is accepted:
+  // callers sharing the stream see the same state afterwards.
   std::vector<Arc> Arcs;
   Arcs.reserve(N * (N - 1));
   for (City From = 0; From != N; ++From)
     for (City To = 0; To != N; ++To)
       if (From != To)
         Arcs.push_back({Dtsp.cost(From, To), Rng.next(), From, To});
-  std::sort(Arcs.begin(), Arcs.end());
 
   std::vector<City> Succ(N, InvalidCity);
   std::vector<City> Pred(N, InvalidCity);
@@ -96,19 +98,33 @@ std::vector<City> balign::greedyEdgeTour(const DirectedTsp &Dtsp, Rng &Rng) {
     }
     return X;
   };
+  // All three conditions only ever become true, so a rejected arc stays
+  // rejected.
+  auto Rejected = [&](const Arc &A) {
+    return Succ[A.From] != InvalidCity || Pred[A.To] != InvalidCity ||
+           Find(A.From) == Find(A.To);
+  };
 
+  // Meet the arcs in order, one sorted chunk of the cheapest live arcs at
+  // a time, and drop the rejected rest after each chunk: the live arcs
+  // come in the order a full sort gives them, so the same are accepted.
   size_t Accepted = 0;
-  for (const Arc &A : Arcs) {
-    if (Accepted == N - 1)
-      break;
-    if (Succ[A.From] != InvalidCity || Pred[A.To] != InvalidCity)
-      continue;
-    if (Find(A.From) == Find(A.To))
-      continue;
-    Succ[A.From] = A.To;
-    Pred[A.To] = A.From;
-    Leader[Find(A.From)] = Find(A.To);
-    ++Accepted;
+  auto Live = Arcs.begin(), End = Arcs.end();
+  while (Accepted != N - 1) {
+    assert(Live != End && "an unaccepted fragment link is always live");
+    auto ChunkEnd =
+        Live + std::min(static_cast<std::ptrdiff_t>(2 * N), End - Live);
+    std::nth_element(Live, ChunkEnd, End);
+    std::sort(Live, ChunkEnd);
+    for (; Live != ChunkEnd && Accepted != N - 1; ++Live) {
+      if (Rejected(*Live))
+        continue;
+      Succ[Live->From] = Live->To;
+      Pred[Live->To] = Live->From;
+      Leader[Find(Live->From)] = Find(Live->To);
+      ++Accepted;
+    }
+    End = std::remove_if(Live, End, Rejected);
   }
 
   // Stitch remaining fragments: follow each path from its head; append

@@ -34,7 +34,9 @@ std::vector<City> nearestNeighborTour(const DirectedTsp &Dtsp, Rng &Rng,
 /// order (with light randomized tie-jitter), accept an arc when its tail
 /// has no successor yet, its head has no predecessor yet, and it closes
 /// no premature cycle; finally stitch the resulting path fragments
-/// together in arbitrary order.
+/// together in arbitrary order. Draws one jitter per arc, in (from, to)
+/// order, and meets the arcs in (cost, jitter, from, to) order a sorted
+/// chunk at a time, dropping rejected arcs between chunks.
 std::vector<City> greedyEdgeTour(const DirectedTsp &Dtsp, Rng &Rng);
 
 /// The canonical identity tour 0, 1, ..., N-1 ("the original ordering

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace balign;
 
 namespace {
@@ -48,6 +50,26 @@ TEST(BehaviorTest, InvalidShapesRejected) {
   EXPECT_FALSE(B.isValid(P));
   B.Probs.pop_back(); // Wrong arity.
   EXPECT_FALSE(B.isValid(P));
+}
+
+// Every comparison with NaN is false, so range and sum checks written as
+// "reject if P < 0 or P > 1" let a NaN entry through.
+TEST(BehaviorTest, NonFiniteRowsRejected) {
+  Procedure P = makeLoop();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> Rows[] = {
+      {NaN, 0.5}, {0.5, NaN}, {NaN, NaN}, {Inf, 0.0},
+      {0.0, Inf}, {-Inf, 1.0}, {Inf, -Inf}, {1.0, -Inf},
+  };
+  for (const std::vector<double> &Row : Rows) {
+    BranchBehavior B = BranchBehavior::uniform(P);
+    B.Probs[1] = Row;
+    EXPECT_FALSE(B.isValid(P)) << "{" << Row[0] << ", " << Row[1] << "}";
+  }
+  BranchBehavior B = BranchBehavior::uniform(P);
+  B.Probs[1] = {0.25, 0.75};
+  EXPECT_TRUE(B.isValid(P));
 }
 
 TEST(TraceTest, WalksFollowCfgEdges) {

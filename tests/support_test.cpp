@@ -115,6 +115,16 @@ TEST(FormatTest, PercentAndFixed) {
   EXPECT_EQ(formatNormalized(0.6699), "0.670");
 }
 
+TEST(FormatTest, EscapesControlBytes) {
+  using namespace std::string_literals;
+  EXPECT_EQ(escapeControlBytes("line 3: kind 're\0t'"s),
+            "line 3: kind 're\\x00t'");
+  EXPECT_EQ(escapeControlBytes("\t\n\x1f\x7f"), "\\x09\\x0a\\x1f\\x7f");
+  // Printable ASCII and bytes past 0x7f (UTF-8) pass through.
+  EXPECT_EQ(escapeControlBytes(" ~\xc3\xa9"), " ~\xc3\xa9");
+  EXPECT_EQ(escapeControlBytes(""), "");
+}
+
 TEST(TableTest, RendersAlignedColumns) {
   TextTable T;
   T.addColumn("name");
