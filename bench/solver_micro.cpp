@@ -71,7 +71,7 @@ void BM_LocalSearch(benchmark::State &State) {
     std::vector<City> Dir = canonicalTour(N);
     R.shuffle(Dir);
     State.ResumeTiming();
-    benchmark::DoNotOptimize(localSearchDirected(D, Candidates, Dir));
+    benchmark::DoNotOptimize(LocalSearch(D, Candidates).run(Dir));
   }
 }
 BENCHMARK(BM_LocalSearch)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
