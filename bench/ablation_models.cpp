@@ -11,16 +11,20 @@
 //  2. BTFNT hardware prediction (footnote 3's excluded case): how much
 //     of the computed benefit survives when the hardware ignores the
 //     compiler's predictions.
-//  3. Aligner ladder: frequency-greedy vs cost-model greedy
+//  3. The aligner ladder: frequency-greedy vs cost-model greedy
 //     (Calder-Grunwald) vs TSP.
 //  4. Solver budget: runs x iterations sweep of iterated 3-Opt against
 //     the Held-Karp bound (is the paper's 10x2N protocol overkill?).
+//
+// Every greedy and tsp layout is alignProgram's; the Calder-Grunwald
+// layouts, which no pipeline rung produces, come from its class.
 //
 //===--------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "align/Aligners.h"
 #include "align/OutcomeCosts.h"
+#include "machine/Btb.h"
 #include "tsp/IteratedOpt.h"
 #include "support/Format.h"
 #include "support/Statistics.h"
@@ -31,23 +35,38 @@ using namespace balign::bench;
 
 namespace {
 
-/// Penalty of aligning \p W's data set \p Ds with \p A under \p Model,
-/// normalized to the original layout.
-double normalizedPenalty(const WorkloadInstance &W, size_t Ds,
-                         const Aligner &A, const MachineModel &Model) {
-  const ProgramProfile &Train = W.DataSets[Ds].Profile;
+/// \p Penalty normalized to the original layout's.
+double normalized(uint64_t Penalty, uint64_t Original) {
+  return Original ? static_cast<double>(Penalty) /
+                        static_cast<double>(Original)
+                  : 1.0;
+}
+
+/// The pipeline's alignment of \p W's first data set under \p Model,
+/// without bounds.
+ProgramAlignment alignFirstDataSet(const WorkloadInstance &W,
+                                   const MachineModel &Model) {
+  AlignmentOptions Options;
+  Options.Model = Model;
+  Options.ComputeBounds = false;
+  return alignProgram(W.Prog, W.DataSets[0].Profile, Options);
+}
+
+/// CalderGrunwaldAligner's penalty on \p W's first data set under
+/// \p Model, normalized to the original layout.
+double normalizedCgPenalty(const WorkloadInstance &W,
+                           const MachineModel &Model) {
+  const ProgramProfile &Train = W.DataSets[0].Profile;
   uint64_t Aligned = 0, Original = 0;
   for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
     const Procedure &Proc = W.Prog.proc(P);
-    Layout L = A.align(Proc, Train.Procs[P], Model);
+    Layout L = CalderGrunwaldAligner().align(Proc, Train.Procs[P], Model);
     Aligned += evaluateLayout(Proc, L, Model, Train.Procs[P],
                               Train.Procs[P]);
     Original += evaluateLayout(Proc, Layout::original(Proc), Model,
                                Train.Procs[P], Train.Procs[P]);
   }
-  return Original ? static_cast<double>(Aligned) /
-                        static_cast<double>(Original)
-                  : 1.0;
+  return normalized(Aligned, Original);
 }
 
 } // namespace
@@ -68,10 +87,13 @@ int main() {
     for (const MachineModel &Model :
          {MachineModel::alpha21164(), MachineModel::deepPipeline(),
           MachineModel::cheapBranch()}) {
-      TspAligner Tsp;
+      ProgramAlignment E = alignFirstDataSet(Eqn, Model);
+      ProgramAlignment D = alignFirstDataSet(Dod, Model);
       T.addRow({Model.Name,
-                formatNormalized(normalizedPenalty(Eqn, 0, Tsp, Model)),
-                formatNormalized(normalizedPenalty(Dod, 0, Tsp, Model))});
+                formatNormalized(normalized(E.totalTspPenalty(),
+                                            E.totalOriginalPenalty())),
+                formatNormalized(normalized(D.totalTspPenalty(),
+                                            D.totalOriginalPenalty()))});
     }
     std::printf("-- machine models (normalized TSP penalty; lower = more "
                 "headroom exploited) --\n%s\n",
@@ -148,7 +170,7 @@ int main() {
                                        Eqn.DataSets[0].Traces, Config);
       SimResult Tsp = simulateProgram(Eqn.Prog, MatsTsp,
                                       Eqn.DataSets[0].Traces, Config);
-      T.addRow({UseBtb ? "512-entry btb" : "no btb",
+      T.addRow({UseBtb ? std::to_string(BtbEntries) + "-entry btb" : "no btb",
                 formatCount(Orig.Cycles), formatCount(Tsp.Cycles),
                 formatPercent(1.0 - static_cast<double>(Tsp.Cycles) /
                                         static_cast<double>(Orig.Cycles))});
@@ -159,22 +181,27 @@ int main() {
                 T.render().c_str());
   }
 
-  // --- 3. Aligner ladder --------------------------------------------------
+  // --- 3. The aligner ladder ----------------------------------------------
   {
     MachineModel Alpha = MachineModel::alpha21164();
     TextTable T;
     T.addColumn("aligner");
     T.addColumn("eqn.fx pen", TextTable::AlignKind::Right);
     T.addColumn("dod.re pen", TextTable::AlignKind::Right);
-    GreedyAligner Greedy;
-    CalderGrunwaldAligner Cg;
-    TspAligner Tsp;
-    for (const Aligner *A :
-         std::initializer_list<const Aligner *>{&Greedy, &Cg, &Tsp}) {
-      T.addRow({A->name(),
-                formatNormalized(normalizedPenalty(Eqn, 0, *A, Alpha)),
-                formatNormalized(normalizedPenalty(Dod, 0, *A, Alpha))});
-    }
+    ProgramAlignment E = alignFirstDataSet(Eqn, Alpha);
+    ProgramAlignment D = alignFirstDataSet(Dod, Alpha);
+    T.addRow({"greedy",
+              formatNormalized(normalized(E.totalGreedyPenalty(),
+                                          E.totalOriginalPenalty())),
+              formatNormalized(normalized(D.totalGreedyPenalty(),
+                                          D.totalOriginalPenalty()))});
+    T.addRow({"cg", formatNormalized(normalizedCgPenalty(Eqn, Alpha)),
+              formatNormalized(normalizedCgPenalty(Dod, Alpha))});
+    T.addRow({"tsp",
+              formatNormalized(normalized(E.totalTspPenalty(),
+                                          E.totalOriginalPenalty())),
+              formatNormalized(normalized(D.totalTspPenalty(),
+                                          D.totalOriginalPenalty()))});
     std::printf("-- aligner ladder (normalized penalty, alpha21164) "
                 "--\n%s\n",
                 T.render().c_str());

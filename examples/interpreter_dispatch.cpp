@@ -17,6 +17,7 @@
 //===--------------------------------------------------------------------===//
 
 #include "align/Aligners.h"
+#include "align/Pipeline.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
 #include "objective/Penalty.h"
@@ -111,28 +112,29 @@ int main() {
   Sim.Cache.SizeBytes = 2048; // Small cache: the handler set must fit.
   double BaselineCycles = 0.0;
 
-  auto evaluate = [&](const Aligner &A) {
-    Layout L = A.align(VM.Proc, Profile, Model);
+  auto evaluate = [&](const char *Name, const Layout &L) {
     uint64_t Penalty = evaluateLayout(VM.Proc, L, Model, Profile, Profile);
     MaterializedLayout Mat = materializeLayout(VM.Proc, L, Profile, Model);
     SimResult R = simulateProgram(Prog, {Mat}, {Trace}, Sim);
-    if (A.name() == "original")
+    if (std::string(Name) == "original")
       BaselineCycles = static_cast<double>(R.Cycles);
-    T.addRow({A.name(), std::to_string(Penalty), std::to_string(R.Cycles),
+    T.addRow({Name, std::to_string(Penalty), std::to_string(R.Cycles),
               std::to_string(R.CacheMisses),
               formatFixed(BaselineCycles / static_cast<double>(R.Cycles),
                           3) +
                   "x"});
   };
 
-  OriginalAligner Original;
-  GreedyAligner Greedy;
-  TspAligner Tsp;
-  CalderGrunwaldAligner Cg;
-  evaluate(Original);
-  evaluate(Greedy);
-  evaluate(Cg);
-  evaluate(Tsp);
+  // The original, greedy and TSP layouts are the pipeline's; no pipeline
+  // rung runs Calder-Grunwald, so it comes from its class.
+  AlignmentOptions Options;
+  Options.Model = Model;
+  Options.ComputeBounds = false;
+  ProcedureAlignment A = alignProgram(Prog, ProgProfile, Options).Procs[0];
+  evaluate("original", A.OriginalLayout);
+  evaluate("greedy", A.GreedyLayout);
+  evaluate("cg", CalderGrunwaldAligner().align(VM.Proc, Profile, Model));
+  evaluate("tsp", A.TspLayout);
   std::printf("%s", T.render().c_str());
 
   std::printf("\nhot handlers (op3, op7, op12) sit adjacent to the "

@@ -3,16 +3,14 @@
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 // Builds a small procedure by hand, profiles it with a synthetic trace,
-// aligns it with the greedy and TSP-based methods, and prints the control
-// penalties of every layout next to the provable Held-Karp lower bound.
+// aligns it with alignProgram (the original, greedy and TSP-based layouts
+// of every procedure, and their Held-Karp lower bound), and prints the
+// control penalty of every layout next to the bound.
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Aligners.h"
-#include "align/Bounds.h"
+#include "align/Pipeline.h"
 #include "ir/CFGBuilder.h"
-#include "machine/MachineModel.h"
-#include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "support/Random.h"
 
@@ -53,36 +51,32 @@ int main() {
               static_cast<unsigned long long>(Profile.executedBranches(Proc)),
               static_cast<unsigned long long>(Trace.Invocations));
 
-  // Align three ways and evaluate under the Alpha 21164 model (Table 3).
-  MachineModel Model = MachineModel::alpha21164();
-  OriginalAligner Original;
-  GreedyAligner Greedy;
-  TspAligner Tsp;
+  // Align three ways and evaluate under the Alpha 21164 model (Table 3),
+  // the pipeline's default; bounds are on by default too.
+  Program Prog("quickstart");
+  Prog.addProcedure(Proc);
+  ProgramProfile Train;
+  Train.Procs.push_back(Profile);
+  ProcedureAlignment A = alignProgram(Prog, Train, AlignmentOptions()).Procs[0];
 
-  auto report = [&](const Aligner &A) {
-    Layout L = A.align(Proc, Profile, Model);
-    uint64_t Penalty = evaluateLayout(Proc, L, Model, Profile, Profile);
-    std::printf("%-8s penalty %10llu cycles | layout:", A.name().c_str(),
+  auto report = [&](const char *Name, const Layout &L, uint64_t Penalty) {
+    std::printf("%-8s penalty %10llu cycles | layout:", Name,
                 static_cast<unsigned long long>(Penalty));
     for (BlockId Id : L.Order)
       std::printf(" %s", Proc.block(Id).Name.c_str());
     std::printf("\n");
-    return Penalty;
   };
-
-  report(Original);
-  report(Greedy);
-  uint64_t TspPenalty = report(Tsp);
+  report("original", A.OriginalLayout, A.OriginalPenalty);
+  report("greedy", A.GreedyLayout, A.GreedyPenalty);
+  report("tsp", A.TspLayout, A.TspPenalty);
 
   // How good is that? Ask the Held-Karp bound.
-  PenaltyBounds Bounds = computePenaltyBounds(Proc, Profile, Model,
-                                              TspPenalty);
   std::printf("held-karp lower bound: %.1f cycles (tsp is within %.2f%%)\n",
-              Bounds.HeldKarp,
-              Bounds.HeldKarp > 0
-                  ? 100.0 * (static_cast<double>(TspPenalty) -
-                             Bounds.HeldKarp) /
-                        Bounds.HeldKarp
+              A.Bounds.HeldKarp,
+              A.Bounds.HeldKarp > 0
+                  ? 100.0 * (static_cast<double>(A.TspPenalty) -
+                             A.Bounds.HeldKarp) /
+                        A.Bounds.HeldKarp
                   : 0.0);
   return 0;
 }

@@ -7,19 +7,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <numeric>
 
 using namespace balign;
-
-Aligner::~Aligner() = default;
-
-Layout OriginalAligner::align(const Procedure &Proc,
-                              const ProcedureProfile &Train,
-                              const MachineModel &Model) const {
-  (void)Train;
-  (void)Model;
-  return Layout::original(Proc);
-}
 
 namespace {
 
@@ -132,16 +123,11 @@ Layout concatenateChains(const Procedure &Proc,
   return L;
 }
 
-} // namespace
-
-Layout GreedyAligner::align(const Procedure &Proc,
-                            const ProcedureProfile &Train,
-                            const MachineModel &Model) const {
-  (void)Model; // Frequency-greedy ignores the machine model (paper 2.1).
-  // balign-shield fault site: the greedy aligner is the middle rung of
-  // the degradation ladder, so it needs its own probe to exercise the
-  // fall-through to the original layout.
-  FaultInjector::instance().throwIfFault(FaultSite::AlignGreedy);
+/// The greedy frequency chains (paper 2.1), without the align.greedy
+/// fault probe: the chain merger takes them as its floor, and a fault
+/// injected at the greedy rung must not take the chain rung down with
+/// it.
+Layout greedyChains(const Procedure &Proc, const ProcedureProfile &Train) {
   std::vector<GreedyEdge> Edges;
   for (BlockId B = 0; B != Proc.numBlocks(); ++B) {
     const std::vector<BlockId> &Succs = Proc.successors(B);
@@ -152,22 +138,17 @@ Layout GreedyAligner::align(const Procedure &Proc,
   return concatenateChains(Proc, Builder.chains(Train));
 }
 
-Layout TspAligner::align(const Procedure &Proc, const ProcedureProfile &Train,
-                         const MachineModel &Model) const {
-  return alignWithStats(Proc, Train, Model).L;
-}
+} // namespace
 
-TspAligner::Result TspAligner::alignWithStats(const Procedure &Proc,
-                                              const ProcedureProfile &Train,
-                                              const MachineModel &Model) const {
-  AlignmentTsp Atsp = buildAlignmentTsp(Proc, Train, Model);
-  DtspSolution Solution = solveDirectedTsp(Atsp.Tsp, Options);
-  Result R;
-  R.L = layoutFromTour(Proc, Atsp, Solution.Tour);
-  R.TourCost = Solution.Cost;
-  R.NumRuns = Solution.NumRuns;
-  R.RunsFindingBest = Solution.RunsFindingBest;
-  return R;
+Layout GreedyAligner::align(const Procedure &Proc,
+                            const ProcedureProfile &Train,
+                            const MachineModel &Model) const {
+  (void)Model; // Frequency-greedy ignores the machine model (paper 2.1).
+  // balign-shield fault site: the greedy aligner is the middle rung of
+  // the degradation ladder, so it needs its own probe to exercise the
+  // fall-through to the original layout.
+  FaultInjector::instance().throwIfFault(FaultSite::AlignGreedy);
+  return greedyChains(Proc, Train);
 }
 
 Layout CalderGrunwaldAligner::align(const Procedure &Proc,
@@ -286,26 +267,6 @@ void refineSequence(const Procedure &Proc, const ProcedureProfile &Train,
   }
 }
 
-/// The greedy frequency chains (paper 2.1) as a raw block order —
-/// shared floor for the chain merger, built without the align.greedy
-/// fault probe (a fault injected at the greedy rung must not take the
-/// chain rung down with it).
-std::vector<BlockId> greedyChainOrder(const Procedure &Proc,
-                                      const ProcedureProfile &Train) {
-  std::vector<GreedyEdge> Edges;
-  for (BlockId B = 0; B != Proc.numBlocks(); ++B) {
-    const std::vector<BlockId> &Succs = Proc.successors(B);
-    for (size_t S = 0; S != Succs.size(); ++S)
-      Edges.push_back({Train.edgeCount(B, S), B, Succs[S]});
-  }
-  ChainBuilder Builder(Proc, std::move(Edges));
-  std::vector<BlockId> Order;
-  Order.reserve(Proc.numBlocks());
-  for (const std::vector<BlockId> &Chain : Builder.chains(Train))
-    Order.insert(Order.end(), Chain.begin(), Chain.end());
-  return Order;
-}
-
 } // namespace
 
 Layout ExtTspAligner::align(const Procedure &Proc,
@@ -418,10 +379,10 @@ Layout ExtTspAligner::align(const Procedure &Proc,
   // objective, then locally refine whichever start is better. The floor
   // guarantees the chain rung never ships a layout the cheaper greedy
   // rung beats on the very metric this aligner optimises.
-  std::vector<BlockId> GreedyOrder = greedyChainOrder(Proc, Train);
-  if (Obj->scoreSequence(Proc, Train, GreedyOrder) >
+  Layout Greedy = greedyChains(Proc, Train);
+  if (Obj->scoreSequence(Proc, Train, Greedy.Order) >
       Obj->scoreSequence(Proc, Train, Result.Order) + 1e-9)
-    Result.Order = std::move(GreedyOrder);
+    Result = std::move(Greedy);
   refineSequence(Proc, Train, *Obj, Result.Order);
   return Result;
 }

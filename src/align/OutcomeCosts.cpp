@@ -22,10 +22,9 @@ OutcomeCounts OutcomeCounts::zeroed(const Procedure &Proc) {
 
 OutcomeCounts balign::collectOutcomeCounts(const Procedure &Proc,
                                            const MaterializedLayout &Mat,
-                                           const ExecutionTrace &Trace,
-                                           size_t PredictorEntries) {
+                                           const ExecutionTrace &Trace) {
   OutcomeCounts Counts = OutcomeCounts::zeroed(Proc);
-  BimodalPredictor Predictor(PredictorEntries);
+  BimodalPredictor Predictor(BimodalTableEntries);
 
   auto SuccIndexOf = [&](BlockId From, BlockId To) -> size_t {
     const std::vector<BlockId> &Succs = Proc.successors(From);

@@ -47,14 +47,13 @@ struct OutcomeCounts {
   static OutcomeCounts zeroed(const Procedure &Proc);
 };
 
-/// Simulates a bimodal predictor (with \p PredictorEntries 2-bit
+/// Simulates a bimodal predictor (with BimodalTableEntries 2-bit
 /// counters, branch addresses taken from \p Mat's block layout) over
 /// \p Trace and tallies per-edge outcomes. Unconditional and return
 /// blocks have no prediction: their transfers count as Correct.
 OutcomeCounts collectOutcomeCounts(const Procedure &Proc,
                                    const MaterializedLayout &Mat,
-                                   const ExecutionTrace &Trace,
-                                   size_t PredictorEntries = 2048);
+                                   const ExecutionTrace &Trace);
 
 /// Builds the alignment DTSP from measured outcomes using the general
 /// formula above, with per-kind penalties from \p Model (pNN =

@@ -140,7 +140,7 @@ void AlignmentCache::loadFromDisk() {
   std::string File;
   bool Exists = false;
   RetryOutcome Outcome = retryWithBackoff(
-      Config.DiskRetry,
+      RetryPolicy(),
       [&](std::string *Error) {
         // balign-shield fault site: a transient read failure on the
         // store file, retried with bounded backoff.
@@ -360,7 +360,7 @@ bool AlignmentCache::flush(std::string *Error) {
 
   std::string FlushError;
   RetryOutcome Outcome = retryWithBackoff(
-      Config.DiskRetry,
+      RetryPolicy(),
       [&](std::string *AttemptError) {
         // balign-shield fault site: a transient write failure anywhere
         // in the atomic replace, retried with bounded backoff.

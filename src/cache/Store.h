@@ -84,10 +84,8 @@ struct AlignmentCacheConfig {
   size_t FlushEveryStores = 0;
 
   /// balign-shield: disk reads and writes retry transient failures with
-  /// bounded exponential backoff before giving up.
-  RetryPolicy DiskRetry;
-
-  /// Clock injection for the backoff sleeps; null means really sleep.
+  /// the default RetryPolicy's bounded exponential backoff before giving
+  /// up. Clock injection for the backoff sleeps; null means really sleep.
   /// Tests pass a recording stub so retry runs take no wall time.
   SleepFn RetrySleep;
 };

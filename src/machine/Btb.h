@@ -24,11 +24,14 @@
 
 namespace balign {
 
+/// Entries of the simulator's BTB.
+inline constexpr size_t BtbEntries = 512;
+
 /// Direct-mapped BTB of (tag, target) entries indexed by branch address.
 class Btb {
 public:
   /// \p Entries must be a power of two.
-  explicit Btb(size_t Entries = 512);
+  explicit Btb(size_t Entries);
 
   /// True if the buffer holds the correct \p Target for the branch at
   /// \p Addr (a hit removes the misfetch bubble).

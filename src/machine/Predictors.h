@@ -36,11 +36,15 @@ enum class PredictorKind : uint8_t {
   Bimodal2Bit,
 };
 
+/// Entries of the simulated bimodal table, for the simulator and for
+/// the trace-driven outcome costs alike.
+inline constexpr size_t BimodalTableEntries = 2048;
+
 /// A table of 2-bit saturating counters indexed by branch address.
 class BimodalPredictor {
 public:
   /// \p Entries must be a power of two.
-  explicit BimodalPredictor(size_t Entries = 2048);
+  explicit BimodalPredictor(size_t Entries);
 
   /// Predicts the branch at byte address \p Addr; true = taken.
   bool predict(uint64_t Addr) const;

@@ -2,6 +2,8 @@
 
 #include "profile/Trace.h"
 
+#include "support/Format.h"
+
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -88,11 +90,11 @@ static std::vector<uint32_t> computeExitSuccessors(const Procedure &Proc) {
 /// in block \p Id (named as the text format prints it).
 static std::string walkCapMessage(const Procedure &Proc, BlockId Id) {
   const std::string &Name = Proc.block(Id).Name;
-  return "synthetic walk of procedure '" + Proc.getName() +
+  return "synthetic walk of procedure '" + escapeControlBytes(Proc.getName()) +
          "' did not return within " +
          std::to_string(MaxBlocksPerInvocation) +
          " blocks (stopped in block '" +
-         (Name.empty() ? "b" + std::to_string(Id) : Name) +
+         (Name.empty() ? "b" + std::to_string(Id) : escapeControlBytes(Name)) +
          "'); pass --profile";
 }
 
@@ -180,7 +182,8 @@ void runWalk(const Procedure &Proc, const WalkTables &T, Rng &Gen,
     if (Limit && Limit->expired()) {
       Gen = R;
       throw DeadlineExceeded("synthetic walk of procedure '" +
-                             Proc.getName() + "' exceeded its deadline");
+                             escapeControlBytes(Proc.getName()) +
+                             "' exceeded its deadline");
     }
     uint64_t BranchesBefore = BranchesExecuted;
     if constexpr (Traced)

@@ -2,6 +2,8 @@
 
 #include "robust/FailureReport.h"
 
+#include "support/Format.h"
+
 #include <cstdio>
 
 using namespace balign;
@@ -33,7 +35,7 @@ const char *balign::failureKindName(FailureKind Kind) {
 }
 
 std::string ProcedureFailure::str() const {
-  std::string Out = "proc '" + ProcName + "': ";
+  std::string Out = "proc '" + escapeControlBytes(ProcName) + "': ";
   Out += failureKindName(Kind);
   Out += ": ";
   Out += What;

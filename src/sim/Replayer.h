@@ -36,8 +36,8 @@ struct SimState {
   SimResult Result;
 
   explicit SimState(const SimConfig &Config)
-      : Cache(Config.Cache), Bimodal(Config.PredictorEntries),
-        TargetBuffer(Config.BtbEntries) {}
+      : Cache(Config.Cache), Bimodal(BimodalTableEntries),
+        TargetBuffer(BtbEntries) {}
 };
 
 /// Replays trace slices of one procedure, charging cycles into a shared

@@ -49,18 +49,14 @@ struct SimConfig {
   /// Cycles to fill one instruction-cache line from the next level.
   uint32_t CacheMissPenalty = 10;
   /// Conditional-branch prediction hardware (ablations; the paper's
-  /// model assumes ProfileStatic).
+  /// model assumes ProfileStatic). Bimodal2Bit uses a table of
+  /// BimodalTableEntries counters.
   PredictorKind Predictor = PredictorKind::ProfileStatic;
-  /// Bimodal table entries (power of two); small tables alias more.
-  size_t PredictorEntries = 2048;
 
-  /// Model a branch target buffer: correctly-predicted redirects whose
-  /// (branch, target) pair hits the BTB skip the misfetch bubble
-  /// (ablation; the paper's Table 3 machine has no BTB).
+  /// Model a BtbEntries-entry branch target buffer: correctly-predicted
+  /// redirects whose (branch, target) pair hits the BTB skip the
+  /// misfetch bubble (ablation; the paper's Table 3 machine has no BTB).
   bool UseBtb = false;
-
-  /// BTB entries (power of two).
-  size_t BtbEntries = 512;
 };
 
 /// Aggregated simulation outcome.

@@ -1,5 +1,6 @@
-//===- tests/align_aligners_test.cpp - Aligner algorithm tests ----------------===//
+//===- tests/align_aligners_test.cpp - Layout algorithm tests -----------------===//
 
+#include "AlignOne.h"
 #include "align/Aligners.h"
 #include "align/Reduction.h"
 #include "ir/CFGBuilder.h"
@@ -11,6 +12,9 @@
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
 
 using namespace balign;
 
@@ -40,17 +44,17 @@ struct RandomCase {
 
 TEST(OriginalAlignerTest, IdentityLayout) {
   RandomCase C(1);
-  OriginalAligner Aligner;
-  Layout L = Aligner.align(C.Proc, C.Profile, Alpha);
-  EXPECT_EQ(L.Order, Layout::original(C.Proc).Order);
-  EXPECT_EQ(Aligner.name(), "original");
+  ProcedureAlignment A = alignOne(C.Proc, C.Profile);
+  EXPECT_EQ(A.OriginalLayout.Order, Layout::original(C.Proc).Order);
+  EXPECT_EQ(A.OriginalPenalty,
+            evaluateLayout(C.Proc, Layout::original(C.Proc), Alpha,
+                           C.Profile, C.Profile));
 }
 
 TEST(GreedyAlignerTest, ProducesValidLayouts) {
   for (uint64_t Seed = 1; Seed != 12; ++Seed) {
     RandomCase C(Seed);
-    GreedyAligner Aligner;
-    Layout L = Aligner.align(C.Proc, C.Profile, Alpha);
+    Layout L = GreedyAligner().align(C.Proc, C.Profile, Alpha);
     EXPECT_TRUE(L.isValid(C.Proc)) << "seed " << Seed;
   }
 }
@@ -73,8 +77,7 @@ TEST(GreedyAlignerTest, HotEdgeBecomesAdjacent) {
   Profile.EdgeCounts[Join] = {100};
   Profile.BlockCounts = {100, 5, 95, 100, 100};
 
-  GreedyAligner Aligner;
-  Layout L = Aligner.align(Proc, Profile, Alpha);
+  Layout L = GreedyAligner().align(Proc, Profile, Alpha);
   ASSERT_TRUE(L.isValid(Proc));
   // The hot successor must directly follow the conditional.
   size_t PosC = 0;
@@ -92,8 +95,7 @@ TEST(GreedyAlignerTest, NeverWorseThanHalfOfOriginalOnSkewedCode) {
   uint64_t GreedyTotal = 0, OriginalTotal = 0;
   for (uint64_t Seed = 1; Seed != 15; ++Seed) {
     RandomCase C(Seed);
-    GreedyAligner Aligner;
-    Layout L = Aligner.align(C.Proc, C.Profile, Alpha);
+    Layout L = GreedyAligner().align(C.Proc, C.Profile, Alpha);
     GreedyTotal += evaluateLayout(C.Proc, L, Alpha, C.Profile, C.Profile);
     OriginalTotal += evaluateLayout(C.Proc, Layout::original(C.Proc), Alpha,
                                     C.Profile, C.Profile);
@@ -101,9 +103,9 @@ TEST(GreedyAlignerTest, NeverWorseThanHalfOfOriginalOnSkewedCode) {
   EXPECT_LE(GreedyTotal, OriginalTotal);
 }
 
-/// Property sweep: on small procedures the TSP aligner is exactly
-/// optimal (verified against exact DP on the reduction), and therefore
-/// no worse than greedy.
+/// Property sweep: on small procedures the pipeline's TSP layout is
+/// exactly optimal (verified against exact DP on the reduction), and
+/// therefore no worse than greedy.
 class TspAlignerOptimality : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TspAlignerOptimality, MatchesExactOptimumAndBeatsGreedy) {
@@ -112,16 +114,28 @@ TEST_P(TspAlignerOptimality, MatchesExactOptimumAndBeatsGreedy) {
   if (C.Proc.numBlocks() + 1 > MaxExactCities)
     GTEST_SKIP() << "instance too large for the exact oracle";
 
-  TspAligner Aligner;
-  TspAligner::Result R = Aligner.alignWithStats(C.Proc, C.Profile, Alpha);
-  ASSERT_TRUE(R.L.isValid(C.Proc));
+  // The tour cost is the solver's, observed through the verify hook.
+  std::optional<int64_t> TourCost;
+  AlignmentOptions Options;
+  Options.ComputeBounds = false;
+  Options.AfterProcedure = [&](size_t, const Procedure &,
+                               const ProcedureProfile &,
+                               const ProcedureAlignment &,
+                               const SolveArtifacts *Artifacts) {
+    if (Artifacts)
+      TourCost = Artifacts->Solution.Cost;
+  };
+  ProcedureAlignment A = alignOne(C.Proc, C.Profile, Options);
+  ASSERT_TRUE(A.TspLayout.isValid(C.Proc));
+  ASSERT_TRUE(TourCost) << "the tsp path did not solve seed " << Seed;
   uint64_t TspPenalty =
-      evaluateLayout(C.Proc, R.L, Alpha, C.Profile, C.Profile);
-  EXPECT_EQ(static_cast<int64_t>(TspPenalty), R.TourCost);
+      evaluateLayout(C.Proc, A.TspLayout, Alpha, C.Profile, C.Profile);
+  EXPECT_EQ(TspPenalty, A.TspPenalty);
+  EXPECT_EQ(static_cast<int64_t>(TspPenalty), *TourCost);
 
   AlignmentTsp Atsp = buildAlignmentTsp(C.Proc, C.Profile, Alpha);
   int64_t Optimal = solveExactDirected(Atsp.Tsp);
-  EXPECT_EQ(R.TourCost, Optimal) << "seed " << Seed;
+  EXPECT_EQ(*TourCost, Optimal) << "seed " << Seed;
 
   GreedyAligner Greedy;
   Layout G = Greedy.align(C.Proc, C.Profile, Alpha);
@@ -134,11 +148,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TspAlignerOptimality,
 
 TEST(TspAlignerTest, ReportsRunStatistics) {
   RandomCase C(3);
-  TspAligner Aligner;
-  TspAligner::Result R = Aligner.alignWithStats(C.Proc, C.Profile, Alpha);
-  EXPECT_GE(R.NumRuns, 1u);
-  EXPECT_GE(R.RunsFindingBest, 1u);
-  EXPECT_LE(R.RunsFindingBest, R.NumRuns);
+  ProcedureAlignment A = alignOne(C.Proc, C.Profile);
+  EXPECT_GE(A.SolverRuns, 1u);
+  EXPECT_GE(A.RunsFindingBest, 1u);
+  EXPECT_LE(A.RunsFindingBest, A.SolverRuns);
 }
 
 TEST(CalderGrunwaldTest, ValidAndCompetitiveWithGreedy) {
@@ -161,13 +174,14 @@ TEST(CalderGrunwaldTest, ValidAndCompetitiveWithGreedy) {
 TEST(AlignersTest, EntryAlwaysFirst) {
   for (uint64_t Seed = 20; Seed != 26; ++Seed) {
     RandomCase C(Seed);
-    for (const Aligner *A :
-         std::initializer_list<const Aligner *>{
-             new OriginalAligner, new GreedyAligner, new TspAligner,
-             new CalderGrunwaldAligner}) {
-      Layout L = A->align(C.Proc, C.Profile, Alpha);
-      EXPECT_EQ(L.Order.front(), C.Proc.entry()) << A->name();
-      delete A;
-    }
+    ProcedureAlignment Pipeline = alignOne(C.Proc, C.Profile);
+    std::pair<const char *, Layout> Layouts[] = {
+        {"original", Pipeline.OriginalLayout},
+        {"greedy", GreedyAligner().align(C.Proc, C.Profile, Alpha)},
+        {"tsp", Pipeline.TspLayout},
+        {"cg", CalderGrunwaldAligner().align(C.Proc, C.Profile, Alpha)},
+        {"exttsp", ExtTspAligner().align(C.Proc, C.Profile, Alpha)}};
+    for (const auto &[Name, L] : Layouts)
+      EXPECT_EQ(L.Order.front(), C.Proc.entry()) << Name;
   }
 }

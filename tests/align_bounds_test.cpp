@@ -1,6 +1,6 @@
 //===- tests/align_bounds_test.cpp - Penalty lower-bound tests ----------------===//
 
-#include "align/Aligners.h"
+#include "AlignOne.h"
 #include "align/Bounds.h"
 #include "align/Pipeline.h"
 #include "align/Reduction.h"
@@ -67,17 +67,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BoundsValidity,
 
 TEST(BoundsTest, HeldKarpTightOnAlignmentInstances) {
   // The paper: HK bounds average within 0.3% of the tours found. Check
-  // the aggregate gap against the TSP aligner on random procedures.
+  // the aggregate gap against the pipeline's TSP layouts on random
+  // procedures, with the bounds from the same (bounds-on) call.
   double TourTotal = 0.0, BoundTotal = 0.0;
   for (uint64_t Seed = 1; Seed != 10; ++Seed) {
     RandomCase C(Seed, /*Sites=*/8);
-    TspAligner Aligner;
-    TspAligner::Result R = Aligner.alignWithStats(C.Proc, C.Profile, Alpha);
-    PenaltyBounds Bounds = computePenaltyBounds(
-        C.Proc, C.Profile, Alpha, static_cast<uint64_t>(R.TourCost));
-    TourTotal += static_cast<double>(R.TourCost);
-    BoundTotal += Bounds.HeldKarp;
-    EXPECT_LE(Bounds.HeldKarp, static_cast<double>(R.TourCost) + 1e-6);
+    ProcedureAlignment A = alignOne(C.Proc, C.Profile);
+    TourTotal += static_cast<double>(A.TspPenalty);
+    BoundTotal += A.Bounds.HeldKarp;
+    EXPECT_LE(A.Bounds.HeldKarp, static_cast<double>(A.TspPenalty) + 1e-6);
   }
   ASSERT_GT(TourTotal, 0.0);
   EXPECT_GT(BoundTotal / TourTotal, 0.95)

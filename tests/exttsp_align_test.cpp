@@ -79,12 +79,12 @@ void expectProgramEq(const ProgramAlignment &A, const ProgramAlignment &B) {
 
 TEST(ExtTspAlignTest, LayoutsAreValidEntryFirstPermutations) {
   MachineModel Model = MachineModel::alpha21164();
-  ExtTspAligner Aligner;
+  ExtTspAligner Chains;
   for (uint64_t Seed : {3u, 19u, 101u, 977u}) {
     Workload W = makeWorkload(Seed);
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
       const Procedure &Proc = W.Prog.proc(P);
-      Layout L = Aligner.align(Proc, W.Train.Procs[P], Model);
+      Layout L = Chains.align(Proc, W.Train.Procs[P], Model);
       EXPECT_TRUE(L.isValid(Proc)) << "seed " << Seed << " proc " << P;
       ASSERT_FALSE(L.Order.empty());
       EXPECT_EQ(L.Order.front(), 0u) << "entry must stay first";

@@ -414,3 +414,40 @@ TEST(ProfileWalkTest, ExitlessLoopIsOneErrorOneShotAndServed) {
   EXPECT_EQ(FrameError::ProfileError, Code);
   EXPECT_EQ(Expected, Message);
 }
+
+TEST(ProfileWalkTest, ControlBytesInNamesAreEscaped) {
+  // A NUL in a name must not end the message where a caller prints it
+  // as a C string: both walk errors escape the names they embed.
+  CFGBuilder B(std::string("sp\0in", 5));
+  BlockId Entry = B.cond(3, "entry");
+  BlockId Spin = B.jump(2, "sp\x01in");
+  BlockId Out = B.ret(1, "out");
+  B.branches(Entry, Spin, Out);
+  B.edge(Spin, Spin);
+  Procedure Proc = B.take();
+  BranchBehavior Behavior = BranchBehavior::uniform(Proc);
+
+  std::string Thrown;
+  try {
+    Rng R(7);
+    walkProfile(Proc, Behavior, R, 50000);
+  } catch (const ProfileWalkError &E) {
+    Thrown = E.what();
+  }
+  EXPECT_EQ("synthetic walk of procedure 'sp\\x00in' did not return "
+            "within 1048576 blocks (stopped in block 'sp\\x01in'); pass "
+            "--profile",
+            Thrown);
+
+  uint64_t Polls = 0;
+  Deadline Expired(1, [&Polls] { return Polls++; });
+  Thrown.clear();
+  try {
+    Rng R(7);
+    walkProfile(Proc, Behavior, R, 50000, nullptr, &Expired);
+  } catch (const DeadlineExceeded &E) {
+    Thrown = E.what();
+  }
+  EXPECT_EQ("synthetic walk of procedure 'sp\\x00in' exceeded its deadline",
+            Thrown);
+}

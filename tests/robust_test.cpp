@@ -379,3 +379,15 @@ TEST(FailureReportTest, SummaryCountsRungsInTheStableKeyValueForm) {
   EXPECT_NE(Greedy.str().find("rung=greedy"), std::string::npos);
   EXPECT_NE(Skipped.str().find("skipped"), std::string::npos);
 }
+
+TEST(FailureReportTest, ControlBytesInProcNameAreEscaped) {
+  // align_tool prints the text with %s: a raw NUL would end it there.
+  ProcedureFailure F;
+  F.ProcName = std::string("vm\0_run", 7);
+  F.Kind = FailureKind::Fault;
+  F.What = "injected fault at 'tsp.solve'";
+  F.Rung = LadderRung::Greedy;
+  EXPECT_EQ("proc 'vm\\x00_run': fault: injected fault at 'tsp.solve'; "
+            "rung=greedy",
+            F.str());
+}

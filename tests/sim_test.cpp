@@ -1,6 +1,7 @@
 //===- tests/sim_test.cpp - Cache and pipeline-simulator tests ----------------===//
 
 #include "align/Aligners.h"
+#include "align/Pipeline.h"
 #include "ir/CFGBuilder.h"
 #include "machine/MachineModel.h"
 #include "objective/Penalty.h"
@@ -83,6 +84,13 @@ struct SimCase {
                                         BranchBehavior::uniform(Prog.proc(0)),
                                         TraceRng, Budget, &Traces[0]));
   }
+
+  /// The pipeline's TSP layout of the procedure.
+  Layout tspLayout() const {
+    AlignmentOptions Options;
+    Options.ComputeBounds = false;
+    return alignProgram(Prog, Profile, Options).Procs[0].TspLayout;
+  }
 };
 
 } // namespace
@@ -103,8 +111,7 @@ TEST_P(SimulatorAgreement, ControlPenaltiesMatchEvaluator) {
       GreedyAligner G;
       L = G.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
     } else {
-      TspAligner T;
-      L = T.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
+      L = C.tspLayout();
     }
     MaterializedLayout Mat =
         materializeLayout(C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha);
@@ -136,8 +143,7 @@ TEST(SimulatorTest, CrossTraceReplayDiffersFromTraining) {
       Train.Prog.proc(0), BranchBehavior::uniform(Train.Prog.proc(0)),
       TraceRng, 800, &TestTrace);
 
-  TspAligner T;
-  Layout L = T.align(Train.Prog.proc(0), Train.Profile.Procs[0], Train.Alpha);
+  Layout L = Train.tspLayout();
   MaterializedLayout Mat = materializeLayout(
       Train.Prog.proc(0), L, Train.Profile.Procs[0], Train.Alpha);
   SimConfig Config;
@@ -153,8 +159,7 @@ TEST(SimulatorTest, CacheMissesDependOnLayout) {
   // With a tiny cache, a layout that scatters the hot loop across lines
   // must miss at least as much as the dense TSP layout.
   SimCase C(7, /*Sites=*/10, /*Budget=*/2000);
-  TspAligner T;
-  Layout Tsp = T.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
+  Layout Tsp = C.tspLayout();
   Layout Original = Layout::original(C.Prog.proc(0));
 
   SimConfig Config;
@@ -199,8 +204,7 @@ TEST(BimodalPredictorTest, AliasingCollidesDistantBranches) {
 
 TEST(SimulatorTest, BimodalPredictorRunsAndDiffers) {
   SimCase C(11);
-  TspAligner T;
-  Layout L = T.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
+  Layout L = C.tspLayout();
   MaterializedLayout Mat =
       materializeLayout(C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha);
   SimConfig Static;
@@ -217,8 +221,7 @@ TEST(SimulatorTest, DeletedFallThroughJumpsSaveCyclesAndLines) {
   // fetch more lines or execute more instructions than the plain one,
   // and control penalties are unaffected.
   SimCase C(13, /*Sites=*/10, /*Budget=*/2000);
-  TspAligner T;
-  Layout L = T.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
+  Layout L = C.tspLayout();
   MaterializedLayout Plain =
       materializeLayout(C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha);
   MaterializeOptions Options;
@@ -238,8 +241,7 @@ TEST(SimulatorTest, DeletedFallThroughJumpsSaveCyclesAndLines) {
 
 TEST(SimulatorTest, BtfntChangesPenalties) {
   SimCase C(9);
-  TspAligner T;
-  Layout L = T.align(C.Prog.proc(0), C.Profile.Procs[0], C.Alpha);
+  Layout L = C.tspLayout();
   MaterializedLayout Mat =
       materializeLayout(C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha);
   SimConfig Profiled;
