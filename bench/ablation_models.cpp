@@ -17,7 +17,9 @@
 //     the Held-Karp bound (is the paper's 10x2N protocol overkill?).
 //
 // Every greedy and tsp layout is alignProgram's; the Calder-Grunwald
-// layouts, which no pipeline rung produces, come from its class.
+// layouts, which no pipeline rung produces, come from its class. Each
+// benchmark is aligned once under the default model and solver, and
+// every section that keeps them reads that one alignment.
 //
 //===--------------------------------------------------------------------===//
 
@@ -77,6 +79,12 @@ int main() {
   // eqn + dod: one loop-dominated and one branch-unfriendly benchmark.
   WorkloadInstance Eqn = buildWorkloadByName("eqn");
   WorkloadInstance Dod = buildWorkloadByName("dod");
+  // Each benchmark's alignment under the default model and solver,
+  // without bounds: §1's alpha21164 row and §§2 to 3b all read these.
+  const AlignmentOptions Defaults;
+  const MachineModel &Alpha = Defaults.Model;
+  const ProgramAlignment EqnA = alignFirstDataSet(Eqn, Alpha);
+  const ProgramAlignment DodA = alignFirstDataSet(Dod, Alpha);
 
   // --- 1. Machine-model sensitivity -------------------------------------
   {
@@ -84,17 +92,19 @@ int main() {
     T.addColumn("model");
     T.addColumn("eqn.fx tsp pen", TextTable::AlignKind::Right);
     T.addColumn("dod.re tsp pen", TextTable::AlignKind::Right);
-    for (const MachineModel &Model :
-         {MachineModel::alpha21164(), MachineModel::deepPipeline(),
-          MachineModel::cheapBranch()}) {
-      ProgramAlignment E = alignFirstDataSet(Eqn, Model);
-      ProgramAlignment D = alignFirstDataSet(Dod, Model);
-      T.addRow({Model.Name,
+    auto AddRow = [&T](const std::string &Model, const ProgramAlignment &E,
+                       const ProgramAlignment &D) {
+      T.addRow({Model,
                 formatNormalized(normalized(E.totalTspPenalty(),
                                             E.totalOriginalPenalty())),
                 formatNormalized(normalized(D.totalTspPenalty(),
                                             D.totalOriginalPenalty()))});
-    }
+    };
+    AddRow(Alpha.Name, EqnA, DodA);
+    for (const MachineModel &Model :
+         {MachineModel::deepPipeline(), MachineModel::cheapBranch()})
+      AddRow(Model.Name, alignFirstDataSet(Eqn, Model),
+             alignFirstDataSet(Dod, Model));
     std::printf("-- machine models (normalized TSP penalty; lower = more "
                 "headroom exploited) --\n%s\n",
                 T.render().c_str());
@@ -102,10 +112,6 @@ int main() {
 
   // --- 2. BTFNT hardware prediction -------------------------------------
   {
-    AlignmentOptions Options;
-    Options.ComputeBounds = false;
-    ProgramAlignment A = alignProgram(Dod.Prog, Dod.DataSets[0].Profile,
-                                      Options);
     TextTable T;
     T.addColumn("prediction");
     T.addColumn("orig cycles", TextTable::AlignKind::Right);
@@ -118,10 +124,10 @@ int main() {
       for (size_t P = 0; P != Dod.Prog.numProcedures(); ++P) {
         MatsOrig.push_back(materializeLayout(
             Dod.Prog.proc(P), Layout::original(Dod.Prog.proc(P)),
-            Dod.DataSets[0].Profile.Procs[P], Options.Model));
+            Dod.DataSets[0].Profile.Procs[P], Alpha));
         MatsTsp.push_back(materializeLayout(
-            Dod.Prog.proc(P), A.Procs[P].TspLayout,
-            Dod.DataSets[0].Profile.Procs[P], Options.Model));
+            Dod.Prog.proc(P), DodA.Procs[P].TspLayout,
+            Dod.DataSets[0].Profile.Procs[P], Alpha));
       }
       SimConfig Config;
       Config.Predictor = Kind;
@@ -145,10 +151,6 @@ int main() {
 
   // --- 2b. Branch target buffer -----------------------------------------
   {
-    AlignmentOptions Options;
-    Options.ComputeBounds = false;
-    ProgramAlignment A = alignProgram(Eqn.Prog, Eqn.DataSets[0].Profile,
-                                      Options);
     TextTable T;
     T.addColumn("frontend");
     T.addColumn("orig cycles", TextTable::AlignKind::Right);
@@ -159,10 +161,10 @@ int main() {
       for (size_t P = 0; P != Eqn.Prog.numProcedures(); ++P) {
         MatsOrig.push_back(materializeLayout(
             Eqn.Prog.proc(P), Layout::original(Eqn.Prog.proc(P)),
-            Eqn.DataSets[0].Profile.Procs[P], Options.Model));
+            Eqn.DataSets[0].Profile.Procs[P], Alpha));
         MatsTsp.push_back(materializeLayout(
-            Eqn.Prog.proc(P), A.Procs[P].TspLayout,
-            Eqn.DataSets[0].Profile.Procs[P], Options.Model));
+            Eqn.Prog.proc(P), EqnA.Procs[P].TspLayout,
+            Eqn.DataSets[0].Profile.Procs[P], Alpha));
       }
       SimConfig Config;
       Config.UseBtb = UseBtb;
@@ -183,25 +185,22 @@ int main() {
 
   // --- 3. The aligner ladder ----------------------------------------------
   {
-    MachineModel Alpha = MachineModel::alpha21164();
     TextTable T;
     T.addColumn("aligner");
     T.addColumn("eqn.fx pen", TextTable::AlignKind::Right);
     T.addColumn("dod.re pen", TextTable::AlignKind::Right);
-    ProgramAlignment E = alignFirstDataSet(Eqn, Alpha);
-    ProgramAlignment D = alignFirstDataSet(Dod, Alpha);
     T.addRow({"greedy",
-              formatNormalized(normalized(E.totalGreedyPenalty(),
-                                          E.totalOriginalPenalty())),
-              formatNormalized(normalized(D.totalGreedyPenalty(),
-                                          D.totalOriginalPenalty()))});
+              formatNormalized(normalized(EqnA.totalGreedyPenalty(),
+                                          EqnA.totalOriginalPenalty())),
+              formatNormalized(normalized(DodA.totalGreedyPenalty(),
+                                          DodA.totalOriginalPenalty()))});
     T.addRow({"cg", formatNormalized(normalizedCgPenalty(Eqn, Alpha)),
               formatNormalized(normalizedCgPenalty(Dod, Alpha))});
     T.addRow({"tsp",
-              formatNormalized(normalized(E.totalTspPenalty(),
-                                          E.totalOriginalPenalty())),
-              formatNormalized(normalized(D.totalTspPenalty(),
-                                          D.totalOriginalPenalty()))});
+              formatNormalized(normalized(EqnA.totalTspPenalty(),
+                                          EqnA.totalOriginalPenalty())),
+              formatNormalized(normalized(DodA.totalTspPenalty(),
+                                          DodA.totalOriginalPenalty()))});
     std::printf("-- aligner ladder (normalized penalty, alpha21164) "
                 "--\n%s\n",
                 T.render().c_str());
@@ -209,34 +208,30 @@ int main() {
 
   // --- 3b. Trace-driven prediction-outcome costs (Section 6) -------------
   {
-    // Align dod.re twice: with the static cost model and with costs
-    // derived from a trace-driven bimodal-predictor simulation (the
-    // paper's proposed refinement); judge both under the bimodal
-    // simulator.
-    AlignmentOptions Options;
-    Options.ComputeBounds = false;
+    // Judge dod.re's default alignment (the static cost model) against
+    // one re-solved with costs derived from a trace-driven
+    // bimodal-predictor simulation (the paper's proposed refinement),
+    // both under the bimodal simulator.
     const WorkloadDataSet &Ds = Dod.DataSets[0];
-    ProgramAlignment Static = alignProgram(Dod.Prog, Ds.Profile, Options);
 
     std::vector<MaterializedLayout> MatsStatic, MatsDynamic;
     for (size_t P = 0; P != Dod.Prog.numProcedures(); ++P) {
       const Procedure &Proc = Dod.Prog.proc(P);
       const ProcedureProfile &Profile = Ds.Profile.Procs[P];
       MatsStatic.push_back(materializeLayout(
-          Proc, Static.Procs[P].TspLayout, Profile, Options.Model));
+          Proc, DodA.Procs[P].TspLayout, Profile, Alpha));
       // Dynamic costs: measure outcomes on the original layout, build
       // the generalized Section 2.2 matrix, re-solve.
-      MaterializedLayout OrigMat = materializeLayout(
-          Proc, Layout::original(Proc), Profile, Options.Model);
+      MaterializedLayout OrigMat =
+          materializeLayout(Proc, Layout::original(Proc), Profile, Alpha);
       OutcomeCounts Outcomes =
           collectOutcomeCounts(Proc, OrigMat, Ds.Traces[P]);
-      AlignmentTsp Atsp = buildOutcomeTsp(Proc, Outcomes, Options.Model);
-      IteratedOptOptions SolverOptions = Options.Solver;
+      AlignmentTsp Atsp = buildOutcomeTsp(Proc, Outcomes, Alpha);
+      IteratedOptOptions SolverOptions = Defaults.Solver;
       SolverOptions.Seed = 0xd15c + P;
       DtspSolution Solution = solveDirectedTsp(Atsp.Tsp, SolverOptions);
       MatsDynamic.push_back(materializeLayout(
-          Proc, layoutFromTour(Proc, Atsp, Solution.Tour), Profile,
-          Options.Model));
+          Proc, layoutFromTour(Proc, Atsp, Solution.Tour), Profile, Alpha));
     }
     SimConfig Config;
     Config.Predictor = PredictorKind::Bimodal2Bit;

@@ -5,8 +5,8 @@
 // The paper's Table 4, Figures 2 and 3 and its Appendix all come from one
 // alignment of the twelve data sets and that alignment's Held-Karp and AP
 // bounds. This harness builds the suite once, aligns every data set once
-// with the default options (bounds on), and prints five sections from
-// those cells, in this order:
+// with the default options (bounds on) on every core, and prints five
+// sections from those cells, in this order:
 //
 //  * Table 1: each benchmark and data set with the number of branch sites
 //    touched and executed branch instructions. Our traces are scaled to
@@ -517,6 +517,7 @@ void printAppendix(const std::vector<AlignedCell> &Cells,
 int main() {
   std::vector<WorkloadInstance> Suite = buildSuite();
   AlignmentOptions Options;
+  Options.Threads = 0; // Every core; the cells are the same at any count.
   std::vector<AlignedCell> Cells = alignSuite(Suite, Options);
 
   printTable1(Suite);

@@ -75,6 +75,7 @@
 #include "static/Lint.h"
 #include "support/Flags.h"
 #include "support/Format.h"
+#include "support/ThreadPool.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
@@ -188,7 +189,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
     }
     if (Arg == "--threads") {
       uint64_t N = 0;
-      if (!needInt("--threads", N, UINT32_MAX))
+      if (!needInt("--threads", N, MaxToolThreads))
         return false;
       Options.Threads = static_cast<unsigned>(N);
     } else if (Arg == "--profile") {
@@ -307,10 +308,10 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "(quick or full, bounds\n"
                   "                always on) and print one summary line; "
                   "exit 1 on errors\n"
-                  "  --threads N   pipeline worker threads "
-                  "(0 = all hardware threads, 1 = serial;\n"
-                  "                results are identical at every "
-                  "setting)\n"
+                  "  --threads N   pipeline worker threads, 0 to 1024 "
+                  "(0 = all hardware threads,\n"
+                  "                1 = serial; results are identical at "
+                  "every setting)\n"
                   "  --cache DIR   persist per-procedure results under "
                   "DIR; unchanged inputs are\n"
                   "                replayed without re-solving "

@@ -8,7 +8,8 @@
 // the same TSP machinery (the Section 6 interprocedural future-work
 // direction), and show how each level contributes to simulated cycles.
 //
-// Usage: placement_study [benchmark] [--threads N] (default xli)
+// Usage: placement_study [benchmark] [--threads N] (default xli; N is
+// 0 to 1024, 0 = all hardware threads)
 //
 //===--------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "support/Flags.h"
 #include "support/Format.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
@@ -34,14 +36,15 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--threads") {
       uint64_t N = 0;
-      if (!flagUInt("--threads", Argc, Argv, I, N, UINT32_MAX))
+      if (!flagUInt("--threads", Argc, Argv, I, N, MaxToolThreads))
         return 1;
       Threads = static_cast<unsigned>(N);
     } else if (!Arg.empty() && Arg[0] != '-') {
       Benchmark = Arg;
     } else {
       std::fprintf(stderr, "usage: placement_study [benchmark] "
-                   "[--threads N]\n");
+                   "[--threads N]  (N in 0..1024, 0 = all hardware "
+                   "threads)\n");
       return 1;
     }
   }

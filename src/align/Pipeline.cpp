@@ -11,13 +11,14 @@
 #include "support/ThreadPool.h"
 #include "trace/Scope.h"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 
 using namespace balign;
 
 AlignmentAborted::AlignmentAborted(ProcedureFailure F)
-    : std::runtime_error(F.str()), Failure(std::move(F)) {}
+    : std::runtime_error(F.cause()), Failure(std::move(F)) {}
 
 const char *balign::primaryAlignerName(PrimaryAligner Primary) {
   switch (Primary) {
@@ -260,10 +261,11 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
 }
 
 /// The degradation ladder (balign-shield): called after the full path
-/// failed with \p Failure. Resets any partial full-path state, then
-/// ships the greedy layout (retrying the greedy aligner — it may itself
-/// be the failing stage) or, failing that, the original order, which is
-/// always available. Under OnErrorPolicy::Skip the ladder is not walked.
+/// failed with \p Failure, under OnErrorPolicy::Fallback or Skip. Resets
+/// any partial full-path state, then ships the greedy layout (retrying
+/// the greedy aligner — it may itself be the failing stage) or, failing
+/// that, the original order, which is always available. Under Skip the
+/// ladder is not walked and the original ships.
 void fallbackProcedure(const Procedure &Proc, const ProcedureProfile &Profile,
                        const AlignmentOptions &Options, ProcedureTask &Task,
                        ProcedureFailure Failure) {
@@ -361,6 +363,12 @@ ProcedureTask alignOneProcedure(const Procedure &Proc,
   Failure.ProcName = Proc.getName();
   Failure.Kind = Kind;
   Failure.What = std::move(What);
+  // Under Abort the drain throws the first failure and no layout ships,
+  // so the ladder is not walked.
+  if (Options.OnError == OnErrorPolicy::Abort) {
+    Task.Failure = std::move(Failure);
+    return Task;
+  }
   fallbackProcedure(Proc, Profile, Options, Task, std::move(Failure));
   return Task;
 }
@@ -412,13 +420,15 @@ ProgramAlignment balign::alignProgram(const Program &Prog,
     Tasks[I] = alignOneProcedure(Prog.proc(I), Train.Procs[I], Options, I,
                                  KeepArtifacts);
   };
-  unsigned Threads =
-      Options.Threads == 0 ? ThreadPool::hardwareThreads() : Options.Threads;
-  if (Threads <= 1 || NumProcs <= 1) {
+  // More workers than procedures would only idle.
+  size_t Threads = std::min<size_t>(
+      Options.Threads == 0 ? ThreadPool::hardwareThreads() : Options.Threads,
+      NumProcs);
+  if (Threads <= 1) {
     for (size_t I = 0; I != NumProcs; ++I)
       RunOne(I);
   } else {
-    ThreadPool Pool(Threads);
+    ThreadPool Pool(static_cast<unsigned>(Threads));
     parallelFor(Pool, 0, NumProcs, RunOne);
   }
 

@@ -113,7 +113,9 @@ public:
 enum class OnErrorPolicy : uint8_t {
   /// Propagate the first failure (program order) out of alignProgram as
   /// AlignmentAborted. The default: failures stay loud unless the
-  /// caller opts into degradation.
+  /// caller opts into degradation. No ladder is walked, since nothing
+  /// ships; every procedure still runs, so an aborted run's counters,
+  /// spans and cache stores do not depend on the thread count.
   Abort,
   /// Walk the degradation ladder: retry with the greedy aligner, then
   /// fall back to the original layout. The run completes; every
@@ -126,7 +128,7 @@ enum class OnErrorPolicy : uint8_t {
 
 /// Thrown by alignProgram under OnErrorPolicy::Abort: carries the first
 /// per-procedure failure in program order (deterministic at any thread
-/// count).
+/// count); its what() is the failure's cause(), with no rung.
 class AlignmentAborted : public std::runtime_error {
 public:
   explicit AlignmentAborted(ProcedureFailure F);
@@ -250,10 +252,11 @@ struct AlignmentOptions {
   /// Worker threads for the per-procedure stages (greedy, matrix build,
   /// DTSP solve, bounds): 1 runs everything on the calling thread, 0
   /// uses one worker per hardware thread, any other value that many
-  /// workers. Results are bit-identical for every setting — each
-  /// procedure's solver stream is derived from the root seed, not from
-  /// scheduling — and AfterProcedure always runs on the calling thread,
-  /// in program order (see ProcedureHook).
+  /// workers, never more than the program has procedures. Results are
+  /// bit-identical for every setting — each procedure's solver stream
+  /// is derived from the root seed, not from scheduling — and
+  /// AfterProcedure always runs on the calling thread, in program order
+  /// (see ProcedureHook).
   unsigned Threads = 1;
 
   /// Verification instrumentation; empty (and free) by default.

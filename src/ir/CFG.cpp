@@ -41,22 +41,6 @@ std::vector<std::vector<BlockId>> Procedure::computePredecessors() const {
   return Preds;
 }
 
-uint64_t Procedure::totalInstructions() const {
-  uint64_t Sum = 0;
-  for (const BasicBlock &Block : Blocks)
-    Sum += Block.InstrCount;
-  return Sum;
-}
-
-size_t Procedure::numBranchSites() const {
-  size_t Count = 0;
-  for (const BasicBlock &Block : Blocks)
-    if (Block.Kind == TerminatorKind::Conditional ||
-        Block.Kind == TerminatorKind::Multiway)
-      ++Count;
-  return Count;
-}
-
 static bool fail(std::string *Error, std::string Message) {
   if (Error)
     *Error = std::move(Message);

@@ -116,13 +116,6 @@ public:
   /// The entry block; always block 0.
   BlockId entry() const { return 0; }
 
-  /// Total instruction count over all blocks.
-  uint64_t totalInstructions() const;
-
-  /// Number of blocks ending in a conditional or multiway branch; the
-  /// paper's "branch sites" unit (Table 1 counts executed sites).
-  size_t numBranchSites() const;
-
   /// Checks structural invariants; on failure returns false and stores a
   /// diagnostic in \p Error (may be null). Invariants: at least one
   /// block; successor counts match terminator kinds; conditional

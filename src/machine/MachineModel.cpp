@@ -4,16 +4,6 @@
 
 using namespace balign;
 
-const char *balign::branchEncodingName(BranchEncoding Encoding) {
-  switch (Encoding) {
-  case BranchEncoding::Fixed:
-    return "fixed";
-  case BranchEncoding::ShortLong:
-    return "short-long";
-  }
-  return "unknown";
-}
-
 bool balign::parseBranchEncoding(const std::string &Name,
                                  BranchEncoding &Out) {
   if (Name == "fixed") {

@@ -67,10 +67,8 @@ enum class BranchEncoding : uint8_t {
   ShortLong = 1,
 };
 
-/// Stable flag spelling ("fixed" / "short-long").
-const char *branchEncodingName(BranchEncoding Encoding);
-
-/// Parses a branchEncodingName spelling; returns false on unknown names.
+/// Parses a flag spelling, "fixed" or "short-long"; returns false on
+/// unknown names.
 bool parseBranchEncoding(const std::string &Name, BranchEncoding &Out);
 
 /// Ext-TSP objective parameters (Newell/Pupyrev, "Improved Basic Block

@@ -12,16 +12,6 @@ using namespace balign;
 
 ObjectiveFn::~ObjectiveFn() = default;
 
-const char *balign::objectiveKindName(ObjectiveKind Kind) {
-  switch (Kind) {
-  case ObjectiveKind::Fallthrough:
-    return "fallthrough";
-  case ObjectiveKind::ExtTsp:
-    return "exttsp";
-  }
-  return "unknown";
-}
-
 bool balign::parseObjectiveKind(const std::string &Name, ObjectiveKind &Out) {
   if (Name == "fallthrough") {
     Out = ObjectiveKind::Fallthrough;

@@ -40,10 +40,8 @@ enum class ObjectiveKind : uint8_t {
   ExtTsp = 1,      ///< Windowed locality score (Newell/Pupyrev).
 };
 
-/// Stable flag spelling ("fallthrough" / "exttsp").
-const char *objectiveKindName(ObjectiveKind Kind);
-
-/// Parses an objectiveKindName spelling; returns false on unknown names.
+/// Parses a flag spelling, "fallthrough" or "exttsp"; returns false on
+/// unknown names.
 bool parseObjectiveKind(const std::string &Name, ObjectiveKind &Out);
 
 /// A score over arrangements of basic blocks; higher is better.

@@ -38,13 +38,6 @@ size_t ProcedureProfile::branchSitesTouched(const Procedure &Proc) const {
   return Count;
 }
 
-uint64_t ProcedureProfile::dynamicInstructions(const Procedure &Proc) const {
-  uint64_t Sum = 0;
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-    Sum += BlockCounts[Id] * Proc.block(Id).InstrCount;
-  return Sum;
-}
-
 size_t ProcedureProfile::hottestSuccessor(BlockId From) const {
   const std::vector<uint64_t> &Counts = EdgeCounts[From];
   assert(!Counts.empty() && "block has no successors");
@@ -53,19 +46,6 @@ size_t ProcedureProfile::hottestSuccessor(BlockId From) const {
     if (Counts[I] > Counts[Best])
       Best = I;
   return Best;
-}
-
-bool ProcedureProfile::isFlowConsistent(const Procedure &Proc) const {
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
-    if (Proc.block(Id).Kind == TerminatorKind::Return)
-      continue;
-    uint64_t OutSum = 0;
-    for (uint64_t Count : EdgeCounts[Id])
-      OutSum += Count;
-    if (OutSum != BlockCounts[Id])
-      return false;
-  }
-  return true;
 }
 
 bool ProcedureProfile::shapeMatches(const Procedure &Proc) const {
@@ -89,12 +69,5 @@ size_t ProgramProfile::branchSitesTouched(const Program &Prog) const {
   size_t Sum = 0;
   for (size_t I = 0; I != Procs.size(); ++I)
     Sum += Procs[I].branchSitesTouched(Prog.proc(I));
-  return Sum;
-}
-
-uint64_t ProgramProfile::dynamicInstructions(const Program &Prog) const {
-  uint64_t Sum = 0;
-  for (size_t I = 0; I != Procs.size(); ++I)
-    Sum += Procs[I].dynamicInstructions(Prog.proc(I));
   return Sum;
 }

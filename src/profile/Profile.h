@@ -52,10 +52,6 @@ struct ProcedureProfile {
   /// paper's "branch sites touched", Table 1).
   size_t branchSitesTouched(const Procedure &Proc) const;
 
-  /// Total dynamic instruction count (sum over blocks of
-  /// BlockCounts[B] * InstrCount).
-  uint64_t dynamicInstructions(const Procedure &Proc) const;
-
   /// Executions of block \p Id.
   uint64_t blockCount(BlockId Id) const { return BlockCounts[Id]; }
 
@@ -68,10 +64,6 @@ struct ProcedureProfile {
   /// broken toward the lower index so results are deterministic).
   /// Returns 0 for blocks with successors but no executions.
   size_t hottestSuccessor(BlockId From) const;
-
-  /// Checks the internal consistency invariant: for every non-return
-  /// block, the outgoing edge counts sum to the block count.
-  bool isFlowConsistent(const Procedure &Proc) const;
 
   /// True if the profile's vectors are shaped exactly like \p Proc:
   /// one block count per block and one edge-count list per block whose
@@ -88,7 +80,6 @@ struct ProgramProfile {
 
   uint64_t executedBranches(const Program &Prog) const;
   size_t branchSitesTouched(const Program &Prog) const;
-  uint64_t dynamicInstructions(const Program &Prog) const;
 };
 
 } // namespace balign

@@ -268,81 +268,3 @@ ProcedureProfile balign::walkProfile(const Procedure &Proc,
   }
   return Profile;
 }
-
-ProcedureProfile balign::collectProfile(const Procedure &Proc,
-                                        const ExecutionTrace &Trace) {
-  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
-  for (size_t I = 0; I != Trace.Blocks.size(); ++I) {
-    BlockId Current = Trace.Blocks[I];
-    ++Profile.BlockCounts[Current];
-    if (Proc.block(Current).Kind == TerminatorKind::Return)
-      continue; // Next trace element (if any) starts a new invocation.
-    if (I + 1 == Trace.Blocks.size())
-      continue; // A hand-built trace may end mid-invocation.
-    BlockId Next = Trace.Blocks[I + 1];
-    const std::vector<BlockId> &Succs = Proc.successors(Current);
-    // In a walk's trace a non-return block is always followed by one of
-    // its CFG successors. A hand-built trace may break an invocation off
-    // before its return; the pair then counts only if the next block
-    // happens to be a successor.
-    for (size_t S = 0; S != Succs.size(); ++S) {
-      if (Succs[S] == Next) {
-        ++Profile.EdgeCounts[Current][S];
-        break;
-      }
-    }
-  }
-  return Profile;
-}
-
-ProcedureProfile balign::expectedProfile(const Procedure &Proc,
-                                         const BranchBehavior &Behavior,
-                                         uint64_t Invocations,
-                                         double LoopTolerance) {
-  assert(Behavior.isValid(Proc) && "behavior does not match procedure");
-  size_t N = Proc.numBlocks();
-  std::vector<double> Flow(N, 0.0);
-
-  // Power iteration: repeatedly push the entry mass through the chain
-  // until the residual change drops below tolerance.
-  std::vector<double> In(N, 0.0);
-  In[Proc.entry()] = static_cast<double>(Invocations);
-  std::vector<double> Next(N, 0.0);
-  for (unsigned Iter = 0; Iter != 100000; ++Iter) {
-    double Moved = 0.0;
-    std::fill(Next.begin(), Next.end(), 0.0);
-    for (BlockId Id = 0; Id != N; ++Id) {
-      double Mass = In[Id];
-      if (Mass == 0.0)
-        continue;
-      Flow[Id] += Mass;
-      const std::vector<BlockId> &Succs = Proc.successors(Id);
-      for (size_t S = 0; S != Succs.size(); ++S) {
-        double Push = Mass * Behavior.Probs[Id][S];
-        Next[Succs[S]] += Push;
-        Moved += Push;
-      }
-    }
-    std::swap(In, Next);
-    if (Moved < LoopTolerance)
-      break;
-  }
-
-  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
-  for (BlockId Id = 0; Id != N; ++Id) {
-    const std::vector<BlockId> &Succs = Proc.successors(Id);
-    uint64_t OutSum = 0;
-    for (size_t S = 0; S != Succs.size(); ++S) {
-      uint64_t Count = static_cast<uint64_t>(
-          std::llround(Flow[Id] * Behavior.Probs[Id][S]));
-      Profile.EdgeCounts[Id][S] = Count;
-      OutSum += Count;
-    }
-    // Keep the flow-consistency invariant exactly: a block executes as
-    // often as its out-edges fire; returns execute per rounded inflow.
-    Profile.BlockCounts[Id] =
-        Succs.empty() ? static_cast<uint64_t>(std::llround(Flow[Id]))
-                      : OutSum;
-  }
-  return Profile;
-}

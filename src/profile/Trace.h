@@ -89,21 +89,6 @@ ProcedureProfile walkProfile(const Procedure &Proc,
                              ExecutionTrace *Trace = nullptr,
                              const Deadline *Limit = nullptr);
 
-/// Derives edge/block counts from a trace. Every adjacent pair in the
-/// trace within one invocation contributes one edge count. For a walk's
-/// recorded trace this equals the profile the walk returned.
-ProcedureProfile collectProfile(const Procedure &Proc,
-                                const ExecutionTrace &Trace);
-
-/// Builds a profile directly from expected edge frequencies without
-/// materializing a trace: BlockCounts/EdgeCounts are the expected counts
-/// of a random walk, computed by flow propagation from the entry with
-/// \p Invocations entries. Useful for tests that need an exactly
-/// flow-consistent profile.
-ProcedureProfile expectedProfile(const Procedure &Proc,
-                                 const BranchBehavior &Behavior,
-                                 uint64_t Invocations, double LoopTolerance);
-
 } // namespace balign
 
 #endif // BALIGN_PROFILE_TRACE_H

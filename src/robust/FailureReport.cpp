@@ -34,11 +34,16 @@ const char *balign::failureKindName(FailureKind Kind) {
   return "?";
 }
 
-std::string ProcedureFailure::str() const {
+std::string ProcedureFailure::cause() const {
   std::string Out = "proc '" + escapeControlBytes(ProcName) + "': ";
   Out += failureKindName(Kind);
   Out += ": ";
   Out += What;
+  return Out;
+}
+
+std::string ProcedureFailure::str() const {
+  std::string Out = cause();
   Out += Skipped ? "; skipped (rung=" : "; rung=";
   Out += ladderRungName(Rung);
   if (Skipped)

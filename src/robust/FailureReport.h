@@ -10,9 +10,10 @@
 /// exception, a deadline expiry, a resource-cap trip — it lands here as a
 /// structured ProcedureFailure naming the procedure, what went wrong, and
 /// which degradation-ladder rung produced the layout that shipped
-/// instead. The report is part of ProgramAlignment, so callers (and the
-/// balign-verify bridge) see exactly what degraded without grepping
-/// stderr.
+/// instead. Under OnErrorPolicy::Abort nothing ships, so the ladder is
+/// not walked and the failure carries no rung. The report is part of
+/// ProgramAlignment, so callers (and the balign-verify bridge) see
+/// exactly what degraded without grepping stderr.
 ///
 /// The ladder follows the literature's practice of falling back to
 /// cheaper orderings when the expensive optimization is infeasible:
@@ -62,10 +63,17 @@ struct ProcedureFailure {
   std::string ProcName;     ///< Its name, for human-readable reports.
   FailureKind Kind = FailureKind::Exception;
   std::string What;         ///< The exception's what() / guard message.
-  LadderRung Rung = LadderRung::Original; ///< Rung that shipped instead.
+  /// Rung that shipped instead; left at Original under
+  /// OnErrorPolicy::Abort, where nothing ships.
+  LadderRung Rung = LadderRung::Original;
   bool Skipped = false;     ///< True under OnErrorPolicy::Skip.
 
-  /// "proc 'f': deadline: ...; rung=greedy" one-line rendering.
+  /// "proc 'f': deadline: ..." — the failure without a rung, which is
+  /// AlignmentAborted's message.
+  std::string cause() const;
+
+  /// cause() plus the rung that shipped: "proc 'f': deadline: ...;
+  /// rung=greedy" (or "...; skipped (rung=original)").
   std::string str() const;
 };
 

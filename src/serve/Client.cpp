@@ -3,7 +3,6 @@
 #include "serve/Client.h"
 
 #include "robust/FaultInjector.h"
-#include "support/Hash.h"
 
 #include <cerrno>
 #include <cstring>
@@ -22,13 +21,6 @@ bool fail(std::string *Error, const std::string &Reason) {
 }
 
 } // namespace
-
-uint64_t balign::requestFingerprint(const AlignRequest &Request) {
-  // FNV-1a + splitmix64 finalizer over the exact wire bytes, so the
-  // fingerprint pins what actually crosses the socket.
-  std::string Wire = encodeAlignRequest(Request);
-  return splitMix64Mix(fnv1a64(Wire.data(), Wire.size()));
-}
 
 ServeClient &ServeClient::operator=(ServeClient &&Other) noexcept {
   if (this != &Other) {
@@ -142,7 +134,7 @@ bool ServeClient::alignWithRetry(const std::string &Path,
                                  const RetryPolicy &Policy,
                                  std::string *Error, const SleepFn &Sleep) {
   // Encode once: every attempt resends these exact bytes, which is what
-  // makes the resend idempotent (requestFingerprint pins them).
+  // makes the resend idempotent.
   Frame RequestFrame =
       makeFrame(FrameType::Align, encodeAlignRequest(Request));
   Frame Response;

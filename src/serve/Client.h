@@ -22,14 +22,6 @@
 
 namespace balign {
 
-/// Stable 64-bit fingerprint over an align request's encoded wire
-/// bytes: the idempotency key of alignWithRetry. Two requests with the
-/// same fingerprint are byte-identical on the wire, so resending one
-/// after a server restart re-asks exactly the same question — and the
-/// server's content-addressed cache answers the repeat from the entry
-/// the first attempt (if it got that far) already stored.
-uint64_t requestFingerprint(const AlignRequest &Request);
-
 /// One client connection. Movable, not copyable; owns its descriptors
 /// unless adopted via wrap().
 class ServeClient {
@@ -79,11 +71,12 @@ public:
   /// One align call that survives a server restart: on any *transport*
   /// failure — connect refused, the server dying mid-frame — the
   /// connection is torn down, re-established against \p Path, and the
-  /// byte-identical request (see requestFingerprint) is resent, up to
-  /// Policy.MaxAttempts with deterministic backoff. A server Error
-  /// *frame* is a definitive answer and is never retried; it fails the
-  /// call with "code: message" like align(). May be called without an
-  /// existing connection.
+  /// byte-identical request is resent, up to Policy.MaxAttempts with
+  /// deterministic backoff; the server's content-addressed cache answers
+  /// a repeat from the entry the first attempt (if it got that far)
+  /// already stored. A server Error *frame* is a definitive answer and
+  /// is never retried; it fails the call with "code: message" like
+  /// align(). May be called without an existing connection.
   bool alignWithRetry(const std::string &Path, const AlignRequest &Request,
                       std::string &Report, const RetryPolicy &Policy,
                       std::string *Error = nullptr,

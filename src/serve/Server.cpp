@@ -14,8 +14,10 @@
 #include <cstring>
 #include <fcntl.h>
 #include <future>
+#include <list>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <system_error>
 #include <unistd.h>
 
 using namespace balign;
@@ -388,7 +390,14 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
   ListenFd.store(Fd);
   std::fprintf(stderr, "serve: listening on %s\n", Path.c_str());
 
-  std::vector<std::thread> Connections;
+  // One thread per connection. Each flags itself done as it ends, and
+  // the loop joins the finished ones at every accept, so a long-lived
+  // server keeps no exited thread (nor its stack mapping) around.
+  struct Connection {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Connection> Connections;
   while (!Stopping.load()) {
     int Client = ::accept(Fd, nullptr, nullptr);
     if (Client < 0) {
@@ -396,10 +405,27 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
         continue;
       break; // Shutdown closed the listener (or it broke for real).
     }
-    Connections.emplace_back([this, Client] {
-      serveConnection(Client, Client);
+    for (auto It = Connections.begin(); It != Connections.end();) {
+      if (!It->Done.load()) {
+        ++It;
+        continue;
+      }
+      It->Thread.join();
+      It = Connections.erase(It);
+    }
+    Connection &Conn = Connections.emplace_back();
+    try {
+      Conn.Thread = std::thread([this, Client, &Done = Conn.Done] {
+        serveConnection(Client, Client);
+        ::close(Client);
+        Done.store(true);
+      });
+    } catch (const std::system_error &E) {
+      // No thread for this client: refuse it and keep serving the rest.
+      std::fprintf(stderr, "serve: dropped a connection: %s\n", E.what());
+      Connections.pop_back();
       ::close(Client);
-    });
+    }
   }
   if (Draining.load()) {
     // Supervised drain: give in-flight connections DrainTimeoutMs to
@@ -415,8 +441,8 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  for (std::thread &T : Connections)
-    T.join();
+  for (Connection &Conn : Connections)
+    Conn.Thread.join();
   ListenFd.store(-1);
   ::close(Fd);
   ::unlink(Path.c_str());

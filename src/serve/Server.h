@@ -20,12 +20,14 @@
 ///    request would grow without bound over a server's lifetime.
 ///
 /// Ownership/threading model: the accept loop spawns one thread per
-/// connection; the connection thread reads frames in order, answers
-/// ping/metrics/shutdown inline, and blocks on the pool future for each
-/// align request (so one connection sees its responses in request
-/// order; concurrency comes from multiple connections). A protocol
-/// error on a connection closes that connection after a best-effort
-/// error frame — it never touches the server or its siblings.
+/// connection and joins the finished ones at each accept, so exited
+/// connections hold no thread; the connection thread reads frames in
+/// order, answers ping/metrics/shutdown inline, and blocks on the pool
+/// future for each align request (so one connection sees its responses
+/// in request order; concurrency comes from multiple connections). A
+/// protocol error on a connection closes that connection after a
+/// best-effort error frame — it never touches the server or its
+/// siblings.
 ///
 //===--------------------------------------------------------------------===//
 

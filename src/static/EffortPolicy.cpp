@@ -9,18 +9,6 @@
 
 using namespace balign;
 
-const char *balign::effortPolicyName(EffortPolicy Policy) {
-  switch (Policy) {
-  case EffortPolicy::Uniform:
-    return "uniform";
-  case EffortPolicy::Scaled:
-    return "scaled";
-  case EffortPolicy::ScaledColdGreedy:
-    return "scaled-cold-greedy";
-  }
-  return "?";
-}
-
 bool balign::parseEffortPolicy(const std::string &Name, EffortPolicy &Out) {
   if (Name == "uniform")
     Out = EffortPolicy::Uniform;

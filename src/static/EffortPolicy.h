@@ -76,11 +76,8 @@ EffortDecision decideEffort(const Procedure &Proc,
                             const IteratedOptOptions &Base,
                             EffortPolicy Policy);
 
-/// Returns "uniform", "scaled", or "scaled-cold-greedy".
-const char *effortPolicyName(EffortPolicy Policy);
-
-/// Parses the names effortPolicyName produces. Returns false (leaving
-/// \p Out alone) on anything else.
+/// Parses "uniform", "scaled" or "scaled-cold-greedy". Returns false
+/// (leaving \p Out alone) on anything else.
 bool parseEffortPolicy(const std::string &Name, EffortPolicy &Out);
 
 } // namespace balign

@@ -3,7 +3,6 @@
 #include "support/Statistics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 using namespace balign;
@@ -15,17 +14,6 @@ double balign::mean(const std::vector<double> &Values) {
   for (double V : Values)
     Sum += V;
   return Sum / static_cast<double>(Values.size());
-}
-
-double balign::geomean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0.0;
-  double LogSum = 0.0;
-  for (double V : Values) {
-    assert(V > 0.0 && "geomean requires positive values");
-    LogSum += std::log(V);
-  }
-  return std::exp(LogSum / static_cast<double>(Values.size()));
 }
 
 double balign::stddev(const std::vector<double> &Values) {

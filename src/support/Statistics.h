@@ -5,10 +5,10 @@
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// Mean / geometric-mean / percentile helpers used by the benchmark
-/// harnesses when aggregating per-benchmark results into the summary rows
-/// the paper reports (e.g. "greedy removes a mean of 33% of the control
-/// penalty").
+/// Mean / standard-deviation / median / percentile helpers used by the
+/// benchmark harnesses when aggregating per-benchmark results into the
+/// summary rows the paper reports (e.g. "greedy removes a mean of 33% of
+/// the control penalty").
 ///
 //===--------------------------------------------------------------------===//
 
@@ -22,10 +22,6 @@ namespace balign {
 
 /// Arithmetic mean; returns 0 for an empty sample.
 double mean(const std::vector<double> &Values);
-
-/// Geometric mean; all values must be positive. Returns 0 for an empty
-/// sample.
-double geomean(const std::vector<double> &Values);
 
 /// Population standard deviation; returns 0 for fewer than two samples.
 double stddev(const std::vector<double> &Values);

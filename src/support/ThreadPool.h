@@ -34,6 +34,11 @@
 
 namespace balign {
 
+/// The largest worker count a tool's --threads flag accepts. A pool
+/// starts all its workers at once, so an unchecked count could ask for
+/// billions of threads.
+inline constexpr unsigned MaxToolThreads = 1024;
+
 /// Fixed-size work-stealing thread pool.
 class ThreadPool {
 public:

@@ -12,13 +12,6 @@ int64_t DirectedTsp::tourCost(const std::vector<City> &Tour) const {
   return Sum;
 }
 
-int64_t DirectedTsp::walkCost(const std::vector<City> &Walk) const {
-  int64_t Sum = 0;
-  for (size_t I = 0; I + 1 < Walk.size(); ++I)
-    Sum += cost(Walk[I], Walk[I + 1]);
-  return Sum;
-}
-
 std::optional<int64_t> DirectedTsp::totalAbsCost() const {
   int64_t Sum = 0;
   for (City From = 0; From != N; ++From)

@@ -60,9 +60,6 @@ public:
   /// closing edge back to Tour.front()).
   int64_t tourCost(const std::vector<City> &Tour) const;
 
-  /// Cost of the open walk visiting \p Walk in order (no closing edge).
-  int64_t walkCost(const std::vector<City> &Walk) const;
-
   /// Sum of |cost| over all off-diagonal entries, or nullopt if it does
   /// not fit in int64_t; the big-M constants below are sized from it.
   std::optional<int64_t> totalAbsCost() const;

@@ -17,9 +17,7 @@
 #ifndef BALIGN_WORKLOADS_GENERATOR_H
 #define BALIGN_WORKLOADS_GENERATOR_H
 
-#include "analysis/Diagnostics.h"
 #include "ir/CFG.h"
-#include "profile/Profile.h"
 #include "support/Random.h"
 
 #include <string>
@@ -80,64 +78,6 @@ struct GeneratedProcedure {
 /// state).
 GeneratedProcedure generateProcedure(std::string Name,
                                      const GenParams &Params, Rng &Rng);
-
-/// Seeded defect kinds for the balign-lint true-positive corpus. Each
-/// kind mutates a (procedure, profile) pair so that one specific lint
-/// check is guaranteed to fire. Flow defects cascade (a profile lie in
-/// one counter usually breaks several conservation equations), so tests
-/// should assert the returned check is *present*, not *exclusive*.
-enum class DefectKind : uint8_t {
-  /// Appends a two-entry cycle (the textbook irreducible region). The
-  /// CFG stays verify()-legal and the extended profile stays
-  /// flow-consistent, so this is a purely structural finding.
-  IrreducibleLoop,
-
-  /// Appends a single-entry natural loop with no exit edge. Also
-  /// verify()-legal and flow-consistent.
-  NoExitLoop,
-
-  /// Adds a conditional self-edge to a hot block and claims it is
-  /// always taken (the "spinning" profile shape retargeting bugs
-  /// produce).
-  SelfLoopSpin,
-
-  /// Appends a block with no in-edges but a nonzero execution count —
-  /// the signature of a profile collected against a stale CFG. The
-  /// mutated procedure no longer passes Procedure::verify() (and the
-  /// text parser would reject it), so this kind exists for in-memory
-  /// lint corpora only.
-  UnreachableHot,
-
-  /// Zeroes one hot edge count. Flow reconstruction can re-derive the
-  /// missing value, so the profile classifies as repairable.
-  StaleProfile,
-
-  /// Raises one edge count above its source block's execution count;
-  /// no assignment to the remaining unknowns can balance that, so the
-  /// profile classifies as contradictory.
-  ContradictoryProfile,
-
-  /// Pins one hot block count at UINT64_MAX (a wrapped/clamped
-  /// hardware counter).
-  SaturatedCounter,
-
-  /// Raises one hot block count beyond the lint overflow limit while
-  /// staying below saturation.
-  OverflowCounter,
-};
-
-inline constexpr size_t NumDefectKinds = 8;
-
-/// Stable lowercase name ("irreducible-loop", "stale-profile", ...).
-const char *defectKindName(DefectKind Kind);
-
-/// Injects \p Kind into \p Proc / \p Profile (which must shape-match)
-/// and returns the CheckId balign-lint must report for it. Mutation
-/// sites (a hot block, a promotable unconditional block) are chosen
-/// deterministically via \p Rng; the profile is re-shaped alongside any
-/// structural edit so shapeMatches() keeps holding afterwards.
-CheckId seedDefect(DefectKind Kind, Procedure &Proc,
-                   ProcedureProfile &Profile, Rng &Rng);
 
 } // namespace balign
 

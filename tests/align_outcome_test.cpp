@@ -10,6 +10,8 @@
 #include "tsp/IteratedOpt.h"
 #include "workloads/Generator.h"
 
+#include "ProfileOracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;

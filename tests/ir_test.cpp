@@ -5,6 +5,8 @@
 #include "ir/Dot.h"
 #include "ir/TextFormat.h"
 
+#include "ProfileOracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;
@@ -32,8 +34,7 @@ TEST(CFGTest, DiamondShape) {
   Procedure P = makeDiamond();
   EXPECT_EQ(P.numBlocks(), 6u);
   EXPECT_EQ(P.entry(), 0u);
-  EXPECT_EQ(P.numBranchSites(), 1u);
-  EXPECT_EQ(P.totalInstructions(), 2u + 3 + 4 + 5 + 2 + 1);
+  EXPECT_EQ(numBranchSites(P), 1u);
   EXPECT_TRUE(P.verify());
 }
 

@@ -18,9 +18,12 @@
 #include "static/Loops.h"
 #include "workloads/Generator.h"
 
+#include "DefectSeeding.h"
+
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace balign;
@@ -301,10 +304,13 @@ TEST(EffortPolicyTest, ColdGreedyPolicyRoutesTinyProcsToGreedy) {
 }
 
 TEST(EffortPolicyTest, PolicyNamesRoundTrip) {
-  for (EffortPolicy P : {EffortPolicy::Uniform, EffortPolicy::Scaled,
-                         EffortPolicy::ScaledColdGreedy}) {
+  const std::pair<const char *, EffortPolicy> Names[] = {
+      {"uniform", EffortPolicy::Uniform},
+      {"scaled", EffortPolicy::Scaled},
+      {"scaled-cold-greedy", EffortPolicy::ScaledColdGreedy}};
+  for (const auto &[Name, P] : Names) {
     EffortPolicy Parsed = EffortPolicy::Uniform;
-    ASSERT_TRUE(parseEffortPolicy(effortPolicyName(P), Parsed));
+    ASSERT_TRUE(parseEffortPolicy(Name, Parsed)) << Name;
     EXPECT_EQ(Parsed, P);
   }
   EffortPolicy Parsed = EffortPolicy::Uniform;

@@ -268,8 +268,6 @@ TEST(ObjectiveTest, FactoryNamesAndParsingRoundTrip) {
       makeObjective(ObjectiveKind::ExtTsp, Model);
   EXPECT_EQ(Fall->name(), "fallthrough");
   EXPECT_EQ(Ext->name(), "exttsp");
-  EXPECT_STREQ(objectiveKindName(ObjectiveKind::Fallthrough), "fallthrough");
-  EXPECT_STREQ(objectiveKindName(ObjectiveKind::ExtTsp), "exttsp");
 
   ObjectiveKind Kind = ObjectiveKind::Fallthrough;
   EXPECT_TRUE(parseObjectiveKind("exttsp", Kind));

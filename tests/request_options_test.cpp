@@ -16,10 +16,11 @@
 #include "ir/TextFormat.h"
 #include "robust/FaultInjector.h"
 #include "robust/Journal.h"
-#include "serve/Client.h"
 #include "serve/Service.h"
 #include "support/Hash.h"
 #include "support/Random.h"
+
+#include "RequestFingerprint.h"
 
 #include <gtest/gtest.h>
 

@@ -380,6 +380,29 @@ TEST(FailureReportTest, SummaryCountsRungsInTheStableKeyValueForm) {
   EXPECT_NE(Skipped.str().find("skipped"), std::string::npos);
 }
 
+TEST(FailureReportTest, StrIsTheCauseAndTheShippedRung) {
+  ProcedureFailure F;
+  F.ProcIndex = 2;
+  F.ProcName = "f";
+  F.Kind = FailureKind::Deadline;
+  F.What = "iterated 3-Opt exceeded its deadline";
+  // The cause alone is what an abort reports: nothing shipped.
+  EXPECT_EQ("proc 'f': deadline: iterated 3-Opt exceeded its deadline",
+            F.cause());
+  F.Rung = LadderRung::Greedy;
+  EXPECT_EQ("proc 'f': deadline: iterated 3-Opt exceeded its deadline; "
+            "rung=greedy",
+            F.str());
+  F.Rung = LadderRung::Original;
+  EXPECT_EQ("proc 'f': deadline: iterated 3-Opt exceeded its deadline; "
+            "rung=original",
+            F.str());
+  F.Skipped = true;
+  EXPECT_EQ("proc 'f': deadline: iterated 3-Opt exceeded its deadline; "
+            "skipped (rung=original)",
+            F.str());
+}
+
 TEST(FailureReportTest, ControlBytesInProcNameAreEscaped) {
   // align_tool prints the text with %s: a raw NUL would end it there.
   ProcedureFailure F;

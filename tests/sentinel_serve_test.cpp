@@ -21,12 +21,15 @@
 #include "serve/Client.h"
 #include "serve/Oneshot.h"
 
+#include "RequestFingerprint.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <fstream>
 #include <mutex>
 #include <sys/socket.h>
 #include <thread>
@@ -438,6 +441,60 @@ TEST(SentinelServeTest, AlignWithRetrySurvivesServerRestart) {
         << Error;
     ServeThread.join();
   }
+}
+
+TEST(SentinelServeTest, FinishedConnectionThreadsAreJoined) {
+  // Each connection runs on its own thread. One that has exited but was
+  // never joined keeps its stack mapped, so a long-lived server that
+  // joined only at shutdown would grow a mapping or two per connection
+  // until thread creation failed.
+  auto MapsLines = [] {
+    std::ifstream Maps("/proc/self/maps");
+    size_t Lines = 0;
+    for (std::string Line; std::getline(Maps, Line);)
+      ++Lines;
+    return Lines;
+  };
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  AlignServer Server(Base, Config);
+  std::string Sock = chaosSockPath("reap");
+  std::thread ServeThread([&] { Server.serveUnixSocket(Sock); });
+  RetryPolicy Wait;
+  Wait.MaxAttempts = 200;
+  Wait.InitialBackoffMs = 5;
+  Wait.MaxBackoffMs = 5;
+  auto PingOnce = [&] {
+    ServeClient Client;
+    std::string Error;
+    ASSERT_TRUE(Client.connectUnixRetry(Sock, Wait, &Error)) << Error;
+    Frame Response;
+    ASSERT_TRUE(Client.call(makeFrame(FrameType::Ping, "hi"), Response,
+                            &Error))
+        << Error;
+    EXPECT_EQ(FrameType::Pong, Response.Type);
+  };
+
+  // Warm up first: the earliest threads grow per-thread state that
+  // later ones reuse (ThreadSanitizer's runtime keeps the first few dozen
+  // exited threads' state before it recycles any).
+  for (int I = 0; I != 64; ++I)
+    PingOnce();
+  size_t Before = MapsLines();
+  for (int I = 0; I != 64; ++I)
+    PingOnce();
+  size_t After = MapsLines();
+  EXPECT_LT(After, Before + 32) << "mappings grew from " << Before << " to "
+                                << After << " over 64 connections";
+
+  ServeClient Client;
+  std::string Error;
+  ASSERT_TRUE(Client.connectUnix(Sock, &Error)) << Error;
+  Frame Response;
+  ASSERT_TRUE(Client.call(makeFrame(FrameType::Shutdown), Response, &Error))
+      << Error;
+  ServeThread.join();
 }
 
 TEST(SentinelServeTest, RequestFingerprintPinsWireBytes) {

@@ -171,6 +171,37 @@ TEST(ShieldPipelineTest, AbortPolicyThrowsTheFirstFailureInProgramOrder) {
   }
 }
 
+TEST(ShieldPipelineTest, AbortRecordsTheFailureWithoutWalkingTheLadder) {
+  FaultInjector::instance().reset();
+  Program Prog = twoProcs(9);
+  ProgramProfile Train = profileAll(Prog, 15);
+  uint64_t Profiled = 0;
+  for (size_t P = 0; P != Prog.numProcedures(); ++P)
+    Profiled += Train.Procs[P].executedBranches(Prog.proc(P)) != 0;
+  ASSERT_EQ(Profiled, 2u);
+  AlignmentOptions Options; // OnError defaults to Abort.
+
+  ScopedFault Fault(FaultSite::TspSolve, FaultSpec::always());
+  for (unsigned Threads : {1u, 4u}) {
+    Options.Threads = Threads;
+    uint64_t Before = FaultInjector::instance().hits(FaultSite::AlignGreedy);
+    try {
+      alignProgram(Prog, Train, Options);
+      FAIL() << "expected AlignmentAborted (threads=" << Threads << ")";
+    } catch (const AlignmentAborted &E) {
+      // Nothing ships under Abort, so the message names no rung.
+      EXPECT_STREQ("proc 'p0': fault: injected fault at 'tsp.solve'",
+                   E.what());
+      EXPECT_EQ(std::string(E.what()).find("rung="), std::string::npos);
+    }
+    // Every procedure still runs its full path, whose greedy stage
+    // precedes the solve; no ladder builds a second greedy layout.
+    EXPECT_EQ(FaultInjector::instance().hits(FaultSite::AlignGreedy) - Before,
+              Profiled)
+        << "threads=" << Threads;
+  }
+}
+
 TEST(ShieldPipelineTest, PerProcedureBudgetTripsOnAnInjectedClock) {
   FaultInjector::instance().reset();
   Program Prog = twoProcs(11);

@@ -11,6 +11,8 @@
 #include "support/Random.h"
 #include "workloads/Generator.h"
 
+#include "ProfileOracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;
@@ -124,7 +126,7 @@ TEST_P(SimulatorAgreement, ControlPenaltiesMatchEvaluator) {
         << "seed " << Seed << " layout " << Which;
     // Base cycles = dynamic instructions + executed fixups.
     EXPECT_EQ(R.BaseCycles,
-              C.Profile.Procs[0].dynamicInstructions(C.Prog.proc(0)) +
+              dynamicInstructions(C.Profile.Procs[0], C.Prog.proc(0)) +
                   R.FixupsExecuted);
     EXPECT_EQ(R.Cycles,
               R.BaseCycles + R.ControlPenaltyCycles + R.CacheMissCycles);

@@ -14,6 +14,8 @@
 #include "static/Reachability.h"
 #include "workloads/Generator.h"
 
+#include "DefectSeeding.h"
+
 #include "gtest/gtest.h"
 
 #include <algorithm>

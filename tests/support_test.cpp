@@ -83,11 +83,6 @@ TEST(StatisticsTest, MeanAndMedian) {
   EXPECT_DOUBLE_EQ(median({4, 1, 2, 3}), 2.5);
 }
 
-TEST(StatisticsTest, Geomean) {
-  EXPECT_DOUBLE_EQ(geomean({4, 1}), 2.0);
-  EXPECT_NEAR(geomean({2, 8, 4}), 4.0, 1e-12);
-}
-
 TEST(StatisticsTest, Stddev) {
   EXPECT_DOUBLE_EQ(stddev({5}), 0.0);
   EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.0, 1e-12);

@@ -3,6 +3,8 @@
 #include "workloads/Generator.h"
 #include "workloads/Workloads.h"
 
+#include "ProfileOracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace balign;
@@ -26,7 +28,7 @@ TEST(GeneratorTest, HitsBranchSiteTargetApproximately) {
   Params.TargetBranchSites = 25;
   GeneratedProcedure Gen = generateProcedure("g", Params, R);
   // The budget is consumed exactly by construction.
-  EXPECT_EQ(Gen.Proc.numBranchSites(), 25u);
+  EXPECT_EQ(numBranchSites(Gen.Proc), 25u);
 }
 
 TEST(GeneratorTest, LoopHeadersTaggedCorrectly) {
@@ -101,7 +103,7 @@ TEST(SuiteTest, BuildsComWithBudgetsAndValidProfiles) {
     EXPECT_LE(Executed, Ds.BranchBudget * 130 / 100);
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
       EXPECT_TRUE(Ds.Behaviors[P].isValid(W.Prog.proc(P)));
-      EXPECT_TRUE(Ds.Profile.Procs[P].isFlowConsistent(W.Prog.proc(P)));
+      EXPECT_TRUE(isFlowConsistent(Ds.Profile.Procs[P], W.Prog.proc(P)));
     }
   }
 }
@@ -147,7 +149,7 @@ TEST(SuiteTest, TouchedSitesBelowStaticSites) {
   WorkloadInstance W = buildWorkloadByName("dod");
   size_t StaticSites = 0;
   for (const Procedure &P : W.Prog.procedures())
-    StaticSites += P.numBranchSites();
+    StaticSites += numBranchSites(P);
   for (const WorkloadDataSet &Ds : W.DataSets) {
     size_t Touched = Ds.Profile.branchSitesTouched(W.Prog);
     EXPECT_LE(Touched, StaticSites);
