@@ -34,10 +34,11 @@
 // shared cache session. --cache-stats prints the hit/miss counters to
 // stderr, keeping stdout byte-comparable between cold and warm runs.
 //
-// --verify first runs the pipeline under the balign-verify analyses,
-// with bounds always computed so the bound checks have bounds to check,
-// and prints one summary line; the report then comes from a separate
-// run with the request's options, so it matches an unverified run.
+// --verify runs the pipeline under the balign-verify analyses, with
+// bounds always computed so the bound checks have bounds to check, and
+// prints one summary line; the report then renders the alignment that
+// run verified with the request's options, so it matches an unverified
+// run.
 //
 // The balign-shield flags (--on-error, --time-budget, --deadline) add a
 // stderr report of degraded procedures. Exit-code contract:
@@ -81,6 +82,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -448,21 +450,27 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
   }
 }
 
-/// Runs --verify over one program; returns false when errors were found.
-/// The verify run always computes bounds, so the Held-Karp and
-/// assignment bound checks have bounds to check.
-bool runVerified(const Program &Prog, const ProgramProfile &Counts,
-                 const ToolOptions &Options, AlignmentOptions AlignOptions) {
+/// Runs --verify over one program and returns the alignment it
+/// verified; nullopt when errors were found. The verify run always
+/// computes bounds, so the Held-Karp and assignment bound checks have
+/// bounds to check.
+std::optional<ProgramAlignment> runVerified(const Program &Prog,
+                                            const ProgramProfile &Counts,
+                                            const ToolOptions &Options,
+                                            AlignmentOptions AlignOptions) {
   AlignOptions.ComputeBounds = true;
   DiagnosticEngine Diags;
   Diags.setEchoToStderr(true);
   VerifyOptions Verify;
   Verify.Level = Options.Verify;
-  alignProgramVerified(Prog, Counts, AlignOptions, Diags, Verify);
+  ProgramAlignment Result =
+      alignProgramVerified(Prog, Counts, AlignOptions, Diags, Verify);
   std::printf("verify (%s): %s\n",
               Options.Verify == VerifyLevel::Full ? "full" : "quick",
               Diags.summary().c_str());
-  return !Diags.hasErrors();
+  if (Diags.hasErrors())
+    return std::nullopt;
+  return Result;
 }
 
 /// Runs the balign-lint checks over one program, rendering every finding
@@ -504,31 +512,34 @@ void reportShieldOutcome(const ProgramAlignment &Result, size_t NumProcs) {
                Result.Failures.summary(NumProcs).c_str());
 }
 
-/// Aligns one program, a single input or a batch entry alike: the
-/// verify run first when asked (its fresh results also warm the cache),
-/// then the report of a separate alignProgram run with the request's
-/// options. \p AnySkipped (when given) reports whether any procedure
-/// kept its original layout under --on-error skip — the checkpoint
-/// journal must not record such a program as done, or a resumed batch
-/// would never revisit the skipped work.
+/// Aligns one program, a single input or a batch entry alike, once:
+/// through the verify run when asked (its fresh results also warm the
+/// cache), and the report renders the alignment that run verified with
+/// the request's options. \p AnySkipped (when given) reports whether
+/// any procedure kept its original layout under --on-error skip — the
+/// checkpoint journal must not record such a program as done, or a
+/// resumed batch would never revisit the skipped work.
 bool alignOneProgram(const Program &Prog, const ProgramProfile &Counts,
                      const ToolOptions &Options,
                      const AlignmentOptions &AlignOptions,
                      bool *AnySkipped = nullptr) {
-  if (Options.Verify != VerifyLevel::None &&
-      !runVerified(Prog, Counts, Options, AlignOptions))
+  std::optional<ProgramAlignment> Result;
+  if (Options.Verify == VerifyLevel::None)
+    Result = alignProgram(Prog, Counts, AlignOptions);
+  else
+    Result = runVerified(Prog, Counts, Options, AlignOptions);
+  if (!Result)
     return false;
-  ProgramAlignment Result = alignProgram(Prog, Counts, AlignOptions);
   // Shared with balign-serve: an AlignOk response body must be
   // byte-identical to this stdout, so both render through one function.
   std::string Report = renderAlignmentReport(
-      Prog, Counts, Result, AlignOptions.ComputeBounds, Options.EmitDot,
+      Prog, Counts, *Result, AlignOptions.ComputeBounds, Options.EmitDot,
       primaryAlignerName(AlignOptions.Primary));
   std::fwrite(Report.data(), 1, Report.size(), stdout);
   if (Options.shieldActive())
-    reportShieldOutcome(Result, Prog.numProcedures());
+    reportShieldOutcome(*Result, Prog.numProcedures());
   if (AnySkipped)
-    *AnySkipped = Result.Failures.countSkipped() != 0;
+    *AnySkipped = Result->Failures.countSkipped() != 0;
   return true;
 }
 

@@ -5,7 +5,6 @@
 #include "analysis/Diagnostics.h"
 #include "objective/Displace.h"
 #include "objective/Penalty.h"
-#include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
 #include "support/Bytes.h"
 #include "support/ThreadPool.h"
@@ -327,15 +326,14 @@ ProcedureTask alignOneProcedure(const Procedure &Proc,
   FailureKind Kind;
   std::string What;
   try {
-    // balign-shield fault site: the coarsest probe, standing in for any
-    // failure of the per-procedure task itself. Placed inside the
-    // isolation boundary (not in the thread pool, which knows nothing
-    // of procedures) so a firing task degrades like any other failure.
+    // balign-shield fault site and balign-sentinel crash site: the
+    // coarsest probe, standing in for any failure of the per-procedure
+    // task itself. Placed inside the isolation boundary (not in the
+    // thread pool, which knows nothing of procedures) so a firing task
+    // degrades like any other failure, and a crash here proves a kill
+    // mid-batch loses only unjournaled programs, never the cache or
+    // checkpoint already persisted.
     FaultInjector::instance().throwIfFault(FaultSite::PoolTask);
-    // balign-sentinel crash site: die inside a per-procedure task — the
-    // chaos harness proves a kill mid-batch loses only unjournaled
-    // programs, never the cache or checkpoint already persisted.
-    CrashInjector::instance().crashPoint(CrashSite::PoolTask);
     if (Options.RunDeadline)
       Options.RunDeadline->check("whole-run alignment");
     Deadline ProcBudget(Options.ProcBudgetMs, Options.Clock,

@@ -144,11 +144,8 @@ void AlignmentCache::loadFromDisk() {
       [&](std::string *Error) {
         // balign-shield fault site: a transient read failure on the
         // store file, retried with bounded backoff.
-        if (FaultInjector::instance().shouldFail(FaultSite::CacheLoad)) {
-          if (Error)
-            *Error = "injected fault at 'cache.load'";
+        if (FaultInjector::instance().shouldFail(FaultSite::CacheLoad, Error))
           return false;
-        }
         // No store yet is a cold cache, not an error.
         Exists = readFileBytes(Path, File);
         return true;
@@ -364,11 +361,9 @@ bool AlignmentCache::flush(std::string *Error) {
       [&](std::string *AttemptError) {
         // balign-shield fault site: a transient write failure anywhere
         // in the atomic replace, retried with bounded backoff.
-        if (FaultInjector::instance().shouldFail(FaultSite::CacheFlush)) {
-          if (AttemptError)
-            *AttemptError = "injected fault at 'cache.flush'";
+        if (FaultInjector::instance().shouldFail(FaultSite::CacheFlush,
+                                                 AttemptError))
           return false;
-        }
         std::error_code Ec;
         std::filesystem::create_directories(Dir, Ec);
         if (Ec) {

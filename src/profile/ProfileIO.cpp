@@ -62,8 +62,9 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
   // balign-shield fault site: a corrupt profile record manifests to
   // callers exactly like this injected failure — an error return through
   // the parser's normal channel, never an exception.
-  if (FaultInjector::instance().shouldFail(FaultSite::ProfileParse)) {
-    P.fail("injected fault at 'profile.parse'");
+  std::string Fault;
+  if (FaultInjector::instance().shouldFail(FaultSite::ProfileParse, &Fault)) {
+    P.fail(Fault);
     return std::nullopt;
   }
   const std::vector<std::string_view> &Tokens = P.Tokens;

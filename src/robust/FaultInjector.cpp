@@ -11,6 +11,8 @@
 #include <cstring>
 #include <string_view>
 
+#include <unistd.h>
+
 using namespace balign;
 
 namespace {
@@ -18,44 +20,56 @@ namespace {
 /// Suppression depth of the current thread (ScopedSuppress nests).
 thread_local unsigned SuppressDepth = 0;
 
+/// The one site table: each site's printable name, and which variable
+/// may arm it (so which kind of spec it takes).
+struct SiteEntry {
+  const char *Name;
+  bool Fault; ///< BALIGN_FAULT may name it.
+  bool Crash; ///< BALIGN_CRASH may name it.
+};
+
+constexpr SiteEntry Sites[NumFaultSites] = {
+    {"profile.parse", true, false},     {"tsp.transform", true, false},
+    {"tsp.solve", true, false},         {"align.greedy", true, false},
+    {"pool.task", true, true},          {"cache.load", true, false},
+    {"cache.flush", true, false},       {"serve.frame", true, false},
+    {"align.chain", true, false},       {"journal.append", true, false},
+    {"client.connect", true, false},    {"displace.fixpoint", true, false},
+    {"cache.tmp-write", false, true},   {"cache.pre-rename", false, true},
+    {"cache.post-rename", false, true}, {"checkpoint.append", false, true},
+    {"serve.response", false, true},
+};
+
+bool isCrash(const FaultSpec &Spec) {
+  return Spec.M == FaultSpec::Mode::Crash;
+}
+
+/// Whether BALIGN_CRASH (\p Crash) or BALIGN_FAULT may name \p Site,
+/// which is whether the site takes crash specs or fault specs.
+bool armableBy(FaultSite Site, bool Crash) {
+  const SiteEntry &Entry = Sites[static_cast<size_t>(Site)];
+  return Crash ? Entry.Crash : Entry.Fault;
+}
+
+std::string injectedFaultText(FaultSite Site) {
+  return std::string("injected fault at '") + faultSiteName(Site) + "'";
+}
+
+[[noreturn]] void fatal(const std::string &Message) {
+  std::fprintf(stderr, "balign fatal: %s\n", Message.c_str());
+  std::abort();
+}
+
 } // namespace
 
 const char *balign::faultSiteName(FaultSite Site) {
-  switch (Site) {
-  case FaultSite::ProfileParse:
-    return "profile.parse";
-  case FaultSite::TspTransform:
-    return "tsp.transform";
-  case FaultSite::TspSolve:
-    return "tsp.solve";
-  case FaultSite::AlignGreedy:
-    return "align.greedy";
-  case FaultSite::PoolTask:
-    return "pool.task";
-  case FaultSite::CacheLoad:
-    return "cache.load";
-  case FaultSite::CacheFlush:
-    return "cache.flush";
-  case FaultSite::ServeFrame:
-    return "serve.frame";
-  case FaultSite::AlignChain:
-    return "align.chain";
-  case FaultSite::JournalAppend:
-    return "journal.append";
-  case FaultSite::ClientConnect:
-    return "client.connect";
-  case FaultSite::DisplaceFixpoint:
-    return "displace.fixpoint";
-  }
-  return "?";
+  return Sites[static_cast<size_t>(Site)].Name;
 }
 
 std::optional<FaultSite> balign::faultSiteByName(const std::string &Name) {
-  for (size_t I = 0; I != NumFaultSites; ++I) {
-    FaultSite Site = static_cast<FaultSite>(I);
-    if (Name == faultSiteName(Site))
-      return Site;
-  }
+  for (size_t I = 0; I != NumFaultSites; ++I)
+    if (Name == Sites[I].Name)
+      return static_cast<FaultSite>(I);
   return std::nullopt;
 }
 
@@ -68,6 +82,7 @@ bool FaultSpec::fires(uint64_t Hit) const {
   case Mode::Once:
     return Hit == 1;
   case Mode::Nth:
+  case Mode::Crash:
     return Hit == K;
   case Mode::Every:
     return K != 0 && Hit % K == 0;
@@ -129,9 +144,7 @@ std::optional<FaultSpec> FaultSpec::parse(const std::string &Text,
 }
 
 FaultInjectedError::FaultInjectedError(FaultSite Site)
-    : std::runtime_error(std::string("injected fault at '") +
-                         faultSiteName(Site) + "'"),
-      Site(Site) {}
+    : std::runtime_error(injectedFaultText(Site)), Site(Site) {}
 
 FaultInjector &FaultInjector::instance() {
   static FaultInjector TheInjector;
@@ -141,19 +154,23 @@ FaultInjector &FaultInjector::instance() {
 }
 
 void FaultInjector::loadEnvOnce() {
-  const char *Env = std::getenv("BALIGN_FAULT");
-  if (!Env || !*Env)
-    return;
-  std::string Error;
-  if (!armFromSpec(Env, &Error)) {
-    // A mistyped CI spec must fail the run loudly, not fake a green
-    // sweep with no faults armed.
-    std::fprintf(stderr, "balign fatal: BALIGN_FAULT: %s\n", Error.c_str());
-    std::abort();
+  for (bool Crash : {false, true}) {
+    const char *Var = Crash ? "BALIGN_CRASH" : "BALIGN_FAULT";
+    const char *Env = std::getenv(Var);
+    if (!Env || !*Env)
+      continue;
+    // A mistyped CI or chaos spec must fail the run loudly, not fake a
+    // green sweep with no fault armed or in which nothing ever died.
+    std::string Error;
+    if (!(Crash ? armCrashFromSpec(Env, &Error) : armFromSpec(Env, &Error)))
+      fatal(std::string(Var) + ": " + Error);
   }
 }
 
 void FaultInjector::arm(FaultSite Site, FaultSpec Spec) {
+  if (Spec.M != FaultSpec::Mode::Never && !armableBy(Site, isCrash(Spec)))
+    fatal(std::string("site '") + faultSiteName(Site) + "' takes no " +
+          (isCrash(Spec) ? "crash" : "fault") + " spec");
   std::lock_guard<std::mutex> Lock(Mutex);
   size_t I = static_cast<size_t>(Site);
   bool WasArmed = Specs[I].M != FaultSpec::Mode::Never;
@@ -177,12 +194,19 @@ bool FaultInjector::shouldFail(FaultSite Site) {
   if (SuppressDepth != 0)
     return false;
   bool Fired;
+  bool Crash;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     size_t I = static_cast<size_t>(Site);
     uint64_t Hit = ++Hits[I];
     Fired = Specs[I].fires(Hit);
+    Crash = isCrash(Specs[I]);
   }
+  // _exit, not exit/abort: no atexit handlers, no stream flushes, no
+  // destructors — the process state on disk is exactly what the call
+  // site had durably written when it "lost power" here.
+  if (Fired && Crash)
+    ::_exit(CrashExitCode);
   // The total fired count per site is a pure function of the spec and
   // the number of probes, even when parallel workers interleave *which*
   // hit indices they consume — so this is a counter, not a gauge.
@@ -191,9 +215,47 @@ bool FaultInjector::shouldFail(FaultSite Site) {
   return Fired;
 }
 
+bool FaultInjector::shouldFail(FaultSite Site, std::string *Error) {
+  if (!shouldFail(Site))
+    return false;
+  if (Error)
+    *Error = injectedFaultText(Site);
+  return true;
+}
+
 uint64_t FaultInjector::hits(FaultSite Site) const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Hits[static_cast<size_t>(Site)];
+}
+
+std::optional<FaultSite>
+FaultInjector::siteForVariable(const std::string &Name, bool Crash,
+                               std::string *Error) const {
+  std::optional<FaultSite> Site = faultSiteByName(Name);
+  if (Site && armableBy(*Site, Crash)) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    const FaultSpec &Held = Specs[static_cast<size_t>(*Site)];
+    if (Held.M == FaultSpec::Mode::Never || isCrash(Held) == Crash)
+      return Site;
+    if (Error)
+      *Error = "site '" + Name + "' already holds a " +
+               (Crash ? "fault" : "crash") +
+               " spec; BALIGN_FAULT and BALIGN_CRASH cannot both arm one "
+               "site";
+    return std::nullopt;
+  }
+  std::string Known;
+  for (size_t I = 0; I != NumFaultSites; ++I) {
+    if (!armableBy(static_cast<FaultSite>(I), Crash))
+      continue;
+    if (!Known.empty())
+      Known += ", ";
+    Known += Sites[I].Name;
+  }
+  if (Error)
+    *Error = std::string("unknown ") + (Crash ? "crash" : "fault") +
+             " site '" + Name + "' (known sites: " + Known + ")";
+  return std::nullopt;
 }
 
 bool FaultInjector::armFromSpec(const std::string &Spec, std::string *Error) {
@@ -213,19 +275,10 @@ bool FaultInjector::armFromSpec(const std::string &Spec, std::string *Error) {
       return false;
     }
     std::string SiteName = Entry.substr(0, Colon);
-    std::optional<FaultSite> Site = faultSiteByName(SiteName);
-    if (!Site) {
-      std::string Known;
-      for (size_t I = 0; I != NumFaultSites; ++I) {
-        if (I)
-          Known += ", ";
-        Known += faultSiteName(static_cast<FaultSite>(I));
-      }
-      if (Error)
-        *Error = "unknown fault site '" + SiteName + "' (known sites: " +
-                 Known + ")";
+    std::optional<FaultSite> Site =
+        siteForVariable(SiteName, /*Crash=*/false, Error);
+    if (!Site)
       return false;
-    }
     std::string SpecError;
     std::optional<FaultSpec> Parsed =
         FaultSpec::parse(Entry.substr(Colon + 1), &SpecError);
@@ -236,6 +289,33 @@ bool FaultInjector::armFromSpec(const std::string &Spec, std::string *Error) {
     }
     arm(*Site, *Parsed);
   }
+  return true;
+}
+
+bool FaultInjector::armCrashFromSpec(const std::string &Spec,
+                                     std::string *Error) {
+  std::string SiteName = Spec;
+  uint64_t Nth = 1;
+  size_t Colon = Spec.find(':');
+  if (Colon != std::string::npos) {
+    SiteName = Spec.substr(0, Colon);
+    // A strict decimal, like BALIGN_FAULT's parameters; hits are 1-based,
+    // so a 0th hit could never fire.
+    std::optional<uint64_t> Parsed =
+        parseFlagInt(std::string_view(Spec).substr(Colon + 1));
+    if (!Parsed || *Parsed == 0) {
+      if (Error)
+        *Error = "expected '<site>[:nth]' with a positive nth, got '" +
+                 Spec + "'";
+      return false;
+    }
+    Nth = *Parsed;
+  }
+  std::optional<FaultSite> Site =
+      siteForVariable(SiteName, /*Crash=*/true, Error);
+  if (!Site)
+    return false;
+  arm(*Site, FaultSpec::crash(Nth));
   return true;
 }
 

@@ -1,23 +1,28 @@
-//===- robust/FaultInjector.h - Deterministic fault injection -------------===//
+//===- robust/FaultInjector.h - Deterministic fault and crash injection ---===//
 //
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// The fault-injection half of balign-shield: a process-wide registry of
-/// named fault sites threaded through the pipeline's error paths —
-/// profile parsing, the DTSP->STSP transform, the iterated-3-Opt solver,
-/// the greedy aligner, pipeline task execution, and the cache store's
-/// disk operations — so every recovery path is drivable from tests and
-/// CI instead of waiting for real disks to fill up.
+/// One process-wide registry of named sites for two contracts. A fault
+/// (balign-shield) makes a site *report* failure through its normal
+/// error channel — profile parsing, the DTSP->STSP transform, the
+/// solvers, pipeline tasks, the cache's disk operations — so every
+/// recovery path is drivable from tests and CI. A crash
+/// (balign-sentinel) makes the whole process die at its site with
+/// `_exit(CrashExitCode)` — no destructors, no flushes, no atexit — the
+/// closest a test gets to `kill -9` or power loss at a chosen
+/// instruction, so a fork-based chaos harness can assert the
+/// survivor-side invariants of every durability-critical I/O sequence.
 ///
-/// Faults are armed programmatically (arm / ScopedFault) or from the
-/// BALIGN_FAULT environment variable:
+/// Sites are armed programmatically (arm / ScopedFault) or from two
+/// environment variables, read together on first use:
 ///
 ///   BALIGN_FAULT=<site>:<mode>[,<site>:<mode>...]
+///   BALIGN_CRASH=<site>[:nth]
 ///
-/// with modes
+/// with fault modes
 ///
 ///   always        every hit fails
 ///   once          only the first hit fails
@@ -29,15 +34,27 @@
 ///                 fails iff splitmix64(S ^ i) % D < N, so a given seed
 ///                 always fails the same hit indices
 ///
-/// Determinism: each site keeps a monotone hit counter, incremented on
-/// every shouldFail call in call order; under a serial pipeline the
-/// sequence of failing hits is a pure function of the spec. Sites probed
-/// from parallel workers interleave nondeterministically, so tests that
-/// target a specific hit either run serial or use `always`. Verifier
-/// passes probe nothing: analysis code runs under ScopedSuppress, which
-/// makes shouldFail return false *without consuming a hit*, so arming a
-/// fault never skews verification: a `--verify` run counts only the
-/// hits of its pipeline runs, never those of the passes.
+/// and a crash dying on its `nth` hit (default 1), a strict decimal like
+/// the modes' parameters. The site table records which variable may arm
+/// each site; `pool.task` is the one both may. A site holds one spec, so
+/// arming `pool.task` from both variables aborts at startup.
+///
+/// Crash placement contract: a crash point sits *between* the bytes of a
+/// multi-part write wherever a torn artifact is physically possible
+/// (cache.tmp-write fires with half the replacement file written,
+/// checkpoint.append with half a record), and *between* a write and its
+/// matching fsync or rename wherever ordering matters — so surviving
+/// every site proves the recovery code, not the luck of the buffer cache.
+///
+/// Determinism: each site keeps a monotone hit counter, advanced by every
+/// probe while any site is armed and reset when the site is armed; under
+/// a serial pipeline the failing (or dying) hits are a pure function of
+/// the spec. Sites probed from parallel workers interleave
+/// nondeterministically, so tests that target a specific hit either run
+/// serial or use `always`. Verifier passes probe nothing: analysis code
+/// runs under ScopedSuppress, which makes probes return false *without
+/// consuming a hit*, so a `--verify` run counts only the hits of its
+/// pipeline run. No crash point is reachable from a suppressed pass.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -54,16 +71,17 @@
 
 namespace balign {
 
-/// Every named fault site balign-shield instruments. The printable names
-/// (faultSiteName) are the BALIGN_FAULT spelling and part of the public
-/// contract; never rename a released one.
+/// Every named site balign-shield and balign-sentinel instrument. The
+/// printable names (faultSiteName) are the BALIGN_FAULT and BALIGN_CRASH
+/// spelling and part of the public contract; never rename a released one.
 enum class FaultSite : uint8_t {
   ProfileParse, ///< profile.parse — ProfileIO record parsing.
   TspTransform, ///< tsp.transform — the DTSP->STSP transformation and
                 ///< the 3-Opt candidate lists that stand in for it.
   TspSolve,     ///< tsp.solve — solveDirectedTsp entry.
   AlignGreedy,  ///< align.greedy — the greedy (fallback-rung) aligner.
-  PoolTask,     ///< pool.task — per-procedure pipeline task execution.
+  PoolTask,     ///< pool.task — per-procedure pipeline task execution
+                ///< (a crash there runs no cache flush for its result).
   CacheLoad,    ///< cache.load — cache store disk reads.
   CacheFlush,   ///< cache.flush — cache store disk writes.
   ServeFrame,   ///< serve.frame — balign-serve request dispatch.
@@ -71,9 +89,22 @@ enum class FaultSite : uint8_t {
   JournalAppend, ///< journal.append — checkpoint journal appends.
   ClientConnect, ///< client.connect — ServeClient socket connects.
   DisplaceFixpoint, ///< displace.fixpoint — the branch-displacement solve.
+  // Crash-only sites. The three cache.* ones sit in the shared atomic
+  // replace (replaceFileAtomically, robust/Journal.h) that a cache flush
+  // and a legacy checkpoint migration go through.
+  CacheTmpWrite,    ///< cache.tmp-write — mid-write of the tmp file.
+  CachePreRename,   ///< cache.pre-rename — tmp fsync'd, rename not issued.
+  CachePostRename,  ///< cache.post-rename — renamed, dir not fsync'd.
+  CheckpointAppend, ///< checkpoint.append — mid-append of a journal record.
+  ServeResponse,    ///< serve.response — a response computed, not written.
 };
 
-inline constexpr size_t NumFaultSites = 12;
+inline constexpr size_t NumFaultSites = 17;
+
+/// The exit status a fired crash spec dies with. Distinct from 0 so the
+/// chaos harness can tell "crashed where armed" from "site never
+/// reached" in the child's wait status.
+inline constexpr int CrashExitCode = 2;
 
 /// Returns the stable printable name, e.g. "tsp.solve".
 const char *faultSiteName(FaultSite Site);
@@ -81,12 +112,16 @@ const char *faultSiteName(FaultSite Site);
 /// Parses a printable site name; nullopt for unknown names.
 std::optional<FaultSite> faultSiteByName(const std::string &Name);
 
-/// When (in a site's hit sequence) an armed fault fires.
+/// When (in a site's hit sequence) an armed spec fires.
 struct FaultSpec {
-  enum class Mode : uint8_t { Never, Always, Once, Nth, Every, Count, Rate };
+  /// Crash is Nth whose K-th hit `_exit`s instead of failing.
+  enum class Mode : uint8_t {
+    Never, Always, Once, Nth, Every, Count, Rate, Crash
+  };
 
   Mode M = Mode::Never;
-  uint64_t K = 0;    ///< Parameter of Nth/Every/Count; numerator of Rate.
+  uint64_t K = 0;    ///< Parameter of Nth/Every/Count/Crash; numerator of
+                     ///< Rate.
   uint64_t D = 1;    ///< Denominator of Rate.
   uint64_t Seed = 0; ///< Seed of Rate.
 
@@ -99,12 +134,15 @@ struct FaultSpec {
   static FaultSpec rate(uint64_t Num, uint64_t Den, uint64_t Seed) {
     return {Mode::Rate, Num, Den, Seed};
   }
+  static FaultSpec crash(uint64_t Nth = 1) {
+    return {Mode::Crash, Nth, 1, 0};
+  }
 
-  /// Whether the \p Hit-th probe (1-based) fails under this spec.
+  /// Whether the \p Hit-th probe (1-based) fires under this spec.
   bool fires(uint64_t Hit) const;
 
-  /// Parses one "<mode>" spec ("always", "nth=3", "rate=1/4@7", ...).
-  /// Returns nullopt and fills \p Error for malformed input.
+  /// Parses one "<mode>" fault spec ("always", "nth=3", "rate=1/4@7",
+  /// ...). Returns nullopt and fills \p Error for malformed input.
   static std::optional<FaultSpec> parse(const std::string &Text,
                                         std::string *Error = nullptr);
 };
@@ -125,21 +163,31 @@ private:
 /// hot path (nothing armed anywhere) is a single relaxed atomic load.
 class FaultInjector {
 public:
-  /// The singleton. First use arms sites from BALIGN_FAULT if set; a
-  /// malformed value is reported to stderr and aborts (a CI sweep must
-  /// never silently run without its faults).
+  /// The singleton. First use arms sites from BALIGN_FAULT, then from
+  /// BALIGN_CRASH; a malformed value is reported to stderr and aborts (a
+  /// CI sweep must never silently run without its faults or its kill).
   static FaultInjector &instance();
 
-  /// Arms \p Site with \p Spec (resetting its hit counter).
+  /// Arms \p Site with \p Spec (resetting its hit counter). A site takes
+  /// crash specs only if BALIGN_CRASH may name it, and other specs only
+  /// if BALIGN_FAULT may; any other pairing aborts.
   void arm(FaultSite Site, FaultSpec Spec);
 
   /// Disarms every site and zeroes all hit counters.
   void reset();
 
   /// Probes \p Site: advances its hit counter and reports whether an
-  /// armed spec fires on this hit. Always false (and hit-free) on
-  /// threads inside a ScopedSuppress.
+  /// armed fault spec fires on this hit. A firing crash spec `_exit`s
+  /// with CrashExitCode instead: the process dies with whatever it has
+  /// written so far — buffered, torn, or durable exactly as the call
+  /// site left it. Always false (and hit-free) on threads inside a
+  /// ScopedSuppress.
   bool shouldFail(FaultSite Site);
+
+  /// Probes \p Site; when a fault fires, stores its FaultInjectedError
+  /// text in \p Error (when non-null). For sites that report through an
+  /// error return.
+  bool shouldFail(FaultSite Site, std::string *Error);
 
   /// Probes \p Site and throws FaultInjectedError when it fires.
   void throwIfFault(FaultSite Site) {
@@ -147,13 +195,22 @@ public:
       throw FaultInjectedError(Site);
   }
 
+  /// Probes a crash-only \p Site, which holds no fault spec: the process
+  /// dies here when its crash spec fires and carries on otherwise.
+  void crashPoint(FaultSite Site) { shouldFail(Site); }
+
   /// Hits recorded against \p Site so far.
   uint64_t hits(FaultSite Site) const;
 
-  /// Arms sites from a "<site>:<mode>[,...]" spec string (';' also
-  /// accepted between entries). Returns false and fills \p Error on
-  /// malformed input; already-parsed entries stay armed.
+  /// Arms sites from a BALIGN_FAULT "<site>:<mode>[,...]" spec string
+  /// (';' also accepted between entries). Returns false and fills
+  /// \p Error on malformed input; already-parsed entries stay armed.
   bool armFromSpec(const std::string &Spec, std::string *Error = nullptr);
+
+  /// Arms one site from a BALIGN_CRASH "<site>[:nth]" spec. Returns
+  /// false and fills \p Error on malformed input.
+  bool armCrashFromSpec(const std::string &Spec,
+                        std::string *Error = nullptr);
 
   /// RAII: arms a site for a scope, restoring the previous spec (and the
   /// site's counter) on exit. The unit-test workhorse.
@@ -186,6 +243,12 @@ public:
 private:
   FaultInjector() = default;
   void loadEnvOnce();
+  /// The site named \p Name if BALIGN_CRASH (\p Crash) or BALIGN_FAULT
+  /// may arm it and it holds no spec of the other variable; otherwise
+  /// nullopt, with the reason in \p Error.
+  std::optional<FaultSite> siteForVariable(const std::string &Name,
+                                           bool Crash,
+                                           std::string *Error) const;
 
   mutable std::mutex Mutex;
   std::array<FaultSpec, NumFaultSites> Specs{};

@@ -2,7 +2,6 @@
 
 #include "robust/Journal.h"
 
-#include "robust/CrashInjector.h"
 #include "robust/Durability.h"
 #include "robust/FaultInjector.h"
 #include "support/Bytes.h"
@@ -135,7 +134,7 @@ bool balign::replaceFileAtomically(const std::string &Path,
   size_t Half = Bytes.size() / 2;
   bool Written = writeAll(Fd, Bytes.data(), Half);
   if (Written)
-    CrashInjector::instance().crashPoint(CrashSite::CacheTmpWrite);
+    FaultInjector::instance().crashPoint(FaultSite::CacheTmpWrite);
   // fsync before rename: without it the rename can land while the tmp
   // file's data is still only in the page cache, and a power cut then
   // leaves a torn file under the *final* name.
@@ -150,12 +149,12 @@ bool balign::replaceFileAtomically(const std::string &Path,
   }
   // balign-sentinel crash site: tmp file durable, rename not yet issued —
   // the old file (if any) must still read cleanly.
-  CrashInjector::instance().crashPoint(CrashSite::CachePreRename);
+  FaultInjector::instance().crashPoint(FaultSite::CachePreRename);
   if (::rename(TmpPath.c_str(), Path.c_str()) != 0)
     return fail("cannot rename '" + TmpPath + "' over '" + Path + "'");
   // balign-sentinel crash site: rename issued but the directory not yet
   // fsync'd — either the old or the new file is visible, both complete.
-  CrashInjector::instance().crashPoint(CrashSite::CachePostRename);
+  FaultInjector::instance().crashPoint(FaultSite::CachePostRename);
   fsyncParentDirectory(Path); // Best effort: the data is already in place.
   return true;
 }
@@ -294,9 +293,7 @@ bool AppendJournal::append(const std::string &Record, std::string *Error) {
   }
   // balign-shield fault site: an injectable append failure, reported
   // through the error return like the cache's disk faults.
-  if (FaultInjector::instance().shouldFail(FaultSite::JournalAppend)) {
-    if (Error)
-      *Error = "injected fault at 'journal.append'";
+  if (FaultInjector::instance().shouldFail(FaultSite::JournalAppend, Error)) {
     ++Stats.AppendFailures;
     return false;
   }
@@ -309,7 +306,7 @@ bool AppendJournal::append(const std::string &Record, std::string *Error) {
   size_t Half = Encoded.size() / 2;
   bool Ok = writeAll(Fd, Encoded.data(), Half);
   if (Ok)
-    CrashInjector::instance().crashPoint(CrashSite::CheckpointAppend);
+    FaultInjector::instance().crashPoint(FaultSite::CheckpointAppend);
   Ok = Ok && writeAll(Fd, Encoded.data() + Half, Encoded.size() - Half) &&
        fsyncFd(Fd);
   if (!Ok) {

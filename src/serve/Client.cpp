@@ -39,8 +39,8 @@ bool ServeClient::connectUnix(const std::string &Path, std::string *Error) {
   // balign-shield fault site: a deterministic injectable connect
   // failure, so reconnect-with-backoff is testable without racing a
   // real server's lifecycle.
-  if (FaultInjector::instance().shouldFail(FaultSite::ClientConnect))
-    return fail(Error, "injected fault at 'client.connect'");
+  if (FaultInjector::instance().shouldFail(FaultSite::ClientConnect, Error))
+    return false;
   sockaddr_un Addr;
   std::memset(&Addr, 0, sizeof(Addr));
   Addr.sun_family = AF_UNIX;

@@ -8,8 +8,9 @@
 /// A small synchronous client over the serve protocol: connect (or wrap
 /// an existing descriptor pair, which is how tests drive a server over
 /// a socketpair), send one request frame, read one response frame. The
-/// balign_client example, the throughput bench, and the test battery
-/// all speak through this class so none of them re-implement framing.
+/// balign_client example, perfbench's serve-mixed workload, and the
+/// test battery all speak through this class so none of them
+/// re-implement framing.
 ///
 //===--------------------------------------------------------------------===//
 

@@ -2,7 +2,6 @@
 
 #include "serve/Server.h"
 
-#include "robust/CrashInjector.h"
 #include "robust/Deadline.h"
 #include "robust/FaultInjector.h"
 
@@ -164,14 +163,13 @@ size_t AlignServer::inFlightRequests() const {
 void AlignServer::watchdogLoop() {
   std::unique_lock<std::mutex> Lock(WatchdogMutex);
   while (!WatchdogStop) {
-    WatchdogCv.wait_for(Lock,
-                        std::chrono::milliseconds(Config.StuckPollMs));
+    WatchdogCv.wait_for(Lock, std::chrono::milliseconds(StuckPollMs));
     if (WatchdogStop)
       break;
     uint64_t Now = nowMs();
     std::lock_guard<std::mutex> InLock(InFlightMutex);
     for (InFlightRequest &R : InFlight) {
-      if (R.LimitMs == 0 || Now < R.StartMs + R.LimitMs + Config.StuckGraceMs)
+      if (R.LimitMs == 0 || Now < R.StartMs + R.LimitMs + StuckGraceMs)
         continue;
       // The deadline is enforced cooperatively inside the pipeline; a
       // request this far past it is wedged somewhere that never polls.
@@ -339,7 +337,7 @@ AlignServer::ConnectionEnd AlignServer::serveConnection(int InFd, int OutFd) {
     // balign-sentinel crash site: die with the response computed (and
     // any cache effects possibly flushed) but not yet written — the
     // client sees a dead server mid-call and must resend idempotently.
-    CrashInjector::instance().crashPoint(CrashSite::ServeResponse);
+    FaultInjector::instance().crashPoint(FaultSite::ServeResponse);
     if (!writeFrame(OutFd, Response))
       break; // Peer vanished mid-response.
   }

@@ -95,6 +95,16 @@ private:
   size_t HighWater = 0;
 };
 
+/// balign-sentinel: slack past a request's deadline before the watchdog
+/// abandons it with FrameError::Stuck. The deadline itself is polled by
+/// the profile walk and inside the pipeline; the watchdog fires when a
+/// worker blew through it without returning. Requests with no deadline
+/// at all are never flagged.
+inline constexpr uint64_t StuckGraceMs = 1000;
+
+/// Real-time interval between watchdog scans of the in-flight table.
+inline constexpr uint64_t StuckPollMs = 20;
+
 /// Server-level configuration.
 struct ServeConfig {
   /// Pool workers align requests run on (0 = hardware threads).
@@ -111,16 +121,6 @@ struct ServeConfig {
   /// (0 = wait forever). Measured on Clock, so tests drive the timeout
   /// from a ManualClock.
   uint64_t DrainTimeoutMs = 5000;
-
-  /// balign-sentinel: slack past a request's deadline before the
-  /// watchdog abandons it with FrameError::Stuck. The deadline itself is
-  /// polled by the profile walk and inside the pipeline; the watchdog fires
-  /// when a worker blew through it without returning. Requests with no
-  /// deadline at all are never flagged.
-  uint64_t StuckGraceMs = 1000;
-
-  /// Real-time interval between watchdog scans of the in-flight table.
-  uint64_t StuckPollMs = 20;
 
   /// Injectable clock for per-request deadlines (tests).
   ClockFn Clock;

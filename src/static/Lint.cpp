@@ -6,9 +6,9 @@
 #include "static/Dominators.h"
 #include "static/Loops.h"
 #include "static/Reachability.h"
+#include "support/Format.h"
 #include "trace/Scope.h"
 
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -272,39 +272,6 @@ size_t lintModel(const MachineModel &Model, DiagnosticEngine &Diags) {
 }
 
 } // namespace
-
-std::string balign::jsonEscaped(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buffer;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 size_t balign::lintProcedure(const Procedure &Proc,
                              const ProcedureProfile *Profile,

@@ -91,12 +91,6 @@ LintResult lintProgram(const Program &Prog, const ProgramProfile *Profile,
 /// order; byte-identical for identical results.
 std::string lintReportJson(const LintResult &Result);
 
-/// \p S as the body of a JSON string: `"` and `\` backslash-escaped,
-/// \n \t \r as themselves, every other control byte as \u00XX; bytes
-/// from 0x20 up pass through. lintReportJson escapes every name and
-/// message with it, and align_tool's batch lint array its file names.
-std::string jsonEscaped(const std::string &S);
-
 } // namespace balign
 
 #endif // BALIGN_STATIC_LINT_H

@@ -7,8 +7,8 @@
 /// \file
 /// Formatting helpers for the benchmark tables: counts with M/K suffixes
 /// (matching the paper's "11.8M executed branches" style), fixed-point
-/// decimals, percentages, and normalized ratios; and the escaping the
-/// command-line tools print messages with.
+/// decimals, percentages, and normalized ratios; the escaping the
+/// command-line tools print messages with; and JSON string escaping.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -39,6 +39,31 @@ std::string formatNormalized(double Value);
 /// messages; escaped, a message prints whole on one line, even past an
 /// embedded NUL.
 std::string escapeControlBytes(std::string_view Text);
+
+/// \p Text as the body of a JSON string: `"` and `\` backslash-escaped,
+/// \n \t \r as themselves, every other control byte as \u00XX; bytes
+/// from 0x20 up pass through. The one JSON string escaper: lint reports,
+/// align_tool's batch lint array and the trace exporters all use it. It
+/// is inline because balign_trace sits below balign_support.
+inline std::string jsonEscaped(std::string_view Text) {
+  std::string Out;
+  for (char C : Text) {
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (C == '\n' || C == '\t' || C == '\r') {
+      Out += '\\';
+      Out += C == '\n' ? 'n' : C == '\t' ? 't' : 'r';
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      Out += "\\u00";
+      Out += "0123456789abcdef"[C >> 4];
+      Out += "0123456789abcdef"[C & 0xf];
+    } else {
+      Out += C;
+    }
+  }
+  return Out;
+}
 
 } // namespace balign
 

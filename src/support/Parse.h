@@ -8,12 +8,13 @@
 /// Strict parsing for command-line flag values and the text formats.
 /// std::strtoull silently accepts trailing garbage ("12x" parses as 12),
 /// leading whitespace, signs, and saturates on overflow — all of which
-/// turn a typo into a quietly wrong run. Every numeric flag of the
+/// turn a typo into a quietly wrong run. Every integer flag of the
 /// bundled tools, every numeric parameter of a BALIGN_FAULT or
-/// BALIGN_CRASH spec, and every number of the CFG and profile text
-/// formats goes through parseFlagInt instead, which accepts nothing but a
-/// complete, in-range decimal literal. LineTokenizer is the one lexer of
-/// those two text formats.
+/// BALIGN_CRASH spec (both parsed by robust/FaultInjector), and every
+/// number of the CFG and profile text formats goes through parseFlagInt
+/// instead, which accepts nothing but a complete, in-range decimal
+/// literal; every fractional flag value goes through parseFlagDouble.
+/// LineTokenizer is the one lexer of those two text formats.
 ///
 //===--------------------------------------------------------------------===//
 

@@ -20,31 +20,14 @@
 
 #include "trace/Scope.h"
 
+#include "support/Format.h"
+
 #include <cstdio>
 #include <sstream>
 
 using namespace balign;
 
 namespace {
-
-/// Minimal JSON string escaping; span and metric names are identifiers,
-/// but the exporter must stay valid for any input.
-void appendEscaped(std::string &Out, const char *Text) {
-  for (const char *P = Text; *P; ++P) {
-    char C = *P;
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buffer[8];
-      std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(C)));
-      Out += Buffer;
-    } else {
-      Out += C;
-    }
-  }
-}
 
 void appendMetricMap(std::string &Out,
                      const std::map<std::string, uint64_t> &Metrics) {
@@ -55,7 +38,7 @@ void appendMetricMap(std::string &Out,
       Out += ',';
     First = false;
     Out += '"';
-    appendEscaped(Out, Name.c_str());
+    Out += jsonEscaped(Name);
     Out += "\":";
     Out += std::to_string(Value);
   }
@@ -73,7 +56,7 @@ std::string TraceSession::chromeTraceJson() const {
   for (size_t I = 0; I != Drained.size(); ++I) {
     const TraceSpan &Span = Drained[I];
     Out += "{\"name\":\"";
-    appendEscaped(Out, Span.Name);
+    Out += jsonEscaped(Span.Name);
     Out += "\",\"cat\":\"";
     Out += spanCatName(Span.Cat);
     // trace_event wants microseconds; keep nanosecond precision in the

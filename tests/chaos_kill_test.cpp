@@ -20,12 +20,11 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "robust/CrashInjector.h"
-
 #include "align/Pipeline.h"
 #include "cache/Store.h"
 #include "ir/TextFormat.h"
 #include "profile/Trace.h"
+#include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "serve/Client.h"
 #include "serve/Oneshot.h"
@@ -135,7 +134,7 @@ size_t countLines(const std::string &Path) {
 
 } // namespace
 
-TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashSite) {
+TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashPoint) {
   // One baseline workload (flushed durably up front) and one update
   // workload the child is killed while persisting. Whatever the kill
   // tears, the baseline entries must come back byte-identical and the
@@ -143,12 +142,12 @@ TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashSite) {
   Workload Baseline = makeWorkload(100, 2);
   Workload Update = makeWorkload(200, 2);
 
-  const CrashSite Sweep[] = {CrashSite::CacheTmpWrite,
-                             CrashSite::CachePreRename,
-                             CrashSite::CachePostRename,
-                             CrashSite::PoolTask};
-  for (CrashSite Site : Sweep) {
-    std::string DirName = crashSiteName(Site);
+  const FaultSite Sweep[] = {FaultSite::CacheTmpWrite,
+                             FaultSite::CachePreRename,
+                             FaultSite::CachePostRename,
+                             FaultSite::PoolTask};
+  for (FaultSite Site : Sweep) {
+    std::string DirName = faultSiteName(Site);
     std::replace(DirName.begin(), DirName.end(), '.', '_');
     std::string Dir = freshDir(DirName.c_str());
     {
@@ -160,47 +159,98 @@ TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashSite) {
 
     int Status = runKilledChild([&] {
       AlignmentCache Cache(Dir);
-      if (Site == CrashSite::PoolTask) {
+      if (Site == FaultSite::PoolTask) {
         // Die inside pipeline task execution: no flush ever runs for
         // the update's results.
         AlignmentOptions Options = Update.Options;
         Options.CacheImpl = &Cache;
-        CrashInjector::instance().arm(Site);
+        FaultInjector::instance().arm(Site, FaultSpec::crash());
         alignProgram(Update.Prog, Update.Train, Options);
       } else {
         storeAll(Cache, Update);
-        CrashInjector::instance().arm(Site);
+        FaultInjector::instance().arm(Site, FaultSpec::crash());
         std::string Error;
         Cache.flush(&Error);
       }
     });
     ASSERT_EQ(CrashExitCode, Status)
-        << crashSiteName(Site) << " never fired (or died differently)";
+        << faultSiteName(Site) << " never fired (or died differently)";
 
     // Survivor invariants. The kill may have torn the tmp file or left
     // the rename half-acknowledged; none of that may cost more than one
     // load casualty, and nothing it serves may be wrong bytes.
     AlignmentCache After(Dir);
-    EXPECT_LE(After.stats().LoadFailures, 1u) << crashSiteName(Site);
+    EXPECT_LE(After.stats().LoadFailures, 1u) << faultSiteName(Site);
     for (size_t P = 0; P != Baseline.Prog.numProcedures(); ++P) {
       ProcedureAlignment Out;
       ASSERT_TRUE(After.lookup(Baseline.Prog.proc(P),
                                Baseline.Train.Procs[P], Baseline.Options,
                                P, Out))
-          << crashSiteName(Site) << " lost baseline proc " << P;
+          << faultSiteName(Site) << " lost baseline proc " << P;
       EXPECT_EQ(Baseline.Truth.Procs[P].TspLayout.Order,
                 Out.TspLayout.Order)
-          << crashSiteName(Site);
+          << faultSiteName(Site);
       EXPECT_EQ(Baseline.Truth.Procs[P].TspPenalty, Out.TspPenalty)
-          << crashSiteName(Site);
+          << faultSiteName(Site);
     }
 
     // The survivor can persist again — the torn state did not wedge the
     // store's write path.
     std::string Error;
-    EXPECT_TRUE(After.flush(&Error)) << crashSiteName(Site) << ": "
+    EXPECT_TRUE(After.flush(&Error)) << faultSiteName(Site) << ": "
                                      << Error;
   }
+}
+
+TEST(ChaosKillTest, PoolTaskCrashCountsOneHitPerTask) {
+  // Three profiled procedures aligned serially, each result flushed as
+  // it is stored, and a crash at the second pool.task hit: the first
+  // task's entry is durable before the second task dies. An injector
+  // that counted two pool.task probes per task would die inside the
+  // first task and leave no entry.
+  Workload W = makeWorkload(300, 3);
+  for (size_t P = 0; P != W.Prog.numProcedures(); ++P)
+    ASSERT_GT(W.Train.Procs[P].executedBranches(W.Prog.proc(P)), 0u) << P;
+  std::string Dir = freshDir("pool_task_hit2");
+
+  int Status = runKilledChild([&] {
+    AlignmentCacheConfig Config;
+    Config.FlushEveryStores = 1;
+    AlignmentCache Cache(Dir, Config);
+    AlignmentOptions Options = W.Options;
+    Options.Threads = 1;
+    Options.CacheImpl = &Cache;
+    FaultInjector::instance().arm(FaultSite::PoolTask,
+                                  FaultSpec::crash(/*Nth=*/2));
+    alignProgram(W.Prog, W.Train, Options);
+  });
+  ASSERT_EQ(CrashExitCode, Status) << "pool.task:2 never fired";
+
+  AlignmentCache After(Dir);
+  EXPECT_EQ(0u, After.stats().LoadFailures);
+  EXPECT_EQ(1u, After.size());
+  ProcedureAlignment Out;
+  ASSERT_TRUE(After.lookup(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0,
+                           Out));
+  EXPECT_EQ(W.Truth.Procs[0].TspLayout.Order, Out.TspLayout.Order);
+}
+
+TEST(ChaosKillTest, ResetDisarmsAnArmedCrash) {
+  Workload W = makeWorkload(400, 2);
+  std::string Dir = freshDir("reset");
+  int Status = runKilledChild([&] {
+    FaultInjector::instance().arm(FaultSite::CacheTmpWrite,
+                                  FaultSpec::crash());
+    FaultInjector::instance().reset();
+    AlignmentCache Cache(Dir);
+    storeAll(Cache, W);
+    std::string Error;
+    if (!Cache.flush(&Error))
+      ::_exit(3);
+  });
+  EXPECT_EQ(0, Status) << "a reset crash spec still fired";
+  AlignmentCache After(Dir);
+  EXPECT_EQ(W.Prog.numProcedures(), After.size());
 }
 
 TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
@@ -221,8 +271,8 @@ TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
         ::_exit(3);
       std::set<std::string> Done(Journal.records().begin(),
                                  Journal.records().end());
-      CrashInjector::instance().arm(CrashSite::CheckpointAppend,
-                                    /*Nth=*/2);
+      FaultInjector::instance().arm(FaultSite::CheckpointAppend,
+                                    FaultSpec::crash(/*Nth=*/2));
       for (const std::string &Prog : Programs) {
         if (Done.count(Prog))
           continue; // Never re-run completed work.
@@ -271,11 +321,11 @@ TEST(ChaosKillTest, LegacyMigrationSurvivesKillsAtEveryReplaceSite) {
   // lists exactly the legacy lines.
   const std::string Legacy = "old1.cfg\nold2.cfg\n\nold3.cfg";
   const std::vector<std::string> Lines{"old1.cfg", "old2.cfg", "old3.cfg"};
-  const CrashSite Sweep[] = {CrashSite::CacheTmpWrite,
-                             CrashSite::CachePreRename,
-                             CrashSite::CachePostRename};
-  for (CrashSite Site : Sweep) {
-    std::string DirName = std::string("migrate_") + crashSiteName(Site);
+  const FaultSite Sweep[] = {FaultSite::CacheTmpWrite,
+                             FaultSite::CachePreRename,
+                             FaultSite::CachePostRename};
+  for (FaultSite Site : Sweep) {
+    std::string DirName = std::string("migrate_") + faultSiteName(Site);
     std::replace(DirName.begin(), DirName.end(), '.', '_');
     std::string Path = freshDir(DirName.c_str()) + "/checkpoint";
     {
@@ -284,31 +334,31 @@ TEST(ChaosKillTest, LegacyMigrationSurvivesKillsAtEveryReplaceSite) {
     }
 
     int Status = runKilledChild([&] {
-      CrashInjector::instance().arm(Site);
+      FaultInjector::instance().arm(Site, FaultSpec::crash());
       AppendJournal Journal;
       Journal.open(Path);
     });
     ASSERT_EQ(CrashExitCode, Status)
-        << crashSiteName(Site) << " never fired (or died differently)";
+        << faultSiteName(Site) << " never fired (or died differently)";
 
     std::string Bytes;
     ASSERT_TRUE(readFileBytes(Path, Bytes));
-    bool Renamed = Site == CrashSite::CachePostRename;
+    bool Renamed = Site == FaultSite::CachePostRename;
     if (Renamed)
       EXPECT_EQ(0, Bytes.compare(0, sizeof(AppendJournal::Magic),
                                  AppendJournal::Magic,
                                  sizeof(AppendJournal::Magic)))
-          << crashSiteName(Site);
+          << faultSiteName(Site);
     else
-      EXPECT_EQ(Legacy, Bytes) << crashSiteName(Site);
+      EXPECT_EQ(Legacy, Bytes) << faultSiteName(Site);
 
     AppendJournal After;
     std::string Error;
-    ASSERT_TRUE(After.open(Path, &Error)) << crashSiteName(Site) << ": "
+    ASSERT_TRUE(After.open(Path, &Error)) << faultSiteName(Site) << ": "
                                           << Error;
-    EXPECT_EQ(Lines, After.records()) << crashSiteName(Site);
-    EXPECT_EQ(!Renamed, After.stats().MigratedLegacy) << crashSiteName(Site);
-    EXPECT_FALSE(After.stats().RecoveredTail) << crashSiteName(Site);
+    EXPECT_EQ(Lines, After.records()) << faultSiteName(Site);
+    EXPECT_EQ(!Renamed, After.stats().MigratedLegacy) << faultSiteName(Site);
+    EXPECT_FALSE(After.stats().RecoveredTail) << faultSiteName(Site);
   }
 }
 
@@ -343,7 +393,8 @@ proc main {
 
   auto serveOnce = [&](bool Armed) {
     if (Armed)
-      CrashInjector::instance().arm(CrashSite::ServeResponse);
+      FaultInjector::instance().arm(FaultSite::ServeResponse,
+                                    FaultSpec::crash());
     AlignmentOptions Base;
     ServeConfig Config;
     Config.Threads = 1;

@@ -2,14 +2,13 @@
 //
 // Unit tests for the robustness primitives: FaultSpec parsing and firing
 // semantics, the FaultInjector registry (arming, scoping, suppression,
-// hit accounting), BALIGN_CRASH spec parsing, deterministic Deadlines
-// over a ManualClock, and the bounded-backoff retry helper. The
-// pipeline-level behavior these enable is covered in
-// shield_pipeline_test and shield_cache_test.
+// hit accounting, and which variable may arm which site), BALIGN_CRASH
+// spec parsing, deterministic Deadlines over a ManualClock, and the
+// bounded-backoff retry helper. The pipeline-level behavior these enable
+// is covered in shield_pipeline_test and shield_cache_test.
 //
 //===--------------------------------------------------------------------===//
 
-#include "robust/CrashInjector.h"
 #include "robust/Deadline.h"
 #include "robust/FailureReport.h"
 #include "robust/FaultInjector.h"
@@ -106,20 +105,21 @@ TEST(FaultSpecTest, ParseRejectsMalformedSpecs) {
 }
 
 //===--------------------------------------------------------------------===//
-// CrashInjector spec parsing (arming only: nothing here probes a site)
+// BALIGN_CRASH spec parsing (arming only: nothing here probes a site)
 //===--------------------------------------------------------------------===//
 
-TEST(CrashInjectorTest, ArmFromSpecAcceptsOnlyStrictSpecs) {
-  CrashInjector &CI = CrashInjector::instance();
+TEST(CrashSpecTest, ArmFromSpecAcceptsOnlyStrictSpecs) {
+  FaultInjector &FI = FaultInjector::instance();
+  FI.reset();
   for (const char *Bad : {"", "pool.task:", "pool.task:0", "pool.task:3x",
                           "nosuch.site", "pool.task:18446744073709551616"}) {
     std::string Error;
-    EXPECT_FALSE(CI.armFromSpec(Bad, &Error)) << Bad;
+    EXPECT_FALSE(FI.armCrashFromSpec(Bad, &Error)) << Bad;
     EXPECT_FALSE(Error.empty()) << Bad;
   }
   std::string Error;
-  EXPECT_TRUE(CI.armFromSpec("pool.task:3", &Error)) << Error;
-  CI.reset();
+  EXPECT_TRUE(FI.armCrashFromSpec("pool.task:3", &Error)) << Error;
+  FI.reset();
 }
 
 //===--------------------------------------------------------------------===//
@@ -213,6 +213,65 @@ TEST(FaultInjectorTest, ArmFromSpecParsesListsAndReportsErrors) {
   EXPECT_FALSE(FI.armFromSpec("tsp.solve", &Error)); // Missing ':mode'.
   EXPECT_FALSE(FI.armFromSpec("tsp.solve:sometimes", &Error));
   FI.reset();
+}
+
+TEST(FaultInjectorTest, EachVariableRefusesTheOthersSites) {
+  FaultInjector &FI = FaultInjector::instance();
+  FI.reset();
+  std::string Error;
+  EXPECT_FALSE(FI.armFromSpec("cache.tmp-write:always", &Error));
+  EXPECT_EQ("unknown fault site 'cache.tmp-write' (known sites: "
+            "profile.parse, tsp.transform, tsp.solve, align.greedy, "
+            "pool.task, cache.load, cache.flush, serve.frame, align.chain, "
+            "journal.append, client.connect, displace.fixpoint)",
+            Error);
+  EXPECT_FALSE(FI.armCrashFromSpec("tsp.solve", &Error));
+  EXPECT_EQ("unknown crash site 'tsp.solve' (known sites: pool.task, "
+            "cache.tmp-write, cache.pre-rename, cache.post-rename, "
+            "checkpoint.append, serve.response)",
+            Error);
+  // Neither refusal armed anything: probes pass and count no hit.
+  EXPECT_FALSE(FI.shouldFail(FaultSite::TspSolve));
+  EXPECT_EQ(0u, FI.hits(FaultSite::TspSolve));
+  FI.reset();
+}
+
+TEST(FaultInjectorTest, PoolTaskTakesOneSpecFromOneVariable) {
+  // pool.task is the one site both variables may name, and a site holds
+  // one spec: whichever parser comes second is refused, naming the site,
+  // and the first spec stays armed.
+  FaultInjector &FI = FaultInjector::instance();
+  FI.reset();
+  std::string Error;
+  ASSERT_TRUE(FI.armFromSpec("pool.task:always", &Error)) << Error;
+  EXPECT_FALSE(FI.armCrashFromSpec("pool.task", &Error));
+  EXPECT_NE(Error.find("'pool.task'"), std::string::npos) << Error;
+  EXPECT_TRUE(FI.shouldFail(FaultSite::PoolTask));
+  FI.reset();
+
+  ASSERT_TRUE(FI.armCrashFromSpec("pool.task:2", &Error)) << Error;
+  Error.clear();
+  EXPECT_FALSE(FI.armFromSpec("pool.task:once", &Error));
+  EXPECT_NE(Error.find("'pool.task'"), std::string::npos) << Error;
+  FI.reset();
+
+  // Each parser may re-arm what it armed itself.
+  ASSERT_TRUE(FI.armFromSpec("pool.task:always", &Error)) << Error;
+  ASSERT_TRUE(FI.armFromSpec("pool.task:once", &Error)) << Error;
+  ASSERT_TRUE(FI.armCrashFromSpec("cache.tmp-write:4", &Error)) << Error;
+  ASSERT_TRUE(FI.armCrashFromSpec("cache.tmp-write", &Error)) << Error;
+  FI.reset();
+}
+
+TEST(FaultInjectorDeathTest, SitesTakeOnlyTheirVariablesSpecs) {
+  // However a site is armed, a crash-only site takes no fault spec and a
+  // fault-only site no crash spec.
+  FaultInjector &FI = FaultInjector::instance();
+  FI.reset();
+  EXPECT_DEATH(FI.arm(FaultSite::CacheTmpWrite, FaultSpec::always()),
+               "balign fatal: site 'cache.tmp-write' takes no fault spec");
+  EXPECT_DEATH(FI.arm(FaultSite::TspSolve, FaultSpec::crash()),
+               "balign fatal: site 'tsp.solve' takes no crash spec");
 }
 
 TEST(FaultInjectorTest, SiteNamesRoundTrip) {

@@ -217,15 +217,14 @@ TEST(SentinelServeTest, SecondDrainRequestForcesStructuredAbandon) {
 }
 
 TEST(SentinelServeTest, WatchdogFlagsStuckRequestOnManualClock) {
-  Oracle O = makeOracle(/*DeadlineMs=*/20);
+  const uint32_t DeadlineMs = 20;
+  Oracle O = makeOracle(DeadlineMs);
   Latch Stall;
   ManualClock Clock(1000);
   AlignmentOptions Base;
   ServeConfig Config;
   Config.Threads = 1;
   Config.Clock = Clock.fn();
-  Config.StuckGraceMs = 30;
-  Config.StuckPollMs = 2;
   Config.TestStallHook = [&Stall] { Stall.wait(); };
   AlignServer Server(Base, Config);
 
@@ -240,11 +239,11 @@ TEST(SentinelServeTest, WatchdogFlagsStuckRequestOnManualClock) {
   });
 
   ASSERT_TRUE(eventually([&] { return Server.inFlightRequests() == 1; }));
-  // Sit one tick short of deadline + grace: not stuck yet. The watchdog
-  // scans in real time but judges on the injected clock, so this is a
-  // stable state, not a lucky one.
-  Clock.advance(49);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Sit one tick short of deadline + grace: not stuck yet, however many
+  // scans pass. The watchdog scans in real time but judges on the
+  // injected clock, so this is a stable state, not a lucky one.
+  Clock.advance(DeadlineMs + StuckGraceMs - 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5 * StuckPollMs));
   EXPECT_EQ(1u, Server.inFlightRequests());
   EXPECT_EQ(0u, Server.metrics().counter("serve.stuck"));
 

@@ -120,6 +120,19 @@ TEST(FormatTest, EscapesControlBytes) {
   EXPECT_EQ(escapeControlBytes(""), "");
 }
 
+/// The one JSON string escaper (lint reports, align_tool's batch lint
+/// array and the trace exporters): every byte below 0x20 must come out
+/// escaped, or the document is not JSON.
+TEST(FormatTest, JsonEscapedEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(jsonEscaped("plain name.cfg"), "plain name.cfg");
+  EXPECT_EQ(jsonEscaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscaped("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+  EXPECT_EQ(jsonEscaped(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(jsonEscaped(std::string("\x1f")), "\\u001f");
+  EXPECT_EQ(jsonEscaped("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // Not controls.
+}
+
 TEST(TableTest, RendersAlignedColumns) {
   TextTable T;
   T.addColumn("name");
