@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 using namespace balign;
@@ -23,6 +24,11 @@ struct Candidate {
   City C = InvalidCity;
 };
 
+/// The lower of two candidates by (weight, city).
+Candidate lower(Candidate A, Candidate B) {
+  return B.Weight < A.Weight || (B.Weight == A.Weight && B.C < A.C) ? B : A;
+}
+
 /// Builds minimum 1-trees of the pair-locked instance \p T: an MST over
 /// cities 1..2N-1 (Prim) plus the two cheapest edges incident to city 0,
 /// all under weights w(a,b) = d(a,b) + Pi[a] + Pi[b]. One kernel serves a
@@ -36,30 +42,39 @@ struct Candidate {
 /// selects a forbidden edge: it then relaxes only the other side of the
 /// split, and city 0 (an in-city) attaches through out-cities, for the
 /// same tree and the same tie-breaks. Otherwise it relaxes every city, as
-/// on the full matrix. Each side keeps its cities outside the tree in a
-/// list with swap-remove, so a Prim step reads only those; the scrambled
-/// order is why the argmin compares (Best, city) explicitly, which picks
-/// the lowest city among equal weights as an ascending scan would.
+/// on the full matrix.
+///
+/// While, in addition, the heaviest pair weight (d = -M) is below the
+/// lightest arc weight, a city's pair partner is the unique lightest city
+/// outside the tree once the city joins, so it joins next without a
+/// search (pairPrim; DESIGN.md section 5 derives it). The two
+/// sides outside the tree then hold the same directed indices, apart from
+/// city N (out-city 0, whose partner is city 0), and one ascending list
+/// of those indices serves both: one pass per pair relaxes the in-side
+/// against the pair's out-city and the out-side against its in-city, and
+/// returns each side's lowest (Best, city). Every scan is ascending with
+/// a strict <, so the lowest city wins among equal weights as in a scan
+/// of the whole matrix.
 class OneTreeKernel {
 public:
   explicit OneTreeKernel(const SymmetricTransform &T)
-      : Half(T.DirectedN), Forbidden(static_cast<double>(T.LockBonus)),
-        OutRows(Half * Half), InRows(Half * Half),
-        Best(2 * Half), Parent(2 * Half), Pos(2 * Half), Degree(2 * Half) {
+      : Half(static_cast<City>(T.DirectedN)),
+        Forbidden(static_cast<double>(T.LockBonus)), OutRows(Half * Half),
+        InRows(Half * Half), Best(2 * Half), Parent(2 * Half),
+        Degree(2 * Half), InTree(2 * Half) {
     assert(Half >= 3 && "the ascent needs at least three directed cities");
-    City N = static_cast<City>(Half);
-    // The dearest finite distance: a real arc, as pair edges cost
-    // -LockBonus.
+    // The dearest and the cheapest real arc (pair edges cost -LockBonus).
     MaxArc = std::numeric_limits<int64_t>::min();
-    for (City I = 0; I != N; ++I)
-      for (City J = 0; J != N; ++J) {
-        OutRows[I * Half + J] = static_cast<double>(T.dist(I + N, J));
-        InRows[I * Half + J] = static_cast<double>(T.dist(I, J + N));
-        if (I != J)
+    MinArc = std::numeric_limits<int64_t>::max();
+    for (City I = 0; I != Half; ++I)
+      for (City J = 0; J != Half; ++J) {
+        OutRows[I * Half + J] = static_cast<double>(T.dist(I + Half, J));
+        InRows[I * Half + J] = static_cast<double>(T.dist(I, J + Half));
+        if (I != J) {
           MaxArc = std::max(MaxArc, T.Dtsp->cost(I, J));
+          MinArc = std::min(MinArc, T.Dtsp->cost(I, J));
+        }
       }
-    Remaining[0].reserve(Half);
-    Remaining[1].reserve(Half);
   }
 
   /// Builds the minimum 1-tree under potentials \p Pi and returns its
@@ -81,46 +96,119 @@ private:
                 : InRows[A * Half + (B - Half)];
   }
 
-  /// The lowest (Best, city) on \p List, relaxing each city first
-  /// against \p Next at distance \p Dist(C) when \p Relax is set.
-  template <bool Relax, typename DistFn>
-  Candidate scan(const std::vector<City> &List, City Next,
-                 const std::vector<double> &Pi, DistFn Dist) {
-    Candidate Min;
-    double PiNext = Pi[Next];
-    for (City C : List) {
-      if constexpr (Relax) {
-        double W = (Dist(C) + PiNext) + Pi[C];
-        if (W < Best[C]) {
-          Best[C] = W;
-          Parent[C] = Next;
-        }
-      }
-      // Most cities lose on the first comparison.
-      double B = Best[C];
-      if (B <= Min.Weight && (B < Min.Weight || C < Min.C))
-        Min = {B, C};
-    }
-    return Min;
+  /// Adds the edge joining \p C to the tree at \p P.
+  void addEdge(City C, City P, const std::vector<double> &Pi, double &Cost) {
+    Cost += (dist(C, P) + Pi[C]) + Pi[P];
+    ++Degree[C];
+    ++Degree[P];
   }
 
-  size_t Half;
+  /// Lowers Best[C] to \p W through \p Next when that is lighter, and
+  /// returns Best[C].
+  double relax(City C, double W, City Next) {
+    if (W < Best[C]) {
+      Best[C] = W;
+      Parent[C] = Next;
+    }
+    return Best[C];
+  }
+
+  /// Prim on the finite path when pair partners join next.
+  void pairPrim(const std::vector<double> &Pi, double &Cost);
+  /// Prim scanning every city per step; on the finite path it relaxes
+  /// only across the split.
+  void scanPrim(const std::vector<double> &Pi, bool OnlyFinite,
+                double &Cost);
+
+  City Half;
   double Forbidden; ///< d(A, B) between two cities on one side.
-  int64_t MaxArc;
+  int64_t MaxArc, MinArc;
   std::vector<double> OutRows; ///< [i * N + j] = d(i_out, j_in).
   std::vector<double> InRows;  ///< [i * N + j] = d(i_in, j_out).
   std::vector<double> Best;
   std::vector<City> Parent;
-  std::vector<size_t> Pos; ///< Index of a city in its side's list.
   std::vector<unsigned> Degree;
-  /// In-cities (0) and out-cities (1) outside the tree; never city 0.
-  std::vector<City> Remaining[2];
+  /// pairPrim: directed indices j >= 1 whose pair is outside the tree,
+  /// ascending.
+  std::vector<City> Live;
+  std::vector<bool> InTree; ///< scanPrim: cities in the tree.
 };
 
 } // namespace
 
+void OneTreeKernel::pairPrim(const std::vector<double> &Pi, double &Cost) {
+  Live.resize(Half - 1);
+  std::iota(Live.begin(), Live.end(), 1);
+  bool HalfOutside = true;
+  // City 1 joins first, without an edge.
+  City Next = 1;
+  for (;;) {
+    // Next has joined. Its pair is (In, Out); unless Next is city N, its
+    // partner joins too.
+    City J = Next >= Half ? Next - Half : Next;
+    City In = J, Out = J + Half;
+    bool Pair = Next != Half;
+    if (Pair) {
+      Live.erase(std::lower_bound(Live.begin(), Live.end(), J));
+      addEdge(Next == In ? Out : In, Next, Pi, Cost);
+    } else {
+      HalfOutside = false;
+    }
+    if (Live.empty() && !HalfOutside)
+      return;
+    // The in-side relaxes against Out, the out-side against In when In
+    // is in the tree, that is, unless Next is city N.
+    const double *InRow = &InRows[In * Half];
+    const double *OutRow = &OutRows[J * Half];
+    double PiIn = Pi[In], PiOut = Pi[Out];
+    Candidate MinIn, MinOut;
+    if (HalfOutside)
+      MinOut = {relax(Half, (InRow[0] + PiIn) + Pi[Half], In), Half};
+    for (City K : Live) {
+      double B = relax(K, (OutRow[K] + PiOut) + Pi[K], Out);
+      if (B < MinIn.Weight)
+        MinIn = {B, K};
+      City KOut = K + Half;
+      B = Pair ? relax(KOut, (InRow[K] + PiIn) + Pi[KOut], In) : Best[KOut];
+      if (B < MinOut.Weight)
+        MinOut = {B, KOut};
+    }
+    Candidate Min = lower(MinIn, MinOut);
+    assert(Min.Weight < Inf && "finite edges connect; Prim cannot stall");
+    Next = Min.C;
+    addEdge(Next, Parent[Next], Pi, Cost);
+  }
+}
+
+void OneTreeKernel::scanPrim(const std::vector<double> &Pi, bool OnlyFinite,
+                             double &Cost) {
+  City Cities = 2 * Half;
+  std::fill(InTree.begin(), InTree.end(), false);
+  InTree[0] = true; // City 0 attaches after Prim.
+  City Next = 1;
+  for (City Added = 1;; ++Added) {
+    InTree[Next] = true;
+    if (Added != 1)
+      addEdge(Next, Parent[Next], Pi, Cost);
+    if (Added == Cities - 1)
+      return;
+    bool NextOut = Next >= Half;
+    Candidate Min;
+    for (City C = 1; C != Cities; ++C) {
+      if (InTree[C])
+        continue;
+      double B = !OnlyFinite || (C >= Half) != NextOut
+                     ? relax(C, (dist(Next, C) + Pi[Next]) + Pi[C], Next)
+                     : Best[C];
+      if (B < Min.Weight)
+        Min = {B, C};
+    }
+    assert(Min.Weight < Inf && "finite edges connect; Prim cannot stall");
+    Next = Min.C;
+  }
+}
+
 double OneTreeKernel::build(const std::vector<double> &Pi) {
-  City Cities = static_cast<City>(2 * Half);
   // Weights are fl(fl(d + Pi[a]) + Pi[b]) and rounding is monotone, so
   // it suffices that the lightest forbidden weight (d = LockBonus, both
   // potentials minimal) beats the heaviest finite one (d = MaxArc, both
@@ -128,54 +216,22 @@ double OneTreeKernel::build(const std::vector<double> &Pi) {
   auto [MinPi, MaxPi] = std::minmax_element(Pi.begin(), Pi.end());
   bool OnlyFinite = Forbidden + *MinPi + *MinPi >
                     static_cast<double>(MaxArc) + *MaxPi + *MaxPi;
+  // Likewise the heaviest pair weight (d = -LockBonus) must beat the
+  // lightest arc weight (d = MinArc) for partners to join next.
+  bool PairFirst = OnlyFinite && -Forbidden + *MaxPi + *MaxPi <
+                                     static_cast<double>(MinArc) + *MinPi +
+                                         *MinPi;
   ++OneTrees;
   if (!OnlyFinite)
     ++FallbackTrees;
 
   std::fill(Best.begin(), Best.end(), Inf);
-  std::fill(Parent.begin(), Parent.end(), InvalidCity);
   std::fill(Degree.begin(), Degree.end(), 0u);
-  for (std::vector<City> &List : Remaining)
-    List.clear();
-  for (City C = 1; C != Cities; ++C) {
-    std::vector<City> &List = Remaining[C >= Half];
-    Pos[C] = List.size();
-    List.push_back(C);
-  }
-
-  // Prim over cities 1..2N-1, from city 1.
   double Cost = 0.0;
-  City Next = 1;
-  for (City Added = 1;; ++Added) {
-    bool NextOut = Next >= Half;
-    if (City P = Parent[Next]; P != InvalidCity) {
-      Cost += (dist(Next, P) + Pi[Next]) + Pi[P];
-      ++Degree[Next];
-      ++Degree[P];
-    }
-    std::vector<City> &Own = Remaining[NextOut];
-    City Last = Own.back();
-    Own[Pos[Next]] = Last;
-    Pos[Last] = Pos[Next];
-    Own.pop_back();
-    if (Added == Cities - 1)
-      break;
-
-    const double *Row = NextOut ? &OutRows[(Next - Half) * Half]
-                                : &InRows[Next * Half];
-    City Offset = NextOut ? 0 : static_cast<City>(Half);
-    Candidate Other = scan<true>(Remaining[!NextOut], Next, Pi,
-                                 [&](City C) { return Row[C - Offset]; });
-    Candidate Same =
-        OnlyFinite
-            ? scan<false>(Own, Next, Pi, [](City) { return 0.0; })
-            : scan<true>(Own, Next, Pi, [&](City) { return Forbidden; });
-    bool SameLower = Same.Weight < Other.Weight ||
-                     (Same.Weight == Other.Weight && Same.C < Other.C);
-    Next = SameLower ? Same.C : Other.C;
-    assert(std::min(Same.Weight, Other.Weight) < Inf &&
-           "finite edges connect; Prim cannot stall");
-  }
+  if (PairFirst)
+    pairPrim(Pi, Cost);
+  else
+    scanPrim(Pi, OnlyFinite, Cost);
 
   // Attach city 0 with its two cheapest edges, scanning in city order.
   double First = Inf, Second = Inf;
@@ -196,7 +252,7 @@ double OneTreeKernel::build(const std::vector<double> &Pi) {
     for (City C = 1; C != Half; ++C)
       Offer(C, Forbidden);
   for (City J = 0; J != Half; ++J)
-    Offer(J + static_cast<City>(Half), InRows[J]);
+    Offer(J + Half, InRows[J]);
   Cost += First + Second;
   Degree[0] += 2;
   ++Degree[FirstCity];
@@ -239,7 +295,8 @@ double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
   // hundreds of iterations; halve the step only on long stagnation.
   const unsigned StagnationWindow = std::max(50u, Iterations / 25);
 
-  for (unsigned Iter = 0; Iter != Iterations; ++Iter) {
+  unsigned Iter = 0;
+  for (; Iter != Iterations; ++Iter) {
     double TreeCost = Kernel.build(Pi);
     const std::vector<unsigned> &Degree = Kernel.degree();
     double PiSum = 0.0;
@@ -275,6 +332,9 @@ double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
   // One publication per ascent keeps the registry out of the 1-tree loop.
   scopeCounterAdd("heldkarp.one-trees", Kernel.OneTrees);
   scopeCounterAdd("heldkarp.fallback-trees", Kernel.FallbackTrees);
+  scopeCounterAdd("heldkarp.ascents", 1);
+  // An ascent that no stop test ended ran into the iteration cap.
+  scopeCounterAdd("heldkarp.capped-ascents", Iter == Iterations);
   // The bound is valid at every iteration; the best seen never exceeds
   // the incumbent tour, which is feasible.
   double SymBound = std::min(BestBound, static_cast<double>(SymUpper));

@@ -15,6 +15,7 @@
 #include "workloads/Generator.h"
 
 #include "StageSpans.h"
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -76,13 +77,6 @@ void expectProgramEq(const ProgramAlignment &A, const ProgramAlignment &B) {
   }
 }
 
-std::string freshDir(const char *Name) {
-  std::string Dir = ::testing::TempDir() + "balign_cachepipe_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
-
 } // namespace
 
 TEST(CachePipelineTest, WarmMemoryRunDoesZeroSolverWork) {
@@ -134,7 +128,7 @@ TEST(CachePipelineTest, EnablingCacheWithoutSessionIsFatal) {
 
 TEST(CachePipelineTest, ColdWarmSerialParallelAllBitIdentical) {
   Workload W = makeWorkload();
-  std::string Dir = freshDir("matrix");
+  TempDir Dir("cachepipe_matrix");
 
   AlignmentOptions Baseline; // No cache, serial: the reference result.
   ProgramAlignment Reference = alignProgram(W.Prog, W.Train, Baseline);
@@ -143,21 +137,21 @@ TEST(CachePipelineTest, ColdWarmSerialParallelAllBitIdentical) {
   {
     AlignmentOptions Options;
     Options.Cache = CacheMode::Disk;
-    Options.CachePath = Dir;
+    Options.CachePath = Dir.path();
     CacheSession Session(Options);
     TracedAlignment Cold = alignTraced(W.Prog, W.Train, Options);
     EXPECT_EQ(Cold.count("stage.solve"), ProfiledCount);
     expectProgramEq(Reference, Cold.Result);
   }
   ASSERT_TRUE(std::filesystem::exists(
-      Dir + "/" + AlignmentCache::StoreFileName));
+      Dir / AlignmentCache::StoreFileName));
 
   // Warm runs from a fresh process-equivalent (new session, reloaded
   // store), serial and parallel.
   for (unsigned Threads : {1u, 8u}) {
     AlignmentOptions Options;
     Options.Cache = CacheMode::Disk;
-    Options.CachePath = Dir;
+    Options.CachePath = Dir.path();
     Options.Threads = Threads;
     CacheSession Session(Options);
     TracedAlignment Warm = alignTraced(W.Prog, W.Train, Options);
@@ -170,10 +164,10 @@ TEST(CachePipelineTest, ColdWarmSerialParallelAllBitIdentical) {
 
   // And a parallel *cold* run into a fresh directory matches too.
   {
-    std::string Dir2 = freshDir("matrix_par");
+    TempDir Dir2("cachepipe_matrix_par");
     AlignmentOptions Options;
     Options.Cache = CacheMode::Disk;
-    Options.CachePath = Dir2;
+    Options.CachePath = Dir2.path();
     Options.Threads = 8;
     CacheSession Session(Options);
     ProgramAlignment Cold = alignProgram(W.Prog, W.Train, Options);
@@ -252,7 +246,7 @@ TEST(CachePipelineTest, AfterProcedureHookFiresForEveryProcedureOnAWarmCache) {
 
 TEST(CachePipelineTest, CorruptStoreFallsBackToIdenticalRecompute) {
   Workload W = makeWorkload();
-  std::string Dir = freshDir("corrupt");
+  TempDir Dir("cachepipe_corrupt");
 
   AlignmentOptions Baseline;
   ProgramAlignment Reference = alignProgram(W.Prog, W.Train, Baseline);
@@ -260,13 +254,13 @@ TEST(CachePipelineTest, CorruptStoreFallsBackToIdenticalRecompute) {
   {
     AlignmentOptions Options;
     Options.Cache = CacheMode::Disk;
-    Options.CachePath = Dir;
+    Options.CachePath = Dir.path();
     CacheSession Session(Options);
     alignProgram(W.Prog, W.Train, Options);
   }
 
   // Flip one byte somewhere in the first entry's payload.
-  std::string Path = Dir + "/" + AlignmentCache::StoreFileName;
+  std::string Path = Dir / AlignmentCache::StoreFileName;
   std::vector<uint8_t> File;
   {
     std::ifstream In(Path, std::ios::binary);
@@ -284,7 +278,7 @@ TEST(CachePipelineTest, CorruptStoreFallsBackToIdenticalRecompute) {
 
   AlignmentOptions Options;
   Options.Cache = CacheMode::Disk;
-  Options.CachePath = Dir;
+  Options.CachePath = Dir.path();
   CacheSession Session(Options);
   ProgramAlignment Warm = alignProgram(W.Prog, W.Train, Options);
   CacheStats S = Session.stats();
@@ -298,7 +292,7 @@ TEST(CachePipelineTest, CorruptStoreFallsBackToIdenticalRecompute) {
   {
     AlignmentOptions Options2;
     Options2.Cache = CacheMode::Disk;
-    Options2.CachePath = Dir;
+    Options2.CachePath = Dir.path();
     CacheSession Session2(Options2);
     ProgramAlignment Repaired = alignProgram(W.Prog, W.Train, Options2);
     EXPECT_EQ(Session2.stats().Hits, ProfiledCount);

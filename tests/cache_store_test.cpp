@@ -14,6 +14,8 @@
 #include "robust/Journal.h"
 #include "workloads/Generator.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -84,16 +86,8 @@ bool lookupOne(AlignmentCache &Cache, const Workload &W, size_t P) {
   return true;
 }
 
-/// Fresh empty directory under the gtest temp root.
-std::string freshDir(const char *Name) {
-  std::string Dir = ::testing::TempDir() + "balign_cache_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
-
-std::string storePath(const std::string &Dir) {
-  return Dir + "/" + AlignmentCache::StoreFileName;
+std::string storePath(const TempDir &Dir) {
+  return Dir / AlignmentCache::StoreFileName;
 }
 
 std::vector<uint8_t> readFile(const std::string &Path) {
@@ -189,15 +183,15 @@ TEST(CacheStoreTest, WrongIndexOrOptionsMiss) {
 
 TEST(CacheStoreTest, DiskFlushReopenHits) {
   Workload W = makeWorkload(3);
-  std::string Dir = freshDir("roundtrip");
+  TempDir Dir("cache_roundtrip");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     std::string Error;
     ASSERT_TRUE(Cache.flush(&Error)) << Error;
     EXPECT_GT(Cache.stats().BytesWritten, 0u);
   }
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 3u);
   for (size_t P = 0; P != 3; ++P)
     EXPECT_TRUE(lookupOne(Reopened, W, P));
@@ -206,16 +200,16 @@ TEST(CacheStoreTest, DiskFlushReopenHits) {
 
 TEST(CacheStoreTest, FlushIsAtomicReplacement) {
   Workload W = makeWorkload(2);
-  std::string Dir = freshDir("atomic");
-  AlignmentCache Cache(Dir);
+  TempDir Dir("cache_atomic");
+  AlignmentCache Cache(Dir.path());
   storeAll(Cache, W);
   ASSERT_TRUE(Cache.flush());
   ASSERT_TRUE(Cache.flush()); // Second flush replaces, never appends.
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 2u);
   // No tmp files left behind by successful flushes.
   size_t TmpFiles = 0;
-  for (const auto &E : std::filesystem::directory_iterator(Dir))
+  for (const auto &E : std::filesystem::directory_iterator(Dir.path()))
     if (E.path().filename().string().find(".tmp.") != std::string::npos)
       ++TmpFiles;
   EXPECT_EQ(TmpFiles, 0u);
@@ -223,9 +217,9 @@ TEST(CacheStoreTest, FlushIsAtomicReplacement) {
 
 TEST(CacheStoreTest, BitFlippedEntryIsDroppedOthersSalvaged) {
   Workload W = makeWorkload(3);
-  std::string Dir = freshDir("bitflip");
+  TempDir Dir("cache_bitflip");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
@@ -234,7 +228,7 @@ TEST(CacheStoreTest, BitFlippedEntryIsDroppedOthersSalvaged) {
   File[E.PayloadPos + E.PayloadSize / 2] ^= 0xFF; // Rot inside entry 0.
   writeFile(storePath(Dir), File);
 
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 2u); // Entries 1 and 2 salvaged.
   EXPECT_EQ(Reopened.stats().Invalidations, 1u);
   EXPECT_FALSE(lookupOne(Reopened, W, 0)); // The rotted entry is a miss...
@@ -244,9 +238,9 @@ TEST(CacheStoreTest, BitFlippedEntryIsDroppedOthersSalvaged) {
 
 TEST(CacheStoreTest, TruncatedFileSalvagesPrefix) {
   Workload W = makeWorkload(3);
-  std::string Dir = freshDir("truncated");
+  TempDir Dir("cache_truncated");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
@@ -254,7 +248,7 @@ TEST(CacheStoreTest, TruncatedFileSalvagesPrefix) {
   File.resize(File.size() - 5); // Cut into the last entry's checksum.
   writeFile(storePath(Dir), File);
 
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 2u);
   // Truncation (a crash or full disk cut the store short) is a load
   // failure, not a content invalidation: the preceding entries are
@@ -274,9 +268,9 @@ TEST(CacheStoreTest, TruncationAtEveryByteOffset) {
   // boundary (where the file is short but self-consistent), and (c)
   // never misclassify a truncation as a content invalidation.
   Workload W = makeWorkload(2);
-  std::string Dir = freshDir("everycut");
+  TempDir Dir("cache_everycut");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
@@ -307,7 +301,7 @@ TEST(CacheStoreTest, TruncationAtEveryByteOffset) {
       CleanCut |= Cut == Boundaries[B];
     }
 
-    AlignmentCache Reopened(Dir);
+    AlignmentCache Reopened(Dir.path());
     CacheStats S = Reopened.stats();
     EXPECT_EQ(Reopened.size(), CompleteEntries) << "cut at " << Cut;
     EXPECT_EQ(S.LoadFailures, CleanCut ? 0u : 1u) << "cut at " << Cut;
@@ -323,16 +317,16 @@ TEST(CacheStoreTest, TruncationAtEveryByteOffset) {
 
 TEST(CacheStoreTest, HeaderTruncationDiscardsStore) {
   Workload W = makeWorkload(1);
-  std::string Dir = freshDir("headercut");
+  TempDir Dir("cache_headercut");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
   std::vector<uint8_t> File = readFile(storePath(Dir));
   File.resize(HeaderBytes - 3);
   writeFile(storePath(Dir), File);
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 0u);
   // The magic prefix still matches, so this is our store cut mid-header:
   // a truncation (load failure), not foreign content.
@@ -342,9 +336,9 @@ TEST(CacheStoreTest, HeaderTruncationDiscardsStore) {
 
 TEST(CacheStoreTest, WrongVersionDiscardsWholesale) {
   Workload W = makeWorkload(2);
-  std::string Dir = freshDir("version");
+  TempDir Dir("cache_version");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
@@ -353,38 +347,38 @@ TEST(CacheStoreTest, WrongVersionDiscardsWholesale) {
   std::memcpy(File.data() + 8, &Bumped, sizeof(Bumped));
   writeFile(storePath(Dir), File);
 
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 0u);
   EXPECT_EQ(Reopened.stats().Invalidations, 1u);
   EXPECT_FALSE(lookupOne(Reopened, W, 0));
   // A flush from the new session writes a clean current-version store.
   storeAll(Reopened, W);
   ASSERT_TRUE(Reopened.flush());
-  AlignmentCache Again(Dir);
+  AlignmentCache Again(Dir.path());
   EXPECT_EQ(Again.size(), 2u);
 }
 
 TEST(CacheStoreTest, WrongMagicDiscardsWholesale) {
   Workload W = makeWorkload(1);
-  std::string Dir = freshDir("magic");
+  TempDir Dir("cache_magic");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
   std::vector<uint8_t> File = readFile(storePath(Dir));
   File[0] ^= 0x20;
   writeFile(storePath(Dir), File);
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_EQ(Reopened.size(), 0u);
   EXPECT_EQ(Reopened.stats().Invalidations, 1u);
 }
 
 TEST(CacheStoreTest, ForgedChecksumStillRejectedByValidation) {
   Workload W = makeWorkload(1);
-  std::string Dir = freshDir("forged");
+  TempDir Dir("cache_forged");
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
@@ -401,7 +395,7 @@ TEST(CacheStoreTest, ForgedChecksumStillRejectedByValidation) {
            journalChecksum(File.data() + E.KeyPos, E.RecordSize));
   writeFile(storePath(Dir), File);
 
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   ASSERT_EQ(Reopened.size(), 1u); // Checksum passes, so the entry loads...
   ProcedureAlignment Out;
   EXPECT_FALSE(Reopened.lookup(W.Prog.proc(0), W.Train.Procs[0], W.Options,
@@ -416,11 +410,11 @@ TEST(CacheStoreTest, ForgedChecksumStillRejectedByValidation) {
 TEST(CacheStoreTest, RecordTooShortForItsKeyIsInvalidated) {
   // A checksum-clean record must still hold the 16-byte key; a shorter
   // one (forged, or written by something else) is damaged content.
-  std::string Dir = freshDir("shortkey");
+  TempDir Dir("cache_shortkey");
   std::string File = recordFileHeader("BALNCACH", CacheFormatVersion);
   appendRecord(File, "short");
   writeFile(storePath(Dir), std::vector<uint8_t>(File.begin(), File.end()));
-  AlignmentCache Cache(Dir);
+  AlignmentCache Cache(Dir.path());
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.stats().Invalidations, 1u);
   EXPECT_EQ(Cache.stats().LoadFailures, 0u);
@@ -428,23 +422,24 @@ TEST(CacheStoreTest, RecordTooShortForItsKeyIsInvalidated) {
 
 TEST(CacheStoreTest, StaleTmpFilesAreHarmless) {
   Workload W = makeWorkload(1);
-  std::string Dir = freshDir("staletmp");
+  TempDir Dir("cache_staletmp");
   // Simulate a writer that died mid-flush before the rename.
   std::vector<uint8_t> Garbage(128, 0xAB);
-  writeFile(Dir + "/" + AlignmentCache::StoreFileName + ".tmp.99999",
+  writeFile(Dir / AlignmentCache::StoreFileName + ".tmp.99999",
             Garbage);
 
-  AlignmentCache Cache(Dir);
+  AlignmentCache Cache(Dir.path());
   EXPECT_EQ(Cache.size(), 0u); // Tmp leftovers are not the store.
   storeAll(Cache, W);
   ASSERT_TRUE(Cache.flush());
-  AlignmentCache Reopened(Dir);
+  AlignmentCache Reopened(Dir.path());
   EXPECT_TRUE(lookupOne(Reopened, W, 0));
 }
 
 TEST(CacheStoreTest, MissingDirectoryIsColdNotFatal) {
   Workload W = makeWorkload(1);
-  std::string Dir = freshDir("missing") + "/nested/deeper";
+  TempDir Root("cache_missing");
+  std::string Dir = Root / "nested/deeper";
   AlignmentCache Cache(Dir); // Directory does not exist yet.
   EXPECT_FALSE(lookupOne(Cache, W, 0));
   storeAll(Cache, W);
@@ -499,15 +494,15 @@ TEST(CacheStoreTest, PayloadByteBoundEvicts) {
 
 TEST(CacheStoreTest, DiskEvictionCompactsOnFlush) {
   Workload W = makeWorkload(6);
-  std::string Dir = freshDir("compact");
+  TempDir Dir("cache_compact");
   AlignmentCacheConfig Config;
   Config.MaxEntries = 2;
   {
-    AlignmentCache Cache(Dir, Config);
+    AlignmentCache Cache(Dir.path(), Config);
     storeAll(Cache, W);
     ASSERT_TRUE(Cache.flush());
   }
-  AlignmentCache Reopened(Dir, Config);
+  AlignmentCache Reopened(Dir.path(), Config);
   EXPECT_EQ(Reopened.size(), 2u);
   EXPECT_TRUE(lookupOne(Reopened, W, 4));
   EXPECT_TRUE(lookupOne(Reopened, W, 5));

@@ -31,13 +31,14 @@
 #include "serve/Server.h"
 #include "workloads/Generator.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <fcntl.h>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -52,13 +53,6 @@ namespace {
 struct IgnoreSigpipe {
   IgnoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
 } IgnoreSigpipeInit;
-
-std::string freshDir(const char *Name) {
-  std::string Dir = ::testing::TempDir() + "balign_chaos_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
 
 /// A small program + profile + no-cache truth (the cache_store_test
 /// workload shape, kept tiny: chaos sweeps fork per site).
@@ -147,18 +141,18 @@ TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashPoint) {
                              FaultSite::CachePostRename,
                              FaultSite::PoolTask};
   for (FaultSite Site : Sweep) {
-    std::string DirName = faultSiteName(Site);
+    std::string DirName = std::string("chaos_") + faultSiteName(Site);
     std::replace(DirName.begin(), DirName.end(), '.', '_');
-    std::string Dir = freshDir(DirName.c_str());
+    TempDir Dir(DirName);
     {
-      AlignmentCache Seed(Dir);
+      AlignmentCache Seed(Dir.path());
       storeAll(Seed, Baseline);
       std::string Error;
       ASSERT_TRUE(Seed.flush(&Error)) << Error;
     }
 
     int Status = runKilledChild([&] {
-      AlignmentCache Cache(Dir);
+      AlignmentCache Cache(Dir.path());
       if (Site == FaultSite::PoolTask) {
         // Die inside pipeline task execution: no flush ever runs for
         // the update's results.
@@ -179,7 +173,7 @@ TEST(ChaosKillTest, CacheStoreSurvivesKillsAtEveryCrashPoint) {
     // Survivor invariants. The kill may have torn the tmp file or left
     // the rename half-acknowledged; none of that may cost more than one
     // load casualty, and nothing it serves may be wrong bytes.
-    AlignmentCache After(Dir);
+    AlignmentCache After(Dir.path());
     EXPECT_LE(After.stats().LoadFailures, 1u) << faultSiteName(Site);
     for (size_t P = 0; P != Baseline.Prog.numProcedures(); ++P) {
       ProcedureAlignment Out;
@@ -211,12 +205,12 @@ TEST(ChaosKillTest, PoolTaskCrashCountsOneHitPerTask) {
   Workload W = makeWorkload(300, 3);
   for (size_t P = 0; P != W.Prog.numProcedures(); ++P)
     ASSERT_GT(W.Train.Procs[P].executedBranches(W.Prog.proc(P)), 0u) << P;
-  std::string Dir = freshDir("pool_task_hit2");
+  TempDir Dir("chaos_pool_task_hit2");
 
   int Status = runKilledChild([&] {
     AlignmentCacheConfig Config;
     Config.FlushEveryStores = 1;
-    AlignmentCache Cache(Dir, Config);
+    AlignmentCache Cache(Dir.path(), Config);
     AlignmentOptions Options = W.Options;
     Options.Threads = 1;
     Options.CacheImpl = &Cache;
@@ -226,7 +220,7 @@ TEST(ChaosKillTest, PoolTaskCrashCountsOneHitPerTask) {
   });
   ASSERT_EQ(CrashExitCode, Status) << "pool.task:2 never fired";
 
-  AlignmentCache After(Dir);
+  AlignmentCache After(Dir.path());
   EXPECT_EQ(0u, After.stats().LoadFailures);
   EXPECT_EQ(1u, After.size());
   ProcedureAlignment Out;
@@ -237,25 +231,25 @@ TEST(ChaosKillTest, PoolTaskCrashCountsOneHitPerTask) {
 
 TEST(ChaosKillTest, ResetDisarmsAnArmedCrash) {
   Workload W = makeWorkload(400, 2);
-  std::string Dir = freshDir("reset");
+  TempDir Dir("chaos_reset");
   int Status = runKilledChild([&] {
     FaultInjector::instance().arm(FaultSite::CacheTmpWrite,
                                   FaultSpec::crash());
     FaultInjector::instance().reset();
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     storeAll(Cache, W);
     std::string Error;
     if (!Cache.flush(&Error))
       ::_exit(3);
   });
   EXPECT_EQ(0, Status) << "a reset crash spec still fired";
-  AlignmentCache After(Dir);
+  AlignmentCache After(Dir.path());
   EXPECT_EQ(W.Prog.numProcedures(), After.size());
 }
 
 TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
-  std::string Dir = freshDir("journal");
-  std::string JournalPath = Dir + "/checkpoint.journal";
+  TempDir Dir("chaos_journal");
+  std::string JournalPath = Dir / "checkpoint.journal";
   const std::vector<std::string> Programs{"p0", "p1", "p2", "p3"};
 
   // Each child plays one batch-driver life: open the journal, resume
@@ -276,7 +270,7 @@ TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
       for (const std::string &Prog : Programs) {
         if (Done.count(Prog))
           continue; // Never re-run completed work.
-        appendDurableLine(Dir + "/" + Prog + ".runs", "ran");
+        appendDurableLine(Dir / (Prog + ".runs"), "ran");
         if (!Journal.append(Prog))
           ::_exit(4);
       }
@@ -292,7 +286,7 @@ TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
     std::string Error;
     ASSERT_TRUE(Check.open(JournalPath, &Error)) << Error;
     for (const std::string &Rec : Check.records())
-      EXPECT_GE(countLines(Dir + "/" + Rec + ".runs"), 1u) << Rec;
+      EXPECT_GE(countLines(Dir / (Rec + ".runs")), 1u) << Rec;
   }
 
   // Lives 0..2 each journal one program and tear the next one's record;
@@ -307,10 +301,10 @@ TEST(ChaosKillTest, CheckpointResumeIsExactlyOnceUnderAppendKills) {
   // Exactly-once resume, quantified: a program whose append survived is
   // never re-run (p0 ran once); one whose record was torn re-ran exactly
   // once more (never skipped, never thrashed).
-  EXPECT_EQ(1u, countLines(Dir + "/p0.runs"));
-  EXPECT_EQ(2u, countLines(Dir + "/p1.runs"));
-  EXPECT_EQ(2u, countLines(Dir + "/p2.runs"));
-  EXPECT_EQ(2u, countLines(Dir + "/p3.runs"));
+  EXPECT_EQ(1u, countLines(Dir / "p0.runs"));
+  EXPECT_EQ(2u, countLines(Dir / "p1.runs"));
+  EXPECT_EQ(2u, countLines(Dir / "p2.runs"));
+  EXPECT_EQ(2u, countLines(Dir / "p3.runs"));
 }
 
 TEST(ChaosKillTest, LegacyMigrationSurvivesKillsAtEveryReplaceSite) {
@@ -325,9 +319,10 @@ TEST(ChaosKillTest, LegacyMigrationSurvivesKillsAtEveryReplaceSite) {
                              FaultSite::CachePreRename,
                              FaultSite::CachePostRename};
   for (FaultSite Site : Sweep) {
-    std::string DirName = std::string("migrate_") + faultSiteName(Site);
+    std::string DirName = std::string("chaos_migrate_") + faultSiteName(Site);
     std::replace(DirName.begin(), DirName.end(), '.', '_');
-    std::string Path = freshDir(DirName.c_str()) + "/checkpoint";
+    TempDir Dir(DirName);
+    std::string Path = Dir / "checkpoint";
     {
       std::ofstream Out(Path, std::ios::binary);
       Out << Legacy;

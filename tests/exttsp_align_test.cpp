@@ -22,12 +22,12 @@
 #include "workloads/Generator.h"
 
 #include "StageSpans.h"
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -270,14 +270,12 @@ TEST(ExtTspAlignTest, FingerprintIgnoresSolverOptionsUnderExtTsp) {
 
 TEST(ExtTspAlignTest, DiskCacheColdWarmBitIdenticalAndVersionGuarded) {
   Workload W = makeWorkload(83);
-  std::string Dir = ::testing::TempDir() + "balign_exttsp_cache";
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
+  TempDir Dir("exttsp_cache");
 
   AlignmentOptions Options;
   Options.Primary = PrimaryAligner::ExtTsp;
   Options.Cache = CacheMode::Disk;
-  Options.CachePath = Dir;
+  Options.CachePath = Dir.path();
 
   ProgramAlignment Cold;
   {
@@ -299,7 +297,7 @@ TEST(ExtTspAlignTest, DiskCacheColdWarmBitIdenticalAndVersionGuarded) {
   // Corrupt the store's version field: the whole store is discarded
   // (stale-format entries must never replay) and results recompute
   // bit-identically.
-  std::string StoreFile = Dir + "/" + AlignmentCache::StoreFileName;
+  std::string StoreFile = Dir / AlignmentCache::StoreFileName;
   {
     std::ifstream In(StoreFile, std::ios::binary);
     ASSERT_TRUE(In.good());
@@ -318,5 +316,4 @@ TEST(ExtTspAlignTest, DiskCacheColdWarmBitIdenticalAndVersionGuarded) {
     EXPECT_EQ(Session.stats().Hits, 0u);
     expectProgramEq(Cold, Recomputed);
   }
-  std::filesystem::remove_all(Dir);
 }

@@ -20,12 +20,13 @@
 #include "support/Bytes.h"
 #include "workloads/Generator.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -50,13 +51,6 @@ std::string recordFile(const std::vector<std::string> &Records) {
 
 std::vector<std::string> strings(const std::vector<std::string_view> &Views) {
   return std::vector<std::string>(Views.begin(), Views.end());
-}
-
-std::string freshDir(const char *Name) {
-  std::string Dir = ::testing::TempDir() + "balign_recordfile_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
 }
 
 void writeFile(const std::string &Path, const std::string &Bytes) {
@@ -252,10 +246,10 @@ TEST(RecordFileTest, ScanSkipsBadRecordsAndReportsTheTail) {
 
 TEST(RecordFuzzTest, CacheStoreHitsAlwaysEqualTheTruth) {
   Workload W = makeWorkload(4);
-  std::string Dir = freshDir("cache");
-  std::string Path = Dir + "/" + AlignmentCache::StoreFileName;
+  TempDir Dir("recordfile_cache");
+  std::string Path = Dir / AlignmentCache::StoreFileName;
   {
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P)
       Cache.store(W.Prog.proc(P), W.Train.Procs[P], W.Options, P,
                   W.Truth.Procs[P]);
@@ -277,7 +271,7 @@ TEST(RecordFuzzTest, CacheStoreHitsAlwaysEqualTheTruth) {
     writeFile(Path, File);
 
     auto Start = std::chrono::steady_clock::now();
-    AlignmentCache Cache(Dir);
+    AlignmentCache Cache(Dir.path());
     for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
       ProcedureAlignment Out;
       if (!Cache.lookup(W.Prog.proc(P), W.Train.Procs[P], W.Options, P,
@@ -289,7 +283,7 @@ TEST(RecordFuzzTest, CacheStoreHitsAlwaysEqualTheTruth) {
     }
     // Whatever the load salvaged, the next flush writes a clean store.
     ASSERT_TRUE(Cache.flush()) << "case " << Case;
-    AlignmentCache Repaired(Dir);
+    AlignmentCache Repaired(Dir.path());
     EXPECT_EQ(0u, Repaired.stats().Invalidations) << "case " << Case;
     EXPECT_EQ(0u, Repaired.stats().LoadFailures) << "case " << Case;
     Slowest = std::max(Slowest, secondsSince(Start));
@@ -302,7 +296,8 @@ TEST(RecordFuzzTest, JournalOnlyEverReturnsAPrefixOfWhatWasWritten) {
   const std::vector<std::string> Written{
       "examples/data/interp_like.cfg", "b.cfg", "",
       "a/much/longer/path/to/some/program.cfg", "x", "last.cfg"};
-  std::string Path = freshDir("journal") + "/checkpoint";
+  TempDir Dir("recordfile_journal");
+  std::string Path = Dir / "checkpoint";
   {
     AppendJournal J;
     std::string Error;

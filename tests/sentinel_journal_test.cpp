@@ -20,6 +20,8 @@
 #include "robust/FaultInjector.h"
 #include "workloads/Generator.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,12 +36,6 @@ using namespace balign;
 namespace {
 
 constexpr size_t HeaderBytes = 16; ///< magic[8] + version u32 + reserved u32.
-
-std::string freshPath(const char *Name) {
-  std::string Path = ::testing::TempDir() + "balign_journal_" + Name;
-  std::filesystem::remove(Path);
-  return Path;
-}
 
 std::vector<uint8_t> readBytes(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -81,7 +77,8 @@ std::vector<size_t> buildJournal(const std::string &Path,
 } // namespace
 
 TEST(SentinelJournalTest, MissingFileOpensEmpty) {
-  std::string Path = freshPath("missing");
+  TempDir Dir("journal_missing");
+  std::string Path = Dir / "checkpoint";
   AppendJournal J;
   std::string Error;
   ASSERT_TRUE(J.open(Path, &Error)) << Error;
@@ -100,7 +97,8 @@ TEST(SentinelJournalTest, MissingFileOpensEmpty) {
 }
 
 TEST(SentinelJournalTest, AppendsRoundTripInOrderWithDuplicates) {
-  std::string Path = freshPath("roundtrip");
+  TempDir Dir("journal_roundtrip");
+  std::string Path = Dir / "checkpoint";
   std::vector<std::string> Records{"a.cfg", "b.cfg", "a.cfg", ""};
   buildJournal(Path, Records);
 
@@ -116,7 +114,8 @@ TEST(SentinelJournalTest, AppendsRoundTripInOrderWithDuplicates) {
 }
 
 TEST(SentinelJournalTest, TornTailTruncatedAtEveryCutPoint) {
-  std::string Path = freshPath("torn");
+  TempDir Dir("journal_torn");
+  std::string Path = Dir / "checkpoint";
   std::vector<std::string> Records{"first.cfg", "second", "third-prog.cfg"};
   std::vector<size_t> Boundaries = buildJournal(Path, Records);
   std::vector<uint8_t> Full = readBytes(Path);
@@ -156,7 +155,8 @@ TEST(SentinelJournalTest, TornTailTruncatedAtEveryCutPoint) {
 }
 
 TEST(SentinelJournalTest, ChecksumCorruptionDropsTailAndAppendsResume) {
-  std::string Path = freshPath("corrupt");
+  TempDir Dir("journal_corrupt");
+  std::string Path = Dir / "checkpoint";
   std::vector<std::string> Records{"keep.cfg", "corrupt.cfg", "lost.cfg"};
   std::vector<size_t> Boundaries = buildJournal(Path, Records);
   std::vector<uint8_t> Full = readBytes(Path);
@@ -189,7 +189,8 @@ TEST(SentinelJournalTest, ChecksumCorruptionDropsTailAndAppendsResume) {
 }
 
 TEST(SentinelJournalTest, TornHeaderRecoversToFreshJournal) {
-  std::string Path = freshPath("torn_header");
+  TempDir Dir("journal_torn_header");
+  std::string Path = Dir / "checkpoint";
   // A kill during the very first open can leave fewer than HeaderBytes
   // on disk; that is torn state, not a legacy checkpoint.
   writeBytes(Path, {'B', 'A', 'L', 'N', 'J'});
@@ -208,7 +209,8 @@ TEST(SentinelJournalTest, TornHeaderRecoversToFreshJournal) {
 }
 
 TEST(SentinelJournalTest, LegacyLineCheckpointMigratesInPlace) {
-  std::string Path = freshPath("legacy");
+  TempDir Dir("journal_legacy");
+  std::string Path = Dir / "checkpoint";
   {
     // A pre-sentinel `align_tool --checkpoint` file: one program per
     // line, no magic, possibly missing the final newline.
@@ -239,7 +241,8 @@ TEST(SentinelJournalTest, LegacyLineCheckpointMigratesInPlace) {
 }
 
 TEST(SentinelJournalTest, UnknownFormatVersionIsRefusedNotClobbered) {
-  std::string Path = freshPath("version");
+  TempDir Dir("journal_version");
+  std::string Path = Dir / "checkpoint";
   buildJournal(Path, {"future.cfg"});
   std::vector<uint8_t> Bytes = readBytes(Path);
   Bytes[8] = AppendJournal::FormatVersion + 1; // little-endian version lo.
@@ -259,8 +262,7 @@ TEST(SentinelJournalTest, CacheStoreIsRefusedAndLeftByteIdentical) {
   // `--checkpoint <cachedir>/balign.cache` is an easy slip. The store is
   // a record file too, just not a journal; it must not be mistaken for a
   // plain-line checkpoint and "migrated" into binary garbage records.
-  std::string Dir = ::testing::TempDir() + "balign_journal_cachestore";
-  std::filesystem::remove_all(Dir);
+  TempDir Dir("journal_cachestore");
   Program Prog("refuse");
   Rng R(7);
   Prog.addProcedure(generateProcedure("p0", GenParams(), R).Proc);
@@ -269,13 +271,13 @@ TEST(SentinelJournalTest, CacheStoreIsRefusedAndLeftByteIdentical) {
       Prog.proc(0), BranchBehavior::uniform(Prog.proc(0)), R, 200));
   AlignmentOptions Options;
   Options.Cache = CacheMode::Disk;
-  Options.CachePath = Dir;
+  Options.CachePath = Dir.path();
   {
     CacheSession Session(Options);
     alignProgram(Prog, Train, Options);
     ASSERT_TRUE(Session.flush());
   }
-  std::string Path = Dir + "/" + AlignmentCache::StoreFileName;
+  std::string Path = Dir / AlignmentCache::StoreFileName;
   std::vector<uint8_t> Bytes = readBytes(Path);
 
   AppendJournal J;
@@ -289,7 +291,7 @@ TEST(SentinelJournalTest, CacheStoreIsRefusedAndLeftByteIdentical) {
   EXPECT_EQ(Bytes, readBytes(Path));
 
   // The store is still whole and warm.
-  AlignmentCache Store(Dir);
+  AlignmentCache Store(Dir.path());
   EXPECT_EQ(1u, Store.size());
   EXPECT_EQ(0u, Store.stats().Invalidations);
   EXPECT_EQ(0u, Store.stats().LoadFailures);
@@ -299,7 +301,8 @@ TEST(SentinelJournalTest, RottedMagicIsRefusedNotMigrated) {
   // A journal whose magic lost a bit is binary, not a list of paths (no
   // path holds a NUL byte): refuse it untouched rather than turn its
   // records into garbage lines.
-  std::string Path = freshPath("rotted_magic");
+  TempDir Dir("journal_rotted_magic");
+  std::string Path = Dir / "checkpoint";
   buildJournal(Path, {"one.cfg", "two.cfg"});
   std::vector<uint8_t> Bytes = readBytes(Path);
   Bytes[0] ^= 0x01;
@@ -314,7 +317,8 @@ TEST(SentinelJournalTest, RottedMagicIsRefusedNotMigrated) {
 }
 
 TEST(SentinelJournalTest, InjectedAppendFaultRollsBack) {
-  std::string Path = freshPath("fault");
+  TempDir Dir("journal_fault");
+  std::string Path = Dir / "checkpoint";
   AppendJournal J;
   std::string Error;
   ASSERT_TRUE(J.open(Path, &Error)) << Error;

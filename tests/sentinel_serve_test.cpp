@@ -22,6 +22,7 @@
 #include "serve/Oneshot.h"
 
 #include "RequestFingerprint.h"
+#include "TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -128,13 +129,6 @@ template <typename Fn> bool eventually(Fn Cond, int BudgetMs = 10000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return Cond();
-}
-
-std::string chaosSockPath(const char *Name) {
-  std::string Path = ::testing::TempDir() + "balign_sentinel_" + Name +
-                     ".sock";
-  ::unlink(Path.c_str());
-  return Path;
 }
 
 } // namespace
@@ -272,7 +266,8 @@ TEST(SentinelServeTest, UnixSocketDrainExitCodesReflectCleanVsForced) {
     Config.Threads = 1;
     Config.TestStallHook = [&Stall] { Stall.wait(); };
     AlignServer Server(Base, Config);
-    std::string Sock = chaosSockPath("clean");
+    TempDir Dir("sentinel_clean");
+    std::string Sock = Dir / "sock";
     int Exit = -1;
     std::thread ServeThread(
         [&] { Exit = Server.serveUnixSocket(Sock); });
@@ -311,7 +306,8 @@ TEST(SentinelServeTest, UnixSocketDrainExitCodesReflectCleanVsForced) {
     Config.Threads = 1;
     Config.TestStallHook = [&Stall] { Stall.wait(); };
     AlignServer Server(Base, Config);
-    std::string Sock = chaosSockPath("forced");
+    TempDir Dir("sentinel_forced");
+    std::string Sock = Dir / "sock";
     int Exit = -1;
     std::thread ServeThread(
         [&] { Exit = Server.serveUnixSocket(Sock); });
@@ -389,7 +385,8 @@ TEST(SentinelServeTest, ConnectRetryBackoffIsDeterministic) {
 
 TEST(SentinelServeTest, AlignWithRetrySurvivesServerRestart) {
   Oracle O = makeOracle();
-  std::string Sock = chaosSockPath("restart");
+  TempDir Dir("sentinel_restart");
+  std::string Sock = Dir / "sock";
   AlignmentOptions Base;
 
   RetryPolicy Wait;
@@ -458,7 +455,8 @@ TEST(SentinelServeTest, FinishedConnectionThreadsAreJoined) {
   ServeConfig Config;
   Config.Threads = 1;
   AlignServer Server(Base, Config);
-  std::string Sock = chaosSockPath("reap");
+  TempDir Dir("sentinel_reap");
+  std::string Sock = Dir / "sock";
   std::thread ServeThread([&] { Server.serveUnixSocket(Sock); });
   RetryPolicy Wait;
   Wait.MaxAttempts = 200;

@@ -15,6 +15,8 @@
 #include "robust/FaultInjector.h"
 #include "workloads/Generator.h"
 
+#include "TempDir.h"
+
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,16 +30,8 @@ namespace {
 
 using ScopedFault = FaultInjector::ScopedFault;
 
-/// Fresh empty directory under the gtest temp root.
-std::string freshDir(const char *Name) {
-  std::string Dir = ::testing::TempDir() + "balign_shield_" + Name;
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  return Dir;
-}
-
-std::string storePath(const std::string &Dir) {
-  return Dir + "/" + AlignmentCache::StoreFileName;
+std::string storePath(const TempDir &Dir) {
+  return Dir / AlignmentCache::StoreFileName;
 }
 
 /// A config whose retry sleeps record into \p Sleeps instead of
@@ -75,9 +69,9 @@ Workload makeWorkload(uint64_t Seed = 42) {
 
 TEST(ShieldCacheTest, TransientFlushFaultIsRetriedAway) {
   FaultInjector::instance().reset();
-  std::string Dir = freshDir("transient_flush");
+  TempDir Dir("shield_transient_flush");
   std::vector<uint64_t> Sleeps;
-  AlignmentCache Cache(Dir, recordingConfig(Sleeps));
+  AlignmentCache Cache(Dir.path(), recordingConfig(Sleeps));
 
   // The first two write attempts fail; the third (of the default
   // MaxAttempts = 3) succeeds.
@@ -97,7 +91,7 @@ TEST(ShieldCacheTest, TransientFlushFaultIsRetriedAway) {
 
 TEST(ShieldCacheTest, LookupsAndStoresProceedWhileAFlushRetries) {
   FaultInjector::instance().reset();
-  std::string Dir = freshDir("parked_flush");
+  TempDir Dir("shield_parked_flush");
   Workload W = makeWorkload();
   Workload Later = makeWorkload(7);
   std::promise<void> Parked, Release;
@@ -107,7 +101,7 @@ TEST(ShieldCacheTest, LookupsAndStoresProceedWhileAFlushRetries) {
     Parked.set_value();
     Released.wait();
   };
-  AlignmentCache Cache(Dir, Config);
+  AlignmentCache Cache(Dir.path(), Config);
   Cache.store(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0,
               W.Truth.Procs[0]);
 
@@ -146,17 +140,17 @@ TEST(ShieldCacheTest, LookupsAndStoresProceedWhileAFlushRetries) {
   EXPECT_TRUE(Cache.isDiskBacked());
   // The parked flush wrote the snapshot it took; the next one adds the
   // entry stored meanwhile.
-  EXPECT_EQ(AlignmentCache(Dir).size(), 1u);
+  EXPECT_EQ(AlignmentCache(Dir.path()).size(), 1u);
   EXPECT_TRUE(Cache.flush(&Error)) << Error;
-  EXPECT_EQ(AlignmentCache(Dir).size(), 2u);
+  EXPECT_EQ(AlignmentCache(Dir.path()).size(), 2u);
 }
 
 TEST(ShieldCacheTest, PersistentFlushFaultDowngradesToMemoryOnly) {
   FaultInjector::instance().reset();
-  std::string Dir = freshDir("persistent_flush");
+  TempDir Dir("shield_persistent_flush");
   std::vector<uint64_t> Sleeps;
   Workload W = makeWorkload();
-  AlignmentCache Cache(Dir, recordingConfig(Sleeps));
+  AlignmentCache Cache(Dir.path(), recordingConfig(Sleeps));
   Cache.store(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0,
               W.Truth.Procs[0]);
 
@@ -189,10 +183,10 @@ TEST(ShieldCacheTest, PersistentFlushFaultDowngradesToMemoryOnly) {
 
 TEST(ShieldCacheTest, PersistentLoadFaultYieldsAColdCache) {
   FaultInjector::instance().reset();
-  std::string Dir = freshDir("persistent_load");
+  TempDir Dir("shield_persistent_load");
   Workload W = makeWorkload();
   {
-    AlignmentCache Writer(Dir);
+    AlignmentCache Writer(Dir.path());
     Writer.store(W.Prog.proc(0), W.Train.Procs[0], W.Options, 0,
                  W.Truth.Procs[0]);
     ASSERT_TRUE(Writer.flush());
@@ -203,7 +197,7 @@ TEST(ShieldCacheTest, PersistentLoadFaultYieldsAColdCache) {
   {
     // Every read attempt fails: the store opens cold instead of failing.
     ScopedFault Fault(FaultSite::CacheLoad, FaultSpec::always());
-    AlignmentCache Cold(Dir, recordingConfig(Sleeps));
+    AlignmentCache Cold(Dir.path(), recordingConfig(Sleeps));
     CacheStats Stats = Cold.stats();
     EXPECT_EQ(Stats.LoadFailures, 1u);
     EXPECT_EQ(Stats.Retries, 2u);
@@ -221,7 +215,7 @@ TEST(ShieldCacheTest, PersistentLoadFaultYieldsAColdCache) {
   Sleeps.clear();
   {
     ScopedFault Fault(FaultSite::CacheLoad, FaultSpec::once());
-    AlignmentCache Warm(Dir, recordingConfig(Sleeps));
+    AlignmentCache Warm(Dir.path(), recordingConfig(Sleeps));
     CacheStats Stats = Warm.stats();
     EXPECT_EQ(Stats.LoadFailures, 0u);
     EXPECT_EQ(Stats.Retries, 1u);
@@ -236,12 +230,12 @@ TEST(ShieldCacheTest, PersistentLoadFaultYieldsAColdCache) {
 
 TEST(ShieldCacheTest, CacheSessionSurvivesFlushFaultsEndToEnd) {
   FaultInjector::instance().reset();
-  std::string Dir = freshDir("session_flush");
+  TempDir Dir("shield_session_flush");
   Workload W = makeWorkload();
 
   AlignmentOptions Options = W.Options;
   Options.Cache = CacheMode::Disk;
-  Options.CachePath = Dir;
+  Options.CachePath = Dir.path();
   std::vector<uint64_t> Sleeps;
   {
     CacheSession Session(Options, recordingConfig(Sleeps));

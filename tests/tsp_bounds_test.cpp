@@ -22,6 +22,8 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <string>
+#include <utility>
 
 using namespace balign;
 
@@ -62,6 +64,22 @@ DirectedTsp entryPinnedInstance(size_t N, uint64_t Seed, int64_t MaxCost) {
   return D;
 }
 
+/// A random instance with costs in [0, MaxCost], except that about one
+/// arc in N costs -Negative.
+DirectedTsp negativeArcInstance(size_t N, uint64_t Seed, int64_t MaxCost,
+                                int64_t Negative) {
+  Rng R(Seed);
+  DirectedTsp D(N);
+  for (City I = 0; I != N; ++I)
+    for (City J = 0; J != N; ++J)
+      if (I != J)
+        D.setCost(I, J,
+                  R.nextBelow(N) == 0
+                      ? -Negative
+                      : static_cast<int64_t>(R.nextBelow(MaxCost + 1)));
+  return D;
+}
+
 /// bench/solver_micro's alignment-like instance: every city has a couple
 /// of cheap arcs (hot CFG edges) over an expensive background.
 DirectedTsp alignmentLikeInstance(size_t N, uint64_t Seed) {
@@ -81,11 +99,15 @@ DirectedTsp alignmentLikeInstance(size_t N, uint64_t Seed) {
   return D;
 }
 
-/// The Held-Karp ascent as it stood before the kernel read row copies
-/// and per-side remaining lists: each Prim step scans every city through
-/// SymmetricTransform::dist. Kept as it was (at the default iteration
-/// count), plus counts of the 1-trees it builds and of those built with
-/// forbidden edges, as the oracle for heldKarpBoundDirected's bits.
+/// The Held-Karp ascent as it stood before the kernel read row copies:
+/// each Prim step picks the next city by an ascending strict-< scan of
+/// every city outside the tree and relaxes through
+/// SymmetricTransform::dist. While every forbidden weight exceeds every
+/// finite one it relaxes only across the in/out split, and city 0
+/// attaches through out-cities; otherwise it relaxes every city. It has
+/// no pair-first step. Kept as it was, plus counts of its ascents and
+/// 1-trees and the iteration option, as the oracle for
+/// heldKarpBoundDirected's bits and counters.
 namespace reference {
 
 struct OneTree {
@@ -96,6 +118,11 @@ struct OneTree {
 struct TreeCounts {
   uint64_t OneTrees = 0;
   uint64_t FallbackTrees = 0;
+  uint64_t Ascents = 0;
+  uint64_t CappedAscents = 0; ///< Ascents that ran every iteration.
+  /// 1-trees without forbidden edges in which a city's pair partner,
+  /// outside the tree, did not join right after it.
+  uint64_t PartnerSkippedTrees = 0;
 };
 
 OneTree minimumOneTree(const SymmetricTransform &T, int64_t MaxArc,
@@ -119,6 +146,8 @@ OneTree minimumOneTree(const SymmetricTransform &T, int64_t MaxArc,
   std::vector<City> Parent(N, InvalidCity);
   std::vector<bool> InTree(N, false);
   Best[1] = 0.0;
+  City Prev = InvalidCity;
+  bool PartnerSkipped = false;
   for (size_t Added = 1; Added != N; ++Added) {
     City Next = InvalidCity;
     double NextWeight = Inf;
@@ -129,6 +158,11 @@ OneTree minimumOneTree(const SymmetricTransform &T, int64_t MaxArc,
       NextWeight = Best[C];
     }
     assert(Next != InvalidCity && "finite edges connect; Prim cannot stall");
+    if (Prev != InvalidCity) {
+      City Partner = Prev < Half ? Prev + Half : Prev - Half;
+      PartnerSkipped |= Partner != 0 && !InTree[Partner] && Next != Partner;
+    }
+    Prev = Next;
     InTree[Next] = true;
     if (Parent[Next] != InvalidCity) {
       Tree.Cost += Weight(Next, Parent[Next]);
@@ -167,11 +201,13 @@ OneTree minimumOneTree(const SymmetricTransform &T, int64_t MaxArc,
   Tree.Degree[0] += 2;
   ++Tree.Degree[FirstCity];
   ++Tree.Degree[SecondCity];
+  Counts.PartnerSkippedTrees += OnlyFinite && PartnerSkipped;
   return Tree;
 }
 
 double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
-                             TreeCounts &Counts) {
+                             TreeCounts &Counts,
+                             const HeldKarpOptions &Options = {}) {
   size_t N = Dtsp.numCities();
   SymmetricTransform Transform = transformToSymmetric(Dtsp);
   int64_t Offset = static_cast<int64_t>(N) * Transform.LockBonus;
@@ -186,8 +222,10 @@ double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
       if (I != J)
         MaxArc = std::max(MaxArc, Dtsp.cost(I, J));
 
-  unsigned Iterations =
-      std::clamp<unsigned>(static_cast<unsigned>(200 * Cities), 2000, 30000);
+  unsigned Iterations = Options.Iterations;
+  if (Iterations == 0)
+    Iterations =
+        std::clamp<unsigned>(static_cast<unsigned>(200 * Cities), 2000, 30000);
 
   std::vector<double> Pi(Cities, 0.0);
   double Alpha = HeldKarpInitialAlpha;
@@ -195,7 +233,8 @@ double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
   unsigned SinceImprove = 0;
   const unsigned StagnationWindow = std::max(50u, Iterations / 25);
 
-  for (unsigned Iter = 0; Iter != Iterations; ++Iter) {
+  unsigned Iter = 0;
+  for (; Iter != Iterations; ++Iter) {
     OneTree Tree = minimumOneTree(Transform, MaxArc, Pi, Counts);
     double PiSum = 0.0;
     for (double P : Pi)
@@ -227,6 +266,8 @@ double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
     for (City C = 0; C != Cities; ++C)
       Pi[C] += Step * (static_cast<double>(Tree.Degree[C]) - 2.0);
   }
+  ++Counts.Ascents;
+  Counts.CappedAscents += Iter == Iterations;
   double SymBound = std::min(BestBound, static_cast<double>(SymUpper));
   return SymBound + static_cast<double>(Offset);
 }
@@ -241,7 +282,21 @@ reference::TreeCounts publishedTreeCounts(const DirectedTsp &D,
   heldKarpBoundDirected(D, UpperBound);
   Session.uninstall();
   std::map<std::string, uint64_t> Counters = Session.metrics().counters();
-  return {Counters["heldkarp.one-trees"], Counters["heldkarp.fallback-trees"]};
+  reference::TreeCounts Counts;
+  Counts.OneTrees = Counters["heldkarp.one-trees"];
+  Counts.FallbackTrees = Counters["heldkarp.fallback-trees"];
+  Counts.Ascents = Counters["heldkarp.ascents"];
+  Counts.CappedAscents = Counters["heldkarp.capped-ascents"];
+  return Counts;
+}
+
+/// The published counters equal the reference ascent's.
+void expectSameCounters(const reference::TreeCounts &Got,
+                        const reference::TreeCounts &Want) {
+  EXPECT_EQ(Got.OneTrees, Want.OneTrees);
+  EXPECT_EQ(Got.FallbackTrees, Want.FallbackTrees);
+  EXPECT_EQ(Got.Ascents, Want.Ascents);
+  EXPECT_EQ(Got.CappedAscents, Want.CappedAscents);
 }
 
 } // namespace
@@ -437,7 +492,14 @@ TEST(HeldKarpPinTest, SuiteProceduresMatchRecordedMatrixAscent) {
 /// 3..32, max costs 3, 100 and 10^6) under three kinds of upper bound:
 /// the canonical tour, iterated 3-Opt, and three times the canonical
 /// tour. Loose bounds drive the potentials up to the lock bonus, so the
-/// sweep also covers 1-trees built with forbidden edges.
+/// sweep also covers 1-trees built with forbidden edges. Two instances of
+/// 48 and 64 cities stand for the larger suite procedures. With
+/// non-negative costs, every 1-tree without forbidden edges joins each
+/// pair partner right after its pair city, so the sweep ends with
+/// instances whose arcs cost 0..3 except about one in N at -100, under a
+/// bound three times their total cost above the canonical tour: those
+/// seeds were picked because they reach 1-trees whose partners do not
+/// join next, the case the kernel's pair-first guard exists for.
 TEST(HeldKarpOracleTest, KernelMatchesReferenceBits) {
   const int64_t MaxCosts[] = {3, 100, 1000000};
   IteratedOptOptions Quick;
@@ -447,38 +509,64 @@ TEST(HeldKarpOracleTest, KernelMatchesReferenceBits) {
   Quick.IterationsFactor = 0.25;
   enum Upper { CanonicalTour, ThreeOpt, ThreeCanonicalTours };
   reference::TreeCounts Total;
-  auto Check = [&](size_t N, uint64_t Seed, bool EntryPinned,
-                   std::initializer_list<Upper> Uppers) {
+  auto Check = [&](const DirectedTsp &D, int64_t Ub, const std::string &What,
+                   const HeldKarpOptions &Options = {}) {
+    reference::TreeCounts Counts;
+    double Want = reference::heldKarpBoundDirected(D, Ub, Counts, Options);
+    double Got = heldKarpBoundDirected(D, Ub, Options);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Got), std::bit_cast<uint64_t>(Want))
+        << What << " upper bound " << Ub << ": " << Got << " vs " << Want;
+    Total.OneTrees += Counts.OneTrees;
+    Total.FallbackTrees += Counts.FallbackTrees;
+    Total.PartnerSkippedTrees += Counts.PartnerSkippedTrees;
+  };
+  auto CheckRandom = [&](size_t N, uint64_t Seed, bool EntryPinned,
+                         std::initializer_list<Upper> Uppers,
+                         const HeldKarpOptions &Options = {}) {
     int64_t MaxCost = MaxCosts[Seed % 3];
     DirectedTsp D = EntryPinned ? entryPinnedInstance(N, Seed, MaxCost)
                                 : randomInstance(N, Seed, MaxCost);
     int64_t Canonical = D.tourCost(canonicalTour(N));
-    for (Upper U : Uppers) {
-      int64_t Ub = U == CanonicalTour ? Canonical
-                   : U == ThreeOpt    ? solveDirectedTsp(D, Quick).Cost
-                                      : 3 * Canonical;
-      reference::TreeCounts Counts;
-      double Want = reference::heldKarpBoundDirected(D, Ub, Counts);
-      double Got = heldKarpBoundDirected(D, Ub);
-      EXPECT_EQ(std::bit_cast<uint64_t>(Got), std::bit_cast<uint64_t>(Want))
-          << "N=" << N << " seed " << Seed << " max cost " << MaxCost
-          << (EntryPinned ? " pinned" : "") << " upper bound " << Ub << ": "
-          << Got << " vs " << Want;
-      Total.OneTrees += Counts.OneTrees;
-      Total.FallbackTrees += Counts.FallbackTrees;
-    }
+    std::string What = "N=" + std::to_string(N) + " seed " +
+                       std::to_string(Seed) + " max cost " +
+                       std::to_string(MaxCost) +
+                       (EntryPinned ? " pinned" : "");
+    for (Upper U : Uppers)
+      Check(D,
+            U == CanonicalTour ? Canonical
+            : U == ThreeOpt    ? solveDirectedTsp(D, Quick).Cost
+                               : 3 * Canonical,
+            What, Options);
   };
   // Every size up to 16, random and entry-pinned, under all three.
   for (uint64_t Seed = 0; Seed != 28; ++Seed)
-    Check(3 + Seed % 14, Seed, Seed >= 14,
-          {CanonicalTour, ThreeOpt, ThreeCanonicalTours});
+    CheckRandom(3 + Seed % 14, Seed, Seed >= 14,
+                {CanonicalTour, ThreeOpt, ThreeCanonicalTours});
   // A bound costs about N^3, so larger sizes get one upper bound each.
-  Check(20, 28, false, {ThreeCanonicalTours});
-  Check(26, 29, true, {CanonicalTour});
-  Check(32, 30, false, {ThreeOpt});
+  CheckRandom(20, 28, false, {ThreeCanonicalTours});
+  CheckRandom(26, 29, true, {CanonicalTour});
+  CheckRandom(32, 30, false, {ThreeOpt});
+  // The reference scans every city per step, so these two stop at the
+  // smallest default cap.
+  HeldKarpOptions Short;
+  Short.Iterations = 2000;
+  CheckRandom(48, 31, true, {ThreeOpt}, Short);
+  CheckRandom(64, 32, false, {CanonicalTour}, Short);
+  EXPECT_EQ(Total.PartnerSkippedTrees, 0u)
+      << "non-negative costs joined a partner late on finite edges";
+  const std::pair<size_t, uint64_t> NegativeArcSeeds[] = {
+      {4, 1149}, {4, 1286}, {4, 6348}, {5, 8019}, {5, 11922}, {5, 12271}};
+  for (auto [N, Seed] : NegativeArcSeeds) {
+    DirectedTsp D = negativeArcInstance(N, Seed, 3, 100);
+    Check(D, D.tourCost(canonicalTour(N)) + 3 * *D.totalAbsCost(),
+          "N=" + std::to_string(N) + " negative-arc seed " +
+              std::to_string(Seed));
+  }
   EXPECT_GT(Total.FallbackTrees, 0u) << "the sweep never left the finite "
                                         "edges; the fallback is untested";
   EXPECT_LT(Total.FallbackTrees, Total.OneTrees);
+  EXPECT_GT(Total.PartnerSkippedTrees, 0u)
+      << "every partner joined next; the pair-first guard is untested";
 }
 
 /// heldkarp.one-trees and heldkarp.fallback-trees count the 1-trees of
@@ -509,6 +597,40 @@ TEST(HeldKarpCountersTest, PublishesOneTreesAndFallbackTrees) {
   EXPECT_EQ(Got.FallbackTrees, 0u);
   EXPECT_EQ(Got.OneTrees, 2064u);
   EXPECT_EQ(Got.OneTrees, Want.OneTrees);
+}
+
+/// heldkarp.ascents counts ascents and heldkarp.capped-ascents those that
+/// no stop test ended before the iteration cap; both equal the reference
+/// ascent's counts, as do the 1-tree counters.
+TEST(HeldKarpCountersTest, PublishesAscentsAndCappedAscents) {
+  // The N = 4, seed 2 pin with its canonical upper bound runs into the
+  // cap of 2000 iterations.
+  DirectedTsp Tiny = randomInstance(4, 2, 3);
+  reference::TreeCounts Got = publishedTreeCounts(Tiny, 6);
+  reference::TreeCounts Want;
+  reference::heldKarpBoundDirected(Tiny, 6, Want);
+  expectSameCounters(Got, Want);
+  EXPECT_EQ(Got.Ascents, 1u);
+  EXPECT_EQ(Got.CappedAscents, 1u);
+  EXPECT_EQ(Got.OneTrees, 2000u);
+
+  // com.0's procedure 1 under its iterated 3-Opt tour stops at the gap.
+  WorkloadInstance W = buildWorkloadByName("com");
+  AlignmentTsp Atsp = buildAlignmentTsp(
+      W.Prog.proc(1), W.DataSets[0].Profile.Procs[1],
+      MachineModel::alpha21164());
+  Got = publishedTreeCounts(Atsp.Tsp, 1034);
+  Want = {};
+  reference::heldKarpBoundDirected(Atsp.Tsp, 1034, Want);
+  expectSameCounters(Got, Want);
+  EXPECT_EQ(Got.Ascents, 1u);
+  EXPECT_EQ(Got.CappedAscents, 0u);
+
+  // Sizes below three cities have no ascent.
+  DirectedTsp Two(2);
+  Got = publishedTreeCounts(Two, 0);
+  EXPECT_EQ(Got.Ascents, 0u);
+  EXPECT_EQ(Got.OneTrees, 0u);
 }
 
 /// Property sweep: the AP bound is a valid relaxation.
