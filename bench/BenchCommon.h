@@ -56,6 +56,23 @@ inline ProgramAlignment alignTraced(const Program &Prog,
   return Result;
 }
 
+/// True when every name in \p Benchmarks is a suite benchmark; otherwise
+/// names the first unknown one on stderr.
+inline bool allKnownBenchmarks(const std::vector<std::string> &Benchmarks) {
+  for (const std::string &B : Benchmarks) {
+    bool Known = false;
+    for (const WorkloadSpec &Spec : benchmarkSuite())
+      Known |= Spec.Benchmark == B;
+    if (!Known) {
+      std::fprintf(stderr,
+                   "unknown benchmark '%s' (try com dod eqn esp su2 xli)\n",
+                   B.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Simulates \p Layouts against one data set's traces; arrangements and
 /// predictions come from \p Train (the training profile).
 inline SimResult simulateLayouts(const WorkloadInstance &W,

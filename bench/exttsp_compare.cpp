@@ -223,17 +223,8 @@ int main(int Argc, char **Argv) {
   if (Benchmarks.empty())
     for (const WorkloadSpec &Spec : benchmarkSuite())
       Benchmarks.push_back(Spec.Benchmark);
-  for (const std::string &B : Benchmarks) {
-    bool Known = false;
-    for (const WorkloadSpec &Spec : benchmarkSuite())
-      Known |= Spec.Benchmark == B;
-    if (!Known) {
-      std::fprintf(stderr,
-                   "unknown benchmark '%s' (try com dod eqn esp su2 xli)\n",
-                   B.c_str());
-      return 1;
-    }
-  }
+  if (!allKnownBenchmarks(Benchmarks))
+    return 1;
 
   std::printf("=== Ext-TSP objective comparison (all aligners, %s) ===\n\n",
               Argc > 2 ? "named benchmarks" : "full suite");

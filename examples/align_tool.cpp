@@ -314,6 +314,14 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "(0 = all hardware threads,\n"
                   "                1 = serial; results are identical at "
                   "every setting)\n"
+                  "  --dot         after each layout line, print the "
+                  "procedure's CFG as a dot\n"
+                  "                digraph labelled with its edge counts\n"
+                  "  --profile FILE  read the edge counts from FILE "
+                  "(.prof format) instead of\n"
+                  "                walking a seeded synthetic profile\n"
+                  "  --emit-profile FILE  write the edge counts the run "
+                  "aligns with to FILE\n"
                   "  --cache DIR   persist per-procedure results under "
                   "DIR; unchanged inputs are\n"
                   "                replayed without re-solving "
@@ -399,15 +407,9 @@ std::optional<Program> loadProgram(const std::string &File,
     if (AnnounceDemo)
       std::printf("(no input file given; using the built-in demo "
                   "program)\n");
-  } else {
-    std::ifstream In(File);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", File.c_str());
-      return std::nullopt;
-    }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
+  } else if (!readFileBytes(File, Text)) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", File.c_str());
+    return std::nullopt;
   }
   std::string Error;
   std::optional<Program> Prog = parseProgram(Text, &Error);
@@ -424,16 +426,14 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
                                             const ToolOptions &Options,
                                             const Deadline *Limit) {
   if (!ProfileFile.empty()) {
-    std::ifstream ProfIn(ProfileFile);
-    if (!ProfIn) {
+    std::string Text;
+    if (!readFileBytes(ProfileFile, Text)) {
       std::fprintf(stderr, "error: cannot open '%s'\n", ProfileFile.c_str());
       return std::nullopt;
     }
-    std::ostringstream ProfBuffer;
-    ProfBuffer << ProfIn.rdbuf();
     std::string Error;
     std::optional<ProgramProfile> Parsed =
-        parseProgramProfile(Prog, ProfBuffer.str(), &Error);
+        parseProgramProfile(Prog, Text, &Error);
     if (!Parsed)
       std::fprintf(stderr, "error: profile parse failed: %s\n",
                    escapeControlBytes(Error).c_str());

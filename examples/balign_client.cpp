@@ -31,6 +31,7 @@
 //
 //===--------------------------------------------------------------------===//
 
+#include "robust/Journal.h"
 #include "serve/Client.h"
 #include "serve/Oneshot.h"
 #include "support/Flags.h"
@@ -38,7 +39,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -153,15 +153,10 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
+  if (readFileBytes(Path, Out))
+    return true;
+  std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+  return false;
 }
 
 } // namespace

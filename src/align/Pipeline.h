@@ -9,8 +9,8 @@
 /// the original/greedy/TSP layouts, evaluates their control penalties on
 /// the training profile, and (optionally) computes the Held-Karp and
 /// Assignment lower bounds. Procedures are independent, so the driver
-/// can farm them out to a work-stealing thread pool
-/// (AlignmentOptions::Threads) with bit-identical results. Each stage
+/// can farm them out to a thread pool (AlignmentOptions::Threads) with
+/// bit-identical results. Each stage
 /// runs under a `stage.*` trace span (trace/Scope.h); the Table 2
 /// harness sums those spans to report the compile-time cost of each
 /// phase the way the paper does.

@@ -20,6 +20,23 @@ bool fail(std::string *Error, const std::string &Reason) {
   return false;
 }
 
+/// Turns the answer to an align request into \p Report, or into a
+/// `code: message` error. A structured server answer, Error frames
+/// included, is definitive: retrying it would repeat the same answer.
+bool decodeAlignResponse(const Frame &Response, std::string &Report,
+                         std::string *Error) {
+  if (Response.Type == FrameType::AlignOk) {
+    Report = Response.Body;
+    return true;
+  }
+  FrameError Code = FrameError::None;
+  std::string Message;
+  if (decodeErrorFrame(Response, Code, Message))
+    return fail(Error, std::string(frameErrorName(Code)) + ": " + Message);
+  return fail(Error, std::string("unexpected response frame '") +
+                         frameTypeName(Response.Type) + "'");
+}
+
 } // namespace
 
 ServeClient &ServeClient::operator=(ServeClient &&Other) noexcept {
@@ -100,16 +117,7 @@ bool ServeClient::align(const AlignRequest &Request, std::string &Report,
   if (!call(makeFrame(FrameType::Align, encodeAlignRequest(Request)),
             Response, Error))
     return false;
-  if (Response.Type == FrameType::AlignOk) {
-    Report = Response.Body;
-    return true;
-  }
-  FrameError Code = FrameError::None;
-  std::string Message;
-  if (decodeErrorFrame(Response, Code, Message))
-    return fail(Error, std::string(frameErrorName(Code)) + ": " + Message);
-  return fail(Error, std::string("unexpected response frame '") +
-                         frameTypeName(Response.Type) + "'");
+  return decodeAlignResponse(Response, Report, Error);
 }
 
 bool ServeClient::connectUnixRetry(const std::string &Path,
@@ -156,16 +164,5 @@ bool ServeClient::alignWithRetry(const std::string &Path,
   if (!Outcome.Succeeded)
     return fail(Error, LastError + " (after " +
                            std::to_string(Outcome.Attempts) + " attempts)");
-  if (Response.Type == FrameType::AlignOk) {
-    Report = Response.Body;
-    return true;
-  }
-  // A structured server answer — including Error frames — is
-  // definitive; retrying it would just repeat the same answer.
-  FrameError Code = FrameError::None;
-  std::string Message;
-  if (decodeErrorFrame(Response, Code, Message))
-    return fail(Error, std::string(frameErrorName(Code)) + ": " + Message);
-  return fail(Error, std::string("unexpected response frame '") +
-                         frameTypeName(Response.Type) + "'");
+  return decodeAlignResponse(Response, Report, Error);
 }

@@ -7,10 +7,10 @@
 /// \file
 /// The connection/threading half of balign-serve. An AlignServer owns
 ///
-///  - one work-stealing ThreadPool every align request is multiplexed
-///    onto (each request runs whole on one worker, Threads=1 inside, so
-///    the repo's thread-count invariance makes responses byte-identical
-///    at any pool size);
+///  - one ThreadPool every align request is multiplexed onto (each
+///    request runs whole on one worker, Threads=1 inside, so the repo's
+///    thread-count invariance makes responses byte-identical at any pool
+///    size);
 ///  - one AdmissionGate bounding in-flight align requests — past the
 ///    budget a request is answered FrameError::Rejected immediately
 ///    instead of queueing without bound (backpressure, not buffering);

@@ -10,11 +10,9 @@ using namespace balign;
 
 namespace {
 
-/// Identifies the pool (and worker slot) the current thread belongs to,
-/// so nested submit() calls can push to the submitting worker's own
-/// deque instead of round-robining through a cold queue.
-thread_local ThreadPool *CurrentPool = nullptr;
-thread_local size_t CurrentWorker = 0;
+/// The pool whose worker the current thread is: its tasks may submit
+/// while the destructor drains, and it must not call wait().
+thread_local const ThreadPool *CurrentPool = nullptr;
 
 } // namespace
 
@@ -25,12 +23,9 @@ unsigned ThreadPool::hardwareThreads() {
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
   unsigned N = NumThreads != 0 ? NumThreads : hardwareThreads();
-  Queues.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Queues.push_back(std::make_unique<WorkerQueue>());
   Workers.reserve(N);
   for (unsigned I = 0; I != N; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 // NOLINTNEXTLINE(bugprone-exception-escape): join() throws only for
@@ -38,7 +33,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
 // fixed worker set can produce.
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> Guard(StateMutex);
+    std::lock_guard<std::mutex> Guard(Mutex);
     Stopping = true;
   }
   WorkAvailable.notify_all();
@@ -48,104 +43,52 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(Task T) {
   assert(T && "submitted an empty task");
-  size_t Target;
-  bool Nested = CurrentPool == this;
   {
-    std::lock_guard<std::mutex> Guard(StateMutex);
-    assert(!Stopping && "submit after destruction began");
-    ++QueuedTasks;
+    std::lock_guard<std::mutex> Guard(Mutex);
+    assert((!Stopping || CurrentPool == this) &&
+           "submit from outside the pool after destruction began");
+    Queue.push_back(std::move(T));
     // Gauges, not counters: serial pipelines never construct a pool, so
     // pool metrics are inherently thread-count-dependent.
     scopeGaugeAdd("pool.tasks");
-    scopeGaugeMax("pool.queue-depth", QueuedTasks);
-    Target = Nested ? CurrentWorker : NextQueue++ % Queues.size();
-  }
-  {
-    std::lock_guard<std::mutex> Guard(Queues[Target]->M);
-    if (Nested)
-      Queues[Target]->Q.push_front(std::move(T));
-    else
-      Queues[Target]->Q.push_back(std::move(T));
+    scopeGaugeMax("pool.queue-depth", Queue.size());
   }
   WorkAvailable.notify_one();
 }
 
-bool ThreadPool::tryRunOneTask(size_t SelfIndex) {
-  Task T;
-  bool Claimed = false;
-  // Own deque first (front: most recently pushed nested work, LIFO).
-  {
-    std::lock_guard<std::mutex> Guard(Queues[SelfIndex]->M);
-    if (!Queues[SelfIndex]->Q.empty()) {
-      T = std::move(Queues[SelfIndex]->Q.front());
-      Queues[SelfIndex]->Q.pop_front();
-      Claimed = true;
-    }
-  }
-  // Steal from the back of a victim's deque (FIFO: the oldest work, the
-  // piece the victim is least likely to want next).
-  for (size_t Step = 1; !Claimed && Step != Queues.size(); ++Step) {
-    size_t Victim = (SelfIndex + Step) % Queues.size();
-    std::lock_guard<std::mutex> Guard(Queues[Victim]->M);
-    if (!Queues[Victim]->Q.empty()) {
-      T = std::move(Queues[Victim]->Q.back());
-      Queues[Victim]->Q.pop_back();
-      Claimed = true;
-      scopeGaugeAdd("pool.steals");
-    }
-  }
-  if (!Claimed)
-    return false;
-
-  {
-    std::lock_guard<std::mutex> Guard(StateMutex);
-    --QueuedTasks;
-    ++RunningTasks;
-  }
-  try {
-    T();
-  } catch (...) {
-    std::lock_guard<std::mutex> Guard(StateMutex);
-    if (!FirstError)
-      FirstError = std::current_exception();
-  }
-  bool Drained;
-  {
-    std::lock_guard<std::mutex> Guard(StateMutex);
-    --RunningTasks;
-    Drained = QueuedTasks == 0 && RunningTasks == 0;
-  }
-  if (Drained)
-    AllDone.notify_all();
-  return true;
-}
-
-void ThreadPool::workerLoop(size_t Index) {
+void ThreadPool::workerLoop() {
   CurrentPool = this;
-  CurrentWorker = Index;
+  std::unique_lock<std::mutex> Lock(Mutex);
   while (true) {
-    if (tryRunOneTask(Index))
-      continue;
-    std::unique_lock<std::mutex> Lock(StateMutex);
-    if (QueuedTasks > 0) {
-      // A submit announced work we could not find yet (its push may still
-      // be in flight) or another worker grabbed it; rescan.
-      Lock.unlock();
-      std::this_thread::yield();
-      continue;
-    }
-    if (Stopping)
+    WorkAvailable.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+    // An empty queue here means the pool is stopping; whatever a task
+    // still running submits, its own worker takes before it exits.
+    if (Queue.empty())
       break;
-    WorkAvailable.wait(Lock);
+    Task T = std::move(Queue.front());
+    Queue.pop_front();
+    ++RunningTasks;
+    Lock.unlock();
+    std::exception_ptr Error;
+    try {
+      T();
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    T = nullptr; // Release the captures before the task counts as done.
+    Lock.lock();
+    if (Error && !FirstError)
+      FirstError = Error;
+    if (--RunningTasks == 0 && Queue.empty())
+      AllDone.notify_all();
   }
   CurrentPool = nullptr;
 }
 
 void ThreadPool::wait() {
   assert(CurrentPool != this && "wait() called from a pool worker");
-  std::unique_lock<std::mutex> Lock(StateMutex);
-  AllDone.wait(Lock,
-               [this] { return QueuedTasks == 0 && RunningTasks == 0; });
+  std::unique_lock<std::mutex> Lock(Mutex);
+  AllDone.wait(Lock, [this] { return Queue.empty() && RunningTasks == 0; });
   if (FirstError) {
     std::exception_ptr E = FirstError;
     FirstError = nullptr;

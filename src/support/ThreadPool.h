@@ -1,17 +1,15 @@
-//===- support/ThreadPool.h - Work-stealing thread pool -------------------===//
+//===- support/ThreadPool.h - Fixed-size thread pool ----------------------===//
 //
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 //===--------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the per-procedure parallelism of
-/// the alignment pipeline. Each worker owns a deque: tasks submitted from
-/// a worker go to the front of its own deque (LIFO, for locality), tasks
-/// submitted from outside are distributed round-robin, and an idle worker
-/// steals from the back of a victim's deque. The pool never affects
-/// algorithmic results — it only decides *where* independent per-procedure
-/// work runs; all randomness stays in per-procedure seeded streams.
+/// A small thread pool for the per-procedure parallelism of the alignment
+/// pipeline and the requests of balign-serve. Workers take tasks from one
+/// FIFO queue in submission order. The pool never affects algorithmic
+/// results — it only decides *where* independent per-procedure work runs;
+/// all randomness stays in per-procedure seeded streams.
 ///
 /// Exceptions thrown by tasks are captured; the first one is rethrown by
 /// wait() (the rest are dropped), so a reportFatal raised on a worker
@@ -27,7 +25,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,7 +36,7 @@ namespace balign {
 /// billions of threads.
 inline constexpr unsigned MaxToolThreads = 1024;
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size thread pool over one task queue.
 class ThreadPool {
 public:
   using Task = std::function<void()>;
@@ -48,8 +45,9 @@ public:
   /// hardware thread (hardwareThreads()).
   explicit ThreadPool(unsigned NumThreads = 0);
 
-  /// Drains all submitted tasks, then joins the workers. Exceptions left
-  /// unclaimed by wait() are discarded.
+  /// Drains all submitted tasks, including those submitted while it
+  /// drains, then joins the workers. Exceptions left unclaimed by wait()
+  /// are discarded.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
@@ -58,8 +56,7 @@ public:
   /// Number of worker threads.
   unsigned numWorkers() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Enqueues \p T. Safe to call from worker threads (nested submission
-  /// pushes to the submitting worker's own deque).
+  /// Enqueues \p T. Safe to call from worker threads.
   void submit(Task T);
 
   /// Blocks until every submitted task has finished, then rethrows the
@@ -71,27 +68,15 @@ public:
   static unsigned hardwareThreads();
 
 private:
-  struct WorkerQueue {
-    std::mutex M;
-    std::deque<Task> Q;
-  };
+  void workerLoop();
 
-  void workerLoop(size_t Index);
-  bool tryRunOneTask(size_t SelfIndex);
-
-  std::vector<std::unique_ptr<WorkerQueue>> Queues;
   std::vector<std::thread> Workers;
-
-  /// Guards sleeping/wakeup and completion signalling.
-  std::mutex StateMutex;
+  std::mutex Mutex; ///< Guards every member below.
   std::condition_variable WorkAvailable;
   std::condition_variable AllDone;
-
-  size_t QueuedTasks = 0;   ///< Tasks sitting in some deque.
-  size_t RunningTasks = 0;  ///< Tasks currently executing.
-  size_t NextQueue = 0;     ///< Round-robin cursor for external submits.
+  std::deque<Task> Queue;  ///< Submitted tasks no worker has taken yet.
+  size_t RunningTasks = 0; ///< Tasks currently executing.
   bool Stopping = false;
-
   std::exception_ptr FirstError;
 };
 

@@ -19,7 +19,7 @@
 ///
 ///  - metrics: named counters and gauges published by the subsystems
 ///    (cache hits/misses/salvages, shield retries/faults/rungs, pool
-///    steals/queue depth, solver iterations/kicks).
+///    tasks/queue depth, solver iterations/kicks).
 ///
 /// Determinism contract (the same discipline as the verify hook and
 /// FailureReports): spans are *drained in program order* — sorted by
@@ -27,8 +27,8 @@
 /// timestamps and thread ids masked out, is identical at every thread
 /// count. Everything published as a *counter* must likewise be a pure
 /// function of the inputs (sums of per-procedure work, never scheduling
-/// artifacts); scheduling-dependent quantities (steals, queue depths,
-/// retry totals under real transients) go into *gauges*, which make no
+/// artifacts); scheduling-dependent quantities (queue depths, retry
+/// totals under real transients) go into *gauges*, which make no
 /// cross-thread-count promise. CI diffs the counter map between
 /// Threads=1 and Threads=8 runs to enforce the split.
 ///

@@ -15,23 +15,21 @@
 #define BALIGN_TESTS_SERVECORPUS_H
 
 #include "ir/TextFormat.h"
+#include "robust/Journal.h"
 #include "support/Random.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 namespace balign {
 
 inline std::string readData(const std::string &Name) {
-  std::ifstream In(std::string(BALIGN_DATA_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open " << Name;
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
+  std::string Text;
+  EXPECT_TRUE(readFileBytes(std::string(BALIGN_DATA_DIR) + "/" + Name, Text))
+      << "cannot open " << Name;
+  return Text;
 }
 
 inline Program readProgram(const std::string &Name) {

@@ -122,6 +122,21 @@ TEST(TextFormatNegativeTest, RejectsOversizedBlock) {
       << Error;
 }
 
+TEST(TextFormatNegativeTest, RejectsUnreachableBlock) {
+  // parseProgram runs Procedure::verify, so a block with no path from the
+  // entry fails the parse: the unreachable-block checks of lint and of the
+  // verifier see only programs built through the library.
+  expectProgramRejected(
+      "program t\n"
+      "proc f {\n"
+      "  a: size 1 cond -> b c\n"
+      "  b: size 1 ret\n"
+      "  c: size 1 ret\n"
+      "  d: size 1 ret\n"
+      "}\n",
+      "line 7: procedure 'f' block 3 unreachable from entry");
+}
+
 TEST(TextFormatNegativeTest, RejectsTruncatedFile) {
   // File ends mid-procedure: the closing brace never arrives.
   expectProgramRejected("program t\n"

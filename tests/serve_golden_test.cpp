@@ -13,6 +13,7 @@
 #include "serve/Server.h"
 
 #include "robust/Durability.h"
+#include "robust/Journal.h"
 #include "serve/Client.h"
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -55,12 +55,11 @@ std::string goldenPath(const std::string &Name) {
 }
 
 std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In.good()) << "cannot open golden file " << Path
-                         << " (regenerate with BALIGN_REGEN_GOLDEN=1)";
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
+  std::string Bytes;
+  EXPECT_TRUE(readFileBytes(Path, Bytes))
+      << "cannot open golden file " << Path
+      << " (regenerate with BALIGN_REGEN_GOLDEN=1)";
+  return Bytes;
 }
 
 void writeFile(const std::string &Path, const std::string &Bytes) {

@@ -20,12 +20,12 @@
 #include "support/Random.h"
 #include "workloads/Generator.h"
 
+#include "ServeCorpus.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <csignal>
-#include <fstream>
-#include <sstream>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -114,14 +114,6 @@ void expectAlignError(ServeClient &Client, const AlignRequest &Req,
       << "expected an error frame, got type "
       << frameTypeName(Response.Type);
   ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
-}
-
-std::string readData(const std::string &Name) {
-  std::ifstream In(std::string(BALIGN_DATA_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << Name;
-  std::stringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- tests/threadpool_test.cpp - Work-stealing pool unit + stress tests -----===//
+//===- tests/threadpool_test.cpp - Thread pool unit + stress tests --------===//
 
 #include "support/Random.h"
 #include "support/ThreadPool.h"
@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -151,4 +153,50 @@ TEST(ThreadPoolTest, RandomizedSubmitStealStress) {
     Pool.wait();
     EXPECT_EQ(Sum.load(), Expected) << Workers << " workers";
   }
+}
+
+/// The server's pattern (AlignServer::runAlign): several threads outside
+/// the pool submit at once, each waits on its own future, and nobody
+/// calls wait(). Every task must run exactly once.
+TEST(ThreadPoolTest, ConcurrentExternalSubmitters) {
+  constexpr size_t Submitters = 6, TasksEach = 200;
+  for (unsigned Workers : {1u, 2u, 4u}) {
+    std::vector<std::atomic<int>> Ran(Submitters * TasksEach);
+    {
+      ThreadPool Pool(Workers);
+      std::vector<std::thread> Threads;
+      for (size_t S = 0; S != Submitters; ++S)
+        Threads.emplace_back([&Pool, &Ran, S] {
+          for (size_t I = 0; I != TasksEach; ++I) {
+            auto Done = std::make_shared<std::promise<void>>();
+            std::future<void> Finished = Done->get_future();
+            Pool.submit([&Ran, Done, Index = S * TasksEach + I] {
+              Ran[Index].fetch_add(1);
+              Done->set_value();
+            });
+            Finished.get();
+          }
+        });
+      for (std::thread &T : Threads)
+        T.join();
+    }
+    for (size_t I = 0; I != Ran.size(); ++I)
+      EXPECT_EQ(Ran[I].load(), 1) << Workers << " workers, task " << I;
+  }
+}
+
+/// Tasks that submit more work while the destructor drains: the drain
+/// runs those too.
+TEST(ThreadPoolTest, DestructorDrainsTasksSubmittedByWorkers) {
+  std::atomic<size_t> Count{0};
+  {
+    ThreadPool Pool(2);
+    for (int I = 0; I != 50; ++I)
+      Pool.submit([&Pool, &Count] {
+        Count.fetch_add(1);
+        for (int J = 0; J != 4; ++J)
+          Pool.submit([&Count] { Count.fetch_add(1); });
+      });
+  }
+  EXPECT_EQ(Count.load(), 50u + 50u * 4u);
 }
