@@ -27,6 +27,12 @@
 // With no file argument a built-in demo program is used, so the tool is
 // runnable out of the box.
 //
+// --serve runs a long-lived server (serve/Server.h) that stops one way:
+// a shutdown request (balign_client --shutdown) and a first
+// SIGTERM/SIGINT begin the same drain, which closes idle connections and
+// lets in-flight requests finish under --drain-timeout; a second signal
+// or the expired timeout forces it (exit 4).
+//
 // --cache DIR persists per-procedure alignment results under DIR keyed
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
@@ -52,8 +58,8 @@
 //   3  --batch finished, but some entries failed and were skipped past
 //      (including entries failing --lint=err)
 //   4  --serve shut down by a forced drain: a second SIGTERM/SIGINT or
-//      an expired --drain-timeout abandoned in-flight requests (the
-//      cache session still flushed)
+//      a --drain-timeout expired after a signal or a shutdown request
+//      abandoned in-flight requests (the cache session still flushed)
 //
 // --lint runs the balign-lint static CFG/profile checks before aligning.
 // All lint output goes to stderr (and --lint-json FILE), so stdout stays
@@ -377,11 +383,13 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "in flight with a\n"
                   "                structured rejection instead of "
                   "queueing (0 = no limit)\n"
-                  "  --drain-timeout MS  on SIGTERM/SIGINT wait MS for "
-                  "in-flight requests\n"
-                  "                before forcing shutdown (default "
-                  "5000); a second signal\n"
-                  "                forces it immediately\n"
+                  "  --drain-timeout MS  on SIGTERM/SIGINT or a shutdown "
+                  "request, close idle\n"
+                  "                connections and wait MS for in-flight "
+                  "requests before\n"
+                  "                forcing shutdown (default 5000); a "
+                  "second signal forces\n"
+                  "                it immediately\n"
                   "exit codes: 0 success, 1 usage/input/verify/lint "
                   "error, 2 aborted under\n"
                   "--on-error=abort, 3 batch finished with failed "
@@ -833,9 +841,10 @@ int main(int Argc, char **Argv) {
         Serve.DrainTimeoutMs = Options.DrainTimeoutMs;
         Serve.CacheStatsFn = [&Cache] { return Cache.stats(); };
         AlignServer Server(AlignOptions, Serve);
-        // balign-sentinel: SIGTERM/SIGINT request a graceful drain
-        // (in-flight requests finish, cache flushes below); a second
-        // signal or an expired --drain-timeout forces it (exit 4).
+        // balign-sentinel: SIGTERM/SIGINT, like a shutdown request,
+        // begin a graceful drain (in-flight requests finish, cache
+        // flushes below); a second signal or an expired --drain-timeout
+        // forces it (exit 4).
         Server.installSignalDrain();
         Exit = Options.ServePath == "-"
                    ? Server.serveStdio()

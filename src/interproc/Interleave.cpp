@@ -7,6 +7,10 @@
 
 using namespace balign;
 
+/// Number of "phase cluster" groups; procedures in the same cluster tend
+/// to run near each other in time (modeling call locality).
+constexpr unsigned NumClusters = 4;
+
 CallSequence
 balign::generateCallSequence(const std::vector<uint64_t> &InvocationCounts,
                              const InterleaveOptions &Options) {
@@ -14,7 +18,6 @@ balign::generateCallSequence(const std::vector<uint64_t> &InvocationCounts,
   Rng Rand(Options.Seed);
 
   // Assign procedures to phase clusters.
-  unsigned NumClusters = std::max(1u, Options.NumClusters);
   std::vector<unsigned> ClusterOf(NumProcs);
   for (size_t P = 0; P != NumProcs; ++P)
     ClusterOf[P] = static_cast<unsigned>(Rand.nextBelow(NumClusters));

@@ -43,10 +43,6 @@ struct InterleaveOptions {
   /// procedure (phase behavior); 1 = fully random interleaving.
   double BurstLength = 4.0;
 
-  /// Number of "phase cluster" groups; procedures in the same cluster
-  /// tend to run near each other in time (modeling call locality).
-  unsigned NumClusters = 4;
-
   uint64_t Seed = 0x1e11ULL;
 };
 

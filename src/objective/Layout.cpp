@@ -34,8 +34,7 @@ bool Layout::isValid(const Procedure &Proc) const {
 MaterializedLayout balign::materializeLayout(const Procedure &Proc,
                                              const Layout &Layout,
                                              const ProcedureProfile &Train,
-                                             const MachineModel &Model,
-                                             const MaterializeOptions &Options) {
+                                             const MachineModel &Model) {
   assert(Layout.isValid(Proc) && "materializing an invalid layout");
   MaterializedLayout Mat;
   Mat.ItemOfBlock.assign(Proc.numBlocks(), 0);
@@ -55,15 +54,10 @@ MaterializedLayout balign::materializeLayout(const Procedure &Proc,
 
     switch (Proc.block(B).Kind) {
     case TerminatorKind::Return:
-      break;
-
     case TerminatorKind::Unconditional:
-      // Falls through when possible; otherwise its own terminator is the
-      // jump (no extra block needed). Optionally the redundant jump of a
-      // fall-through block is deleted, shrinking the emitted code.
-      if (Options.DeleteFallThroughJumps &&
-          Next == Proc.successors(B)[0] && Proc.block(B).InstrCount > 1)
-        --Mat.Items.back().SizeInstrs;
+      // An unconditional block falls through when possible; otherwise its
+      // own terminator is the jump (no extra block needed). The jump
+      // stays either way, so its instruction count ignores the layout.
       break;
 
     case TerminatorKind::Multiway:

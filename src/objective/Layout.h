@@ -111,17 +111,6 @@ struct MaterializedLayout {
   }
 };
 
-/// Knobs for materializeLayout.
-struct MaterializeOptions {
-  /// Delete the trailing jump instruction of unconditional blocks whose
-  /// successor is their layout successor, as real compilers and linkers
-  /// do. Shrinks fall-through-heavy (i.e. well-aligned) code, improving
-  /// its instruction-cache footprint. Off by default so block sizes stay
-  /// layout-independent (the paper's accounting, where the jump's cost
-  /// lives entirely in the 2-cycle penalty).
-  bool DeleteFallThroughJumps = false;
-};
-
 /// Materializes \p Layout for \p Proc: chooses branch directions and
 /// static predictions from \p Train (most common CFG successor), inserts
 /// fixup jumps where neither successor of a conditional — or the single
@@ -133,8 +122,7 @@ struct MaterializeOptions {
 MaterializedLayout materializeLayout(const Procedure &Proc,
                                      const Layout &Layout,
                                      const ProcedureProfile &Train,
-                                     const MachineModel &Model,
-                                     const MaterializeOptions &Options = {});
+                                     const MachineModel &Model);
 
 } // namespace balign
 

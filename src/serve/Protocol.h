@@ -96,8 +96,9 @@ enum class FrameError : uint8_t {
   Deadline = 9,     ///< The per-request deadline expired.
   Rejected = 10,    ///< Admission control: queue budget exhausted.
   Internal = 11,    ///< Anything else; the message says what.
-  Stuck = 12,       ///< Watchdog: the request blew past its deadline and
-                    ///< never returned; the worker was abandoned.
+  Stuck = 12,       ///< The request blew past its deadline and never
+                    ///< returned; its connection thread abandoned the
+                    ///< worker.
 };
 
 /// Returns a stable printable name ("bad-frame", "rejected", ...).

@@ -54,10 +54,7 @@ constexpr const char *ForcedDrainMessage =
 AlignServer::AlignServer(const AlignmentOptions &Base, ServeConfig Config)
     : Service(Base, AlignServiceConfig{Config.DefaultDeadlineMs,
                                        Config.Clock}),
-      Config(std::move(Config)), Pool(this->Config.Threads),
-      Gate(this->Config.QueueBudget) {
-  Watchdog = std::thread([this] { watchdogLoop(); });
-}
+      Config(std::move(Config)), Pool(this->Config.Threads) {}
 
 AlignServer::~AlignServer() {
   if (SignalWatcher.joinable()) {
@@ -67,13 +64,6 @@ AlignServer::~AlignServer() {
     DrainServer.store(nullptr);
     setFrameReadInterrupt(nullptr);
   }
-  {
-    std::lock_guard<std::mutex> Lock(WatchdogMutex);
-    WatchdogStop = true;
-  }
-  WatchdogCv.notify_all();
-  if (Watchdog.joinable())
-    Watchdog.join();
 }
 
 uint64_t AlignServer::nowMs() const {
@@ -115,78 +105,61 @@ void AlignServer::installSignalDrain() {
 
 void AlignServer::requestDrain() {
   int Prev = DrainSignals.fetch_add(1);
-  if (Prev == 0) {
-    Draining.store(true);
-    Stopping.store(true);
-    Metrics.counterAdd("serve.drain", 1);
-    // Wake the accept loop and stop new frames on live connections;
-    // in-flight requests keep running and their responses still go out
-    // (only the read side closes).
-    int Fd = ListenFd.load();
-    if (Fd >= 0)
-      ::shutdown(Fd, SHUT_RDWR);
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int C : ConnFds)
-      ::shutdown(C, SHUT_RD);
-  } else if (Prev == 1) {
-    // The double-SIGTERM escalation: the operator is done waiting.
-    forceDrain();
-  }
+  if (Prev == 0)
+    beginDrain();
+  else if (Prev == 1)
+    forceDrain(); // The double-SIGTERM escalation: the operator is done.
+}
+
+void AlignServer::beginDrain() {
+  if (Draining.exchange(true))
+    return;
+  Metrics.counterAdd("serve.drain", 1);
+  // Wake the accept loop and stop new frames on live connections;
+  // in-flight requests keep running and their responses still go out
+  // (only the read side closes).
+  int Fd = ListenFd.load();
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
+  std::lock_guard<std::mutex> Lock(TableMutex);
+  for (int C : ConnFds)
+    ::shutdown(C, SHUT_RD);
 }
 
 void AlignServer::forceDrain() {
   if (ForcedDrain.exchange(true))
     return;
   Metrics.counterAdd("serve.drain.forced", 1);
-  {
-    // Answer every in-flight request now; workers still running will
-    // lose the complete() race and their results are dropped.
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    for (InFlightRequest &R : InFlight)
-      R.Pending->complete(
-          makeErrorFrame(FrameError::Internal, ForcedDrainMessage));
-  }
-  // Stop reads only: each connection thread still gets to write the
-  // abandonment frame just completed above (a SHUT_RDWR here would race
-  // that write and turn the structured answer into a bare EOF), then
-  // sees EOF on its next read and exits.
-  std::lock_guard<std::mutex> Lock(ConnMutex);
+  // Answer every in-flight request now; workers still running will lose
+  // the complete() race and their results are dropped. Stop reads only:
+  // each connection thread still gets to write the abandonment frame (a
+  // SHUT_RDWR here would race that write and turn the structured answer
+  // into a bare EOF), then sees EOF on its next read and exits.
+  std::lock_guard<std::mutex> Lock(TableMutex);
+  for (const std::shared_ptr<PendingResponse> &Pending : InFlight)
+    Pending->complete(
+        makeErrorFrame(FrameError::Internal, ForcedDrainMessage));
   for (int C : ConnFds)
     ::shutdown(C, SHUT_RD);
 }
 
 size_t AlignServer::inFlightRequests() const {
-  std::lock_guard<std::mutex> Lock(InFlightMutex);
+  std::lock_guard<std::mutex> Lock(TableMutex);
   return InFlight.size();
 }
 
-void AlignServer::watchdogLoop() {
-  std::unique_lock<std::mutex> Lock(WatchdogMutex);
-  while (!WatchdogStop) {
-    WatchdogCv.wait_for(Lock, std::chrono::milliseconds(StuckPollMs));
-    if (WatchdogStop)
-      break;
-    uint64_t Now = nowMs();
-    std::lock_guard<std::mutex> InLock(InFlightMutex);
-    for (InFlightRequest &R : InFlight) {
-      if (R.LimitMs == 0 || Now < R.StartMs + R.LimitMs + StuckGraceMs)
-        continue;
-      // The deadline is enforced cooperatively inside the pipeline; a
-      // request this far past it is wedged somewhere that never polls.
-      // Abandon the worker and answer the client structurally.
-      if (R.Pending->complete(makeErrorFrame(
-              FrameError::Stuck,
-              "align request exceeded its deadline of " +
-                  std::to_string(R.LimitMs) +
-                  "ms and did not return; abandoned by the watchdog")))
-        Metrics.counterAdd("serve.stuck", 1);
-    }
-  }
+size_t AlignServer::liveConnections() const {
+  std::lock_guard<std::mutex> Lock(TableMutex);
+  return ConnFds.size();
 }
 
 std::string AlignServer::metricsJson() {
-  Metrics.gaugeMax("serve.queue.highwater",
-                   static_cast<uint64_t>(Gate.highWater()));
+  size_t Deepest;
+  {
+    std::lock_guard<std::mutex> Lock(TableMutex);
+    Deepest = HighWater;
+  }
+  Metrics.gaugeMax("serve.queue.highwater", static_cast<uint64_t>(Deepest));
   std::map<std::string, uint64_t> Counters = Metrics.counters();
   if (Config.CacheStatsFn) {
     CacheStats S = Config.CacheStatsFn();
@@ -199,25 +172,31 @@ std::string AlignServer::metricsJson() {
 }
 
 Frame AlignServer::runAlign(const AlignRequest &Request) {
-  if (!Gate.tryAdmit()) {
+  // Shared ownership instead of by-reference captures: this thread's
+  // Stuck answer or a forced drain can complete the response early,
+  // after which the worker must still have valid request/response state
+  // to finish (and lose the complete() race) against.
+  auto Pending = std::make_shared<PendingResponse>();
+  // Read before the request enters the table: whoever sees it there
+  // reads a clock at or past its start.
+  uint64_t StartMs = nowMs();
+  bool Admitted;
+  {
+    std::lock_guard<std::mutex> Lock(TableMutex);
+    Admitted =
+        Config.QueueBudget == 0 || InFlight.size() < Config.QueueBudget;
+    if (Admitted) {
+      InFlight.push_back(Pending);
+      HighWater = std::max(HighWater, InFlight.size());
+    }
+  }
+  if (!Admitted) {
     Metrics.counterAdd("serve.rejected", 1);
     return makeErrorFrame(FrameError::Rejected,
                           "align queue budget exhausted; retry later");
   }
-  // Shared ownership instead of by-reference captures: the watchdog or
-  // a forced drain can answer the connection thread early, after which
-  // the worker must still have valid request/response state to finish
-  // (and lose the complete() race) against.
-  auto Pending = std::make_shared<PendingResponse>();
   auto Req = std::make_shared<AlignRequest>(Request);
   std::future<Frame> Result = Pending->Promise.get_future();
-  uint64_t LimitMs =
-      Req->DeadlineMs ? Req->DeadlineMs : Config.DefaultDeadlineMs;
-  uint64_t Id = NextRequestId.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    InFlight.push_back({Id, nowMs(), LimitMs, Pending});
-  }
   if (ForcedDrain.load()) {
     Pending->complete(
         makeErrorFrame(FrameError::Internal, ForcedDrainMessage));
@@ -235,15 +214,27 @@ Frame AlignServer::runAlign(const AlignRequest &Request) {
       }
     });
   }
-  Frame Response = Result.get();
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    InFlight.erase(std::find_if(InFlight.begin(), InFlight.end(),
-                                [Id](const InFlightRequest &R) {
-                                  return R.Id == Id;
-                                }));
+  // This thread is the request's watchdog. The deadline is enforced
+  // cooperatively inside the pipeline; a request past deadline +
+  // StuckGraceMs on the injectable clock is wedged somewhere that never
+  // polls, so abandon the worker and answer the client structurally.
+  uint64_t LimitMs =
+      Request.DeadlineMs ? Request.DeadlineMs : Config.DefaultDeadlineMs;
+  while (LimitMs != 0 &&
+         Result.wait_for(std::chrono::milliseconds(StuckPollMs)) !=
+             std::future_status::ready) {
+    if (nowMs() < StartMs + LimitMs + StuckGraceMs)
+      continue;
+    if (Pending->complete(makeErrorFrame(
+            FrameError::Stuck,
+            "align request exceeded its deadline of " +
+                std::to_string(LimitMs) +
+                "ms and did not return; abandoned by the watchdog")))
+      Metrics.counterAdd("serve.stuck", 1);
   }
-  Gate.release();
+  Frame Response = Result.get();
+  std::lock_guard<std::mutex> Lock(TableMutex);
+  InFlight.erase(std::find(InFlight.begin(), InFlight.end(), Pending));
   return Response;
 }
 
@@ -254,9 +245,9 @@ Frame AlignServer::dispatch(const Frame &Request, bool &SawShutdown) {
     return makeFrame(FrameType::Pong, Request.Body);
   case FrameType::Align: {
     Metrics.counterAdd("serve.requests.align", 1);
-    // Decode up front (once): the watchdog needs the request's deadline
-    // before dispatch, and the decode error is answered without burning
-    // a pool slot.
+    // Decode up front (once): the connection thread needs the request's
+    // deadline to watch it, and the decode error is answered without
+    // burning a pool slot.
     AlignRequest Req;
     std::string Error;
     if (!decodeAlignRequest(Request.Body, Req, &Error))
@@ -286,20 +277,22 @@ Frame AlignServer::dispatch(const Frame &Request, bool &SawShutdown) {
 
 AlignServer::ConnectionEnd AlignServer::serveConnection(int InFd, int OutFd) {
   Metrics.counterAdd("serve.connections", 1);
-  ActiveConnections.fetch_add(1);
   {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
+    std::lock_guard<std::mutex> Lock(TableMutex);
     ConnFds.push_back(InFd);
+    // A connection registered after the drain began missed its read-side
+    // shutdown; it gets no new frames either.
+    if (Draining.load())
+      ::shutdown(InFd, SHUT_RD);
   }
   // Connection teardown bookkeeping, run on every exit path.
   struct ConnCleanup {
     AlignServer *Server;
     int Fd;
     ~ConnCleanup() {
-      std::lock_guard<std::mutex> Lock(Server->ConnMutex);
+      std::lock_guard<std::mutex> Lock(Server->TableMutex);
       Server->ConnFds.erase(std::find(Server->ConnFds.begin(),
                                       Server->ConnFds.end(), Fd));
-      Server->ActiveConnections.fetch_sub(1);
     }
   } Cleanup{this, InFd};
   ConnectionEnd End = ConnectionEnd::Eof;
@@ -342,12 +335,9 @@ AlignServer::ConnectionEnd AlignServer::serveConnection(int InFd, int OutFd) {
       break; // Peer vanished mid-response.
   }
   if (SawShutdown) {
+    // The same drain as a first SIGTERM; never an escalation.
     End = ConnectionEnd::Shutdown;
-    Stopping.store(true);
-    // Wake the accept loop (if any) out of accept(2).
-    int Fd = ListenFd.load();
-    if (Fd >= 0)
-      ::shutdown(Fd, SHUT_RDWR);
+    beginDrain();
   }
   return End;
 }
@@ -396,12 +386,12 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
     std::atomic<bool> Done{false};
   };
   std::list<Connection> Connections;
-  while (!Stopping.load()) {
+  while (!Draining.load()) {
     int Client = ::accept(Fd, nullptr, nullptr);
     if (Client < 0) {
       if (errno == EINTR)
         continue;
-      break; // Shutdown closed the listener (or it broke for real).
+      break; // A drain shut the listener (or it broke for real).
     }
     for (auto It = Connections.begin(); It != Connections.end();) {
       if (!It->Done.load()) {
@@ -429,9 +419,9 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
     // Supervised drain: give in-flight connections DrainTimeoutMs to
     // finish their current requests, then escalate.
     std::fprintf(stderr, "serve: draining (%zu connections in flight)\n",
-                 ActiveConnections.load());
+                 liveConnections());
     Deadline DrainDeadline(Config.DrainTimeoutMs, Config.Clock);
-    while (ActiveConnections.load() != 0 && !ForcedDrain.load()) {
+    while (liveConnections() != 0 && !ForcedDrain.load()) {
       if (DrainDeadline.expired()) {
         forceDrain();
         break;

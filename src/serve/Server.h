@@ -11,9 +11,12 @@
 ///    request runs whole on one worker, Threads=1 inside, so the repo's
 ///    thread-count invariance makes responses byte-identical at any pool
 ///    size);
-///  - one AdmissionGate bounding in-flight align requests — past the
-///    budget a request is answered FrameError::Rejected immediately
-///    instead of queueing without bound (backpressure, not buffering);
+///  - one in-flight table under one mutex: the response slot of every
+///    admitted align request and the fd of every live connection.
+///    Admission reads it — past QueueBudget a request is answered
+///    FrameError::Rejected immediately instead of queueing without bound
+///    (backpressure, not buffering) — and so do the
+///    serve.queue.highwater gauge, a drain's wait and a forced drain;
 ///  - one MetricRegistry of serve counters, exported through the
 ///    Metrics request type in the exact `--metrics-json` shape. The
 ///    server deliberately does *not* install a TraceSession: a span per
@@ -24,10 +27,18 @@
 /// connections hold no thread; the connection thread reads frames in
 /// order, answers ping/metrics/shutdown inline, and blocks on the pool
 /// future for each align request (so one connection sees its responses
-/// in request order; concurrency comes from multiple connections). A
-/// protocol error on a connection closes that connection after a
-/// best-effort error frame — it never touches the server or its
-/// siblings.
+/// in request order; concurrency comes from multiple connections). That
+/// thread is also the request's watchdog: a request with a deadline is
+/// waited on in StuckPollMs slices and answered FrameError::Stuck once
+/// it blows past deadline + StuckGraceMs. A protocol error on a
+/// connection closes that connection after a best-effort error frame —
+/// it never touches the server or its siblings.
+///
+/// The server stops one way: a Shutdown frame and the first
+/// requestDrain() (SIGTERM/SIGINT) begin the same drain, which stops
+/// accepting, ends every connection's reads, and lets in-flight aligns
+/// finish under DrainTimeoutMs; a second drain request or the timeout
+/// forces it.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -41,7 +52,6 @@
 #include "trace/Scope.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <memory>
@@ -52,57 +62,15 @@
 
 namespace balign {
 
-/// Bounded admission of in-flight align requests. Budget 0 = unlimited
-/// (the CLI convention). Thread-safe; public so tests can pre-saturate
-/// it and observe a deterministic Rejected without racing real work.
-class AdmissionGate {
-public:
-  explicit AdmissionGate(size_t Budget) : Budget(Budget) {}
-
-  /// Claims a slot; false when the budget is exhausted (backpressure).
-  bool tryAdmit() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Budget != 0 && Depth >= Budget)
-      return false;
-    ++Depth;
-    if (Depth > HighWater)
-      HighWater = Depth;
-    return true;
-  }
-
-  /// Returns a slot claimed by tryAdmit.
-  void release() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    --Depth;
-  }
-
-  /// In-flight align requests right now.
-  size_t depth() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Depth;
-  }
-
-  /// Deepest the gate has ever been (the serve.queue.highwater gauge).
-  size_t highWater() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return HighWater;
-  }
-
-private:
-  mutable std::mutex Mutex;
-  size_t Budget;
-  size_t Depth = 0;
-  size_t HighWater = 0;
-};
-
-/// balign-sentinel: slack past a request's deadline before the watchdog
-/// abandons it with FrameError::Stuck. The deadline itself is polled by
-/// the profile walk and inside the pipeline; the watchdog fires when a
-/// worker blew through it without returning. Requests with no deadline
-/// at all are never flagged.
+/// balign-sentinel: slack past a request's deadline before its
+/// connection thread abandons it with FrameError::Stuck. The deadline
+/// itself is polled by the profile walk and inside the pipeline; the
+/// Stuck answer comes when a worker blew through it without returning.
+/// Requests with no deadline at all are never flagged.
 inline constexpr uint64_t StuckGraceMs = 1000;
 
-/// Real-time interval between watchdog scans of the in-flight table.
+/// Real-time slice a connection thread waits on a request with a
+/// deadline before it checks the clock again.
 inline constexpr uint64_t StuckPollMs = 20;
 
 /// Server-level configuration.
@@ -116,8 +84,9 @@ struct ServeConfig {
   /// Deadline for requests that do not carry one (0 = unlimited).
   uint64_t DefaultDeadlineMs = 0;
 
-  /// balign-sentinel: how long a drain (SIGTERM / requestDrain) waits
-  /// for in-flight connections before escalating to a forced shutdown
+  /// balign-sentinel: how long a drain (Shutdown frame, SIGTERM,
+  /// requestDrain) waits for in-flight connections before escalating to
+  /// a forced shutdown
   /// (0 = wait forever). Measured on Clock, so tests drive the timeout
   /// from a ManualClock.
   uint64_t DrainTimeoutMs = 5000;
@@ -149,7 +118,7 @@ public:
   enum class ConnectionEnd : uint8_t {
     Eof,           ///< Clean EOF at a frame boundary.
     ProtocolError, ///< A framing error closed the connection.
-    Shutdown,      ///< A Shutdown frame was answered; the server stops.
+    Shutdown,      ///< A Shutdown frame was answered; the server drains.
   };
 
   /// Serves one established connection: reads frames from \p InFd and
@@ -159,11 +128,11 @@ public:
   ConnectionEnd serveConnection(int InFd, int OutFd);
 
   /// Listens on unix-domain socket \p Path (an existing file at Path is
-  /// replaced) and accepts until a Shutdown frame or a drain request
-  /// arrives. Returns 0 on clean shutdown (including a drain whose
-  /// in-flight work finished inside DrainTimeoutMs), 1 on setup failure
-  /// (bind/listen), 4 when the drain had to be forced — by a second
-  /// drain request or by the drain timeout expiring.
+  /// replaced) and accepts until a drain begins (a Shutdown frame or a
+  /// drain request). Returns 0 when the drain's in-flight work finished
+  /// inside DrainTimeoutMs, 1 on setup failure (bind/listen), 4 when the
+  /// drain had to be forced — by a second drain request or by the drain
+  /// timeout expiring.
   int serveUnixSocket(const std::string &Path);
 
   /// Serves a single connection on stdin/stdout ("--serve -"): the
@@ -173,17 +142,18 @@ public:
   int serveStdio();
 
   /// balign-sentinel: the drain state machine, callable from any thread.
-  /// The first call begins a supervised drain — the accept loop stops,
-  /// connections stop reading new frames (their read side is shut
-  /// down), and in-flight requests run to completion under
-  /// DrainTimeoutMs. A second call (the double-SIGTERM escalation)
-  /// forces the drain: every in-flight request is answered with an
-  /// Error frame immediately and connections are torn down. This is
+  /// The first call begins a supervised drain, the step a Shutdown frame
+  /// also takes — the accept loop stops, connections stop reading new
+  /// frames (their read side is shut down), and in-flight requests run
+  /// to completion under DrainTimeoutMs. A second call (the
+  /// double-SIGTERM escalation) forces the drain: every in-flight
+  /// request is answered with an Error frame immediately and
+  /// connections are torn down. A Shutdown frame never forces. This is
   /// also the injectable signal-delivery hook — the SIGTERM/SIGINT
   /// self-pipe ends here, and tests call it directly.
   void requestDrain();
 
-  /// True once a drain has been requested.
+  /// True once a drain has begun (drain request or Shutdown frame).
   bool draining() const { return Draining.load(); }
 
   /// True once the drain was escalated (second signal or timeout).
@@ -198,10 +168,6 @@ public:
   /// Align requests currently in flight (admitted, not yet answered).
   size_t inFlightRequests() const;
 
-  /// The admission gate (tests pre-saturate it for deterministic
-  /// Rejected coverage).
-  AdmissionGate &gate() { return Gate; }
-
   /// The serve counters.
   MetricRegistry &metrics() { return Metrics; }
 
@@ -210,9 +176,10 @@ public:
   std::string metricsJson();
 
 private:
-  /// One response slot shared by the pool worker and the watchdog:
-  /// whichever calls complete() first wins, the other's frame is
-  /// dropped. The connection thread blocks on the future.
+  /// One response slot shared by the pool worker, the connection thread
+  /// (Stuck) and a forced drain: whichever calls complete() first wins,
+  /// the others' frames are dropped. The connection thread blocks on
+  /// the future.
   struct PendingResponse {
     std::atomic<bool> Done{false};
     std::promise<Frame> Promise;
@@ -226,55 +193,44 @@ private:
     }
   };
 
-  /// What the watchdog scans: when did the request start, how long was
-  /// it allowed, where to deliver the Stuck frame.
-  struct InFlightRequest {
-    uint64_t Id = 0;
-    uint64_t StartMs = 0;
-    uint64_t LimitMs = 0; ///< 0 = no deadline, never flagged stuck.
-    std::shared_ptr<PendingResponse> Pending;
-  };
-
   /// Dispatches one well-formed frame; returns the response to write.
   /// Sets \p SawShutdown for Shutdown frames.
   Frame dispatch(const Frame &Request, bool &SawShutdown);
 
-  /// Runs one decoded align request on the pool and waits for its
-  /// response (from the worker — or from the watchdog/forced drain).
+  /// Admits one decoded align request, runs it on the pool and waits
+  /// for its response (from the worker — or Stuck from this thread, or
+  /// a forced drain's).
   Frame runAlign(const AlignRequest &Request);
 
-  /// The watchdog thread body: periodically flags in-flight requests
-  /// that blew past deadline + StuckGraceMs with FrameError::Stuck.
-  void watchdogLoop();
+  /// The first drain request's step, and a Shutdown frame's: stop
+  /// accepting and shut every connection's read side. Runs once.
+  void beginDrain();
 
   /// Escalation: answer every in-flight request with an Error frame now
   /// and tear down registered connections.
   void forceDrain();
+
+  /// Connections served right now.
+  size_t liveConnections() const;
 
   uint64_t nowMs() const;
 
   AlignService Service;
   ServeConfig Config;
   ThreadPool Pool;
-  AdmissionGate Gate;
   MetricRegistry Metrics;
-  std::atomic<bool> Stopping{false};
   std::atomic<int> ListenFd{-1};
 
-  // balign-sentinel drain/watchdog state.
+  // balign-sentinel drain state.
   std::atomic<int> DrainSignals{0};
   std::atomic<bool> Draining{false};
   std::atomic<bool> ForcedDrain{false};
-  std::atomic<uint64_t> NextRequestId{1};
-  std::atomic<size_t> ActiveConnections{0};
-  mutable std::mutex InFlightMutex;
-  std::vector<InFlightRequest> InFlight;
-  std::mutex ConnMutex;
+
+  // The in-flight table: TableMutex guards the three members after it.
+  mutable std::mutex TableMutex;
+  std::vector<std::shared_ptr<PendingResponse>> InFlight;
   std::vector<int> ConnFds;
-  std::thread Watchdog;
-  std::mutex WatchdogMutex;
-  std::condition_variable WatchdogCv;
-  bool WatchdogStop = false;
+  size_t HighWater = 0; ///< Deepest InFlight has been.
   std::thread SignalWatcher;
 };
 

@@ -61,7 +61,7 @@ public:
   Frame handleAlign(const std::string &Body) const;
 
   /// Runs one already-decoded request (the server decodes up front so
-  /// its watchdog can read the request's deadline before dispatch).
+  /// the connection thread can read the request's deadline to watch it).
   /// Same contract and byte-identical responses as the body overload.
   Frame handleAlign(const AlignRequest &Req) const;
 

@@ -47,13 +47,16 @@ bool TraceReplayer::isSuccessor(BlockId From, BlockId To) const {
   return false;
 }
 
+/// Cycles to fill one instruction-cache line from the next level.
+constexpr uint64_t CacheMissPenalty = 10;
+
 void TraceReplayer::fetchItem(const LayoutItem &Item) {
   // The fetch footprint includes long-form branch growth, so encoding
   // bloat shows up as I-cache pressure the same way it does on hardware.
   uint64_t Misses =
       Cache.accessRange(Base + Item.Address, itemBytes(Item, Config.Model));
   Result.CacheMisses += Misses;
-  Result.CacheMissCycles += Misses * Config.CacheMissPenalty;
+  Result.CacheMissCycles += Misses * CacheMissPenalty;
 }
 
 void TraceReplayer::executeBlock(BlockId B) {

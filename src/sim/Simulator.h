@@ -12,7 +12,7 @@
 ///   cycles = instructions (CPI 1)
 ///          + Table 3 control penalty of the block's actual transfer
 ///          + fixup-jump execution where the layout inserted one
-///          + CacheMissPenalty per instruction-cache line miss.
+///          + CacheMissPenalty (10) per instruction-cache line miss.
 ///
 /// The control-penalty component uses the same arrangement/prediction
 /// data the materializer recorded from the *training* profile, so
@@ -46,8 +46,6 @@ namespace balign {
 struct SimConfig {
   MachineModel Model = MachineModel::alpha21164();
   ICacheConfig Cache;
-  /// Cycles to fill one instruction-cache line from the next level.
-  uint32_t CacheMissPenalty = 10;
   /// Conditional-branch prediction hardware (ablations; the paper's
   /// model assumes ProfileStatic). Bimodal2Bit uses a table of
   /// BimodalTableEntries counters.

@@ -160,58 +160,6 @@ TEST(MaterializeTest, FixupCountMatchesPenaltyModelOverRandomLayouts) {
   }
 }
 
-TEST(MaterializeTest, DeleteFallThroughJumpsShrinksCode) {
-  // entry(jump)->mid(jump)->ret laid out in order: both jumps fall
-  // through; with the option on, each loses its trailing jump.
-  CFGBuilder B("shrink");
-  BlockId J0 = B.jump(4);
-  BlockId J1 = B.jump(3);
-  BlockId R = B.ret(2);
-  B.edge(J0, J1).edge(J1, R);
-  Procedure Proc = B.take();
-  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
-  Profile.EdgeCounts[J0] = {10};
-  Profile.EdgeCounts[J1] = {10};
-  Profile.BlockCounts = {10, 10, 10};
-
-  MaterializedLayout Plain =
-      materializeLayout(Proc, Layout::original(Proc), Profile, Alpha);
-  MaterializeOptions Options;
-  Options.DeleteFallThroughJumps = true;
-  MaterializedLayout Dense = materializeLayout(
-      Proc, Layout::original(Proc), Profile, Alpha, Options);
-  EXPECT_EQ(Plain.TotalBytes, (4u + 3 + 2) * BytesPerInstr);
-  EXPECT_EQ(Dense.TotalBytes, (3u + 2 + 2) * BytesPerInstr);
-  EXPECT_EQ(Dense.Items[0].SizeInstrs, 3u);
-  EXPECT_EQ(Dense.Items[1].SizeInstrs, 2u);
-  EXPECT_EQ(Dense.Items[2].SizeInstrs, 2u); // Returns untouched.
-
-  // A layout where J1 does NOT fall through keeps its jump.
-  Layout Scrambled;
-  Scrambled.Order = {J0, R, J1};
-  MaterializedLayout Mixed =
-      materializeLayout(Proc, Scrambled, Profile, Alpha, Options);
-  // J0's successor J1 is not next: jump kept (4); J1 last: jump kept.
-  EXPECT_EQ(Mixed.Items[Mixed.ItemOfBlock[J0]].SizeInstrs, 4u);
-  EXPECT_EQ(Mixed.Items[Mixed.ItemOfBlock[J1]].SizeInstrs, 3u);
-}
-
-TEST(MaterializeTest, SingleInstructionJumpNeverShrinksToZero) {
-  CFGBuilder B("tiny");
-  BlockId J = B.jump(1);
-  BlockId R = B.ret(1);
-  B.edge(J, R);
-  Procedure Proc = B.take();
-  ProcedureProfile Profile = ProcedureProfile::zeroed(Proc);
-  Profile.EdgeCounts[J] = {5};
-  Profile.BlockCounts = {5, 5};
-  MaterializeOptions Options;
-  Options.DeleteFallThroughJumps = true;
-  MaterializedLayout Mat = materializeLayout(
-      Proc, Layout::original(Proc), Profile, Alpha, Options);
-  EXPECT_EQ(Mat.Items[0].SizeInstrs, 1u);
-}
-
 TEST(MaterializeTest, MultiwayPredictionRecorded) {
   CFGBuilder B("multi");
   BlockId M = B.multi(4);

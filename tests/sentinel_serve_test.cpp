@@ -343,6 +343,52 @@ TEST(SentinelServeTest, UnixSocketDrainExitCodesReflectCleanVsForced) {
   }
 }
 
+TEST(SentinelServeTest, ShutdownEndsIdleSiblingConnections) {
+  // A Shutdown frame begins the same drain as a first SIGTERM, so a
+  // sibling connection that sits idle is shut with the rest instead of
+  // holding the server open until its client leaves.
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  AlignServer Server(Base, Config);
+  TempDir Dir("sentinel_idle");
+  std::string Sock = Dir / "sock";
+  std::atomic<int> Exit{-1};
+  std::thread ServeThread([&] { Exit = Server.serveUnixSocket(Sock); });
+
+  RetryPolicy Wait;
+  Wait.MaxAttempts = 200;
+  Wait.InitialBackoffMs = 5;
+  Wait.MaxBackoffMs = 5;
+  std::string Error;
+  ServeClient Idle;
+  ASSERT_TRUE(Idle.connectUnixRetry(Sock, Wait, &Error)) << Error;
+  // One answered ping: the idle connection is being served, not queued
+  // in the listener's backlog.
+  Frame Response;
+  ASSERT_TRUE(Idle.call(makeFrame(FrameType::Ping, "idle"), Response,
+                        &Error))
+      << Error;
+
+  ServeClient Stopper;
+  ASSERT_TRUE(Stopper.connectUnix(Sock, &Error)) << Error;
+  ASSERT_TRUE(Stopper.call(makeFrame(FrameType::Shutdown), Response,
+                           &Error))
+      << Error;
+  EXPECT_EQ(FrameType::ShutdownOk, Response.Type);
+
+  // The server returns while the idle client is still connected; closing
+  // that client afterwards only bounds the wait, so a server that waits
+  // for it fails here instead of hanging.
+  bool Returned = eventually([&] { return Exit.load() != -1; }, 3000);
+  Idle.close();
+  ServeThread.join();
+  EXPECT_TRUE(Returned) << "serveUnixSocket waited for the idle client";
+  EXPECT_EQ(0, Exit.load());
+  EXPECT_FALSE(Server.drainForced());
+  EXPECT_EQ(1u, Server.metrics().counter("serve.drain"));
+}
+
 TEST(SentinelServeTest, SigtermSelfPipeDrivesTheDrainStateMachine) {
   // The real signal path: installSignalDrain's handler writes to the
   // self-pipe, the watcher thread turns each byte into requestDrain().

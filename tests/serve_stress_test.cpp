@@ -22,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
+#include <future>
 #include <memory>
 #include <sys/socket.h>
 #include <thread>
@@ -227,42 +229,70 @@ TEST(ServeStressTest, ConcurrentClientsGetOneShotBytesAtEveryPoolSize) {
 }
 
 TEST(ServeStressTest, AdmissionGateRejectsDeterministically) {
+  std::vector<CorpusItem> Corpus = buildCorpus();
+  std::promise<void> Release;
+  std::shared_future<void> Released = Release.get_future().share();
   AlignmentOptions Base;
   ServeConfig Config;
   Config.Threads = 1;
   Config.QueueBudget = 2;
+  // The one worker parks until the test releases it, so two aligns in
+  // flight is a state the test holds, not a race it hopes to win.
+  Config.TestStallHook = [Released] { Released.wait(); };
   AlignServer Server(Base, Config);
 
-  // Pre-saturate the public gate — the deterministic stand-in for two
-  // align requests genuinely in flight.
-  ASSERT_TRUE(Server.gate().tryAdmit());
-  ASSERT_TRUE(Server.gate().tryAdmit());
-  ASSERT_FALSE(Server.gate().tryAdmit());
-  Server.gate().release();
-  ASSERT_TRUE(Server.gate().tryAdmit());
-  EXPECT_EQ(2u, Server.gate().highWater());
+  auto AlignOn = [&Corpus](Connection &Conn, size_t I) {
+    return std::async(std::launch::async, [&Conn, &Item = Corpus[I]] {
+      std::string Report, Error;
+      EXPECT_TRUE(Conn.Client.align(requestFor(Item), Report, &Error))
+          << Error;
+      return Report;
+    });
+  };
+  // Two connections fill the budget: the first align parks the worker,
+  // the second waits in the pool's queue, and both are in flight.
+  Connection First(Server), Second(Server), Third(Server);
+  std::future<std::string> FirstReport = AlignOn(First, 0);
+  std::future<std::string> SecondReport = AlignOn(Second, 1);
+  for (int Ms = 0; Ms != 10000 && Server.inFlightRequests() != 2; ++Ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(2u, Server.inFlightRequests());
 
-  // With the budget held, an align request is rejected with a
-  // structured frame; after release it succeeds.
-  Connection Conn(Server);
-  std::vector<CorpusItem> Corpus = buildCorpus();
-  Frame Response;
-  std::string Error;
-  ASSERT_TRUE(Conn.Client.call(
-      makeFrame(FrameType::Align, encodeAlignRequest(requestFor(Corpus[0]))),
-      Response, &Error))
-      << Error;
+  // A third connection's align finds the budget spent and is answered
+  // with a structured frame at once, never queued. Waiting for that
+  // answer is bounded, so a server that queues it fails the test
+  // instead of hanging on the parked worker.
+  std::future<Frame> ThirdAnswer = std::async(std::launch::async, [&] {
+    Frame Response;
+    std::string Error;
+    EXPECT_TRUE(Third.Client.call(
+        makeFrame(FrameType::Align, encodeAlignRequest(requestFor(Corpus[2]))),
+        Response, &Error))
+        << Error;
+    return Response;
+  });
+  bool AnsweredWhileFull = ThirdAnswer.wait_for(std::chrono::seconds(10)) ==
+                           std::future_status::ready;
+  Release.set_value();
+  EXPECT_TRUE(AnsweredWhileFull);
+  Frame Response = ThirdAnswer.get();
   ASSERT_EQ(FrameType::Error, Response.Type);
   FrameError Code = FrameError::None;
   std::string Message;
   ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
   EXPECT_EQ(FrameError::Rejected, Code);
   EXPECT_EQ(1u, Server.metrics().counter("serve.rejected"));
+  EXPECT_NE(std::string::npos,
+            Server.metricsJson().find(
+                "\"gauges\":{\"serve.queue.highwater\":2}"))
+      << Server.metricsJson();
 
-  Server.gate().release();
-  Server.gate().release();
-  std::string Report;
-  ASSERT_TRUE(Conn.Client.align(requestFor(Corpus[0]), Report, &Error))
+  // Released, the parked aligns finish with their one-shot bytes, and
+  // the freed budget admits a fourth.
+  EXPECT_EQ(Corpus[0].Expected, FirstReport.get());
+  EXPECT_EQ(Corpus[1].Expected, SecondReport.get());
+  std::string Report, Error;
+  ASSERT_TRUE(Third.Client.align(requestFor(Corpus[3]), Report, &Error))
       << Error;
-  EXPECT_EQ(Corpus[0].Expected, Report);
+  EXPECT_EQ(Corpus[3].Expected, Report);
 }

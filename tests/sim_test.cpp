@@ -218,29 +218,6 @@ TEST(SimulatorTest, BimodalPredictorRunsAndDiffers) {
   EXPECT_NE(RStatic.ControlPenaltyCycles, RBimodal.ControlPenaltyCycles);
 }
 
-TEST(SimulatorTest, DeletedFallThroughJumpsSaveCyclesAndLines) {
-  // Densified materialization (fall-through jumps deleted) must never
-  // fetch more lines or execute more instructions than the plain one,
-  // and control penalties are unaffected.
-  SimCase C(13, /*Sites=*/10, /*Budget=*/2000);
-  Layout L = C.tspLayout();
-  MaterializedLayout Plain =
-      materializeLayout(C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha);
-  MaterializeOptions Options;
-  Options.DeleteFallThroughJumps = true;
-  MaterializedLayout Dense = materializeLayout(
-      C.Prog.proc(0), L, C.Profile.Procs[0], C.Alpha, Options);
-  EXPECT_LE(Dense.TotalBytes, Plain.TotalBytes);
-
-  SimConfig Config;
-  Config.Cache.SizeBytes = 512;
-  SimResult RPlain = simulateProgram(C.Prog, {Plain}, C.Traces, Config);
-  SimResult RDense = simulateProgram(C.Prog, {Dense}, C.Traces, Config);
-  EXPECT_EQ(RDense.ControlPenaltyCycles, RPlain.ControlPenaltyCycles);
-  EXPECT_LE(RDense.BaseCycles, RPlain.BaseCycles);
-  EXPECT_LE(RDense.Cycles, RPlain.Cycles);
-}
-
 TEST(SimulatorTest, BtfntChangesPenalties) {
   SimCase C(9);
   Layout L = C.tspLayout();
