@@ -27,18 +27,21 @@
 // With no file argument a built-in demo program is used, so the tool is
 // runnable out of the box.
 //
-// --serve runs a long-lived server (serve/Server.h) that stops one way:
-// a shutdown request (balign_client --shutdown) and a first
-// SIGTERM/SIGINT begin the same drain, which closes idle connections and
-// lets in-flight requests finish under --drain-timeout; a second signal
-// or the expired timeout forces it (exit 4).
+// --serve runs a long-lived server (serve/Server.h) that stops one way,
+// on a socket and on stdin/stdout (--serve -) alike: a shutdown request
+// (balign_client --shutdown) and a first SIGTERM/SIGINT begin the same
+// drain, which closes idle connections and lets in-flight requests
+// finish under --drain-timeout; a second signal or the expired timeout
+// forces it (exit 4).
 //
 // --cache DIR persists per-procedure alignment results under DIR keyed
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
-// many programs (one "prog.cfg [profile.prof]" per line) through one
-// shared cache session. --cache-stats prints the hit/miss counters to
-// stderr, keeping stdout byte-comparable between cold and warm runs.
+// many programs (one "prog.cfg [profile.prof]" per line, blank lines and
+// '#' comments skipped: the grammar balign_client --batch shares)
+// through one shared cache session. --cache-stats prints the hit/miss
+// counters to stderr, keeping stdout byte-comparable between cold and
+// warm runs.
 //
 // --verify runs the pipeline under the balign-verify analyses, with
 // bounds always computed so the bound checks have bounds to check, and
@@ -90,7 +93,6 @@
 #include <fstream>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 
 using namespace balign;
@@ -378,7 +380,9 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "pool and --deadline\n"
                   "                sets the default per-request deadline; "
                   "request flags are\n"
-                  "                refused (each request carries its own)\n"
+                  "                refused (each request carries its own); "
+                  "both modes drain on\n"
+                  "                SIGTERM/SIGINT like a shutdown request\n"
                   "  --serve-queue N  answer align requests beyond N "
                   "in flight with a\n"
                   "                structured rejection instead of "
@@ -387,9 +391,9 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "request, close idle\n"
                   "                connections and wait MS for in-flight "
                   "requests before\n"
-                  "                forcing shutdown (default 5000); a "
-                  "second signal forces\n"
-                  "                it immediately\n"
+                  "                forcing shutdown (default 5000), "
+                  "socket or -; a second\n"
+                  "                signal forces it immediately\n"
                   "exit codes: 0 success, 1 usage/input/verify/lint "
                   "error, 2 aborted under\n"
                   "--on-error=abort, 3 batch finished with failed "
@@ -549,17 +553,6 @@ bool alignOneProgram(const Program &Prog, const ProgramProfile &Counts,
   if (AnySkipped)
     *AnySkipped = Result->Failures.countSkipped() != 0;
   return true;
-}
-
-/// Parses one batch line into "program [profile]"; returns false for
-/// blank/comment lines.
-bool parseBatchLine(const std::string &Line, std::string &ProgramFile,
-                    std::string &ProfileFile) {
-  std::istringstream Fields(Line);
-  ProgramFile.clear();
-  ProfileFile.clear();
-  Fields >> ProgramFile >> ProfileFile;
-  return !ProgramFile.empty() && ProgramFile[0] != '#';
 }
 
 int runBatch(const ToolOptions &Options,

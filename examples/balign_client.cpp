@@ -21,13 +21,17 @@
 // equals the one-shot report for the same flags.
 //
 // Request order on one connection: ping first (when asked), then the
-// align for file.cfg (or each line of --batch LIST), then metrics,
-// then shutdown. --retry N resends transport-failed requests up to N
-// attempts with deterministic doubling backoff — align resends are
-// idempotent (byte-identical on the wire), so a server restart
-// mid-batch is invisible. Exit codes: 0 success, 1 usage or local
-// file error, 2 a connect/transport failure or a structured server
-// error frame (one-line diagnostic on stderr either way).
+// align for file.cfg (or each entry of --batch LIST), then metrics,
+// then shutdown. LIST has align_tool's --batch grammar: one
+// "prog.cfg [profile.prof]" per line, blank lines and '#' comments
+// skipped. An entry's profile column is the profile sent with it; an
+// entry without one sends --profile FILE when given, else none (the
+// server synthesizes the profile). --retry N resends transport-failed
+// requests up to N attempts with deterministic doubling backoff — align
+// resends are idempotent (byte-identical on the wire), so a server
+// restart mid-batch is invisible. Exit codes: 0 success, 1 usage or
+// local file error, 2 a connect/transport failure or a structured
+// server error frame (one-line diagnostic on stderr either way).
 //
 //===--------------------------------------------------------------------===//
 
@@ -40,6 +44,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace balign;
@@ -109,12 +114,15 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                   "stdout byte-identical to one-shot align_tool given the "
                   "same request flags\n"
                   "(or none).\n"
-                  "--batch LIST aligns every .cfg named in LIST (one path "
-                  "per line); --retry N\n"
-                  "resends transport-failed requests idempotently. Exit: 0 "
-                  "ok, 1 usage or local\n"
-                  "file error, 2 a connect/transport failure or a server "
-                  "error frame.\n"
+                  "--batch LIST aligns every entry of LIST, one "
+                  "'prog.cfg [profile.prof]' per line\n"
+                  "('#' comments and blank lines skipped; an entry without "
+                  "a profile sends\n"
+                  "--profile FILE if given); --retry N resends "
+                  "transport-failed requests\n"
+                  "idempotently. Exit: 0 ok, 1 usage or local file error, "
+                  "2 a connect/transport\n"
+                  "failure or a server error frame.\n"
                   "request flags (shared with align_tool):\n%s",
                   requestFlagsHelp());
       return false;
@@ -192,11 +200,11 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "pong\n");
   }
 
-  // Collect the align workload: the single positional file, or every
-  // line of --batch LIST.
-  std::vector<std::string> AlignFiles;
+  // Collect the align workload as (program, profile) pairs: the single
+  // positional file, or every entry of --batch LIST.
+  std::vector<std::pair<std::string, std::string>> Entries;
   if (!Options.File.empty())
-    AlignFiles.push_back(Options.File);
+    Entries.emplace_back(Options.File, Options.ProfileFile);
   if (!Options.BatchFile.empty()) {
     std::ifstream List(Options.BatchFile);
     if (!List) {
@@ -204,18 +212,20 @@ int main(int Argc, char **Argv) {
                    Options.BatchFile.c_str());
       return 1;
     }
-    std::string Line;
+    std::string Line, ProgramFile, ProfileFile;
     while (std::getline(List, Line))
-      if (!Line.empty())
-        AlignFiles.push_back(Line);
+      if (parseBatchLine(Line, ProgramFile, ProfileFile))
+        Entries.emplace_back(ProgramFile, ProfileFile.empty()
+                                              ? Options.ProfileFile
+                                              : ProfileFile);
   }
 
-  for (const std::string &File : AlignFiles) {
+  for (const auto &[File, ProfileFile] : Entries) {
     AlignRequest Request = Options.Flags.Request;
     if (!readFile(File, Request.CfgText))
       return 1;
-    if (!Options.ProfileFile.empty()) {
-      if (!readFile(Options.ProfileFile, Request.ProfileText))
+    if (!ProfileFile.empty()) {
+      if (!readFile(ProfileFile, Request.ProfileText))
         return 1;
       Request.HasProfile = true;
     }

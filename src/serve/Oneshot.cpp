@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string_view>
 
 using namespace balign;
@@ -225,6 +226,15 @@ void balign::applyAlignRequest(const AlignRequest &Req,
   static_cast<ExtTspParams &>(Options.Model) = Objective;
   static_cast<BranchEncodingParams &>(Options.Model) =
       Req.Encoding.value_or(BranchEncodingParams());
+}
+
+bool balign::parseBatchLine(const std::string &Line, std::string &ProgramFile,
+                            std::string &ProfileFile) {
+  std::istringstream Fields(Line);
+  ProgramFile.clear();
+  ProfileFile.clear();
+  Fields >> ProgramFile >> ProfileFile;
+  return !ProgramFile.empty() && ProgramFile[0] != '#';
 }
 
 ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,

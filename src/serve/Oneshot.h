@@ -74,6 +74,14 @@ const char *requestFlagsHelp();
 /// the server's business.
 void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 
+/// Parses one line of a --batch list, the grammar align_tool and
+/// balign_client share: "program [profile]", whitespace-separated, any
+/// further field ignored. Returns false for a blank line or a '#'
+/// comment; otherwise sets \p ProgramFile and \p ProfileFile (empty
+/// when the line names no profile).
+bool parseBatchLine(const std::string &Line, std::string &ProgramFile,
+                    std::string &ProfileFile);
+
 /// Simulates the seeded synthetic run align_tool performs when no
 /// --profile file is given: per procedure P, a skewed branch behavior
 /// seeded Seed*7919+P drives a walkProfile walk seeded Seed*1000003+P

@@ -5,11 +5,11 @@
 #include "robust/Durability.h"
 #include "support/Bytes.h"
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <poll.h>
 #include <unistd.h>
 
 using namespace balign;
@@ -22,20 +22,23 @@ bool fail(std::string *Error, const char *Reason) {
   return false;
 }
 
-/// The drain check of setFrameReadInterrupt (balign-sentinel).
-std::atomic<bool (*)()> ReadInterruptCheck{nullptr};
-
 /// Reads exactly \p Size bytes. Returns the byte count actually read:
-/// Size on success, less on EOF, or SIZE_MAX on a read error. With
-/// \p InterruptAtStart, an EINTR before the first byte consults the
-/// drain check and reports 0 (a clean EOF) when it says stop — used
-/// only for the length prefix, so an interrupt never tears a frame
-/// already in flight.
-size_t readFull(int Fd, void *Data, size_t Size,
-                bool InterruptAtStart = false) {
+/// Size on success, less on EOF or once \p WakeFd (unless -1) is
+/// readable while \p Fd has nothing to read, or SIZE_MAX on an error.
+size_t readFull(int Fd, void *Data, size_t Size, int WakeFd) {
   uint8_t *Out = static_cast<uint8_t *>(Data);
   size_t Got = 0;
   while (Got != Size) {
+    if (WakeFd >= 0) {
+      pollfd Ready[2] = {{Fd, POLLIN, 0}, {WakeFd, POLLIN, 0}};
+      if (::poll(Ready, 2, -1) < 0) {
+        if (errno == EINTR)
+          continue;
+        return SIZE_MAX;
+      }
+      if (Ready[0].revents == 0)
+        return Got; // Woken with nothing left to read.
+    }
     ssize_t N = ::read(Fd, Out + Got, Size - Got);
     if (N > 0) {
       Got += static_cast<size_t>(N);
@@ -43,13 +46,8 @@ size_t readFull(int Fd, void *Data, size_t Size,
     }
     if (N == 0)
       return Got; // EOF.
-    if (errno == EINTR) {
-      bool (*Check)() = ReadInterruptCheck.load(std::memory_order_relaxed);
-      if (InterruptAtStart && Got == 0 && Check && Check())
-        return 0; // Draining: end the stream at the frame boundary.
-      continue;
-    }
-    return SIZE_MAX;
+    if (errno != EINTR)
+      return SIZE_MAX;
   }
   return Got;
 }
@@ -257,15 +255,10 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
   return true;
 }
 
-void balign::setFrameReadInterrupt(bool (*Check)()) {
-  ReadInterruptCheck.store(Check, std::memory_order_relaxed);
-}
-
 ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
-                             std::string &Message) {
+                             std::string &Message, int WakeFd) {
   char LenBytes[4];
-  size_t Got = readFull(Fd, LenBytes, sizeof(LenBytes),
-                        /*InterruptAtStart=*/true);
+  size_t Got = readFull(Fd, LenBytes, sizeof(LenBytes), WakeFd);
   if (Got == 0)
     return ReadStatus::Eof;
   if (Got != sizeof(LenBytes)) {
@@ -292,7 +285,7 @@ ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
     return ReadStatus::Error;
   }
   std::string Payload(Len, '\0');
-  Got = readFull(Fd, Payload.data(), Len);
+  Got = readFull(Fd, Payload.data(), Len, WakeFd);
   if (Got != Len) {
     Code = FrameError::BadFrame;
     Message = Got == SIZE_MAX ? "read error inside a frame"

@@ -178,19 +178,14 @@ enum class ReadStatus : uint8_t {
 
 /// Reads one frame from \p Fd (blocking, EINTR-safe). Mid-frame EOF is
 /// ReadStatus::Error (a truncated frame), EOF before the first length
-/// byte is ReadStatus::Eof.
+/// byte is ReadStatus::Eof. Given a \p WakeFd, every read first polls it
+/// together with \p Fd: bytes that have already arrived are still read,
+/// and once \p WakeFd is readable while \p Fd has nothing to read, the
+/// stream ends there as if at EOF — Eof at a frame boundary, Error
+/// inside a frame — over a pipe as over a socket. The server passes the
+/// wake pipe its drain fires.
 ReadStatus readFrame(int Fd, Frame &Out, FrameError &Code,
-                     std::string &Message);
-
-/// balign-sentinel: optional process-global drain check consulted when a
-/// blocking frame read takes EINTR. When set and returning true, a read
-/// that has not yet consumed any byte of the next frame ends as a clean
-/// ReadStatus::Eof instead of being retried — so a non-SA_RESTART signal
-/// (SIGTERM on a pipe-mode server) ends the connection at a frame
-/// boundary while a partially read frame is still completed. Must be an
-/// async-signal-tolerant flag check; null (the default) preserves the
-/// retry-forever behavior.
-void setFrameReadInterrupt(bool (*Check)());
+                     std::string &Message, int WakeFd = -1);
 
 /// Encodes and writes one frame through writeAll (robust/Durability.h):
 /// false on any unrecoverable write error, never a partial frame left

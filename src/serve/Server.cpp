@@ -14,6 +14,7 @@
 #include <fcntl.h>
 #include <future>
 #include <list>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <system_error>
@@ -28,10 +29,6 @@ namespace {
 /// never wedges the handler).
 int DrainPipeFds[2] = {-1, -1};
 
-/// The server whose requestDrain() the signal watcher and the frame
-/// read-interrupt check target.
-std::atomic<AlignServer *> DrainServer{nullptr};
-
 extern "C" void drainSignalHandler(int) {
   int Saved = errno;
   char C = 'd';
@@ -39,31 +36,40 @@ extern "C" void drainSignalHandler(int) {
   errno = Saved;
 }
 
-/// setFrameReadInterrupt check: once the target server is draining, a
-/// signal-interrupted frame read at a boundary ends as clean EOF.
-bool drainReadInterrupt() {
-  AlignServer *S = DrainServer.load(std::memory_order_relaxed);
-  return S && S->draining();
-}
-
 constexpr const char *ForcedDrainMessage =
     "server is shutting down; request abandoned by forced drain";
+
+/// How long the accept loop pauses when accept(2) runs out of
+/// descriptors or memory before it tries again.
+constexpr int AcceptRetryPauseMs = 50;
 
 } // namespace
 
 AlignServer::AlignServer(const AlignmentOptions &Base, ServeConfig Config)
     : Service(Base, AlignServiceConfig{Config.DefaultDeadlineMs,
                                        Config.Clock}),
-      Config(std::move(Config)), Pool(this->Config.Threads) {}
+      Config(std::move(Config)), Pool(this->Config.Threads) {
+  if (::pipe2(WakeFds, O_CLOEXEC) != 0)
+    WakeErrno = errno;
+}
 
 AlignServer::~AlignServer() {
   if (SignalWatcher.joinable()) {
     char C = 'q';
     [[maybe_unused]] ssize_t N = ::write(DrainPipeFds[1], &C, 1);
     SignalWatcher.join();
-    DrainServer.store(nullptr);
-    setFrameReadInterrupt(nullptr);
   }
+  for (int Fd : WakeFds)
+    if (Fd >= 0)
+      ::close(Fd);
+}
+
+bool AlignServer::wakePipeReady() const {
+  if (WakeFds[0] >= 0)
+    return true;
+  std::fprintf(stderr, "error: cannot create the drain wake pipe: %s\n",
+               std::strerror(WakeErrno));
+  return false;
 }
 
 uint64_t AlignServer::nowMs() const {
@@ -81,13 +87,12 @@ void AlignServer::installSignalDrain() {
     ::fcntl(DrainPipeFds[1], F_SETFD, FD_CLOEXEC);
     ::fcntl(DrainPipeFds[1], F_SETFL, O_NONBLOCK);
   }
-  DrainServer.store(this);
-  setFrameReadInterrupt(&drainReadInterrupt);
   struct sigaction Sa;
   std::memset(&Sa, 0, sizeof(Sa));
   Sa.sa_handler = drainSignalHandler;
   sigemptyset(&Sa.sa_mask);
-  Sa.sa_flags = 0; // No SA_RESTART: blocked reads/accepts must EINTR.
+  // The wake pipe, not EINTR, ends blocked reads and accepts.
+  Sa.sa_flags = SA_RESTART;
   ::sigaction(SIGTERM, &Sa, nullptr);
   ::sigaction(SIGINT, &Sa, nullptr);
   SignalWatcher = std::thread([this] {
@@ -112,18 +117,14 @@ void AlignServer::requestDrain() {
 }
 
 void AlignServer::beginDrain() {
-  if (Draining.exchange(true))
+  uint64_t Unset = NotDraining;
+  if (!DrainStartMs.compare_exchange_strong(Unset, nowMs()))
     return;
   Metrics.counterAdd("serve.drain", 1);
-  // Wake the accept loop and stop new frames on live connections;
-  // in-flight requests keep running and their responses still go out
-  // (only the read side closes).
-  int Fd = ListenFd.load();
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-  std::lock_guard<std::mutex> Lock(TableMutex);
-  for (int C : ConnFds)
-    ::shutdown(C, SHUT_RD);
+  // Wake the accept loop and every blocked frame read. Nothing reads
+  // this byte, so the pipe stays readable for the rest of the run;
+  // in-flight requests keep running and their responses still go out.
+  [[maybe_unused]] ssize_t N = ::write(WakeFds[1], "w", 1);
 }
 
 void AlignServer::forceDrain() {
@@ -131,26 +132,18 @@ void AlignServer::forceDrain() {
     return;
   Metrics.counterAdd("serve.drain.forced", 1);
   // Answer every in-flight request now; workers still running will lose
-  // the complete() race and their results are dropped. Stop reads only:
-  // each connection thread still gets to write the abandonment frame (a
-  // SHUT_RDWR here would race that write and turn the structured answer
-  // into a bare EOF), then sees EOF on its next read and exits.
+  // the complete() race and their results are dropped. Each connection
+  // thread writes the abandonment frame, then its next read finds the
+  // drain's wake and ends.
   std::lock_guard<std::mutex> Lock(TableMutex);
   for (const std::shared_ptr<PendingResponse> &Pending : InFlight)
     Pending->complete(
         makeErrorFrame(FrameError::Internal, ForcedDrainMessage));
-  for (int C : ConnFds)
-    ::shutdown(C, SHUT_RD);
 }
 
 size_t AlignServer::inFlightRequests() const {
   std::lock_guard<std::mutex> Lock(TableMutex);
   return InFlight.size();
-}
-
-size_t AlignServer::liveConnections() const {
-  std::lock_guard<std::mutex> Lock(TableMutex);
-  return ConnFds.size();
 }
 
 std::string AlignServer::metricsJson() {
@@ -214,18 +207,23 @@ Frame AlignServer::runAlign(const AlignRequest &Request) {
       }
     });
   }
-  // This thread is the request's watchdog. The deadline is enforced
-  // cooperatively inside the pipeline; a request past deadline +
-  // StuckGraceMs on the injectable clock is wedged somewhere that never
-  // polls, so abandon the worker and answer the client structurally.
+  // This thread is the request's watchdog and the drain's supervisor.
+  // The deadline is enforced cooperatively inside the pipeline; a
+  // request past deadline + StuckGraceMs on the injectable clock is
+  // wedged somewhere that never polls, so abandon the worker and answer
+  // the client structurally. A drain older than DrainTimeoutMs is forced
+  // from here, however the connection is served.
   uint64_t LimitMs =
       Request.DeadlineMs ? Request.DeadlineMs : Config.DefaultDeadlineMs;
-  while (LimitMs != 0 &&
-         Result.wait_for(std::chrono::milliseconds(StuckPollMs)) !=
-             std::future_status::ready) {
-    if (nowMs() < StartMs + LimitMs + StuckGraceMs)
-      continue;
-    if (Pending->complete(makeErrorFrame(
+  while (Result.wait_for(std::chrono::milliseconds(StuckPollMs)) !=
+         std::future_status::ready) {
+    uint64_t DrainMs = DrainStartMs.load();
+    uint64_t Now = nowMs();
+    if (DrainMs != NotDraining && Config.DrainTimeoutMs != 0 &&
+        Now >= DrainMs + Config.DrainTimeoutMs)
+      forceDrain();
+    if (LimitMs != 0 && Now >= StartMs + LimitMs + StuckGraceMs &&
+        Pending->complete(makeErrorFrame(
             FrameError::Stuck,
             "align request exceeded its deadline of " +
                 std::to_string(LimitMs) +
@@ -277,31 +275,15 @@ Frame AlignServer::dispatch(const Frame &Request, bool &SawShutdown) {
 
 AlignServer::ConnectionEnd AlignServer::serveConnection(int InFd, int OutFd) {
   Metrics.counterAdd("serve.connections", 1);
-  {
-    std::lock_guard<std::mutex> Lock(TableMutex);
-    ConnFds.push_back(InFd);
-    // A connection registered after the drain began missed its read-side
-    // shutdown; it gets no new frames either.
-    if (Draining.load())
-      ::shutdown(InFd, SHUT_RD);
-  }
-  // Connection teardown bookkeeping, run on every exit path.
-  struct ConnCleanup {
-    AlignServer *Server;
-    int Fd;
-    ~ConnCleanup() {
-      std::lock_guard<std::mutex> Lock(Server->TableMutex);
-      Server->ConnFds.erase(std::find(Server->ConnFds.begin(),
-                                      Server->ConnFds.end(), Fd));
-    }
-  } Cleanup{this, InFd};
   ConnectionEnd End = ConnectionEnd::Eof;
   bool SawShutdown = false;
   while (!SawShutdown) {
     Frame Request;
     FrameError Code = FrameError::None;
     std::string Message;
-    ReadStatus Status = readFrame(InFd, Request, Code, Message);
+    // A drain wakes this read: an idle stream ends here as Eof, a
+    // stalled one inside its frame as an Error.
+    ReadStatus Status = readFrame(InFd, Request, Code, Message, WakeFds[0]);
     if (Status == ReadStatus::Eof)
       break;
     if (Status == ReadStatus::Error) {
@@ -343,6 +325,8 @@ AlignServer::ConnectionEnd AlignServer::serveConnection(int InFd, int OutFd) {
 }
 
 int AlignServer::serveStdio() {
+  if (!wakePipeReady())
+    return 1;
   ::signal(SIGPIPE, SIG_IGN);
   if (serveConnection(STDIN_FILENO, STDOUT_FILENO) ==
       ConnectionEnd::ProtocolError)
@@ -351,6 +335,8 @@ int AlignServer::serveStdio() {
 }
 
 int AlignServer::serveUnixSocket(const std::string &Path) {
+  if (!wakePipeReady())
+    return 1;
   ::signal(SIGPIPE, SIG_IGN);
   sockaddr_un Addr;
   std::memset(&Addr, 0, sizeof(Addr));
@@ -375,7 +361,6 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
     ::close(Fd);
     return 1;
   }
-  ListenFd.store(Fd);
   std::fprintf(stderr, "serve: listening on %s\n", Path.c_str());
 
   // One thread per connection. Each flags itself done as it ends, and
@@ -386,12 +371,27 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
     std::atomic<bool> Done{false};
   };
   std::list<Connection> Connections;
-  while (!Draining.load()) {
-    int Client = ::accept(Fd, nullptr, nullptr);
+  while (!draining()) {
+    pollfd Ready[2] = {{Fd, POLLIN, 0}, {WakeFds[0], POLLIN, 0}};
+    int Polled = ::poll(Ready, 2, -1);
+    if (Polled > 0 && Ready[0].revents == 0)
+      continue; // The drain's wake; the loop condition ends the loop.
+    int Client = Polled > 0 ? ::accept(Fd, nullptr, nullptr) : -1;
     if (Client < 0) {
-      if (errno == EINTR)
-        continue;
-      break; // A drain shut the listener (or it broke for real).
+      int Error = errno;
+      if (Error == EMFILE || Error == ENFILE || Error == ENOBUFS ||
+          Error == ENOMEM) {
+        // Out of descriptors or memory until a connection ends: pause,
+        // unless a drain ends the pause, and try again.
+        pollfd Wake = {WakeFds[0], POLLIN, 0};
+        ::poll(&Wake, 1, AcceptRetryPauseMs);
+      } else if (Error != EINTR && Error != EAGAIN &&
+                 Error != ECONNABORTED) {
+        // The listener is broken: stop the one way the server stops.
+        std::fprintf(stderr, "serve: accept: %s\n", std::strerror(Error));
+        beginDrain();
+      }
+      continue;
     }
     for (auto It = Connections.begin(); It != Connections.end();) {
       if (!It->Done.load()) {
@@ -415,23 +415,13 @@ int AlignServer::serveUnixSocket(const std::string &Path) {
       ::close(Client);
     }
   }
-  if (Draining.load()) {
-    // Supervised drain: give in-flight connections DrainTimeoutMs to
-    // finish their current requests, then escalate.
-    std::fprintf(stderr, "serve: draining (%zu connections in flight)\n",
-                 liveConnections());
-    Deadline DrainDeadline(Config.DrainTimeoutMs, Config.Clock);
-    while (liveConnections() != 0 && !ForcedDrain.load()) {
-      if (DrainDeadline.expired()) {
-        forceDrain();
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  // Idle connections end at the wake; each busy one ends once its
+  // request is answered, and forces the drain itself past
+  // DrainTimeoutMs.
+  std::fprintf(stderr, "serve: draining (%zu requests in flight)\n",
+               inFlightRequests());
   for (Connection &Conn : Connections)
     Conn.Thread.join();
-  ListenFd.store(-1);
   ::close(Fd);
   ::unlink(Path.c_str());
   if (ForcedDrain.load()) {

@@ -12,11 +12,13 @@
 ///    thread-count invariance makes responses byte-identical at any pool
 ///    size);
 ///  - one in-flight table under one mutex: the response slot of every
-///    admitted align request and the fd of every live connection.
+///    admitted align request and the deepest the table has been.
 ///    Admission reads it — past QueueBudget a request is answered
 ///    FrameError::Rejected immediately instead of queueing without bound
 ///    (backpressure, not buffering) — and so do the
-///    serve.queue.highwater gauge, a drain's wait and a forced drain;
+///    serve.queue.highwater gauge and a forced drain;
+///  - one wake pipe, which a drain makes readable for good; the accept
+///    loop and every frame read (readFrame's WakeFd) poll it;
 ///  - one MetricRegistry of serve counters, exported through the
 ///    Metrics request type in the exact `--metrics-json` shape. The
 ///    server deliberately does *not* install a TraceSession: a span per
@@ -25,20 +27,21 @@
 /// Ownership/threading model: the accept loop spawns one thread per
 /// connection and joins the finished ones at each accept, so exited
 /// connections hold no thread; the connection thread reads frames in
-/// order, answers ping/metrics/shutdown inline, and blocks on the pool
+/// order, answers ping/metrics/shutdown inline, and waits on the pool
 /// future for each align request (so one connection sees its responses
 /// in request order; concurrency comes from multiple connections). That
-/// thread is also the request's watchdog: a request with a deadline is
-/// waited on in StuckPollMs slices and answered FrameError::Stuck once
-/// it blows past deadline + StuckGraceMs. A protocol error on a
-/// connection closes that connection after a best-effort error frame —
-/// it never touches the server or its siblings.
+/// thread waits in StuckPollMs slices and is the request's watchdog and
+/// the drain's supervisor: it answers FrameError::Stuck once a request
+/// blows past deadline + StuckGraceMs, and forces a drain older than
+/// DrainTimeoutMs. A protocol error on a connection closes that
+/// connection after a best-effort error frame — it never touches the
+/// server or its siblings.
 ///
 /// The server stops one way: a Shutdown frame and the first
-/// requestDrain() (SIGTERM/SIGINT) begin the same drain, which stops
-/// accepting, ends every connection's reads, and lets in-flight aligns
-/// finish under DrainTimeoutMs; a second drain request or the timeout
-/// forces it.
+/// requestDrain() (SIGTERM/SIGINT) begin the same drain. Its wake stops
+/// the accept loop and ends every idle read, over a socket or a pipe,
+/// and in-flight aligns finish under DrainTimeoutMs; a second drain
+/// request or the timeout forces it.
 ///
 //===--------------------------------------------------------------------===//
 
@@ -85,10 +88,9 @@ struct ServeConfig {
   uint64_t DefaultDeadlineMs = 0;
 
   /// balign-sentinel: how long a drain (Shutdown frame, SIGTERM,
-  /// requestDrain) waits for in-flight connections before escalating to
-  /// a forced shutdown
-  /// (0 = wait forever). Measured on Clock, so tests drive the timeout
-  /// from a ManualClock.
+  /// requestDrain) waits for in-flight requests before the connection
+  /// thread waiting on one forces it (0 = wait forever). Measured on
+  /// Clock, so tests drive the timeout from a ManualClock.
   uint64_t DrainTimeoutMs = 5000;
 
   /// Injectable clock for per-request deadlines (tests).
@@ -116,53 +118,56 @@ public:
 
   /// How one connection ended.
   enum class ConnectionEnd : uint8_t {
-    Eof,           ///< Clean EOF at a frame boundary.
+    Eof,           ///< Clean EOF, or a drain, at a frame boundary.
     ProtocolError, ///< A framing error closed the connection.
     Shutdown,      ///< A Shutdown frame was answered; the server drains.
   };
 
   /// Serves one established connection: reads frames from \p InFd and
-  /// writes responses to \p OutFd until EOF, a protocol error, or a
-  /// Shutdown frame. Thread-safe; the accept loop runs it once per
-  /// connection thread.
+  /// writes responses to \p OutFd until EOF, a protocol error, a
+  /// Shutdown frame, or a drain that finds the stream idle. Thread-safe;
+  /// the accept loop runs it once per connection thread.
   ConnectionEnd serveConnection(int InFd, int OutFd);
 
   /// Listens on unix-domain socket \p Path (an existing file at Path is
-  /// replaced) and accepts until a drain begins (a Shutdown frame or a
-  /// drain request). Returns 0 when the drain's in-flight work finished
-  /// inside DrainTimeoutMs, 1 on setup failure (bind/listen), 4 when the
-  /// drain had to be forced — by a second drain request or by the drain
-  /// timeout expiring.
+  /// replaced) and accepts until a drain begins (a Shutdown frame, a
+  /// drain request, or an accept(2) error that is not transient). Returns
+  /// 0 when the drain's in-flight work finished inside DrainTimeoutMs, 1
+  /// on setup failure (the wake pipe, bind, listen), 4 when the drain had
+  /// to be forced — by a second drain request or by the drain timeout
+  /// expiring.
   int serveUnixSocket(const std::string &Path);
 
   /// Serves a single connection on stdin/stdout ("--serve -"): the
   /// pipe-mode peer for driving the server from a harness without
-  /// socket plumbing. Returns 0 when the stream ended cleanly or shut
-  /// down, 1 when a protocol error closed it.
+  /// socket plumbing. It drains like a socket connection. Returns 0 when
+  /// the stream ended cleanly, shut down or drained, 1 on setup failure
+  /// (the wake pipe) or when a protocol error closed it, 4 when the drain
+  /// was forced.
   int serveStdio();
 
   /// balign-sentinel: the drain state machine, callable from any thread.
   /// The first call begins a supervised drain, the step a Shutdown frame
-  /// also takes — the accept loop stops, connections stop reading new
-  /// frames (their read side is shut down), and in-flight requests run
-  /// to completion under DrainTimeoutMs. A second call (the
-  /// double-SIGTERM escalation) forces the drain: every in-flight
-  /// request is answered with an Error frame immediately and
-  /// connections are torn down. A Shutdown frame never forces. This is
-  /// also the injectable signal-delivery hook — the SIGTERM/SIGINT
-  /// self-pipe ends here, and tests call it directly.
+  /// also takes — the wake pipe fires, the accept loop stops, idle
+  /// connections end their reads, and in-flight requests run to
+  /// completion under DrainTimeoutMs. A second call (the double-SIGTERM
+  /// escalation) forces the drain: every in-flight request is answered
+  /// with an Error frame immediately, and each connection ends after
+  /// writing it. A Shutdown frame never forces. This is also the
+  /// injectable signal-delivery hook — the SIGTERM/SIGINT self-pipe ends
+  /// here, and tests call it directly.
   void requestDrain();
 
   /// True once a drain has begun (drain request or Shutdown frame).
-  bool draining() const { return Draining.load(); }
+  bool draining() const { return DrainStartMs.load() != NotDraining; }
 
   /// True once the drain was escalated (second signal or timeout).
   bool drainForced() const { return ForcedDrain.load(); }
 
-  /// Installs SIGTERM/SIGINT handlers (no SA_RESTART) whose self-pipe
-  /// watcher thread calls requestDrain() per signal. Call once, from the
-  /// thread that owns the server, before serving. The handlers survive
-  /// the server; align_tool's serve mode is a serve-then-exit process.
+  /// Installs SIGTERM/SIGINT handlers whose self-pipe watcher thread
+  /// calls requestDrain() per signal. Call once, from the thread that
+  /// owns the server, before serving. The handlers survive the server;
+  /// align_tool's serve mode is a serve-then-exit process.
   void installSignalDrain();
 
   /// Align requests currently in flight (admitted, not yet answered).
@@ -178,7 +183,7 @@ public:
 private:
   /// One response slot shared by the pool worker, the connection thread
   /// (Stuck) and a forced drain: whichever calls complete() first wins,
-  /// the others' frames are dropped. The connection thread blocks on
+  /// the others' frames are dropped. The connection thread waits on
   /// the future.
   struct PendingResponse {
     std::atomic<bool> Done{false};
@@ -199,37 +204,40 @@ private:
 
   /// Admits one decoded align request, runs it on the pool and waits
   /// for its response (from the worker — or Stuck from this thread, or
-  /// a forced drain's).
+  /// a forced drain's), forcing the drain once it outlives
+  /// DrainTimeoutMs.
   Frame runAlign(const AlignRequest &Request);
 
-  /// The first drain request's step, and a Shutdown frame's: stop
-  /// accepting and shut every connection's read side. Runs once.
+  /// The first drain request's step, and a Shutdown frame's: note the
+  /// drain's start and fire the wake pipe. Runs once.
   void beginDrain();
 
-  /// Escalation: answer every in-flight request with an Error frame now
-  /// and tear down registered connections.
+  /// Escalation: answer every in-flight request with an Error frame now.
   void forceDrain();
 
-  /// Connections served right now.
-  size_t liveConnections() const;
+  /// False, after one error line, when the constructor's pipe(2) failed.
+  bool wakePipeReady() const;
 
   uint64_t nowMs() const;
+
+  /// DrainStartMs before any drain has begun.
+  static constexpr uint64_t NotDraining = UINT64_MAX;
 
   AlignService Service;
   ServeConfig Config;
   ThreadPool Pool;
   MetricRegistry Metrics;
-  std::atomic<int> ListenFd{-1};
 
   // balign-sentinel drain state.
   std::atomic<int> DrainSignals{0};
-  std::atomic<bool> Draining{false};
+  std::atomic<uint64_t> DrainStartMs{NotDraining}; ///< On Config.Clock.
   std::atomic<bool> ForcedDrain{false};
+  int WakeFds[2] = {-1, -1}; ///< The wake pipe; -1s when pipe(2) failed.
+  int WakeErrno = 0;
 
-  // The in-flight table: TableMutex guards the three members after it.
+  // The in-flight table: TableMutex guards the two members after it.
   mutable std::mutex TableMutex;
   std::vector<std::shared_ptr<PendingResponse>> InFlight;
-  std::vector<int> ConnFds;
   size_t HighWater = 0; ///< Deepest InFlight has been.
   std::thread SignalWatcher;
 };

@@ -2,7 +2,8 @@
 //
 // align_tool, balign_client and the server share one request path: the
 // flag parser (parseRequestFlag), the wire codec, and one AlignRequest ->
-// AlignmentOptions mapping (applyAlignRequest). This oracle walks every
+// AlignmentOptions mapping (applyAlignRequest); the two tools also share
+// one --batch list grammar (parseBatchLine). This oracle walks every
 // request flag through all three, checks that the cache fingerprint
 // changes whenever a flag changes the report (and stays put for the flags
 // documented as inert), and pins the persisted hash primitives to the
@@ -292,6 +293,21 @@ TEST(RequestOptionsTest, ParserLeavesOtherFlagsAlone) {
     RequestFlags Flags;
     EXPECT_EQ(FlagParse::NotMine, parseAll(A, Flags));
   }
+}
+
+TEST(RequestOptionsTest, BatchLinesSkipBlanksAndCommentsAndReadTwoColumns) {
+  std::string Program = "stale.cfg", Profile = "stale.prof";
+  for (const char *Skipped : {"", " \t ", "# a comment", "  #prog.cfg p"}) {
+    SCOPED_TRACE(Skipped);
+    EXPECT_FALSE(parseBatchLine(Skipped, Program, Profile));
+  }
+  ASSERT_TRUE(parseBatchLine(" prog.cfg\tprof.prof  ", Program, Profile));
+  EXPECT_EQ("prog.cfg", Program);
+  EXPECT_EQ("prof.prof", Profile);
+  // One column names no profile, whatever the previous line named.
+  ASSERT_TRUE(parseBatchLine("other.cfg", Program, Profile));
+  EXPECT_EQ("other.cfg", Program);
+  EXPECT_EQ("", Profile);
 }
 
 TEST(RequestOptionsTest, EveryFlagSurvivesTheWire) {

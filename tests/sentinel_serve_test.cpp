@@ -5,11 +5,12 @@
 // byte-identical response; a second drain request (the double-SIGTERM
 // escalation, injected through requestDrain — the same hook the
 // self-pipe signal watcher calls) abandons it with a structured error;
-// the watchdog flags a request that blew past its deadline as
-// serve.stuck on a hand-cranked clock; and the client's
-// reconnect-with-backoff makes a server restart invisible to an align
-// call. Every "request in flight" state is a latch the test controls,
-// never a race.
+// a connection served over pipes, as `--serve -` is, ends on a drain
+// and is forced by the drain timeout; the watchdog flags a request that
+// blew past its deadline as serve.stuck on a hand-cranked clock; and
+// the client's reconnect-with-backoff makes a server restart invisible
+// to an align call. Every "request in flight" state is a latch the test
+// controls, never a race.
 //
 //===--------------------------------------------------------------------===//
 
@@ -118,6 +119,28 @@ struct Connection {
     ::close(Fds[0]);
     Server.join();
     ::close(Fds[1]);
+  }
+};
+
+/// The two pipes of a `--serve -` style connection: requests flow down
+/// Requests, responses back up Responses. Closes every end still open.
+struct Pipes {
+  int Requests[2] = {-1, -1};
+  int Responses[2] = {-1, -1};
+
+  Pipes() {
+    EXPECT_EQ(0, ::pipe(Requests));
+    EXPECT_EQ(0, ::pipe(Responses));
+  }
+  ~Pipes() {
+    for (int Fd : {Requests[0], Requests[1], Responses[0], Responses[1]})
+      if (Fd >= 0)
+        ::close(Fd);
+  }
+  /// The client's end of the request stream: what ends a pipe for good.
+  void closeRequests() {
+    ::close(Requests[1]);
+    Requests[1] = -1;
   }
 };
 
@@ -387,6 +410,96 @@ TEST(SentinelServeTest, ShutdownEndsIdleSiblingConnections) {
   EXPECT_EQ(0, Exit.load());
   EXPECT_FALSE(Server.drainForced());
   EXPECT_EQ(1u, Server.metrics().counter("serve.drain"));
+}
+
+TEST(SentinelServeTest, DrainEndsAnIdlePipeConnection) {
+  // `--serve -` reads its requests from a pipe, whose read cannot be
+  // shut down like a socket's: the drain itself must end the idle read.
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  AlignServer Server(Base, Config);
+  Pipes P;
+  std::atomic<bool> Returned{false};
+  AlignServer::ConnectionEnd End = AlignServer::ConnectionEnd::ProtocolError;
+  std::thread ServeThread([&] {
+    End = Server.serveConnection(P.Requests[0], P.Responses[1]);
+    Returned = true;
+  });
+  ServeClient Client;
+  Client.wrap(P.Responses[0], P.Requests[1]);
+  Frame Response;
+  std::string Error;
+  EXPECT_TRUE(Client.call(makeFrame(FrameType::Ping, "pipe"), Response,
+                          &Error))
+      << Error;
+  EXPECT_EQ(FrameType::Pong, Response.Type);
+
+  Server.requestDrain();
+  // The write end stays open through this bounded wait; closing it
+  // afterwards ends only a server that ignored the drain, which then
+  // fails here instead of hanging.
+  bool Ended = eventually([&] { return Returned.load(); }, 3000);
+  P.closeRequests();
+  ServeThread.join();
+  EXPECT_TRUE(Ended) << "serveConnection kept reading a drained pipe";
+  EXPECT_EQ(AlignServer::ConnectionEnd::Eof, End);
+  EXPECT_EQ(1u, Server.metrics().counter("serve.drain"));
+}
+
+TEST(SentinelServeTest, DrainTimeoutForcesAPipeConnection) {
+  // No accept loop watches a directly served pipe connection: the
+  // connection thread waiting on the parked request forces the drain
+  // itself once the drain outlives DrainTimeoutMs on the injected clock.
+  Oracle O = makeOracle();
+  Latch Stall;
+  ManualClock Clock(1000);
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  Config.Clock = Clock.fn();
+  Config.DrainTimeoutMs = 100;
+  Config.TestStallHook = [&Stall] { Stall.wait(); };
+  AlignServer Server(Base, Config);
+  Pipes P;
+  std::atomic<bool> Returned{false};
+  std::thread ServeThread([&] {
+    Server.serveConnection(P.Requests[0], P.Responses[1]);
+    Returned = true;
+  });
+  ServeClient Client;
+  Client.wrap(P.Responses[0], P.Requests[1]);
+  std::atomic<bool> Answered{false};
+  Frame Response;
+  std::string Error;
+  bool Ok = false;
+  std::thread ClientThread([&] {
+    Ok = Client.call(
+        makeFrame(FrameType::Align, encodeAlignRequest(O.Request)),
+        Response, &Error);
+    Answered = true;
+  });
+
+  EXPECT_TRUE(eventually([&] { return Server.inFlightRequests() == 1; }));
+  Server.requestDrain();
+  Clock.advance(Config.DrainTimeoutMs + 1);
+  // The latch and the write end are released only after this bounded
+  // wait, so a server that never forces fails here instead of hanging.
+  bool Forced = eventually(
+      [&] { return Answered.load() && Returned.load(); }, 3000);
+  Stall.release();
+  ClientThread.join();
+  P.closeRequests();
+  ServeThread.join();
+  EXPECT_TRUE(Forced) << "the drain timeout did not end the connection";
+  EXPECT_TRUE(Server.drainForced());
+  ASSERT_TRUE(Ok) << Error;
+  ASSERT_EQ(FrameType::Error, Response.Type);
+  FrameError Code = FrameError::None;
+  std::string Message;
+  ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
+  EXPECT_EQ(FrameError::Internal, Code);
+  EXPECT_NE(std::string::npos, Message.find("forced drain")) << Message;
 }
 
 TEST(SentinelServeTest, SigtermSelfPipeDrivesTheDrainStateMachine) {

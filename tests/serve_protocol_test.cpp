@@ -368,6 +368,30 @@ TEST(ServeProtocolTest, TruncatedFrameIsBadFrame) {
   EXPECT_EQ(FrameError::BadFrame, Code);
 }
 
+TEST(ServeProtocolTest, WakeEndsAStreamOnceItsArrivedBytesAreRead) {
+  // Neither pipe is ever closed, so each read below returns only because
+  // the wake fd fired: the frame already queued is still read whole,
+  // the frame cut short then ends as an Error inside it, and the idle
+  // stream after it as Eof at the boundary.
+  int Stream[2], Wake[2];
+  ASSERT_EQ(0, ::pipe(Stream));
+  ASSERT_EQ(0, ::pipe(Wake));
+  std::string Wire = encodeFrame(makeFrame(FrameType::Ping, "queued"));
+  writeAll(Stream[1], Wire + Wire.substr(0, 6));
+  writeAll(Wake[1], "w");
+  Frame F;
+  FrameError Code = FrameError::None;
+  std::string Message;
+  EXPECT_EQ(ReadStatus::Ok, readFrame(Stream[0], F, Code, Message, Wake[0]));
+  EXPECT_EQ("queued", F.Body);
+  EXPECT_EQ(ReadStatus::Error,
+            readFrame(Stream[0], F, Code, Message, Wake[0]));
+  EXPECT_EQ(FrameError::BadFrame, Code);
+  EXPECT_EQ(ReadStatus::Eof, readFrame(Stream[0], F, Code, Message, Wake[0]));
+  for (int Fd : {Stream[0], Stream[1], Wake[0], Wake[1]})
+    ::close(Fd);
+}
+
 TEST(ServeProtocolTest, WrongVersionIsBadVersion) {
   SocketPair Pair;
   std::string Wire = encodeFrame(makeFrame(FrameType::Ping));
