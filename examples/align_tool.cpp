@@ -37,11 +37,11 @@
 // --cache DIR persists per-procedure alignment results under DIR keyed
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
-// many programs (one "prog.cfg [profile.prof]" per line, blank lines and
-// '#' comments skipped: the grammar balign_client --batch shares)
-// through one shared cache session. --cache-stats prints the hit/miss
-// counters to stderr, keeping stdout byte-comparable between cold and
-// warm runs.
+// many programs (one "prog.cfg [profile.prof]" per line, blank lines
+// skipped, a field that starts with '#' commenting out the rest of its
+// line: the grammar balign_client --batch shares) through one shared
+// cache session. --cache-stats prints the hit/miss counters to stderr,
+// keeping stdout byte-comparable between cold and warm runs.
 //
 // --verify runs the pipeline under the balign-verify analyses, with
 // bounds always computed so the bound checks have bounds to check, and
@@ -89,6 +89,7 @@
 #include "trace/Scope.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -338,8 +339,10 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "after the run\n"
                   "  --batch FILE  align every program listed in FILE "
                   "('prog.cfg [profile.prof]'\n"
-                  "                per line, '#' comments) through one "
-                  "shared cache session;\n"
+                  "                per line; a field starting with '#' "
+                  "comments out the rest of\n"
+                  "                its line) through one shared cache "
+                  "session;\n"
                   "                malformed entries are skipped with an "
                   "error line (exit 3)\n"
                   "  --time-budget MS  per-procedure solver budget; a "
@@ -752,6 +755,33 @@ int runAlignment(const ToolOptions &Options,
   return alignOneProgram(*Prog, *Counts, Options, AlignOptions) ? 0 : 1;
 }
 
+/// Ends the run's tracing when a trace flag installed \p Scope: checks
+/// the recorded spans, then writes the --trace and --metrics-json files
+/// and prints --metrics. Returns \p Exit, or 1 when a successful run's
+/// trace fails its check or a write fails.
+int finishTrace(TraceSession &Scope, const ToolOptions &Options, int Exit) {
+  if (!Options.traceActive())
+    return Exit;
+  Scope.uninstall();
+  // The trace itself is a verified artifact: a broken span stream
+  // would silently invalidate the exporters' nesting and the CI
+  // determinism diff, so it fails the run like any verify error.
+  DiagnosticEngine Diags;
+  Diags.setEchoToStderr(true);
+  if (checkTrace(Scope, Diags) != 0 && Exit == 0)
+    Exit = 1;
+  if (!Options.TraceFile.empty() &&
+      !writeTextFile(Options.TraceFile, Scope.chromeTraceJson()) && Exit == 0)
+    Exit = 1;
+  if (!Options.MetricsJsonFile.empty() &&
+      !writeTextFile(Options.MetricsJsonFile, Scope.metricsJson()) &&
+      Exit == 0)
+    Exit = 1;
+  if (Options.Metrics)
+    std::fprintf(stderr, "%s", Scope.metricsSummary().c_str());
+  return Exit;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -816,6 +846,9 @@ int main(int Argc, char **Argv) {
       CacheConfig.FlushEveryStores = 32;
     }
     CacheSession Cache(AlignOptions, CacheConfig);
+    // Declared outside the try so that a forced drain can end the
+    // process with the server still standing (below).
+    std::optional<AlignServer> Server;
 
     try {
       if (!Options.ServePath.empty()) {
@@ -833,15 +866,15 @@ int main(int Argc, char **Argv) {
         Serve.DefaultDeadlineMs = Options.DeadlineMs;
         Serve.DrainTimeoutMs = Options.DrainTimeoutMs;
         Serve.CacheStatsFn = [&Cache] { return Cache.stats(); };
-        AlignServer Server(AlignOptions, Serve);
+        Server.emplace(AlignOptions, Serve);
         // balign-sentinel: SIGTERM/SIGINT, like a shutdown request,
         // begin a graceful drain (in-flight requests finish, cache
         // flushes below); a second signal or an expired --drain-timeout
         // forces it (exit 4).
-        Server.installSignalDrain();
+        Server->installSignalDrain();
         Exit = Options.ServePath == "-"
-                   ? Server.serveStdio()
-                   : Server.serveUnixSocket(Options.ServePath);
+                   ? Server->serveStdio()
+                   : Server->serveUnixSocket(Options.ServePath);
       } else {
         Exit = runAlignment(Options, AlignOptions);
       }
@@ -862,26 +895,23 @@ int main(int Argc, char **Argv) {
                      Error.c_str());
       std::fprintf(stderr, "cache: %s\n", Cache.stats().summary().c_str());
     }
+
+    if (Server && Server->drainForced()) {
+      // The drain abandoned in-flight aligns, and destroying the server
+      // would wait for them: its pool's destructor runs every queued
+      // align and joins the workers. So do what a clean exit does —
+      // flush the cache, export the trace — and end the process with
+      // the server, and the options and cache its workers read, still
+      // standing.
+      std::string Error;
+      if (!Cache.flush(&Error))
+        std::fprintf(stderr, "warning: cache flush failed: %s\n",
+                     Error.c_str());
+      Exit = finishTrace(Scope, Options, Exit);
+      std::fflush(nullptr);
+      std::_Exit(Exit);
+    }
   } // CacheSession's destructor flush is the last recorded span.
 
-  if (Options.traceActive()) {
-    Scope.uninstall();
-    // The trace itself is a verified artifact: a broken span stream
-    // would silently invalidate the exporters' nesting and the CI
-    // determinism diff, so it fails the run like any verify error.
-    DiagnosticEngine Diags;
-    Diags.setEchoToStderr(true);
-    if (checkTrace(Scope, Diags) != 0 && Exit == 0)
-      Exit = 1;
-    if (!Options.TraceFile.empty() &&
-        !writeTextFile(Options.TraceFile, Scope.chromeTraceJson()) && Exit == 0)
-      Exit = 1;
-    if (!Options.MetricsJsonFile.empty() &&
-        !writeTextFile(Options.MetricsJsonFile, Scope.metricsJson()) &&
-        Exit == 0)
-      Exit = 1;
-    if (Options.Metrics)
-      std::fprintf(stderr, "%s", Scope.metricsSummary().c_str());
-  }
-  return Exit;
+  return finishTrace(Scope, Options, Exit);
 }

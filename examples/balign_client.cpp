@@ -23,8 +23,9 @@
 // Request order on one connection: ping first (when asked), then the
 // align for file.cfg (or each entry of --batch LIST), then metrics,
 // then shutdown. LIST has align_tool's --batch grammar: one
-// "prog.cfg [profile.prof]" per line, blank lines and '#' comments
-// skipped. An entry's profile column is the profile sent with it; an
+// "prog.cfg [profile.prof]" per line, blank lines skipped, and a field
+// that starts with '#' commenting out the rest of its line. An entry's
+// profile column is the profile sent with it; an
 // entry without one sends --profile FILE when given, else none (the
 // server synthesizes the profile). --retry N resends transport-failed
 // requests up to N attempts with deterministic doubling backoff — align
@@ -116,13 +117,14 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                   "(or none).\n"
                   "--batch LIST aligns every entry of LIST, one "
                   "'prog.cfg [profile.prof]' per line\n"
-                  "('#' comments and blank lines skipped; an entry without "
-                  "a profile sends\n"
-                  "--profile FILE if given); --retry N resends "
-                  "transport-failed requests\n"
-                  "idempotently. Exit: 0 ok, 1 usage or local file error, "
-                  "2 a connect/transport\n"
-                  "failure or a server error frame.\n"
+                  "(blank lines skipped; a field starting with '#' "
+                  "comments out the rest of its\n"
+                  "line; an entry without a profile sends --profile FILE "
+                  "if given); --retry N\n"
+                  "resends transport-failed requests idempotently. Exit: "
+                  "0 ok, 1 usage or local\n"
+                  "file error, 2 a connect/transport failure or a server "
+                  "error frame.\n"
                   "request flags (shared with align_tool):\n%s",
                   requestFlagsHelp());
       return false;

@@ -233,22 +233,35 @@ bool balign::parseBatchLine(const std::string &Line, std::string &ProgramFile,
   std::istringstream Fields(Line);
   ProgramFile.clear();
   ProfileFile.clear();
-  Fields >> ProgramFile >> ProfileFile;
-  return !ProgramFile.empty() && ProgramFile[0] != '#';
+  // The first field that starts with '#' ends the line's fields.
+  std::string Field;
+  for (std::string *Out : {&ProgramFile, &ProfileFile}) {
+    if (!(Fields >> Field) || Field[0] == '#')
+      break;
+    *Out = Field;
+  }
+  return !ProgramFile.empty();
+}
+
+ProcedureProfile balign::synthesizeProcedureProfile(const Procedure &Proc,
+                                                    size_t ProcIndex,
+                                                    uint64_t Seed,
+                                                    uint64_t Budget,
+                                                    const Deadline *Limit) {
+  Rng BehaviorRng(Seed * 7919 + ProcIndex);
+  BranchBehavior Behavior = skewedBehavior(Proc, BehaviorRng);
+  Rng WalkRng(Seed * 1000003 + ProcIndex);
+  return walkProfile(Proc, Behavior, WalkRng, Budget, /*Trace=*/nullptr,
+                     Limit);
 }
 
 ProgramProfile balign::synthesizeProfile(const Program &Prog, uint64_t Seed,
                                          uint64_t Budget,
                                          const Deadline *Limit) {
   ProgramProfile Counts;
-  for (size_t P = 0; P != Prog.numProcedures(); ++P) {
-    const Procedure &Proc = Prog.proc(P);
-    Rng BehaviorRng(Seed * 7919 + P);
-    BranchBehavior Behavior = skewedBehavior(Proc, BehaviorRng);
-    Rng WalkRng(Seed * 1000003 + P);
+  for (size_t P = 0; P != Prog.numProcedures(); ++P)
     Counts.Procs.push_back(
-        walkProfile(Proc, Behavior, WalkRng, Budget, /*Trace=*/nullptr, Limit));
-  }
+        synthesizeProcedureProfile(Prog.proc(P), P, Seed, Budget, Limit));
   return Counts;
 }
 

@@ -76,20 +76,32 @@ void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
 
 /// Parses one line of a --batch list, the grammar align_tool and
 /// balign_client share: "program [profile]", whitespace-separated, any
-/// further field ignored. Returns false for a blank line or a '#'
-/// comment; otherwise sets \p ProgramFile and \p ProfileFile (empty
-/// when the line names no profile).
+/// further field ignored. A field that starts with '#' begins a comment
+/// that runs to the end of the line, so "prog.cfg # note" names no
+/// profile. Returns false for a blank or comment-only line; otherwise
+/// sets \p ProgramFile and \p ProfileFile (empty when the line names no
+/// profile).
 bool parseBatchLine(const std::string &Line, std::string &ProgramFile,
                     std::string &ProfileFile);
 
-/// Simulates the seeded synthetic run align_tool performs when no
-/// --profile file is given: per procedure P, a skewed branch behavior
-/// seeded Seed*7919+P drives a walkProfile walk seeded Seed*1000003+P
-/// with \p Budget branches. The seed arithmetic is contract — changing
-/// it changes every committed expectation downstream. Throws
-/// ProfileWalkError (profile/Trace.h) when a procedure's walk cannot
-/// return, as in a loop with no exit, and DeadlineExceeded once \p Limit
-/// (polled per walk invocation) expires.
+/// One procedure's share of the seeded synthetic run: for the procedure
+/// at index \p ProcIndex of its program, a skewed branch behavior seeded
+/// Seed*7919+ProcIndex drives a walkProfile walk seeded
+/// Seed*1000003+ProcIndex with \p Budget branches. The seed arithmetic
+/// is contract — changing it changes every committed expectation
+/// downstream. The walk reads \p Proc's terminator kinds and successor
+/// lists and nothing else of it (names only in error texts). Throws
+/// ProfileWalkError (profile/Trace.h) when the walk cannot return, as in
+/// a loop with no exit, and DeadlineExceeded once \p Limit (polled per
+/// walk invocation) expires.
+ProcedureProfile synthesizeProcedureProfile(const Procedure &Proc,
+                                            size_t ProcIndex, uint64_t Seed,
+                                            uint64_t Budget,
+                                            const Deadline *Limit = nullptr);
+
+/// The seeded synthetic run align_tool performs when no --profile file
+/// is given: synthesizeProcedureProfile for every procedure, in program
+/// order.
 ProgramProfile synthesizeProfile(const Program &Prog, uint64_t Seed,
                                  uint64_t Budget,
                                  const Deadline *Limit = nullptr);

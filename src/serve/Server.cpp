@@ -161,6 +161,10 @@ std::string AlignServer::metricsJson() {
     Counters["cache.stores"] = S.Stores;
     Counters["cache.entries"] = S.Entries;
   }
+  ProfileMemoStats Memo = Service.profileMemoStats();
+  Counters["serve.profile-memo.hits"] = Memo.Hits;
+  Counters["serve.profile-memo.misses"] = Memo.Misses;
+  Counters["serve.profile-memo.entries"] = Memo.Entries;
   return renderMetricsJson(Counters, Metrics.gauges(), /*NumSpans=*/0);
 }
 

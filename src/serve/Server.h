@@ -176,8 +176,9 @@ public:
   /// The serve counters.
   MetricRegistry &metrics() { return Metrics; }
 
-  /// Metrics snapshot in the `--metrics-json` shape, cache counters
-  /// merged in, queue high-water refreshed.
+  /// Metrics snapshot in the `--metrics-json` shape, cache counters and
+  /// the profile memo's serve.profile-memo.{hits,misses,entries} merged
+  /// in, queue high-water refreshed.
   std::string metricsJson();
 
 private:

@@ -404,16 +404,22 @@ TEST(ProfileWalkTest, ExitlessLoopIsOneErrorOneShotAndServed) {
   // The cap is per invocation, not per budget: a small budget fails too.
   EXPECT_THROW(synthesizeProfile(Prog, 1, 100), ProfileWalkError);
 
+  // Served twice: a failed walk is not memoized, so the repeat walks
+  // again and gets the same frame.
   AlignRequest Req;
   Req.CfgText = readData("defect_selfloop.cfg");
   AlignmentOptions Options;
   AlignService Service(Options);
-  Frame Response = Service.handleAlign(encodeAlignRequest(Req));
-  FrameError Code = FrameError::None;
-  std::string Message;
-  ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
-  EXPECT_EQ(FrameError::ProfileError, Code);
-  EXPECT_EQ(Expected, Message);
+  for (int Sent = 1; Sent <= 2; ++Sent) {
+    SCOPED_TRACE(Sent);
+    Frame Response = Service.handleAlign(encodeAlignRequest(Req));
+    FrameError Code = FrameError::None;
+    std::string Message;
+    ASSERT_TRUE(decodeErrorFrame(Response, Code, Message));
+    EXPECT_EQ(FrameError::ProfileError, Code);
+    EXPECT_EQ(Expected, Message);
+  }
+  EXPECT_EQ(0u, Service.profileMemoStats().Entries);
 }
 
 TEST(ProfileWalkTest, ControlBytesInNamesAreEscaped) {

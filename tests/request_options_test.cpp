@@ -308,6 +308,18 @@ TEST(RequestOptionsTest, BatchLinesSkipBlanksAndCommentsAndReadTwoColumns) {
   ASSERT_TRUE(parseBatchLine("other.cfg", Program, Profile));
   EXPECT_EQ("other.cfg", Program);
   EXPECT_EQ("", Profile);
+  // A field that starts with '#' ends the line; a '#' inside one does
+  // not.
+  ASSERT_TRUE(parseBatchLine("zlib_like.cfg # the zlib model", Program,
+                             Profile));
+  EXPECT_EQ("zlib_like.cfg", Program);
+  EXPECT_EQ("", Profile);
+  ASSERT_TRUE(parseBatchLine("a.cfg a.prof #x y", Program, Profile));
+  EXPECT_EQ("a.cfg", Program);
+  EXPECT_EQ("a.prof", Profile);
+  ASSERT_TRUE(parseBatchLine("a#1.cfg b#2.prof", Program, Profile));
+  EXPECT_EQ("a#1.cfg", Program);
+  EXPECT_EQ("b#2.prof", Profile);
 }
 
 TEST(RequestOptionsTest, EveryFlagSurvivesTheWire) {
