@@ -32,16 +32,20 @@
 // (balign_client --shutdown) and a first SIGTERM/SIGINT begin the same
 // drain, which closes idle connections and lets in-flight requests
 // finish under --drain-timeout; a second signal or the expired timeout
-// forces it (exit 4).
+// forces it (exit 4). A server refuses the request flags (each request
+// carries its own) and the flags it would drop: --verify, --lint,
+// --lint-json, --dot, --profile and --emit-profile.
 //
 // --cache DIR persists per-procedure alignment results under DIR keyed
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
 // many programs (one "prog.cfg [profile.prof]" per line, blank lines
 // skipped, a field that starts with '#' commenting out the rest of its
-// line: the grammar balign_client --batch shares) through one shared
-// cache session. --cache-stats prints the hit/miss counters to stderr,
-// keeping stdout byte-comparable between cold and warm runs.
+// line, an entry without a profile taking --profile FILE if given: the
+// grammar balign_client --batch shares) through one shared cache
+// session; it refuses --emit-profile. --cache-stats prints the hit/miss
+// counters to stderr, keeping stdout byte-comparable between cold and
+// warm runs.
 //
 // --verify runs the pipeline under the balign-verify analyses, with
 // bounds always computed so the bound checks have bounds to check, and
@@ -331,6 +335,8 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "                walking a seeded synthetic profile\n"
                   "  --emit-profile FILE  write the edge counts the run "
                   "aligns with to FILE\n"
+                  "                (a single input only: refused under "
+                  "--batch and --serve)\n"
                   "  --cache DIR   persist per-procedure results under "
                   "DIR; unchanged inputs are\n"
                   "                replayed without re-solving "
@@ -341,7 +347,9 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "('prog.cfg [profile.prof]'\n"
                   "                per line; a field starting with '#' "
                   "comments out the rest of\n"
-                  "                its line) through one shared cache "
+                  "                its line; an entry without a profile "
+                  "takes --profile FILE if\n"
+                  "                given) through one shared cache "
                   "session;\n"
                   "                malformed entries are skipped with an "
                   "error line (exit 3)\n"
@@ -383,9 +391,12 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "pool and --deadline\n"
                   "                sets the default per-request deadline; "
                   "request flags are\n"
-                  "                refused (each request carries its own); "
-                  "both modes drain on\n"
-                  "                SIGTERM/SIGINT like a shutdown request\n"
+                  "                refused (each request carries its own), "
+                  "and so are --verify,\n"
+                  "                --lint, --lint-json, --dot, --profile "
+                  "and --emit-profile;\n"
+                  "                both modes drain on SIGTERM/SIGINT like "
+                  "a shutdown request\n"
                   "  --serve-queue N  answer align requests beyond N "
                   "in flight with a\n"
                   "                structured rejection instead of "
@@ -611,6 +622,8 @@ int runBatch(const ToolOptions &Options,
     std::string ProgramFile, ProfileFile;
     if (!parseBatchLine(Line, ProgramFile, ProfileFile))
       continue;
+    if (ProfileFile.empty())
+      ProfileFile = Options.ProfileFile;
     if (Done.count(ProgramFile)) {
       ++Resumed;
       std::fprintf(stderr, "note: skipping '%s' (already in checkpoint "
@@ -806,6 +819,24 @@ int main(int Argc, char **Argv) {
                    "error: %s is a request flag; a server takes request "
                    "flags from each request (give it to balign_client)\n",
                    Options.FirstRequestFlag.c_str());
+      return 1;
+    }
+    // Nor does a server verify, lint, draw or take a profile file for a
+    // request, and a batch writes no profile.
+    const char *Dropped = nullptr;
+    if (!Options.ServePath.empty())
+      Dropped = Options.Verify != VerifyLevel::None ? "--verify"
+                : Options.Lint != LintMode::Off     ? "--lint"
+                : !Options.LintJsonFile.empty()     ? "--lint-json"
+                : Options.EmitDot                   ? "--dot"
+                : !Options.ProfileFile.empty()      ? "--profile"
+                : !Options.EmitProfileFile.empty()  ? "--emit-profile"
+                                                    : nullptr;
+    else if (!Options.BatchFile.empty() && !Options.EmitProfileFile.empty())
+      Dropped = "--emit-profile";
+    if (Dropped) {
+      std::fprintf(stderr, "error: %s has no effect under %s\n", Dropped,
+                   Options.ServePath.empty() ? "--batch" : "--serve");
       return 1;
     }
     warnIgnoredRequestFlags(Options.Flags);

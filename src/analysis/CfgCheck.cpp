@@ -1,94 +1,79 @@
 //===- analysis/CfgCheck.cpp - Deep CFG verification ----------------------------===//
 //
-// Pass 1 of balign-verify: structural CFG verification. Subsumes
-// Procedure::verify (which stops at the first violation) and extends it:
-// every violation is reported, duplicate edges are flagged for all
-// terminator kinds, and two liveness findings are added — blocks with no
-// path to any return (cfg.no-exit-path) and procedures with no return
-// block at all (cfg.no-return-block). Both are warnings: an infinite
-// dispatch loop is legal code, but it breaks the profile walk's
-// invocation model (such a walk ends in ProfileWalkError), so the author
-// should know. Both directions of reachability come from lint's
-// computeReachability (static/Reachability.h).
+// Pass 1 of balign-verify: structural CFG verification. Reads the rule
+// walk Procedure::verify stops at the first finding of
+// (Procedure::forEachRuleViolation) and reports every finding, then adds
+// the findings of the two ir traversals: dead blocks, procedures with
+// no return block at all (cfg.no-return-block) and blocks with no path
+// to any return (cfg.no-exit-path). The last two are warnings: an
+// infinite dispatch loop is legal code, but it breaks the profile
+// walk's invocation model (such a walk ends in ProfileWalkError), so
+// the author should know.
 //
 //===--------------------------------------------------------------------===//
 
 #include "analysis/Verifier.h"
 
-#include "static/Reachability.h"
-
-#include <set>
+#include <algorithm>
 
 using namespace balign;
 
 static const char PassName[] = "cfg-verify";
 
+/// The check that reports a broken arity rule, per terminator kind.
+static const CheckId ArityChecks[] = {
+    CheckId::CfgJumpArity, CheckId::CfgCondArity, CheckId::CfgMultiArity,
+    CheckId::CfgRetHasSucc};
+
 size_t balign::checkCfg(const Procedure &Proc, DiagnosticEngine &Diags) {
   size_t Before = Diags.errorCount();
   const std::string &Name = Proc.getName();
+  size_t N = Proc.numBlocks();
 
-  if (Proc.numBlocks() == 0) {
-    Diags.report(Severity::Error, CheckId::CfgNoBlocks, PassName,
-                 DiagLocation::procedure(Name), "procedure has no blocks");
-    return Diags.errorCount() - Before;
-  }
-
-  size_t NumReturns = 0;
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
-    const BasicBlock &Block = Proc.block(Id);
-    const std::vector<BlockId> &Succs = Proc.successors(Id);
-    DiagLocation Here = DiagLocation::block(Name, Id);
-
-    if (Block.InstrCount == 0)
+  Proc.forEachRuleViolation([&](const CfgViolation &V) {
+    DiagLocation Here = DiagLocation::block(Name, V.Block);
+    switch (V.Rule) {
+    case CfgRule::NoBlocks:
+      Diags.report(Severity::Error, CheckId::CfgNoBlocks, PassName,
+                   DiagLocation::procedure(Name), "procedure has no blocks");
+      break;
+    case CfgRule::SuccOutOfRange:
+      Diags.report(Severity::Error, CheckId::CfgSuccOutOfRange, PassName,
+                   DiagLocation::edge(Name, V.Block, V.Succ),
+                   "successor " + std::to_string(V.Succ) +
+                       " out of range (procedure has " + std::to_string(N) +
+                       " blocks)");
+      break;
+    case CfgRule::EmptyBlock:
       Diags.report(Severity::Error, CheckId::CfgEmptyBlock, PassName, Here,
                    "block has no instructions");
-
-    for (BlockId Succ : Succs)
-      if (Succ >= Proc.numBlocks())
-        Diags.report(Severity::Error, CheckId::CfgSuccOutOfRange, PassName,
-                     DiagLocation::edge(Name, Id, Succ),
-                     "successor " + std::to_string(Succ) +
-                         " out of range (procedure has " +
-                         std::to_string(Proc.numBlocks()) + " blocks)");
-
-    // Duplicate successors are illegal for every terminator kind: a
-    // conditional needs two distinct directions, a multiway's targets
-    // are a set, and a jump/return cannot repeat by arity.
-    std::set<BlockId> Unique(Succs.begin(), Succs.end());
-    if (Unique.size() != Succs.size())
-      Diags.report(Severity::Error, CheckId::CfgDuplicateEdge, PassName,
-                   Here, "duplicate successor edge");
-
-    switch (Block.Kind) {
-    case TerminatorKind::Unconditional:
-      if (Succs.size() != 1)
-        Diags.report(Severity::Error, CheckId::CfgJumpArity, PassName, Here,
-                     "jump needs exactly 1 successor, has " +
-                         std::to_string(Succs.size()));
       break;
-    case TerminatorKind::Conditional:
-      if (Succs.size() != 2)
-        Diags.report(Severity::Error, CheckId::CfgCondArity, PassName, Here,
-                     "cond needs exactly 2 successors, has " +
-                         std::to_string(Succs.size()));
-      break;
-    case TerminatorKind::Multiway:
-      if (Succs.size() < 2)
-        Diags.report(Severity::Error, CheckId::CfgMultiArity, PassName, Here,
-                     "multi needs >= 2 successors, has " +
-                         std::to_string(Succs.size()));
-      break;
-    case TerminatorKind::Return:
-      ++NumReturns;
-      if (!Succs.empty())
-        Diags.report(Severity::Error, CheckId::CfgRetHasSucc, PassName, Here,
-                     "ret must have no successors, has " +
-                         std::to_string(Succs.size()));
+    case CfgRule::Arity: {
+      TerminatorKind Kind = Proc.block(V.Block).Kind;
+      Diags.report(Severity::Error, ArityChecks[static_cast<size_t>(Kind)],
+                   PassName, Here,
+                   std::string(arityRule(Kind)) + ", has " +
+                       std::to_string(Proc.successors(V.Block).size()));
       break;
     }
-  }
+    case CfgRule::RepeatedSucc:
+      // Illegal for every terminator kind: a conditional needs two
+      // distinct directions, a multiway's targets are a set, and a
+      // jump/return cannot repeat by arity.
+      Diags.report(Severity::Error, CheckId::CfgDuplicateEdge, PassName,
+                   Here, "duplicate successor edge");
+      break;
+    }
+    return true;
+  });
+  if (N == 0)
+    return Diags.errorCount() - Before;
 
-  if (NumReturns == 0)
+  // Return blocks are exactly the blocks at exit distance 0.
+  std::vector<uint32_t> ExitDist = Proc.exitDistances();
+  bool AnyReturn =
+      std::find(ExitDist.begin(), ExitDist.end(), 0u) != ExitDist.end();
+  if (!AnyReturn)
     Diags.report(Severity::Warning, CheckId::CfgNoReturn, PassName,
                  DiagLocation::procedure(Name),
                  "procedure has no return block; every invocation would "
@@ -96,15 +81,15 @@ size_t balign::checkCfg(const Procedure &Proc, DiagnosticEngine &Diags) {
 
   // Dead blocks, then (when a return exists at all) live blocks that
   // cannot reach one.
-  Reachability Reach = computeReachability(Proc);
-  for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-    if (!Reach.FromEntry[Id])
+  std::vector<bool> Reached = Proc.reachableFromEntry();
+  for (BlockId Id = 0; Id != N; ++Id)
+    if (!Reached[Id])
       Diags.report(Severity::Error, CheckId::CfgUnreachable, PassName,
                    DiagLocation::block(Name, Id),
                    "block unreachable from the entry (dead block)");
-  if (NumReturns != 0)
-    for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-      if (Reach.FromEntry[Id] && !Reach.ToExit[Id])
+  if (AnyReturn)
+    for (BlockId Id = 0; Id != N; ++Id)
+      if (Reached[Id] && ExitDist[Id] == NoReturnPath)
         Diags.report(Severity::Warning, CheckId::CfgNoExitPath, PassName,
                      DiagLocation::block(Name, Id),
                      "no path from this block to any return");

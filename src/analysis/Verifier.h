@@ -16,8 +16,9 @@
 /// The passes, their names, and their check-ID prefixes:
 ///
 ///  1. cfg-verify    (cfg.*)     deep CFG structural verification —
-///                               subsumes Procedure::verify and adds
-///                               exit-reachability and no-return findings.
+///                               every finding of the ir's rule walk,
+///                               then dead-block, no-return and
+///                               no-exit-path findings.
 ///  2. profile-flow  (profile.*) Kirchhoff flow conservation of edge
 ///                               profiles with entry/exit slack; shape
 ///                               and overflow screens.
@@ -83,8 +84,8 @@ struct VerifyOptions {
 // 1. cfg-verify
 //===--------------------------------------------------------------------===//
 
-/// Deep CFG verification of one procedure. Reports every violation (it
-/// does not stop at the first, unlike Procedure::verify).
+/// Deep CFG verification of one procedure. Reports every finding of
+/// the ir's rule walk (verify stops at the first) and of its traversals.
 size_t checkCfg(const Procedure &Proc, DiagnosticEngine &Diags);
 
 /// Verifies every procedure of \p Prog.

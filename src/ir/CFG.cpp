@@ -3,6 +3,7 @@
 #include "ir/CFG.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace balign;
 
@@ -28,17 +29,89 @@ BlockId Procedure::addBlock(BasicBlock Block) {
   return static_cast<BlockId>(Blocks.size() - 1);
 }
 
+std::string Procedure::blockName(BlockId Id) const {
+  return Blocks[Id].Name.empty() ? "b" + std::to_string(Id) : Blocks[Id].Name;
+}
+
 void Procedure::addEdge(BlockId From, BlockId To) {
   assert(From < Blocks.size() && To < Blocks.size() && "edge out of range");
   Successors[From].push_back(To);
+}
+
+bool Procedure::arityAllows(TerminatorKind Kind, size_t NumSuccs) {
+  switch (Kind) {
+  case TerminatorKind::Unconditional:
+    return NumSuccs == 1;
+  case TerminatorKind::Conditional:
+    return NumSuccs == 2;
+  case TerminatorKind::Multiway:
+    return NumSuccs >= 2;
+  case TerminatorKind::Return:
+    return NumSuccs == 0;
+  }
+  return false;
+}
+
+const char *balign::arityRule(TerminatorKind Kind) {
+  static const char *const Rules[] = {
+      "jump needs exactly 1 successor", "cond needs exactly 2 successors",
+      "multi needs >= 2 successors", "ret must have no successors"};
+  return Rules[static_cast<size_t>(Kind)];
+}
+
+bool Procedure::hasRepeatedSuccessor(BlockId Id) const {
+  const std::vector<BlockId> &Succs = Successors[Id];
+  for (size_t I = 0; I != Succs.size(); ++I)
+    for (size_t J = I + 1; J != Succs.size(); ++J)
+      if (Succs[I] == Succs[J])
+        return true;
+  return false;
 }
 
 std::vector<std::vector<BlockId>> Procedure::computePredecessors() const {
   std::vector<std::vector<BlockId>> Preds(Blocks.size());
   for (BlockId From = 0; From != Blocks.size(); ++From)
     for (BlockId To : Successors[From])
-      Preds[To].push_back(From);
+      if (To < Blocks.size())
+        Preds[To].push_back(From);
   return Preds;
+}
+
+std::vector<bool> Procedure::reachableFromEntry() const {
+  std::vector<bool> Seen(Blocks.size(), false);
+  if (Blocks.empty())
+    return Seen;
+  std::vector<BlockId> Work = {entry()};
+  Seen[entry()] = true;
+  while (!Work.empty()) {
+    BlockId Id = Work.back();
+    Work.pop_back();
+    for (BlockId Succ : Successors[Id])
+      if (Succ < Blocks.size() && !Seen[Succ]) {
+        Seen[Succ] = true;
+        Work.push_back(Succ);
+      }
+  }
+  return Seen;
+}
+
+std::vector<uint32_t> Procedure::exitDistances() const {
+  // Breadth-first over reversed edges from every Return block.
+  std::vector<uint32_t> Dist(Blocks.size(), NoReturnPath);
+  std::vector<std::vector<BlockId>> Preds = computePredecessors();
+  std::vector<BlockId> Frontier;
+  for (BlockId Id = 0; Id != Blocks.size(); ++Id)
+    if (Blocks[Id].Kind == TerminatorKind::Return) {
+      Dist[Id] = 0;
+      Frontier.push_back(Id);
+    }
+  for (size_t Head = 0; Head != Frontier.size(); ++Head)
+    for (BlockId Pred : Preds[Frontier[Head]])
+      if (Dist[Pred] == NoReturnPath) {
+        Dist[Pred] = Dist[Frontier[Head]] + 1;
+        Frontier.push_back(Pred);
+      }
+  return Dist;
 }
 
 static bool fail(std::string *Error, std::string Message) {
@@ -48,62 +121,26 @@ static bool fail(std::string *Error, std::string Message) {
 }
 
 bool Procedure::verify(std::string *Error) const {
-  if (Blocks.empty())
+  // Every parse verifies, so the message is built only on failure.
+  std::optional<CfgViolation> First;
+  forEachRuleViolation([&](const CfgViolation &V) {
+    First = V;
+    return false;
+  });
+  if (First && First->Rule == CfgRule::NoBlocks)
     return fail(Error, "procedure '" + Name + "' has no blocks");
-
-  for (BlockId Id = 0; Id != Blocks.size(); ++Id) {
-    const BasicBlock &Block = Blocks[Id];
-    const std::vector<BlockId> &Succs = Successors[Id];
-    // Every parse verifies, so the message is built only on failure.
-    auto Fail = [&](const char *What) {
-      return fail(Error, "procedure '" + Name + "' block " +
-                             std::to_string(Id) + ": " + What);
-    };
-    for (BlockId Succ : Succs)
-      if (Succ >= Blocks.size())
-        return Fail("successor out of range");
-    if (Block.InstrCount == 0)
-      return Fail("empty block");
-    switch (Block.Kind) {
-    case TerminatorKind::Unconditional:
-      if (Succs.size() != 1)
-        return Fail("jump needs exactly 1 successor");
-      break;
-    case TerminatorKind::Conditional:
-      if (Succs.size() != 2)
-        return Fail("cond needs exactly 2 successors");
-      if (Succs[0] == Succs[1])
-        return Fail("cond successors must differ");
-      break;
-    case TerminatorKind::Multiway:
-      if (Succs.size() < 2)
-        return Fail("multi needs >= 2 successors");
-      for (size_t I = 0; I != Succs.size(); ++I)
-        for (size_t J = I + 1; J != Succs.size(); ++J)
-          if (Succs[I] == Succs[J])
-            return Fail("duplicate multiway successor");
-      break;
-    case TerminatorKind::Return:
-      if (!Succs.empty())
-        return Fail("ret must have no successors");
-      break;
-    }
+  if (First) {
+    TerminatorKind Kind = Blocks[First->Block].Kind;
+    const char *What =
+        First->Rule == CfgRule::SuccOutOfRange ? "successor out of range"
+        : First->Rule == CfgRule::EmptyBlock   ? "empty block"
+        : First->Rule == CfgRule::Arity        ? arityRule(Kind)
+        : Kind == TerminatorKind::Conditional  ? "cond successors must differ"
+                                               : "duplicate multiway successor";
+    return fail(Error, "procedure '" + Name + "' block " +
+                           std::to_string(First->Block) + ": " + What);
   }
-
-  // Reachability from the entry block.
-  std::vector<bool> Seen(Blocks.size(), false);
-  std::vector<BlockId> Work = {entry()};
-  Seen[entry()] = true;
-  while (!Work.empty()) {
-    BlockId Id = Work.back();
-    Work.pop_back();
-    for (BlockId Succ : Successors[Id]) {
-      if (Seen[Succ])
-        continue;
-      Seen[Succ] = true;
-      Work.push_back(Succ);
-    }
-  }
+  std::vector<bool> Seen = reachableFromEntry();
   for (BlockId Id = 0; Id != Blocks.size(); ++Id)
     if (!Seen[Id])
       return fail(Error, "procedure '" + Name + "' block " +

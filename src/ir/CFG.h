@@ -52,6 +52,29 @@ enum class TerminatorKind : uint8_t {
 /// Returns a stable lowercase mnemonic ("jump", "cond", "multi", "ret").
 const char *terminatorKindName(TerminatorKind Kind);
 
+/// The successor-count rule of \p Kind as verify words it, e.g.
+/// "cond needs exactly 2 successors".
+const char *arityRule(TerminatorKind Kind);
+
+/// A structural rule a procedure breaks.
+enum class CfgRule : uint8_t {
+  NoBlocks,       ///< The procedure has no blocks.
+  SuccOutOfRange, ///< A successor names no block.
+  EmptyBlock,     ///< A block has no instructions.
+  Arity,          ///< A block's successor count does not fit its kind.
+  RepeatedSucc,   ///< A block names one successor twice.
+};
+
+/// One broken rule, as Procedure::forEachRuleViolation reports it.
+struct CfgViolation {
+  CfgRule Rule;
+  BlockId Block = InvalidBlock; ///< InvalidBlock for NoBlocks.
+  BlockId Succ = InvalidBlock;  ///< The bad successor (SuccOutOfRange).
+};
+
+/// Exit distance of a block with no path to a Return block.
+inline constexpr uint32_t NoReturnPath = ~static_cast<uint32_t>(0);
+
 /// Largest InstrCount a single block may carry (2^28 instructions = 1 GiB
 /// of code at 4 bytes each — far beyond any real procedure). The text
 /// parser rejects larger sizes, so downstream address assignment can sum
@@ -96,6 +119,10 @@ public:
   BasicBlock &block(BlockId Id) { return Blocks[Id]; }
   const std::vector<BasicBlock> &blocks() const { return Blocks; }
 
+  /// The name the text formats print for block \p Id: its Name, or
+  /// "b<index>" when that is empty.
+  std::string blockName(BlockId Id) const;
+
   const std::vector<BlockId> &successors(BlockId Id) const {
     return Successors[Id];
   }
@@ -111,19 +138,58 @@ public:
   }
 
   /// Predecessor lists, computed on demand (invalidated by addEdge).
+  /// Out-of-range successors are skipped.
   std::vector<std::vector<BlockId>> computePredecessors() const;
 
   /// The entry block; always block 0.
   BlockId entry() const { return 0; }
 
-  /// Checks structural invariants; on failure returns false and stores a
-  /// diagnostic in \p Error (may be null). Invariants: at least one
-  /// block; successor counts match terminator kinds; conditional
-  /// successors are distinct; edges in range; every block reachable from
-  /// the entry.
+  /// Calls Fn(const CfgViolation &) for each structural rule the
+  /// procedure breaks, in this order: no blocks (which ends the walk);
+  /// then per block, each successor out of range, an empty block, a
+  /// successor count its kind does not allow, a repeated successor.
+  /// Stops as soon as Fn returns false. Allocates nothing.
+  template <typename FnT> void forEachRuleViolation(FnT &&Fn) const {
+    if (Blocks.empty()) {
+      Fn(CfgViolation{CfgRule::NoBlocks});
+      return;
+    }
+    for (BlockId Id = 0; Id != Blocks.size(); ++Id) {
+      const std::vector<BlockId> &Succs = Successors[Id];
+      for (BlockId Succ : Succs)
+        if (Succ >= Blocks.size() &&
+            !Fn(CfgViolation{CfgRule::SuccOutOfRange, Id, Succ}))
+          return;
+      if (Blocks[Id].InstrCount == 0 &&
+          !Fn(CfgViolation{CfgRule::EmptyBlock, Id}))
+        return;
+      if (!arityAllows(Blocks[Id].Kind, Succs.size()) &&
+          !Fn(CfgViolation{CfgRule::Arity, Id}))
+        return;
+      if (hasRepeatedSuccessor(Id) &&
+          !Fn(CfgViolation{CfgRule::RepeatedSucc, Id}))
+        return;
+    }
+  }
+
+  /// Per block: whether a CFG path leads to it from the entry.
+  /// Out-of-range successors are skipped.
+  std::vector<bool> reachableFromEntry() const;
+
+  /// Per block: the fewest edges on a CFG path from it to a Return block
+  /// (0 for a Return block), or NoReturnPath when there is none.
+  /// Out-of-range successors are skipped.
+  std::vector<uint32_t> exitDistances() const;
+
+  /// Checks the structural rules and reachability from the entry; on
+  /// failure returns false and stores a diagnostic naming the first
+  /// violation in \p Error (may be null).
   bool verify(std::string *Error = nullptr) const;
 
 private:
+  static bool arityAllows(TerminatorKind Kind, size_t NumSuccs);
+  bool hasRepeatedSuccessor(BlockId Id) const;
+
   std::string Name;
   std::vector<BasicBlock> Blocks;
   std::vector<std::vector<BlockId>> Successors;

@@ -15,12 +15,7 @@ balign::printDot(const Procedure &Proc,
   Out << "  node [shape=box fontname=\"monospace\"];\n";
   for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
     const BasicBlock &Block = Proc.block(Id);
-    std::string Name = Block.Name;
-    if (Name.empty()) {
-      Name = "b";
-      Name += std::to_string(Id);
-    }
-    Out << "  n" << Id << " [label=\"" << Name << "\\n"
+    Out << "  n" << Id << " [label=\"" << Proc.blockName(Id) << "\\n"
         << terminatorKindName(Block.Kind) << " size=" << Block.InstrCount
         << "\"];\n";
   }

@@ -19,22 +19,13 @@ std::string balign::printProgram(const Program &Prog) {
     Out << "proc " << Proc.getName() << " {\n";
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
       const BasicBlock &Block = Proc.block(Id);
-      std::string Name =
-          Block.Name.empty() ? "b" + std::to_string(Id) : Block.Name;
-      Out << "  " << Name << ": size " << Block.InstrCount << " "
-          << terminatorKindName(Block.Kind);
+      Out << "  " << Proc.blockName(Id) << ": size " << Block.InstrCount
+          << " " << terminatorKindName(Block.Kind);
       const std::vector<BlockId> &Succs = Proc.successors(Id);
       if (!Succs.empty()) {
         Out << " ->";
-        for (BlockId Succ : Succs) {
-          const BasicBlock &Target = Proc.block(Succ);
-          std::string SuccName = Target.Name;
-          if (SuccName.empty()) {
-            SuccName = "b";
-            SuccName += std::to_string(Succ);
-          }
-          Out << " " << SuccName;
-        }
+        for (BlockId Succ : Succs)
+          Out << " " << Proc.blockName(Succ);
       }
       Out << "\n";
     }
@@ -63,15 +54,13 @@ struct PendingProc {
 
 } // namespace
 
+/// The kind that terminatorKindName prints as \p Word.
 static std::optional<TerminatorKind> parseKind(std::string_view Word) {
-  if (Word == "jump")
-    return TerminatorKind::Unconditional;
-  if (Word == "cond")
-    return TerminatorKind::Conditional;
-  if (Word == "multi")
-    return TerminatorKind::Multiway;
-  if (Word == "ret")
-    return TerminatorKind::Return;
+  for (TerminatorKind Kind :
+       {TerminatorKind::Unconditional, TerminatorKind::Conditional,
+        TerminatorKind::Multiway, TerminatorKind::Return})
+    if (Word == terminatorKindName(Kind))
+      return Kind;
   return std::nullopt;
 }
 

@@ -13,11 +13,6 @@
 
 using namespace balign;
 
-static std::string blockName(const Procedure &Proc, BlockId Id) {
-  const BasicBlock &Block = Proc.block(Id);
-  return Block.Name.empty() ? "b" + std::to_string(Id) : Block.Name;
-}
-
 std::string balign::printProgramProfile(const Program &Prog,
                                         const ProgramProfile &Profile) {
   assert(Profile.Procs.size() == Prog.numProcedures() &&
@@ -29,12 +24,12 @@ std::string balign::printProgramProfile(const Program &Prog,
     const ProcedureProfile &PP = Profile.Procs[P];
     Out << "proc " << Proc.getName() << " {\n";
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id) {
-      Out << "  " << blockName(Proc, Id) << ": " << PP.blockCount(Id);
+      Out << "  " << Proc.blockName(Id) << ": " << PP.blockCount(Id);
       const std::vector<BlockId> &Succs = Proc.successors(Id);
       if (!Succs.empty()) {
         Out << " ->";
         for (size_t S = 0; S != Succs.size(); ++S)
-          Out << " " << blockName(Proc, Succs[S]) << ":"
+          Out << " " << Proc.blockName(Succs[S]) << ":"
               << PP.edgeCount(Id, S);
       }
       Out << "\n";
@@ -109,7 +104,7 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
     // A later block of a repeated name wins.
     BlockNames.clear();
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
-      BlockNames.push_back(blockName(Proc, Id));
+      BlockNames.push_back(Proc.blockName(Id));
     BlockOf.clear();
     for (BlockId Id = 0; Id != Proc.numBlocks(); ++Id)
       BlockOf[BlockNames[Id]] = Id;

@@ -44,58 +44,17 @@ bool BranchBehavior::isValid(const Procedure &Proc) const {
   return true;
 }
 
-/// For every block, the successor index on a shortest path to a Return
-/// block (so a walk can wind down quickly once its branch budget is
-/// spent). Blocks that cannot reach a return get NoExit.
+/// Step.Exit of a block with no path to a return.
 static constexpr uint32_t NoExit = ~static_cast<uint32_t>(0);
-
-static std::vector<uint32_t> computeExitSuccessors(const Procedure &Proc) {
-  size_t N = Proc.numBlocks();
-  constexpr uint32_t Inf = ~static_cast<uint32_t>(0);
-  std::vector<uint32_t> Dist(N, Inf);
-  std::vector<uint32_t> ExitSucc(N, NoExit);
-
-  // Reverse BFS from the return blocks (uniform edge weight).
-  std::vector<std::vector<BlockId>> Preds = Proc.computePredecessors();
-  std::vector<BlockId> Frontier;
-  for (BlockId B = 0; B != N; ++B) {
-    if (Proc.block(B).Kind == TerminatorKind::Return) {
-      Dist[B] = 0;
-      Frontier.push_back(B);
-    }
-  }
-  for (size_t Head = 0; Head != Frontier.size(); ++Head) {
-    BlockId B = Frontier[Head];
-    for (BlockId P : Preds[B]) {
-      if (Dist[P] != Inf)
-        continue;
-      Dist[P] = Dist[B] + 1;
-      Frontier.push_back(P);
-    }
-  }
-  for (BlockId B = 0; B != N; ++B) {
-    const std::vector<BlockId> &Succs = Proc.successors(B);
-    for (uint32_t S = 0; S != Succs.size(); ++S) {
-      if (Dist[Succs[S]] == Inf)
-        continue;
-      if (ExitSucc[B] == NoExit ||
-          Dist[Succs[S]] < Dist[Succs[ExitSucc[B]]])
-        ExitSucc[B] = S;
-    }
-  }
-  return ExitSucc;
-}
 
 /// The ProfileWalkError text for a walk of \p Proc that reached the cap
 /// in block \p Id (named as the text format prints it).
 static std::string walkCapMessage(const Procedure &Proc, BlockId Id) {
-  const std::string &Name = Proc.block(Id).Name;
   return "synthetic walk of procedure '" + escapeControlBytes(Proc.getName()) +
          "' did not return within " +
          std::to_string(MaxBlocksPerInvocation) +
          " blocks (stopped in block '" +
-         (Name.empty() ? "b" + std::to_string(Id) : escapeControlBytes(Name)) +
-         "'); pass --profile";
+         escapeControlBytes(Proc.blockName(Id)) + "'); pass --profile";
 }
 
 namespace {
@@ -128,7 +87,7 @@ struct WalkTables {
 
 WalkTables buildWalkTables(const Procedure &Proc,
                            const BranchBehavior &Behavior) {
-  std::vector<uint32_t> ExitSucc = computeExitSuccessors(Proc);
+  std::vector<uint32_t> ExitDist = Proc.exitDistances();
   WalkTables T;
   T.Steps.resize(Proc.numBlocks());
   for (BlockId B = 0; B != Proc.numBlocks(); ++B) {
@@ -138,7 +97,14 @@ WalkTables buildWalkTables(const Procedure &Proc,
     const std::vector<double> &Probs = Behavior.Probs[B];
     Step.Slot = static_cast<uint32_t>(T.Sums.size());
     Step.NumSuccs = static_cast<uint32_t>(Succs.size());
-    Step.Exit = ExitSucc[B];
+    // The first successor on a shortest path to a return, so a walk can
+    // wind down quickly once its branch budget is spent.
+    Step.Exit = NoExit;
+    for (uint32_t S = 0, Best = NoReturnPath; S != Succs.size(); ++S)
+      if (ExitDist[Succs[S]] < Best) {
+        Best = ExitDist[Succs[S]];
+        Step.Exit = S;
+      }
     if (Kind == TerminatorKind::Return) {
       Step.Flags = IsReturn;
       T.Sums.push_back(0.0);

@@ -34,6 +34,13 @@ namespace balign {
 /// A monotonic clock returning milliseconds since an arbitrary epoch.
 using ClockFn = std::function<uint64_t()>;
 
+/// \p A + \p B, or UINT64_MAX where the sum would wrap, so a budget near
+/// 2^64 never expires sooner than a smaller one.
+inline uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+  uint64_t Sum;
+  return __builtin_add_overflow(A, B, &Sum) ? UINT64_MAX : Sum;
+}
+
 /// The production clock: std::chrono::steady_clock in milliseconds.
 uint64_t steadyClockMs();
 
@@ -80,7 +87,7 @@ public:
       : Clock(Clock ? std::move(Clock) : ClockFn(steadyClockMs)),
         Parent(Parent), Limited(BudgetMs != 0) {
     StartMs = this->Clock();
-    ExpiryMs = StartMs + BudgetMs;
+    ExpiryMs = saturatingAdd(StartMs, BudgetMs);
   }
 
   /// True once the clock passes the budget (or the parent expired).

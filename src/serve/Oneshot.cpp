@@ -303,9 +303,8 @@ std::string balign::renderAlignmentReport(const Program &Prog,
 
     Out += "proc " + Proc.getName() + " layout:";
     for (BlockId Id : PA.TspLayout.Order) {
-      const BasicBlock &Block = Proc.block(Id);
       Out += " ";
-      Out += Block.Name.empty() ? ("b" + std::to_string(Id)) : Block.Name;
+      Out += Proc.blockName(Id);
     }
     Out += "\n";
     if (EmitDot)

@@ -224,9 +224,10 @@ Frame AlignServer::runAlign(const AlignRequest &Request) {
     uint64_t DrainMs = DrainStartMs.load();
     uint64_t Now = nowMs();
     if (DrainMs != NotDraining && Config.DrainTimeoutMs != 0 &&
-        Now >= DrainMs + Config.DrainTimeoutMs)
+        Now >= saturatingAdd(DrainMs, Config.DrainTimeoutMs))
       forceDrain();
-    if (LimitMs != 0 && Now >= StartMs + LimitMs + StuckGraceMs &&
+    if (LimitMs != 0 &&
+        Now >= saturatingAdd(saturatingAdd(StartMs, LimitMs), StuckGraceMs) &&
         Pending->complete(makeErrorFrame(
             FrameError::Stuck,
             "align request exceeded its deadline of " +

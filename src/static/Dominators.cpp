@@ -58,15 +58,12 @@ DominatorTree DominatorTree::compute(const Procedure &Proc) {
     Tree.RpoIndex[Tree.Rpo[I]] = I;
 
   // Predecessor lists restricted to reachable blocks (an unreachable
-  // predecessor has no dominator information to intersect).
-  std::vector<uint8_t> Reach(N, 0);
-  for (BlockId B : Tree.Rpo)
-    Reach[B] = 1;
+  // predecessor has no dominator information to intersect). Every
+  // successor of a reachable block is reachable.
   std::vector<std::vector<BlockId>> Preds(N);
   for (BlockId B : Tree.Rpo)
     for (BlockId To : Proc.successors(B))
-      if (Reach[To])
-        Preds[To].push_back(B);
+      Preds[To].push_back(B);
 
   // CHK: initialize idom(entry) = entry, iterate intersection in RPO
   // until nothing changes. The "two-finger" intersect climbs the

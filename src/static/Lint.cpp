@@ -5,7 +5,6 @@
 #include "objective/Displace.h"
 #include "static/Dominators.h"
 #include "static/Loops.h"
-#include "static/Reachability.h"
 #include "support/Format.h"
 #include "trace/Scope.h"
 
@@ -44,7 +43,7 @@ namespace {
 
 /// Structural checks: reachability, loop shape, CFG degeneracies.
 /// Returns the number of check evaluations.
-size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
+size_t lintStructure(const Procedure &Proc, const DominatorTree &Dom,
                      const LoopInfo &Loops, DiagnosticEngine &Diags) {
   const std::string &Name = Proc.getName();
   size_t N = Proc.numBlocks();
@@ -52,7 +51,7 @@ size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
   // lint.unreachable-block: dead code distorts the DTSP instance (the
   // dummy-city tour must still place it) for no dynamic benefit.
   for (BlockId B = 0; B != N; ++B)
-    if (!Reach.FromEntry[B])
+    if (!Dom.reachable(B))
       Diags.report(Severity::Warning, CheckId::LintUnreachableBlock, PassName,
                    DiagLocation::block(Name, B),
                    "block is unreachable from the entry");
@@ -117,7 +116,7 @@ size_t lintStructure(const Procedure &Proc, const Reachability &Reach,
 /// Profile checks: counter sanity, dead-but-hot blocks, flow
 /// conservation with suggested repairs. Returns check evaluations.
 size_t lintProfile(const Procedure &Proc, const ProcedureProfile &Profile,
-                   const Reachability &Reach, DiagnosticEngine &Diags,
+                   const DominatorTree &Dom, DiagnosticEngine &Diags,
                    ProfileClass &Class) {
   const std::string &Name = Proc.getName();
   size_t N = Proc.numBlocks();
@@ -156,7 +155,7 @@ size_t lintProfile(const Procedure &Proc, const ProcedureProfile &Profile,
   // lint.unreachable-hot: a counted block no CFG path reaches — the
   // profile describes a different program (stale profile).
   for (BlockId B = 0; B != N; ++B)
-    if (!Reach.FromEntry[B] && Profile.BlockCounts[B] != 0)
+    if (!Dom.reachable(B) && Profile.BlockCounts[B] != 0)
       Diags.report(Severity::Error, CheckId::LintUnreachableHot, PassName,
                    DiagLocation::block(Name, B),
                    "unreachable block carries count " +
@@ -278,15 +277,14 @@ size_t balign::lintProcedure(const Procedure &Proc,
                              DiagnosticEngine &Diags,
                              ProfileClass *ProcClass) {
   ScopedSpan Span("lint.proc", SpanCat::Lint);
-  Reachability Reach = computeReachability(Proc);
   DominatorTree Dom = DominatorTree::compute(Proc);
   LoopInfo Loops = LoopInfo::compute(Proc, Dom);
   scopeCounterAdd("static.loops", Loops.Loops.size());
 
-  size_t Checks = lintStructure(Proc, Reach, Loops, Diags);
+  size_t Checks = lintStructure(Proc, Dom, Loops, Diags);
   ProfileClass Class = ProfileClass::Consistent;
   if (Profile)
-    Checks += lintProfile(Proc, *Profile, Reach, Diags, Class);
+    Checks += lintProfile(Proc, *Profile, Dom, Diags, Class);
   if (ProcClass)
     *ProcClass = Class;
   return Checks;

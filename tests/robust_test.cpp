@@ -322,6 +322,26 @@ TEST(DeadlineTest, ExpiresExactlyAtTheBudgetOnAManualClock) {
   }
 }
 
+TEST(DeadlineTest, BudgetsNearTwoToThe64NeverExpireSoonerThanSmallerOnes) {
+  // Started far from zero, a budget whose expiry would wrap saturates
+  // instead, so the largest budget outlasts every smaller one.
+  ManualClock Clock(uint64_t(1) << 62);
+  Deadline Max(UINT64_MAX, Clock.fn());
+  Deadline Wrapping(UINT64_MAX - (uint64_t(1) << 61), Clock.fn());
+  Deadline Half(uint64_t(1) << 61, Clock.fn());
+  EXPECT_TRUE(Max.isLimited());
+  Clock.advance(uint64_t(1) << 61);
+  EXPECT_TRUE(Half.expired());
+  EXPECT_FALSE(Wrapping.expired());
+  EXPECT_FALSE(Max.expired());
+  Clock.set(UINT64_MAX - 1);
+  EXPECT_FALSE(Max.expired());
+  EXPECT_FALSE(Wrapping.expired());
+  EXPECT_EQ(saturatingAdd(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_EQ(saturatingAdd(UINT64_MAX - 1, 1), UINT64_MAX);
+  EXPECT_EQ(saturatingAdd(2, 3), 5u);
+}
+
 TEST(DeadlineTest, ParentExpiryPropagatesToChildren) {
   ManualClock Clock;
   Deadline Run(100, Clock.fn());

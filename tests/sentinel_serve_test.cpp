@@ -502,6 +502,43 @@ TEST(SentinelServeTest, DrainTimeoutForcesAPipeConnection) {
   EXPECT_NE(std::string::npos, Message.find("forced drain")) << Message;
 }
 
+TEST(SentinelServeTest, TimeoutsNearTwoToThe64NeverForceOrAbandon) {
+  // On a clock far from zero, a drain timeout and a default deadline of
+  // UINT64_MAX ms saturate instead of wrapping: a large clock advance
+  // neither forces the drain nor abandons the request, whose own
+  // deadline does not expire either.
+  Oracle O = makeOracle();
+  Latch Stall;
+  ManualClock Clock(uint64_t(1) << 62);
+  AlignmentOptions Base;
+  ServeConfig Config;
+  Config.Threads = 1;
+  Config.Clock = Clock.fn();
+  Config.DrainTimeoutMs = UINT64_MAX;
+  Config.DefaultDeadlineMs = UINT64_MAX;
+  Config.TestStallHook = [&Stall] { Stall.wait(); };
+  AlignServer Server(Base, Config);
+
+  Connection Conn(Server);
+  std::string Report, Error;
+  bool Ok = false;
+  std::thread ClientThread([&] {
+    Ok = Conn.Client.align(O.Request, Report, &Error);
+  });
+  EXPECT_TRUE(eventually([&] { return Server.inFlightRequests() == 1; }));
+  Server.requestDrain();
+  Clock.advance(uint64_t(1) << 61);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5 * StuckPollMs));
+  EXPECT_FALSE(Server.drainForced());
+  EXPECT_EQ(0u, Server.metrics().counter("serve.stuck"));
+
+  Stall.release();
+  ClientThread.join();
+  ASSERT_TRUE(Ok) << Error;
+  EXPECT_EQ(O.Expected, Report);
+  EXPECT_FALSE(Server.drainForced());
+}
+
 TEST(SentinelServeTest, SigtermSelfPipeDrivesTheDrainStateMachine) {
   // The real signal path: installSignalDrain's handler writes to the
   // self-pipe, the watcher thread turns each byte into requestDrain().

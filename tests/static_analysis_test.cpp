@@ -1,9 +1,9 @@
 //===- tests/static_analysis_test.cpp - Oracle tests for src/static ------===//
 //
 // Cross-checks the production analyses (CHK dominators, natural loops,
-// reachability, flow reconstruction) against brute-force implementations
-// on a few hundred generator CFGs, including defect-seeded ones with
-// unreachable blocks and irreducible cycles.
+// the ir's reachability and exit distances, flow reconstruction) against
+// brute-force implementations on a few hundred generator CFGs, including
+// defect-seeded ones with unreachable blocks and irreducible cycles.
 //
 //===--------------------------------------------------------------------===//
 
@@ -11,7 +11,6 @@
 #include "static/Dominators.h"
 #include "static/FlowSolver.h"
 #include "static/Loops.h"
-#include "static/Reachability.h"
 #include "workloads/Generator.h"
 
 #include "DefectSeeding.h"
@@ -159,20 +158,36 @@ TEST(DominatorOracleTest, ReversePostOrderCoversReachableBlocksOnce) {
   }
 }
 
+/// Forward BFS from \p Start: the fewest edges from it to each block,
+/// NoReturnPath where no path leads.
+std::vector<uint32_t> distancesFrom(const Procedure &Proc, BlockId Start) {
+  std::vector<uint32_t> Dist(Proc.numBlocks(), NoReturnPath);
+  std::vector<BlockId> Queue{Start};
+  Dist[Start] = 0;
+  for (size_t Head = 0; Head != Queue.size(); ++Head)
+    for (BlockId S : Proc.successors(Queue[Head]))
+      if (Dist[S] == NoReturnPath) {
+        Dist[S] = Dist[Queue[Head]] + 1;
+        Queue.push_back(S);
+      }
+  return Dist;
+}
+
 TEST(ReachabilityOracleTest, BothDirectionsMatchBruteForce) {
   for (const Procedure &Proc : buildCorpus(120)) {
-    Reachability R = computeReachability(Proc);
+    std::vector<bool> Reached = Proc.reachableFromEntry();
+    std::vector<uint32_t> ExitDist = Proc.exitDistances();
     std::vector<bool> Fwd =
         reachFromAvoiding(Proc, Proc.entry(), InvalidBlock);
     for (BlockId B = 0; B != Proc.numBlocks(); ++B) {
-      ASSERT_EQ(R.FromEntry[B], Fwd[B]) << Proc.getName() << " fwd " << B;
-      std::vector<bool> From = reachFromAvoiding(Proc, B, InvalidBlock);
-      bool CanExit = false;
+      ASSERT_EQ(Reached[B], Fwd[B]) << Proc.getName() << " fwd " << B;
+      // The exit distance is the nearest return's BFS distance.
+      std::vector<uint32_t> From = distancesFrom(Proc, B);
+      uint32_t Nearest = NoReturnPath;
       for (BlockId T = 0; T != Proc.numBlocks(); ++T)
-        if (From[T] && Proc.block(T).Kind == TerminatorKind::Return)
-          CanExit = true;
-      ASSERT_EQ(R.ToExit[B], CanExit) << Proc.getName() << " bwd " << B;
-      EXPECT_EQ(R.live(B), Fwd[B] && CanExit);
+        if (Proc.block(T).Kind == TerminatorKind::Return)
+          Nearest = std::min(Nearest, From[T]);
+      ASSERT_EQ(ExitDist[B], Nearest) << Proc.getName() << " bwd " << B;
     }
   }
 }
